@@ -1,14 +1,14 @@
 // Vaxrun assembles a generated assembly file and executes a function on
 // the matching bundled simulator, printing the result and execution
 // statistics. Despite the historical name it drives any registered
-// target's simulator: -target selects the machine the file was generated
-// for (default vax).
+// target's simulator through the target registry: -target selects the
+// machine the file was generated for (default vax).
 //
 // Usage:
 //
 //	vaxrun [flags] file.s [arg...]
 //
-//	-target name  simulator to execute on (vax or risc)
+//	-target name  target whose simulator to execute on (vax or risc)
 //	-f name    function to call (default main)
 //	-counts    print per-mnemonic dynamic instruction counts
 //	-profile   print the full execution profile: per-opcode and
@@ -21,15 +21,17 @@ import (
 	"os"
 	"sort"
 	"strconv"
+	"strings"
 
 	"ggcg/internal/obs"
-	"ggcg/internal/riscsim"
-	"ggcg/internal/vaxsim"
+	_ "ggcg/internal/risc" // register the RISC-subset backend
+	"ggcg/internal/target"
+	_ "ggcg/internal/vax" // register the VAX backend
 )
 
 func main() {
 	var (
-		tgt     = flag.String("target", "vax", "simulator to execute on (vax or risc)")
+		tgt     = flag.String("target", "vax", "target whose simulator to execute on ("+strings.Join(target.Names(), ", ")+")")
 		fn      = flag.String("f", "main", "function to call")
 		counts  = flag.Bool("counts", false, "print per-mnemonic instruction counts")
 		profile = flag.Bool("profile", false, "print the full execution profile")
@@ -52,57 +54,33 @@ func main() {
 		args = append(args, v)
 	}
 
-	// Both simulators share the execution surface the report needs; only
-	// construction differs, so the result of either run lands in the same
-	// variables.
-	var (
-		r        int64
-		steps    int64
-		mnCounts map[string]int64
-		prof     func() obs.SimProfile
-	)
-	switch *tgt {
-	case "vax":
-		prog, err := vaxsim.Assemble(string(src))
-		if err != nil {
-			fatal(err)
-		}
-		m := vaxsim.New(prog)
-		if *profile {
-			m.EnableFuncProfile()
-		}
-		if r, err = m.Call("_"+*fn, args...); err != nil {
-			fatal(err)
-		}
-		steps, mnCounts, prof = m.Steps, m.Counts, m.Profile
-	case "risc":
-		prog, err := riscsim.Assemble(string(src))
-		if err != nil {
-			fatal(err)
-		}
-		m := riscsim.New(prog)
-		if *profile {
-			m.EnableFuncProfile()
-		}
-		if r, err = m.Call("_"+*fn, args...); err != nil {
-			fatal(err)
-		}
-		steps, mnCounts, prof = m.Steps, m.Counts, m.Profile
-	default:
-		fatal(fmt.Errorf("unknown -target %q (simulators: risc, vax)", *tgt))
+	mach, err := target.Lookup(*tgt)
+	if err != nil {
+		fatal(err)
+	}
+	sim, err := mach.NewSim(string(src))
+	if err != nil {
+		fatal(err)
+	}
+	if *profile {
+		sim.EnableFuncProfile()
+	}
+	r, err := sim.Call("_"+*fn, args...)
+	if err != nil {
+		fatal(err)
 	}
 
 	fmt.Printf("%s(%v) = %d\n", *fn, args, r)
-	fmt.Printf("%d instructions executed\n", steps)
+	fmt.Printf("%d instructions executed\n", sim.Steps())
 	if *profile {
-		obs.WriteSimProfile(os.Stdout, prof())
+		obs.WriteSimProfile(os.Stdout, sim.Profile())
 	} else if *counts {
 		type mc struct {
 			mn string
 			n  int64
 		}
 		var list []mc
-		for mn, n := range mnCounts {
+		for mn, n := range sim.Profile().Opcodes {
 			list = append(list, mc{mn, n})
 		}
 		sort.Slice(list, func(i, j int) bool { return list[i].n > list[j].n })

@@ -5,6 +5,7 @@ import (
 	"ggcg/internal/ir"
 	"ggcg/internal/peep"
 	"ggcg/internal/riscsim"
+	"ggcg/internal/simcore"
 	"ggcg/internal/tablegen"
 	"ggcg/internal/target"
 )
@@ -49,19 +50,8 @@ func (machine) NewSim(asm string) (target.Sim, error) {
 	if err != nil {
 		return nil, err
 	}
-	return simAdapter{riscsim.New(p)}, nil
+	return simcore.AsSim(&riscsim.New(p).Core), nil
 }
-
-// simAdapter presents a riscsim machine through the target.Sim surface.
-type simAdapter struct{ m *riscsim.Machine }
-
-func (s simAdapter) Call(fn string, args ...int64) (int64, error) { return s.m.Call(fn, args...) }
-
-func (s simAdapter) ReadGlobal(name string, size int) (int64, error) {
-	return s.m.ReadGlobal(name, size)
-}
-
-func (s simAdapter) Steps() int64 { return s.m.Steps }
 
 // Rules describes the RISC branch and move vocabulary for the
 // rule-driven peephole passes. Branch targets are last operands

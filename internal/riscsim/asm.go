@@ -1,9 +1,11 @@
 // Package riscsim is an assembler and simulator for the load/store
 // RISC-subset target (internal/risc), the second machine that proves the
-// target.Machine seam. It mirrors vaxsim's structure — the same directive
-// set, label syntax, frame protocol and memory layout — so generated code
-// for either target executes against the same differential oracles, but
-// the instruction set is a deliberately minimal three-register design:
+// target.Machine seam. It shares its core (internal/simcore) with vaxsim
+// — the same directive set, label syntax, frame protocol and memory
+// layout — so generated code for either target executes against the same
+// differential oracles, and holds only its operand syntax and execute
+// table. The instruction set is a deliberately minimal three-register
+// design:
 // sixteen 64-bit registers, loads and stores as the only memory accesses,
 // no condition codes (compare-and-branch instead), and immediates only in
 // li/lfi/addi/push.
@@ -20,10 +22,8 @@ package riscsim
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 
-	"ggcg/internal/obs"
+	"ggcg/internal/simcore"
 )
 
 // AddrMode is an operand addressing mode. The machine is load/store, so
@@ -40,6 +40,13 @@ const (
 	MLabel                 // L7 or _name as a code target
 )
 
+// modeOf maps the shared operand syntax onto the addressing modes; (rN)
+// is d(rN) with a zero displacement.
+var modeOf = [...]AddrMode{
+	simcore.KReg: MReg, simcore.KRegDef: MDisp, simcore.KDisp: MDisp,
+	simcore.KAbs: MAbs, simcore.KImm: MImm, simcore.KLabel: MLabel,
+}
+
 // Operand is one parsed instruction operand.
 type Operand struct {
 	Mode AddrMode
@@ -54,9 +61,9 @@ type Operand struct {
 func (o Operand) String() string {
 	switch o.Mode {
 	case MReg:
-		return regName(o.Reg)
+		return simcore.RegName(o.Reg)
 	case MDisp:
-		return fmt.Sprintf("%d(%s)", o.Disp, regName(o.Reg))
+		return fmt.Sprintf("%d(%s)", o.Disp, simcore.RegName(o.Reg))
 	case MAbs:
 		if o.Disp != 0 {
 			return fmt.Sprintf("%s+%d", o.Sym, o.Disp)
@@ -73,317 +80,28 @@ func (o Operand) String() string {
 	return "?"
 }
 
-func regName(r int) string {
-	switch r {
-	case 12:
-		return "ap"
-	case 13:
-		return "fp"
-	case 14:
-		return "sp"
-	case 15:
-		return "pc"
+// Label returns the code label the operand names, or "".
+func (o Operand) Label() string {
+	if o.Mode == MLabel {
+		return o.Sym
 	}
-	return fmt.Sprintf("r%d", r)
+	return ""
 }
 
 // Instr is one assembled instruction.
-type Instr struct {
-	Mn   string
-	Ops  []Operand
-	Line int
-}
-
-func (i Instr) String() string {
-	parts := make([]string, len(i.Ops))
-	for j, o := range i.Ops {
-		parts[j] = o.String()
-	}
-	return i.Mn + "\t" + strings.Join(parts, ",")
-}
+type Instr = simcore.Instr[Operand]
 
 // Program is an assembled unit ready to execute.
-type Program struct {
-	Instrs  []Instr
-	Labels  map[string]int    // code label -> instruction index
-	Globals map[string]uint32 // data symbol -> address
-	DataEnd uint32            // first address beyond static data
-	init    []dataInit
-}
-
-type dataInit struct {
-	addr  uint32
-	bytes []byte
-}
-
-// dataBase is where static data is placed in simulated memory (the same
-// layout vaxsim uses, so the differential harness reads globals of either
-// target identically).
-const dataBase = 0x1000
-
-// AssembleObs is Assemble with instrumentation: the pass reports a span
-// and instruction/symbol counters to the observer (nil disables).
-func AssembleObs(src string, o *obs.Observer) (*Program, error) {
-	sp := o.Start("assemble")
-	defer sp.End()
-	p, err := Assemble(src)
-	if err != nil {
-		return nil, err
-	}
-	o.Count("asm.instructions", int64(len(p.Instrs)))
-	o.Count("asm.labels", int64(len(p.Labels)))
-	o.Count("asm.globals", int64(len(p.Globals)))
-	return p, nil
-}
+type Program = simcore.Program[Operand]
 
 // Assemble parses assembly text into an executable program.
-func Assemble(src string) (*Program, error) {
-	p := &Program{
-		Labels:  make(map[string]int),
-		Globals: make(map[string]uint32),
-	}
-	cursor := uint32(dataBase)
-	inData := false
-	for lineNo, raw := range strings.Split(src, "\n") {
-		line := raw
-		if i := strings.IndexByte(line, '#'); i >= 0 {
-			line = line[:i]
-		}
-		line = strings.TrimSpace(line)
-		for line != "" {
-			// Peel off label definitions.
-			colon := strings.IndexByte(line, ':')
-			if colon < 0 || !isLabelDef(line[:colon]) {
-				break
-			}
-			name := line[:colon]
-			if inData {
-				p.Globals[name] = cursor
-			} else {
-				p.Labels[name] = len(p.Instrs)
-			}
-			line = strings.TrimSpace(line[colon+1:])
-		}
-		if line == "" {
-			continue
-		}
-		if strings.HasPrefix(line, ".") {
-			var err error
-			cursor, inData, err = p.directive(line, cursor, inData)
-			if err != nil {
-				return nil, fmt.Errorf("riscsim: line %d: %v", lineNo+1, err)
-			}
-			continue
-		}
-		instr, err := parseInstr(line, lineNo+1)
-		if err != nil {
-			return nil, fmt.Errorf("riscsim: line %d: %v", lineNo+1, err)
-		}
-		p.Instrs = append(p.Instrs, instr)
-	}
-	p.DataEnd = cursor
-	// Verify that every code target resolves.
-	for _, in := range p.Instrs {
-		for _, o := range in.Ops {
-			if o.Mode == MLabel {
-				if _, ok := p.Labels[o.Sym]; !ok {
-					if _, isData := p.Globals[o.Sym]; !isData {
-						return nil, fmt.Errorf("riscsim: line %d: undefined target %q", in.Line, o.Sym)
-					}
-				}
-			}
-		}
-	}
-	return p, nil
-}
-
-func isLabelDef(s string) bool {
-	if s == "" {
-		return false
-	}
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if !(c == '_' || c == '.' || c == '$' ||
-			c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9') {
-			return false
-		}
-	}
-	return true
-}
-
-func (p *Program) directive(line string, cursor uint32, inData bool) (uint32, bool, error) {
-	fields := strings.Fields(line)
-	switch fields[0] {
-	case ".text":
-		return cursor, false, nil
-	case ".data":
-		return cursor, true, nil
-	case ".globl", ".word":
-		// .globl is advisory; .word is accepted for directive compatibility
-		// with the VAX emitter (the RISC emitter writes no entry mask).
-		return cursor, inData, nil
-	case ".align":
-		if len(fields) < 2 {
-			return cursor, inData, fmt.Errorf(".align needs an argument")
-		}
-		n, err := strconv.Atoi(fields[1])
-		if err != nil || n < 0 || n > 12 {
-			return cursor, inData, fmt.Errorf("bad .align %q", fields[1])
-		}
-		size := uint32(1) << n
-		if r := cursor % size; r != 0 {
-			cursor += size - r
-		}
-		return cursor, inData, nil
-	case ".comm":
-		arg := strings.Join(fields[1:], "")
-		parts := strings.Split(arg, ",")
-		if len(parts) != 2 {
-			return cursor, inData, fmt.Errorf("bad .comm %q", line)
-		}
-		size, err := strconv.Atoi(parts[1])
-		if err != nil || size <= 0 {
-			return cursor, inData, fmt.Errorf("bad .comm size %q", parts[1])
-		}
-		if r := cursor % 4; r != 0 {
-			cursor += 4 - r
-		}
-		p.Globals[parts[0]] = cursor
-		return cursor + uint32(size), inData, nil
-	case ".space":
-		if len(fields) < 2 {
-			return cursor, inData, fmt.Errorf(".space needs a size")
-		}
-		size, err := strconv.Atoi(fields[1])
-		if err != nil || size < 0 {
-			return cursor, inData, fmt.Errorf("bad .space %q", fields[1])
-		}
-		return cursor + uint32(size), inData, nil
-	case ".long", ".byte":
-		elem := 4
-		if fields[0] == ".byte" {
-			elem = 1
-		}
-		args := strings.Split(strings.Join(fields[1:], ""), ",")
-		for _, a := range args {
-			v, err := strconv.ParseInt(a, 0, 64)
-			if err != nil {
-				return cursor, inData, fmt.Errorf("bad %s value %q", fields[0], a)
-			}
-			b := make([]byte, elem)
-			for i := 0; i < elem; i++ {
-				b[i] = byte(v >> (8 * i))
-			}
-			p.init = append(p.init, dataInit{addr: cursor, bytes: b})
-			cursor += uint32(elem)
-		}
-		return cursor, inData, nil
-	}
-	return cursor, inData, fmt.Errorf("unknown directive %q", fields[0])
-}
-
-func parseInstr(line string, lineNo int) (Instr, error) {
-	mn := line
-	rest := ""
-	if i := strings.IndexAny(line, " \t"); i >= 0 {
-		mn, rest = line[:i], strings.TrimSpace(line[i+1:])
-	}
-	in := Instr{Mn: mn, Line: lineNo}
-	if _, ok := execTable[mn]; !ok {
-		return in, fmt.Errorf("unknown instruction %q", mn)
-	}
-	if rest != "" {
-		for _, part := range strings.Split(rest, ",") {
-			op, err := parseOperand(strings.TrimSpace(part))
-			if err != nil {
-				return in, err
-			}
-			in.Ops = append(in.Ops, op)
-		}
-	}
-	return in, nil
-}
+func Assemble(src string) (*Program, error) { return simcore.Assemble(&isa, src) }
 
 func parseOperand(s string) (Operand, error) {
-	var o Operand
-	if s == "" {
-		return o, fmt.Errorf("empty operand")
+	a, err := simcore.ParseArg(s)
+	if err != nil {
+		return Operand{}, err
 	}
-	switch {
-	case strings.HasPrefix(s, "$"):
-		body := s[1:]
-		if v, err := strconv.ParseInt(body, 0, 64); err == nil {
-			o.Mode, o.Imm = MImm, v
-			return o, nil
-		}
-		if f, err := strconv.ParseFloat(body, 64); err == nil {
-			o.Mode, o.FImm, o.IsF = MImm, f, true
-			return o, nil
-		}
-		return o, fmt.Errorf("bad immediate %q", s)
-	case strings.HasSuffix(s, ")"):
-		lp := strings.IndexByte(s, '(')
-		if lp < 0 {
-			return o, fmt.Errorf("bad operand %q", s)
-		}
-		r, ok := parseRegName(s[lp+1 : len(s)-1])
-		if !ok {
-			return o, fmt.Errorf("bad base register in %q", s)
-		}
-		o.Mode, o.Reg = MDisp, r
-		if lp > 0 {
-			d, err := strconv.ParseInt(s[:lp], 0, 32)
-			if err != nil {
-				return o, fmt.Errorf("bad displacement in %q", s)
-			}
-			o.Disp = int32(d)
-		}
-		return o, nil
-	}
-	if r, ok := parseRegName(s); ok {
-		o.Mode, o.Reg = MReg, r
-		return o, nil
-	}
-	if strings.HasPrefix(s, "_") || strings.HasPrefix(s, "L") && isLabelDef(s) {
-		// Split _name+disp.
-		sym, disp := s, int64(0)
-		if i := strings.IndexByte(s, '+'); i > 0 {
-			var err error
-			disp, err = strconv.ParseInt(s[i+1:], 0, 32)
-			if err != nil {
-				return o, fmt.Errorf("bad symbol offset %q", s)
-			}
-			sym = s[:i]
-		}
-		if !isLabelDef(sym) {
-			return o, fmt.Errorf("bad symbol %q", s)
-		}
-		if strings.HasPrefix(sym, "L") && disp == 0 {
-			o.Mode, o.Sym = MLabel, sym
-			return o, nil
-		}
-		o.Mode, o.Sym, o.Disp = MAbs, sym, int32(disp)
-		return o, nil
-	}
-	return o, fmt.Errorf("bad operand %q", s)
-}
-
-func parseRegName(s string) (int, bool) {
-	switch s {
-	case "ap":
-		return 12, true
-	case "fp":
-		return 13, true
-	case "sp":
-		return 14, true
-	case "pc":
-		return 15, true
-	}
-	if strings.HasPrefix(s, "r") {
-		n, err := strconv.Atoi(s[1:])
-		if err == nil && n >= 0 && n <= 15 {
-			return n, true
-		}
-	}
-	return 0, false
+	return Operand{Mode: modeOf[a.Kind], Reg: a.Reg, Disp: a.Disp, Sym: a.Sym,
+		Imm: a.Imm, FImm: a.FImm, IsF: a.IsF}, nil
 }

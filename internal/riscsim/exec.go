@@ -3,10 +3,12 @@ package riscsim
 import (
 	"fmt"
 	"math"
+
+	"ggcg/internal/simcore"
 )
 
 // handler executes one instruction.
-type handler func(*Machine, *Instr) error
+type handler = func(*Machine, *Instr) error
 
 // execTable maps mnemonics to handlers. The assembler also consults it to
 // reject unknown instructions at parse time.
@@ -173,20 +175,13 @@ func shiftLeft(v, cnt int64) int64 {
 	return v << uint(cnt)
 }
 
-func operands(in *Instr, n int) error {
-	if len(in.Ops) != n {
-		return fmt.Errorf("want %d operands, have %d", n, len(in.Ops))
-	}
-	return nil
-}
-
 // target resolves a code-transfer operand to an instruction index.
 func target(m *Machine, o *Operand) (int, error) {
 	if o.Mode != MLabel && o.Mode != MAbs {
 		return 0, fmt.Errorf("bad code target %s", o)
 	}
-	m.modeCounts[MLabel]++
-	e, ok := m.p.Labels[o.Sym]
+	m.ModeCounts[MLabel]++
+	e, ok := m.Prog.Labels[o.Sym]
 	if !ok {
 		return 0, fmt.Errorf("undefined code target %q", o.Sym)
 	}
@@ -194,7 +189,7 @@ func target(m *Machine, o *Operand) (int, error) {
 }
 
 func li(m *Machine, in *Instr) error {
-	if err := operands(in, 2); err != nil {
+	if err := in.WantOps(2); err != nil {
 		return err
 	}
 	rd, err := m.reg(&in.Ops[0])
@@ -205,13 +200,13 @@ func li(m *Machine, in *Instr) error {
 	if o.Mode != MImm || o.IsF {
 		return fmt.Errorf("li needs an integer immediate")
 	}
-	m.modeCounts[MImm]++
+	m.ModeCounts[MImm]++
 	m.R[rd] = uint64(o.Imm)
 	return nil
 }
 
 func lfi(m *Machine, in *Instr) error {
-	if err := operands(in, 2); err != nil {
+	if err := in.WantOps(2); err != nil {
 		return err
 	}
 	rd, err := m.reg(&in.Ops[0])
@@ -222,7 +217,7 @@ func lfi(m *Machine, in *Instr) error {
 	if o.Mode != MImm {
 		return fmt.Errorf("lfi needs an immediate")
 	}
-	m.modeCounts[MImm]++
+	m.ModeCounts[MImm]++
 	v := float64(o.Imm)
 	if o.IsF {
 		v = o.FImm
@@ -232,7 +227,7 @@ func lfi(m *Machine, in *Instr) error {
 }
 
 func la(m *Machine, in *Instr) error {
-	if err := operands(in, 2); err != nil {
+	if err := in.WantOps(2); err != nil {
 		return err
 	}
 	rd, err := m.reg(&in.Ops[0])
@@ -248,7 +243,7 @@ func la(m *Machine, in *Instr) error {
 }
 
 func mv(m *Machine, in *Instr) error {
-	if err := operands(in, 2); err != nil {
+	if err := in.WantOps(2); err != nil {
 		return err
 	}
 	rd, err := m.reg(&in.Ops[0])
@@ -265,7 +260,7 @@ func mv(m *Machine, in *Instr) error {
 
 func loadInt(size int) handler {
 	return func(m *Machine, in *Instr) error {
-		if err := operands(in, 2); err != nil {
+		if err := in.WantOps(2); err != nil {
 			return err
 		}
 		rd, err := m.reg(&in.Ops[0])
@@ -276,14 +271,14 @@ func loadInt(size int) handler {
 		if err != nil {
 			return err
 		}
-		m.setInt(rd, size, extend(m.loadMem(a, size), size, false))
+		m.setInt(rd, size, simcore.Extend(m.Mem.Load(a, size), size, false))
 		return nil
 	}
 }
 
 func storeInt(size int) handler {
 	return func(m *Machine, in *Instr) error {
-		if err := operands(in, 2); err != nil {
+		if err := in.WantOps(2); err != nil {
 			return err
 		}
 		rs, err := m.reg(&in.Ops[0])
@@ -294,13 +289,13 @@ func storeInt(size int) handler {
 		if err != nil {
 			return err
 		}
-		m.storeMem(a, size, m.R[rs])
+		m.Mem.Store(a, size, m.R[rs])
 		return nil
 	}
 }
 
 func ldf(m *Machine, in *Instr) error {
-	if err := operands(in, 2); err != nil {
+	if err := in.WantOps(2); err != nil {
 		return err
 	}
 	rd, err := m.reg(&in.Ops[0])
@@ -311,12 +306,12 @@ func ldf(m *Machine, in *Instr) error {
 	if err != nil {
 		return err
 	}
-	m.setF(rd, float64(math.Float32frombits(uint32(m.loadMem(a, 4)))))
+	m.setF(rd, float64(math.Float32frombits(uint32(m.Mem.Load(a, 4)))))
 	return nil
 }
 
 func ldd(m *Machine, in *Instr) error {
-	if err := operands(in, 2); err != nil {
+	if err := in.WantOps(2); err != nil {
 		return err
 	}
 	rd, err := m.reg(&in.Ops[0])
@@ -327,12 +322,12 @@ func ldd(m *Machine, in *Instr) error {
 	if err != nil {
 		return err
 	}
-	m.R[rd] = m.loadMem(a, 8)
+	m.R[rd] = m.Mem.Load(a, 8)
 	return nil
 }
 
 func stf(m *Machine, in *Instr) error {
-	if err := operands(in, 2); err != nil {
+	if err := in.WantOps(2); err != nil {
 		return err
 	}
 	rs, err := m.reg(&in.Ops[0])
@@ -343,12 +338,12 @@ func stf(m *Machine, in *Instr) error {
 	if err != nil {
 		return err
 	}
-	m.storeMem(a, 4, uint64(math.Float32bits(float32(m.fval(rs)))))
+	m.Mem.Store(a, 4, uint64(math.Float32bits(float32(m.fval(rs)))))
 	return nil
 }
 
 func std(m *Machine, in *Instr) error {
-	if err := operands(in, 2); err != nil {
+	if err := in.WantOps(2); err != nil {
 		return err
 	}
 	rs, err := m.reg(&in.Ops[0])
@@ -359,12 +354,12 @@ func std(m *Machine, in *Instr) error {
 	if err != nil {
 		return err
 	}
-	m.storeMem(a, 8, m.R[rs])
+	m.Mem.Store(a, 8, m.R[rs])
 	return nil
 }
 
 func addi(m *Machine, in *Instr) error {
-	if err := operands(in, 3); err != nil {
+	if err := in.WantOps(3); err != nil {
 		return err
 	}
 	rd, err := m.reg(&in.Ops[0])
@@ -379,14 +374,14 @@ func addi(m *Machine, in *Instr) error {
 	if o.Mode != MImm || o.IsF {
 		return fmt.Errorf("addi needs an integer immediate")
 	}
-	m.modeCounts[MImm]++
+	m.ModeCounts[MImm]++
 	m.setInt(rd, 4, int64(int32(uint32(m.R[ra])+uint32(o.Imm))))
 	return nil
 }
 
 // threeRegs parses `op rD,rA,rB`.
 func threeRegs(m *Machine, in *Instr) (rd, ra, rb int, err error) {
-	if err = operands(in, 3); err != nil {
+	if err = in.WantOps(3); err != nil {
 		return
 	}
 	if rd, err = m.reg(&in.Ops[0]); err != nil {
@@ -449,7 +444,7 @@ func binFloat(round bool, f func(a, b float64) (float64, error)) handler {
 
 // twoRegs parses `op rD,rA`.
 func twoRegs(m *Machine, in *Instr) (rd, ra int, err error) {
-	if err = operands(in, 2); err != nil {
+	if err = in.WantOps(2); err != nil {
 		return
 	}
 	if rd, err = m.reg(&in.Ops[0]); err != nil {
@@ -487,7 +482,7 @@ func cvtInt(from, to int, unsigned bool) handler {
 		if err != nil {
 			return err
 		}
-		m.setInt(rd, to, extend(m.R[ra], from, unsigned))
+		m.setInt(rd, to, simcore.Extend(m.R[ra], from, unsigned))
 		return nil
 	}
 }
@@ -498,7 +493,7 @@ func cvtIntFloat(from int, toF, unsigned bool) handler {
 		if err != nil {
 			return err
 		}
-		v := float64(extend(m.R[ra], from, unsigned))
+		v := float64(simcore.Extend(m.R[ra], from, unsigned))
 		if toF {
 			v = float64(float32(v))
 		}
@@ -535,7 +530,7 @@ func cvtFF(round bool) handler {
 
 func branchInt(size int, unsigned bool, cmp func(a, b int64) bool) handler {
 	return func(m *Machine, in *Instr) error {
-		if err := operands(in, 3); err != nil {
+		if err := in.WantOps(3); err != nil {
 			return err
 		}
 		ra, err := m.reg(&in.Ops[0])
@@ -557,7 +552,7 @@ func branchInt(size int, unsigned bool, cmp func(a, b int64) bool) handler {
 			a, b = m.sx(ra, size), m.sx(rb, size)
 		}
 		if cmp(a, b) {
-			m.pcNext = t
+			m.Next = t
 		}
 		return nil
 	}
@@ -565,7 +560,7 @@ func branchInt(size int, unsigned bool, cmp func(a, b int64) bool) handler {
 
 func branchFloat(cmp func(a, b float64) bool) handler {
 	return func(m *Machine, in *Instr) error {
-		if err := operands(in, 3); err != nil {
+		if err := in.WantOps(3); err != nil {
 			return err
 		}
 		ra, err := m.reg(&in.Ops[0])
@@ -581,26 +576,26 @@ func branchFloat(cmp func(a, b float64) bool) handler {
 			return err
 		}
 		if cmp(m.fval(ra), m.fval(rb)) {
-			m.pcNext = t
+			m.Next = t
 		}
 		return nil
 	}
 }
 
 func jmp(m *Machine, in *Instr) error {
-	if err := operands(in, 1); err != nil {
+	if err := in.WantOps(1); err != nil {
 		return err
 	}
 	t, err := target(m, &in.Ops[0])
 	if err != nil {
 		return err
 	}
-	m.pcNext = t
+	m.Next = t
 	return nil
 }
 
 func push(m *Machine, in *Instr) error {
-	if err := operands(in, 1); err != nil {
+	if err := in.WantOps(1); err != nil {
 		return err
 	}
 	o := &in.Ops[0]
@@ -608,15 +603,15 @@ func push(m *Machine, in *Instr) error {
 		if o.IsF {
 			return fmt.Errorf("push needs an integer operand")
 		}
-		m.modeCounts[MImm]++
-		m.push32(uint32(o.Imm))
+		m.ModeCounts[MImm]++
+		m.Push32(uint32(o.Imm))
 		return nil
 	}
 	rs, err := m.reg(o)
 	if err != nil {
 		return err
 	}
-	m.push32(uint32(m.R[rs]))
+	m.Push32(uint32(m.R[rs]))
 	return nil
 }
 
@@ -624,13 +619,13 @@ func push(m *Machine, in *Instr) error {
 // at the lower address, matching the reference interpreter's argument
 // marshalling for doubles.
 func pushd(m *Machine, in *Instr) error {
-	if err := operands(in, 1); err != nil {
+	if err := in.WantOps(1); err != nil {
 		return err
 	}
 	o := &in.Ops[0]
 	var bits uint64
 	if o.Mode == MImm {
-		m.modeCounts[MImm]++
+		m.ModeCounts[MImm]++
 		v := float64(o.Imm)
 		if o.IsF {
 			v = o.FImm
@@ -643,8 +638,8 @@ func pushd(m *Machine, in *Instr) error {
 		}
 		bits = m.R[rs]
 	}
-	m.R[regSP] = uint64(m.addr(regSP) - 8)
-	m.storeMem(m.addr(regSP), 8, bits)
+	m.R[simcore.SP] = uint64(m.addr(simcore.SP) - 8)
+	m.Mem.Store(m.addr(simcore.SP), 8, bits)
 	return nil
 }
 
@@ -652,66 +647,39 @@ func pushd(m *Machine, in *Instr) error {
 // vaxsim's calls does: argument count, saved ap, fp and return pc, with
 // r6..r11 preserved across the call.
 func call(m *Machine, in *Instr) error {
-	if err := operands(in, 2); err != nil {
+	if err := in.WantOps(2); err != nil {
 		return err
 	}
 	if in.Ops[0].Mode != MImm {
 		return fmt.Errorf("call needs an immediate argument count")
 	}
-	m.modeCounts[MImm]++
+	m.ModeCounts[MImm]++
 	n := uint32(in.Ops[0].Imm)
-	sym := in.Ops[1].Sym
 	entry, err := target(m, &in.Ops[1])
 	if err != nil {
 		return err
 	}
-	if m.fnSteps != nil {
-		m.fnStack = append(m.fnStack, sym)
-	}
-	m.push32(n)
-	apAddr := m.addr(regSP)
-	m.push32(uint32(m.R[regAP]))
-	m.push32(uint32(m.R[regFP]))
-	m.push32(uint32(int32(m.pc + 1)))
-	m.R[regFP] = m.R[regSP]
-	m.R[regAP] = uint64(apAddr)
-	m.frames = append(m.frames, m.saveRegs())
-	m.pcNext = entry
+	m.PushFrame(n, in.Ops[1].Sym, entry)
 	return nil
 }
 
 func ret(m *Machine, in *Instr) error {
-	if err := operands(in, 0); err != nil {
+	if err := in.WantOps(0); err != nil {
 		return err
 	}
-	if len(m.frames) == 0 {
-		return fmt.Errorf("ret with no active frame")
-	}
-	if m.fnSteps != nil && len(m.fnStack) > 0 {
-		m.fnStack = m.fnStack[:len(m.fnStack)-1]
-	}
-	m.restoreRegs(m.frames[len(m.frames)-1])
-	m.frames = m.frames[:len(m.frames)-1]
-	m.R[regSP] = m.R[regFP]
-	retPC := int(int32(m.pop32()))
-	m.R[regFP] = uint64(m.pop32())
-	m.R[regAP] = uint64(m.pop32())
-	n := m.pop32()
-	m.R[regSP] = uint64(m.addr(regSP) + 4*n)
-	m.pcNext = retPC
-	return nil
+	return m.PopFrame()
 }
 
 // enter $n reserves n bytes of frame space for locals and spills.
 func enter(m *Machine, in *Instr) error {
-	if err := operands(in, 1); err != nil {
+	if err := in.WantOps(1); err != nil {
 		return err
 	}
 	o := &in.Ops[0]
 	if o.Mode != MImm || o.IsF {
 		return fmt.Errorf("enter needs an integer immediate")
 	}
-	m.modeCounts[MImm]++
-	m.R[regSP] = uint64(m.addr(regSP) - uint32(o.Imm))
+	m.ModeCounts[MImm]++
+	m.R[simcore.SP] = uint64(m.addr(simcore.SP) - uint32(o.Imm))
 	return nil
 }

@@ -4,219 +4,48 @@ import (
 	"fmt"
 	"math"
 
-	"ggcg/internal/obs"
+	"ggcg/internal/simcore"
 )
 
 // Machine is the simulated RISC-subset processor: sixteen 64-bit
 // registers, a byte-addressable little-endian memory, no condition codes.
-// Addresses are 32-bit (the low word of a register), and the stack layout
-// and calling convention are byte-for-byte those of vaxsim so the
-// differential harness drives both machines identically.
+// Addresses are 32-bit (the low word of a register). It embeds the same
+// core as vaxsim, so the stack layout and calling convention are
+// byte-for-byte the same and the differential harness drives both
+// machines identically.
 type Machine struct {
-	p   *Program
-	R   [16]uint64
-	Mem []byte
-
-	pc     int
-	pcNext int
-	frames []frame
-
-	// Steps counts executed instructions; Counts breaks them down by
-	// mnemonic for the dynamic code-quality comparisons.
-	Steps    int64
-	Counts   map[string]int64
-	MaxSteps int64
-
-	// modeCounts tallies operand evaluations by addressing mode.
-	modeCounts [5]int64
-
-	// fnSteps attributes executed instructions to the function (call
-	// stack top) executing them; nil until EnableFuncProfile.
-	fnSteps map[string]int64
-	fnStack []string
+	simcore.Core[uint64, Operand, *Machine]
 }
 
-type frame struct {
-	saved [6]uint64 // r6..r11, the callee-saved register file
+// ExecError describes a runtime fault of the simulated machine.
+type ExecError = simcore.ExecError
+
+// isa is the RISC half of the simulator.
+var isa = simcore.ISA[Operand, *Machine]{
+	Name:      "riscsim",
+	Exec:      execTable,
+	Parse:     parseOperand,
+	ModeNames: []string{"rN", "d(rN)", "_abs", "$imm", "label"}, // AddrMode order
 }
-
-// Register numbers of the dedicated registers.
-const (
-	regAP = 12
-	regFP = 13
-	regSP = 14
-	regPC = 15
-)
-
-// retSentinel is the return "pc" of the outermost frame.
-const retSentinel = -2
-
-// ExecError describes a runtime fault of the simulated machine, mirroring
-// vaxsim.ExecError: the failing instruction by program counter and source
-// line, its disassembly, and the underlying cause.
-type ExecError struct {
-	PC    int
-	Line  int
-	Instr string
-	Err   error
-}
-
-func (e *ExecError) Error() string {
-	return fmt.Sprintf("riscsim: pc %d, line %d (%s): %v", e.PC, e.Line, e.Instr, e.Err)
-}
-
-func (e *ExecError) Unwrap() error { return e.Err }
-
-// DefaultMemory is the simulated memory size.
-const DefaultMemory = 1 << 20
 
 // New returns a machine for the program with default memory.
 func New(p *Program) *Machine {
-	m := &Machine{
-		p:        p,
-		Mem:      make([]byte, DefaultMemory),
-		Counts:   make(map[string]int64),
-		MaxSteps: 50_000_000,
-	}
-	m.Reset()
+	m := new(Machine)
+	m.Core = simcore.NewCore[uint64](&isa, m, p)
 	return m
-}
-
-// Reset clears registers and memory and reapplies data initialization.
-func (m *Machine) Reset() {
-	m.R = [16]uint64{}
-	for i := range m.Mem {
-		m.Mem[i] = 0
-	}
-	for _, di := range m.p.init {
-		copy(m.Mem[di.addr:], di.bytes)
-	}
-	m.R[regSP] = uint64(len(m.Mem) - 64)
-	m.frames = m.frames[:0]
-}
-
-// Global returns the address of a data symbol.
-func (m *Machine) Global(name string) (uint32, bool) {
-	a, ok := m.p.Globals[name]
-	return a, ok
-}
-
-// Call resets the machine, pushes the given longword arguments and
-// executes the named function until it returns, yielding r0 as a signed
-// 32-bit result — the same contract as vaxsim.Machine.Call.
-func (m *Machine) Call(name string, args ...int64) (int64, error) {
-	m.Reset()
-	return m.CallPreservingState(name, args...)
-}
-
-// CallPreservingState is Call without the Reset, so globals keep their
-// values across calls.
-func (m *Machine) CallPreservingState(name string, args ...int64) (int64, error) {
-	entry, ok := m.p.Labels[name]
-	if !ok {
-		return 0, fmt.Errorf("riscsim: no function %q", name)
-	}
-	if m.fnSteps != nil {
-		m.fnStack = append(m.fnStack[:0], name)
-	}
-	for i := len(args) - 1; i >= 0; i-- {
-		m.push32(uint32(args[i]))
-	}
-	m.push32(uint32(len(args)))
-	apAddr := m.addr(regSP)
-	m.push32(uint32(m.R[regAP]))
-	m.push32(uint32(m.R[regFP]))
-	m.push32(^uint32(1)) // retSentinel (-2) as an unsigned word
-	m.R[regFP] = m.R[regSP]
-	m.R[regAP] = uint64(apAddr)
-	m.frames = append(m.frames, m.saveRegs())
-	m.pc = entry
-
-	for {
-		if m.pc == retSentinel {
-			return int64(int32(uint32(m.R[0]))), nil
-		}
-		if m.pc < 0 || m.pc >= len(m.p.Instrs) {
-			return 0, fmt.Errorf("riscsim: pc %d out of range", m.pc)
-		}
-		if m.Steps++; m.Steps > m.MaxSteps {
-			return 0, fmt.Errorf("riscsim: step limit %d exceeded", m.MaxSteps)
-		}
-		in := &m.p.Instrs[m.pc]
-		m.Counts[in.Mn]++
-		if m.fnSteps != nil && len(m.fnStack) > 0 {
-			m.fnSteps[m.fnStack[len(m.fnStack)-1]]++
-		}
-		m.pcNext = m.pc + 1
-		h := execTable[in.Mn]
-		if h == nil {
-			return 0, &ExecError{PC: m.pc, Line: in.Line, Instr: in.String(),
-				Err: fmt.Errorf("unknown instruction %q", in.Mn)}
-		}
-		if err := m.step(in, h); err != nil {
-			return 0, &ExecError{PC: m.pc, Line: in.Line, Instr: in.String(), Err: err}
-		}
-		m.pc = m.pcNext
-	}
-}
-
-// step runs one handler, converting a panic into an ordinary error so the
-// fault is reported with its instruction context.
-func (m *Machine) step(in *Instr, h handler) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("panic: %v", r)
-		}
-	}()
-	return h(m, in)
-}
-
-func (m *Machine) saveRegs() frame {
-	var f frame
-	copy(f.saved[:], m.R[6:12])
-	return f
-}
-
-func (m *Machine) restoreRegs(f frame) {
-	copy(m.R[6:12], f.saved[:])
 }
 
 // addr reads a register as a 32-bit address.
 func (m *Machine) addr(r int) uint32 { return uint32(m.R[r]) }
 
-func (m *Machine) push32(v uint32) {
-	m.R[regSP] = uint64(m.addr(regSP) - 4)
-	m.storeMem(m.addr(regSP), 4, uint64(v))
-}
-
-func (m *Machine) pop32() uint32 {
-	v := uint32(m.loadMem(m.addr(regSP), 4))
-	m.R[regSP] = uint64(m.addr(regSP) + 4)
-	return v
-}
-
-func (m *Machine) loadMem(addr uint32, size int) uint64 {
-	var v uint64
-	for i := 0; i < size; i++ {
-		v |= uint64(m.Mem[(addr+uint32(i))%uint32(len(m.Mem))]) << (8 * i)
-	}
-	return v
-}
-
-func (m *Machine) storeMem(addr uint32, size int, v uint64) {
-	for i := 0; i < size; i++ {
-		m.Mem[(addr+uint32(i))%uint32(len(m.Mem))] = byte(v >> (8 * i))
-	}
-}
-
 // memAddr resolves a memory operand (MDisp or MAbs) to an address.
 func (m *Machine) memAddr(o *Operand) (uint32, error) {
-	m.modeCounts[o.Mode]++
+	m.ModeCounts[o.Mode]++
 	switch o.Mode {
 	case MDisp:
 		return m.addr(o.Reg) + uint32(o.Disp), nil
 	case MAbs:
-		a, ok := m.p.Globals[o.Sym]
+		a, ok := m.Prog.Globals[o.Sym]
 		if !ok {
 			return 0, fmt.Errorf("undefined symbol %q", o.Sym)
 		}
@@ -230,110 +59,29 @@ func (m *Machine) reg(o *Operand) (int, error) {
 	if o.Mode != MReg {
 		return 0, fmt.Errorf("operand %s is not a register", o)
 	}
-	m.modeCounts[MReg]++
+	m.ModeCounts[MReg]++
 	return o.Reg, nil
 }
 
 // sx reads a register's low size bytes sign-extended; zx reads them
 // zero-extended. All integer instructions read through these two, which
 // is what makes the upper register bits unobservable.
-func (m *Machine) sx(r, size int) int64 { return extend(m.R[r], size, false) }
+func (m *Machine) sx(r, size int) int64 { return simcore.Extend(m.R[r], size, false) }
 
-func (m *Machine) zx(r, size int) int64 { return extend(m.R[r], size, true) }
-
-func extend(v uint64, size int, unsigned bool) int64 {
-	switch size {
-	case 1:
-		if unsigned {
-			return int64(uint8(v))
-		}
-		return int64(int8(v))
-	case 2:
-		if unsigned {
-			return int64(uint16(v))
-		}
-		return int64(int16(v))
-	default:
-		if unsigned {
-			return int64(uint32(v))
-		}
-		return int64(int32(v))
-	}
-}
+func (m *Machine) zx(r, size int) int64 { return simcore.Extend(m.R[r], size, true) }
 
 // setInt writes an integer result sign-extended per size; setUint writes
 // it zero-extended (the u-form convention). Consumers re-extend, so the
 // two conventions are interchangeable in generated code.
-func (m *Machine) setInt(r, size int, v int64) { m.R[r] = uint64(extend(uint64(v), size, false)) }
+func (m *Machine) setInt(r, size int, v int64) {
+	m.R[r] = uint64(simcore.Extend(uint64(v), size, false))
+}
 
-func (m *Machine) setUint(r, size int, v int64) { m.R[r] = uint64(extend(uint64(v), size, true)) }
+func (m *Machine) setUint(r, size int, v int64) {
+	m.R[r] = uint64(simcore.Extend(uint64(v), size, true))
+}
 
 // Floating values occupy a full register as float64 bits.
 func (m *Machine) fval(r int) float64 { return math.Float64frombits(m.R[r]) }
 
 func (m *Machine) setF(r int, v float64) { m.R[r] = math.Float64bits(v) }
-
-// EnableFuncProfile turns on per-function step attribution.
-func (m *Machine) EnableFuncProfile() {
-	if m.fnSteps == nil {
-		m.fnSteps = make(map[string]int64)
-	}
-}
-
-// modeNames labels the addressing modes in profile output.
-var modeNames = [5]string{"rN", "d(rN)", "_abs", "$imm", "label"}
-
-// Profile snapshots the machine's dynamic execution profile.
-func (m *Machine) Profile() obs.SimProfile {
-	p := obs.SimProfile{Steps: m.Steps}
-	if len(m.Counts) > 0 {
-		p.Opcodes = make(map[string]int64, len(m.Counts))
-		for mn, n := range m.Counts {
-			p.Opcodes[mn] = n
-		}
-	}
-	p.Modes = make(map[string]int64)
-	for i, n := range m.modeCounts {
-		if n > 0 {
-			p.Modes[modeNames[i]] = n
-		}
-	}
-	if len(m.fnSteps) > 0 {
-		p.FuncSteps = make(map[string]int64, len(m.fnSteps))
-		for fn, n := range m.fnSteps {
-			p.FuncSteps[fn] = n
-		}
-	}
-	return p
-}
-
-// ReadGlobal reads size bytes of the named global as a signed integer.
-func (m *Machine) ReadGlobal(name string, size int) (int64, error) {
-	a, ok := m.Global(name)
-	if !ok {
-		return 0, fmt.Errorf("riscsim: no global %q", name)
-	}
-	return extend(m.loadMem(a, size), size, false), nil
-}
-
-// ReadGlobalFloat reads the named global as a 4- or 8-byte floating value.
-func (m *Machine) ReadGlobalFloat(name string, size int) (float64, error) {
-	a, ok := m.Global(name)
-	if !ok {
-		return 0, fmt.Errorf("riscsim: no global %q", name)
-	}
-	if size == 4 {
-		return float64(math.Float32frombits(uint32(m.loadMem(a, 4)))), nil
-	}
-	return math.Float64frombits(m.loadMem(a, 8)), nil
-}
-
-// WriteGlobal stores a signed integer into the named global.
-func (m *Machine) WriteGlobal(name string, size int, v int64) error {
-	a, ok := m.Global(name)
-	if !ok {
-		return fmt.Errorf("riscsim: no global %q", name)
-	}
-	m.storeMem(a, size, uint64(v))
-	return nil
-}

@@ -13,6 +13,7 @@ import (
 	"ggcg/internal/cgram"
 	"ggcg/internal/ir"
 	"ggcg/internal/matcher"
+	"ggcg/internal/obs"
 	"ggcg/internal/peep"
 	"ggcg/internal/tablegen"
 )
@@ -108,4 +109,12 @@ type Sim interface {
 
 	// Steps returns the number of simulated instructions executed.
 	Steps() int64
+
+	// Profile snapshots the dynamic execution profile: opcode and
+	// addressing-mode frequencies and, once EnableFuncProfile is on,
+	// per-function step counts.
+	Profile() obs.SimProfile
+
+	// EnableFuncProfile turns on per-function step attribution.
+	EnableFuncProfile()
 }

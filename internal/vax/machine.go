@@ -4,6 +4,7 @@ import (
 	"ggcg/internal/cgram"
 	"ggcg/internal/ir"
 	"ggcg/internal/peep"
+	"ggcg/internal/simcore"
 	"ggcg/internal/tablegen"
 	"ggcg/internal/target"
 	"ggcg/internal/vaxsim"
@@ -50,19 +51,8 @@ func (machine) NewSim(asm string) (target.Sim, error) {
 	if err != nil {
 		return nil, err
 	}
-	return simAdapter{vaxsim.New(p)}, nil
+	return simcore.AsSim(&vaxsim.New(p).Core), nil
 }
-
-// simAdapter presents a vaxsim machine through the target.Sim surface.
-type simAdapter struct{ m *vaxsim.Machine }
-
-func (s simAdapter) Call(fn string, args ...int64) (int64, error) { return s.m.Call(fn, args...) }
-
-func (s simAdapter) ReadGlobal(name string, size int) (int64, error) {
-	return s.m.ReadGlobal(name, size)
-}
-
-func (s simAdapter) Steps() int64 { return s.m.Steps }
 
 // The methods below complete *Gen's target.Gen surface; the concrete
 // fields they front (RM, idiom counters) remain exported for the tests

@@ -10,14 +10,18 @@
 // (register, register deferred, displacement, displacement indexed,
 // absolute, immediate, autoincrement and autodecrement), and a simplified
 // but self-consistent calls/ret frame protocol.
+//
+// The package holds only what is VAX-specific — the operand syntax, the
+// execute table and the condition codes; the assembler front end, memory,
+// frame protocol and step loop are internal/simcore's.
 package vaxsim
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 
 	"ggcg/internal/obs"
+	"ggcg/internal/simcore"
 )
 
 // AddrMode is an operand addressing mode.
@@ -34,6 +38,12 @@ const (
 	MAutoDec                 // -(rN)
 	MLabel                   // L7 or _name as a code target
 )
+
+// modeOf maps the shared operand syntax onto the addressing modes.
+var modeOf = [...]AddrMode{
+	simcore.KReg: MReg, simcore.KRegDef: MRegDef, simcore.KDisp: MDisp,
+	simcore.KAbs: MAbs, simcore.KImm: MImm, simcore.KLabel: MLabel,
+}
 
 // Operand is one parsed instruction operand. Index >= 0 adds the
 // size-scaled index register of the VAX indexed addressing mode, written
@@ -59,11 +69,11 @@ func (o Operand) String() string {
 	base := ""
 	switch o.Mode {
 	case MReg:
-		base = regName(o.Reg)
+		base = simcore.RegName(o.Reg)
 	case MRegDef:
-		base = "(" + regName(o.Reg) + ")"
+		base = "(" + simcore.RegName(o.Reg) + ")"
 	case MDisp:
-		base = fmt.Sprintf("%d(%s)", o.Disp, regName(o.Reg))
+		base = fmt.Sprintf("%d(%s)", o.Disp, simcore.RegName(o.Reg))
 	case MAbs:
 		base = o.Sym
 		if o.Disp != 0 {
@@ -76,253 +86,46 @@ func (o Operand) String() string {
 			base = fmt.Sprintf("$%d", o.Imm)
 		}
 	case MAutoInc:
-		base = "(" + regName(o.Reg) + ")+"
+		base = "(" + simcore.RegName(o.Reg) + ")+"
 	case MAutoDec:
-		base = "-(" + regName(o.Reg) + ")"
+		base = "-(" + simcore.RegName(o.Reg) + ")"
 	case MLabel:
 		base = o.Sym
 	}
 	if o.Index >= 0 {
-		base += "[" + regName(o.Index) + "]"
+		base += "[" + simcore.RegName(o.Index) + "]"
 	}
 	return pfx + base
 }
 
-func regName(r int) string {
-	switch r {
-	case 12:
-		return "ap"
-	case 13:
-		return "fp"
-	case 14:
-		return "sp"
-	case 15:
-		return "pc"
+// Label returns the code label the operand names, or "".
+func (o Operand) Label() string {
+	if o.Mode == MLabel {
+		return o.Sym
 	}
-	return fmt.Sprintf("r%d", r)
+	return ""
 }
 
 // Instr is one assembled instruction.
-type Instr struct {
-	Mn   string
-	Ops  []Operand
-	Line int
-}
-
-func (i Instr) String() string {
-	parts := make([]string, len(i.Ops))
-	for j, o := range i.Ops {
-		parts[j] = o.String()
-	}
-	return i.Mn + "\t" + strings.Join(parts, ",")
-}
+type Instr = simcore.Instr[Operand]
 
 // Program is an assembled unit ready to execute.
-type Program struct {
-	Instrs  []Instr
-	Labels  map[string]int    // code label -> instruction index
-	Globals map[string]uint32 // data symbol -> address
-	DataEnd uint32            // first address beyond static data
-	init    []dataInit
-}
+type Program = simcore.Program[Operand]
 
-type dataInit struct {
-	addr  uint32
-	bytes []byte
-}
-
-// dataBase is where static data is placed in simulated memory.
-const dataBase = 0x1000
+// Assemble parses assembly text into an executable program.
+func Assemble(src string) (*Program, error) { return simcore.Assemble(&isa, src) }
 
 // AssembleObs is Assemble with instrumentation: the pass reports a span
 // and instruction/symbol counters to the observer (nil disables).
 func AssembleObs(src string, o *obs.Observer) (*Program, error) {
-	sp := o.Start("assemble")
-	defer sp.End()
-	p, err := Assemble(src)
-	if err != nil {
-		return nil, err
-	}
-	o.Count("asm.instructions", int64(len(p.Instrs)))
-	o.Count("asm.labels", int64(len(p.Labels)))
-	o.Count("asm.globals", int64(len(p.Globals)))
-	return p, nil
+	return simcore.AssembleObs(&isa, src, o)
 }
 
-// Assemble parses assembly text into an executable program.
-func Assemble(src string) (*Program, error) {
-	p := &Program{
-		Labels:  make(map[string]int),
-		Globals: make(map[string]uint32),
-	}
-	cursor := uint32(dataBase)
-	inData := false
-	for lineNo, raw := range strings.Split(src, "\n") {
-		line := raw
-		if i := strings.IndexByte(line, '#'); i >= 0 {
-			line = line[:i]
-		}
-		line = strings.TrimSpace(line)
-		for line != "" {
-			// Peel off label definitions.
-			colon := strings.IndexByte(line, ':')
-			if colon < 0 || !isLabelDef(line[:colon]) {
-				break
-			}
-			name := line[:colon]
-			if inData {
-				p.Globals[name] = cursor
-			} else {
-				p.Labels[name] = len(p.Instrs)
-			}
-			line = strings.TrimSpace(line[colon+1:])
-		}
-		if line == "" {
-			continue
-		}
-		if strings.HasPrefix(line, ".") {
-			var err error
-			cursor, inData, err = p.directive(line, cursor, inData)
-			if err != nil {
-				return nil, fmt.Errorf("vaxsim: line %d: %v", lineNo+1, err)
-			}
-			continue
-		}
-		instr, err := parseInstr(line, lineNo+1)
-		if err != nil {
-			return nil, fmt.Errorf("vaxsim: line %d: %v", lineNo+1, err)
-		}
-		p.Instrs = append(p.Instrs, instr)
-	}
-	p.DataEnd = cursor
-	// Verify that every code target resolves.
-	for _, in := range p.Instrs {
-		for _, o := range in.Ops {
-			if o.Mode == MLabel {
-				if _, ok := p.Labels[o.Sym]; !ok && !isBuiltin(o.Sym) {
-					if _, isData := p.Globals[o.Sym]; !isData {
-						return nil, fmt.Errorf("vaxsim: line %d: undefined target %q", in.Line, o.Sym)
-					}
-				}
-			}
-		}
-	}
-	return p, nil
-}
-
-func isLabelDef(s string) bool {
-	if s == "" {
-		return false
-	}
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if !(c == '_' || c == '.' || c == '$' ||
-			c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9') {
-			return false
-		}
-	}
-	return true
-}
-
-func (p *Program) directive(line string, cursor uint32, inData bool) (uint32, bool, error) {
-	fields := strings.Fields(line)
-	switch fields[0] {
-	case ".text":
-		return cursor, false, nil
-	case ".data":
-		return cursor, true, nil
-	case ".globl", ".word":
-		// .globl is advisory; .word after a function label is the entry
-		// register save mask, which the simulator handles implicitly.
-		return cursor, inData, nil
-	case ".align":
-		if len(fields) < 2 {
-			return cursor, inData, fmt.Errorf(".align needs an argument")
-		}
-		n, err := strconv.Atoi(fields[1])
-		if err != nil || n < 0 || n > 12 {
-			return cursor, inData, fmt.Errorf("bad .align %q", fields[1])
-		}
-		size := uint32(1) << n
-		if r := cursor % size; r != 0 {
-			cursor += size - r
-		}
-		return cursor, inData, nil
-	case ".comm":
-		arg := strings.Join(fields[1:], "")
-		parts := strings.Split(arg, ",")
-		if len(parts) != 2 {
-			return cursor, inData, fmt.Errorf("bad .comm %q", line)
-		}
-		size, err := strconv.Atoi(parts[1])
-		if err != nil || size <= 0 {
-			return cursor, inData, fmt.Errorf("bad .comm size %q", parts[1])
-		}
-		if r := cursor % 4; r != 0 {
-			cursor += 4 - r
-		}
-		p.Globals[parts[0]] = cursor
-		return cursor + uint32(size), inData, nil
-	case ".space":
-		if len(fields) < 2 {
-			return cursor, inData, fmt.Errorf(".space needs a size")
-		}
-		size, err := strconv.Atoi(fields[1])
-		if err != nil || size < 0 {
-			return cursor, inData, fmt.Errorf("bad .space %q", fields[1])
-		}
-		return cursor + uint32(size), inData, nil
-	case ".long", ".byte":
-		elem := 4
-		if fields[0] == ".byte" {
-			elem = 1
-		}
-		args := strings.Split(strings.Join(fields[1:], ""), ",")
-		for _, a := range args {
-			v, err := strconv.ParseInt(a, 0, 64)
-			if err != nil {
-				return cursor, inData, fmt.Errorf("bad %s value %q", fields[0], a)
-			}
-			b := make([]byte, elem)
-			for i := 0; i < elem; i++ {
-				b[i] = byte(v >> (8 * i))
-			}
-			p.init = append(p.init, dataInit{addr: cursor, bytes: b})
-			cursor += uint32(elem)
-		}
-		return cursor, inData, nil
-	}
-	return cursor, inData, fmt.Errorf("unknown directive %q", fields[0])
-}
-
-func parseInstr(line string, lineNo int) (Instr, error) {
-	mn := line
-	rest := ""
-	if i := strings.IndexAny(line, " \t"); i >= 0 {
-		mn, rest = line[:i], strings.TrimSpace(line[i+1:])
-	}
-	in := Instr{Mn: mn, Line: lineNo}
-	if _, ok := execTable[mn]; !ok {
-		return in, fmt.Errorf("unknown instruction %q", mn)
-	}
-	if rest != "" {
-		for _, part := range strings.Split(rest, ",") {
-			op, err := parseOperand(strings.TrimSpace(part))
-			if err != nil {
-				return in, err
-			}
-			in.Ops = append(in.Ops, op)
-		}
-	}
-	return in, nil
-}
-
+// parseOperand parses the VAX-only syntax — the '*' deferred prefix, a
+// trailing [rX] index, (rN)+ and -(rN) — around the shared operand syntax.
 func parseOperand(s string) (Operand, error) {
 	o := Operand{Index: -1}
-	if s == "" {
-		return o, fmt.Errorf("empty operand")
-	}
-	if s[0] == '*' {
+	if strings.HasPrefix(s, "*") {
 		inner, err := parseOperand(s[1:])
 		if err != nil {
 			return o, err
@@ -340,7 +143,7 @@ func parseOperand(s string) (Operand, error) {
 		if lb < 0 {
 			return o, fmt.Errorf("bad index in %q", s)
 		}
-		r, ok := parseRegName(s[lb+1 : len(s)-1])
+		r, ok := simcore.ParseReg(s[lb+1 : len(s)-1])
 		if !ok {
 			return o, fmt.Errorf("bad index register in %q", s)
 		}
@@ -348,96 +151,26 @@ func parseOperand(s string) (Operand, error) {
 		s = s[:lb]
 	}
 	switch {
-	case strings.HasPrefix(s, "$"):
-		body := s[1:]
-		if v, err := strconv.ParseInt(body, 0, 64); err == nil {
-			o.Mode, o.Imm = MImm, v
-			return o, nil
-		}
-		if f, err := strconv.ParseFloat(body, 64); err == nil {
-			o.Mode, o.FImm, o.IsF = MImm, f, true
-			return o, nil
-		}
-		return o, fmt.Errorf("bad immediate %q", s)
 	case strings.HasSuffix(s, ")+"):
-		r, ok := parseRegName(strings.TrimSuffix(strings.TrimPrefix(s, "("), ")+"))
+		r, ok := simcore.ParseReg(strings.TrimSuffix(strings.TrimPrefix(s, "("), ")+"))
 		if !ok || !strings.HasPrefix(s, "(") {
 			return o, fmt.Errorf("bad autoincrement %q", s)
 		}
 		o.Mode, o.Reg = MAutoInc, r
 		return o, nil
 	case strings.HasPrefix(s, "-(") && strings.HasSuffix(s, ")"):
-		r, ok := parseRegName(s[2 : len(s)-1])
+		r, ok := simcore.ParseReg(s[2 : len(s)-1])
 		if !ok {
 			return o, fmt.Errorf("bad autodecrement %q", s)
 		}
 		o.Mode, o.Reg = MAutoDec, r
 		return o, nil
-	case strings.HasSuffix(s, ")"):
-		lp := strings.IndexByte(s, '(')
-		if lp < 0 {
-			return o, fmt.Errorf("bad operand %q", s)
-		}
-		r, ok := parseRegName(s[lp+1 : len(s)-1])
-		if !ok {
-			return o, fmt.Errorf("bad base register in %q", s)
-		}
-		o.Reg = r
-		if lp == 0 {
-			o.Mode = MRegDef
-			return o, nil
-		}
-		d, err := strconv.ParseInt(s[:lp], 0, 32)
-		if err != nil {
-			return o, fmt.Errorf("bad displacement in %q", s)
-		}
-		o.Mode, o.Disp = MDisp, int32(d)
-		return o, nil
 	}
-	if r, ok := parseRegName(s); ok {
-		o.Mode, o.Reg = MReg, r
-		return o, nil
+	a, err := simcore.ParseArg(s)
+	if err != nil {
+		return o, err
 	}
-	if strings.HasPrefix(s, "_") || strings.HasPrefix(s, "L") && isLabelDef(s) {
-		// Split _name+disp.
-		sym, disp := s, int64(0)
-		if i := strings.IndexByte(s, '+'); i > 0 {
-			var err error
-			disp, err = strconv.ParseInt(s[i+1:], 0, 32)
-			if err != nil {
-				return o, fmt.Errorf("bad symbol offset %q", s)
-			}
-			sym = s[:i]
-		}
-		if !isLabelDef(sym) {
-			return o, fmt.Errorf("bad symbol %q", s)
-		}
-		if strings.HasPrefix(sym, "L") && disp == 0 {
-			o.Mode, o.Sym = MLabel, sym
-			return o, nil
-		}
-		o.Mode, o.Sym, o.Disp = MAbs, sym, int32(disp)
-		return o, nil
-	}
-	return o, fmt.Errorf("bad operand %q", s)
-}
-
-func parseRegName(s string) (int, bool) {
-	switch s {
-	case "ap":
-		return 12, true
-	case "fp":
-		return 13, true
-	case "sp":
-		return 14, true
-	case "pc":
-		return 15, true
-	}
-	if strings.HasPrefix(s, "r") {
-		n, err := strconv.Atoi(s[1:])
-		if err == nil && n >= 0 && n <= 15 {
-			return n, true
-		}
-	}
-	return 0, false
+	o.Mode, o.Reg, o.Disp, o.Sym = modeOf[a.Kind], a.Reg, a.Disp, a.Sym
+	o.Imm, o.FImm, o.IsF = a.Imm, a.FImm, a.IsF
+	return o, nil
 }

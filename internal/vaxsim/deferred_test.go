@@ -3,7 +3,6 @@ package vaxsim
 import (
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func TestDeferredDisplacement(t *testing.T) {
@@ -89,42 +88,6 @@ func TestDeferredRoundTripSyntax(t *testing.T) {
 	}
 	if _, err := parseOperand("*r3"); err == nil {
 		t.Error("deferred register accepted")
-	}
-}
-
-// Property: extend/truncation of stored values behaves like the Go integer
-// conversions of the corresponding width.
-func TestExtendProperty(t *testing.T) {
-	f := func(v int64) bool {
-		return extend(uint64(v), 1, false) == int64(int8(v)) &&
-			extend(uint64(v), 2, false) == int64(int16(v)) &&
-			extend(uint64(v), 4, false) == int64(int32(v)) &&
-			extend(uint64(v), 1, true) == int64(uint8(v)) &&
-			extend(uint64(v), 2, true) == int64(uint16(v)) &&
-			extend(uint64(v), 4, true) == int64(uint32(v))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: memory store/load round trips at every size and address.
-func TestMemoryRoundTripProperty(t *testing.T) {
-	p := assemble(t, ".text\n_f:\tret\n")
-	m := New(p)
-	f := func(addr uint32, v int64, sz uint8) bool {
-		size := []int{1, 2, 4, 8}[sz%4]
-		a := dataBase + addr%4096
-		m.storeMem(a, size, uint64(v))
-		got := m.loadMem(a, size)
-		mask := ^uint64(0)
-		if size < 8 {
-			mask = 1<<(8*uint(size)) - 1
-		}
-		return got == uint64(v)&mask
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

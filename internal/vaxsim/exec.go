@@ -2,11 +2,13 @@ package vaxsim
 
 import (
 	"fmt"
+
+	"ggcg/internal/simcore"
 )
 
-// handler executes one instruction. The step loop advances pc to pcNext,
-// which control-transfer handlers overwrite.
-type handler func(m *Machine, in *Instr) error
+// handler executes one instruction. The step loop advances control to
+// m.Next, which control-transfer handlers overwrite.
+type handler = func(m *Machine, in *Instr) error
 
 // execTable maps mnemonics to handlers; it also defines the accepted
 // instruction subset for the assembler.
@@ -95,7 +97,7 @@ func init() {
 }
 
 func (m *Machine) setNZInt(v int64, size int) {
-	t := extend(uint64(v), size, false)
+	t := simcore.Extend(uint64(v), size, false)
 	m.N, m.Z, m.V, m.C = t < 0, t == 0, false, false
 }
 
@@ -103,16 +105,9 @@ func (m *Machine) setNZFloat(v float64) {
 	m.N, m.Z, m.V, m.C = v < 0, v == 0, false, false
 }
 
-func operands(in *Instr, n int) error {
-	if len(in.Ops) != n {
-		return fmt.Errorf("want %d operands, have %d", n, len(in.Ops))
-	}
-	return nil
-}
-
 func movInt(size int) handler {
 	return func(m *Machine, in *Instr) error {
-		if err := operands(in, 2); err != nil {
+		if err := in.WantOps(2); err != nil {
 			return err
 		}
 		src, err := m.resolve(&in.Ops[0], size)
@@ -134,7 +129,7 @@ func movInt(size int) handler {
 
 func movFloat(size int) handler {
 	return func(m *Machine, in *Instr) error {
-		if err := operands(in, 2); err != nil {
+		if err := in.WantOps(2); err != nil {
 			return err
 		}
 		src, err := m.resolve(&in.Ops[0], size)
@@ -156,7 +151,7 @@ func movFloat(size int) handler {
 
 func movz(fromSize, toSize int) handler {
 	return func(m *Machine, in *Instr) error {
-		if err := operands(in, 2); err != nil {
+		if err := in.WantOps(2); err != nil {
 			return err
 		}
 		src, err := m.resolve(&in.Ops[0], fromSize)
@@ -178,7 +173,7 @@ func movz(fromSize, toSize int) handler {
 
 func cvt(fromSize, toSize int, fromF, toF bool) handler {
 	return func(m *Machine, in *Instr) error {
-		if err := operands(in, 2); err != nil {
+		if err := in.WantOps(2); err != nil {
 			return err
 		}
 		src, err := m.resolve(&in.Ops[0], fromSize)
@@ -226,7 +221,7 @@ func cvt(fromSize, toSize int, fromF, toF bool) handler {
 
 func clrInt(size int) handler {
 	return func(m *Machine, in *Instr) error {
-		if err := operands(in, 1); err != nil {
+		if err := in.WantOps(1); err != nil {
 			return err
 		}
 		dst, err := m.resolve(&in.Ops[0], size)
@@ -240,7 +235,7 @@ func clrInt(size int) handler {
 
 func clrFloat(size int) handler {
 	return func(m *Machine, in *Instr) error {
-		if err := operands(in, 1); err != nil {
+		if err := in.WantOps(1); err != nil {
 			return err
 		}
 		dst, err := m.resolve(&in.Ops[0], size)
@@ -254,7 +249,7 @@ func clrFloat(size int) handler {
 
 func tstInt(size int) handler {
 	return func(m *Machine, in *Instr) error {
-		if err := operands(in, 1); err != nil {
+		if err := in.WantOps(1); err != nil {
 			return err
 		}
 		src, err := m.resolve(&in.Ops[0], size)
@@ -272,7 +267,7 @@ func tstInt(size int) handler {
 
 func tstFloat(size int) handler {
 	return func(m *Machine, in *Instr) error {
-		if err := operands(in, 1); err != nil {
+		if err := in.WantOps(1); err != nil {
 			return err
 		}
 		src, err := m.resolve(&in.Ops[0], size)
@@ -290,7 +285,7 @@ func tstFloat(size int) handler {
 
 func cmpInt(size int) handler {
 	return func(m *Machine, in *Instr) error {
-		if err := operands(in, 2); err != nil {
+		if err := in.WantOps(2); err != nil {
 			return err
 		}
 		la, err := m.resolve(&in.Ops[0], size)
@@ -317,7 +312,7 @@ func cmpInt(size int) handler {
 
 func cmpFloat(size int) handler {
 	return func(m *Machine, in *Instr) error {
-		if err := operands(in, 2); err != nil {
+		if err := in.WantOps(2); err != nil {
 			return err
 		}
 		la, err := m.resolve(&in.Ops[0], size)
@@ -347,7 +342,7 @@ func sizeMask(size int) uint64 {
 
 func incInt(size int, delta int64) handler {
 	return func(m *Machine, in *Instr) error {
-		if err := operands(in, 1); err != nil {
+		if err := in.WantOps(1); err != nil {
 			return err
 		}
 		dst, err := m.resolve(&in.Ops[0], size)
@@ -366,7 +361,7 @@ func incInt(size int, delta int64) handler {
 
 func unaryInt(size int, f func(int64) int64) handler {
 	return func(m *Machine, in *Instr) error {
-		if err := operands(in, 2); err != nil {
+		if err := in.WantOps(2); err != nil {
 			return err
 		}
 		src, err := m.resolve(&in.Ops[0], size)
@@ -389,7 +384,7 @@ func unaryInt(size int, f func(int64) int64) handler {
 
 func unaryFloat(size int, f func(float64) float64) handler {
 	return func(m *Machine, in *Instr) error {
-		if err := operands(in, 2); err != nil {
+		if err := in.WantOps(2); err != nil {
 			return err
 		}
 		src, err := m.resolve(&in.Ops[0], size)
@@ -430,7 +425,7 @@ func divFloat(a, b float64) (float64, error) {
 // binInt2 implements op2 src,dst: dst = dst OP src.
 func binInt2(size int, f func(a, b int64) (int64, error)) handler {
 	return func(m *Machine, in *Instr) error {
-		if err := operands(in, 2); err != nil {
+		if err := in.WantOps(2); err != nil {
 			return err
 		}
 		ls, err := m.resolve(&in.Ops[0], size)
@@ -462,7 +457,7 @@ func binInt2(size int, f func(a, b int64) (int64, error)) handler {
 // which subl3 computes minuend-from-the-second-operand).
 func binInt3(size int, f func(a, b int64) (int64, error)) handler {
 	return func(m *Machine, in *Instr) error {
-		if err := operands(in, 3); err != nil {
+		if err := in.WantOps(3); err != nil {
 			return err
 		}
 		la, err := m.resolve(&in.Ops[0], size)
@@ -496,7 +491,7 @@ func binInt3(size int, f func(a, b int64) (int64, error)) handler {
 
 func binFloat2(size int, f func(a, b float64) (float64, error)) handler {
 	return func(m *Machine, in *Instr) error {
-		if err := operands(in, 2); err != nil {
+		if err := in.WantOps(2); err != nil {
 			return err
 		}
 		ls, err := m.resolve(&in.Ops[0], size)
@@ -526,7 +521,7 @@ func binFloat2(size int, f func(a, b float64) (float64, error)) handler {
 
 func binFloat3(size int, f func(a, b float64) (float64, error)) handler {
 	return func(m *Machine, in *Instr) error {
-		if err := operands(in, 3); err != nil {
+		if err := in.WantOps(3); err != nil {
 			return err
 		}
 		la, err := m.resolve(&in.Ops[0], size)
@@ -561,7 +556,7 @@ func binFloat3(size int, f func(a, b float64) (float64, error)) handler {
 // ashl cnt,src,dst: arithmetic shift of a long; positive counts shift left,
 // negative right.
 func ashl(m *Machine, in *Instr) error {
-	if err := operands(in, 3); err != nil {
+	if err := in.WantOps(3); err != nil {
 		return err
 	}
 	lc, err := m.resolve(&in.Ops[0], 1)
@@ -602,7 +597,7 @@ func ashl(m *Machine, in *Instr) error {
 // extzv pos,size,base,dst: extract a zero-extended bit field. The code
 // generators use it for unsigned right shifts.
 func extzv(m *Machine, in *Instr) error {
-	if err := operands(in, 4); err != nil {
+	if err := in.WantOps(4); err != nil {
 		return err
 	}
 	lp, err := m.resolve(&in.Ops[0], 4)
@@ -648,7 +643,7 @@ func extzv(m *Machine, in *Instr) error {
 }
 
 func pushl(m *Machine, in *Instr) error {
-	if err := operands(in, 1); err != nil {
+	if err := in.WantOps(1); err != nil {
 		return err
 	}
 	src, err := m.resolve(&in.Ops[0], 4)
@@ -660,7 +655,7 @@ func pushl(m *Machine, in *Instr) error {
 		return err
 	}
 	m.setNZInt(v, 4)
-	m.push32(uint32(v))
+	m.Push32(uint32(v))
 	return nil
 }
 
@@ -669,7 +664,7 @@ func pushl(m *Machine, in *Instr) error {
 // by 4, movaq by 8). The destination is always a longword.
 func mova(size int) handler {
 	return func(m *Machine, in *Instr) error {
-		if err := operands(in, 2); err != nil {
+		if err := in.WantOps(2); err != nil {
 			return err
 		}
 		src, err := m.resolve(&in.Ops[0], size)
@@ -709,27 +704,27 @@ func target(m *Machine, o *Operand) (int, error) {
 	if o.Mode != MLabel && o.Mode != MAbs {
 		return 0, fmt.Errorf("bad branch target %s", o)
 	}
-	if idx, ok := m.p.Labels[o.Sym]; ok {
+	if idx, ok := m.Prog.Labels[o.Sym]; ok {
 		return idx, nil
 	}
 	return 0, fmt.Errorf("undefined code label %q", o.Sym)
 }
 
 func jbr(m *Machine, in *Instr) error {
-	if err := operands(in, 1); err != nil {
+	if err := in.WantOps(1); err != nil {
 		return err
 	}
 	t, err := target(m, &in.Ops[0])
 	if err != nil {
 		return err
 	}
-	m.pcNext = t
+	m.Next = t
 	return nil
 }
 
 func branch(cond func(*Machine) bool) handler {
 	return func(m *Machine, in *Instr) error {
-		if err := operands(in, 1); err != nil {
+		if err := in.WantOps(1); err != nil {
 			return err
 		}
 		t, err := target(m, &in.Ops[0])
@@ -737,7 +732,7 @@ func branch(cond func(*Machine) bool) handler {
 			return err
 		}
 		if cond(m) {
-			m.pcNext = t
+			m.Next = t
 		}
 		return nil
 	}
@@ -750,7 +745,7 @@ func branch(cond func(*Machine) bool) handler {
 // branches on index < limit, aobleq on index <= limit.
 func aob(cont func(index, limit int64) bool) handler {
 	return func(m *Machine, in *Instr) error {
-		if err := operands(in, 3); err != nil {
+		if err := in.WantOps(3); err != nil {
 			return err
 		}
 		ll, err := m.resolve(&in.Ops[0], 4)
@@ -769,7 +764,7 @@ func aob(cont func(index, limit int64) bool) handler {
 		if err != nil {
 			return err
 		}
-		index = extend(uint64(index+1), 4, false)
+		index = simcore.Extend(uint64(index+1), 4, false)
 		m.setNZInt(index, 4)
 		if err := m.writeInt(li, 4, index); err != nil {
 			return err
@@ -779,7 +774,7 @@ func aob(cont func(index, limit int64) bool) handler {
 			return err
 		}
 		if cont(index, limit) {
-			m.pcNext = t
+			m.Next = t
 		}
 		return nil
 	}
@@ -802,13 +797,10 @@ var builtins = map[string]func(a, b uint32) (uint32, error){
 	},
 }
 
-func isBuiltin(sym string) bool { _, ok := builtins[sym]; return ok }
-
-// calls $n,f: the simplified frame protocol described in DESIGN.md — push
-// the argument count, the old ap, fp and return pc, point ap at the count
-// word and fp at the new frame, and save r6-r11 in lieu of the entry mask.
+// calls $n,f: the simplified frame protocol described in DESIGN.md (see
+// simcore's PushFrame); the unsigned division builtins return at once.
 func calls(m *Machine, in *Instr) error {
-	if err := operands(in, 2); err != nil {
+	if err := in.WantOps(2); err != nil {
 		return err
 	}
 	if in.Ops[0].Mode != MImm {
@@ -817,53 +809,27 @@ func calls(m *Machine, in *Instr) error {
 	n := uint32(in.Ops[0].Imm)
 	sym := in.Ops[1].Sym
 	if f, ok := builtins[sym]; ok {
-		a := uint32(m.loadMem(m.R[regSP], 4))
-		b := uint32(m.loadMem(m.R[regSP]+4, 4))
+		a := uint32(m.Mem.Load(m.R[simcore.SP], 4))
+		b := uint32(m.Mem.Load(m.R[simcore.SP]+4, 4))
 		r, err := f(a, b)
 		if err != nil {
 			return err
 		}
 		m.R[0] = r
-		m.R[regSP] += 4 * n
+		m.R[simcore.SP] += 4 * n
 		return nil
 	}
 	entry, err := target(m, &in.Ops[1])
 	if err != nil {
 		return err
 	}
-	if m.fnSteps != nil {
-		m.fnStack = append(m.fnStack, sym)
-	}
-	m.push32(n)
-	apAddr := m.R[regSP]
-	m.push32(m.R[regAP])
-	m.push32(m.R[regFP])
-	m.push32(uint32(int32(m.pc + 1)))
-	m.R[regFP] = m.R[regSP]
-	m.R[regAP] = apAddr
-	m.frames = append(m.frames, m.saveRegs())
-	m.pcNext = entry
+	m.PushFrame(n, sym, entry)
 	return nil
 }
 
 func ret(m *Machine, in *Instr) error {
-	if err := operands(in, 0); err != nil {
+	if err := in.WantOps(0); err != nil {
 		return err
 	}
-	if len(m.frames) == 0 {
-		return fmt.Errorf("ret with no active frame")
-	}
-	if m.fnSteps != nil && len(m.fnStack) > 0 {
-		m.fnStack = m.fnStack[:len(m.fnStack)-1]
-	}
-	m.restoreRegs(m.frames[len(m.frames)-1])
-	m.frames = m.frames[:len(m.frames)-1]
-	m.R[regSP] = m.R[regFP]
-	retPC := int(int32(m.pop32()))
-	m.R[regFP] = m.pop32()
-	m.R[regAP] = m.pop32()
-	n := m.pop32()
-	m.R[regSP] += 4 * n
-	m.pcNext = retPC
-	return nil
+	return m.PopFrame()
 }

@@ -4,216 +4,46 @@ import (
 	"fmt"
 	"math"
 
-	"ggcg/internal/obs"
+	"ggcg/internal/simcore"
 )
 
 // Machine is a simulated VAX subset processor: sixteen 32-bit registers, a
 // byte-addressable little-endian memory, and the NZVC condition codes that
 // almost every VAX instruction sets as a side effect (§6.1 of the paper).
+// The embedded core supplies memory, the frame protocol, the step loop
+// and the profile.
 type Machine struct {
-	p   *Program
-	R   [16]uint32
-	Mem []byte
+	simcore.Core[uint32, Operand, *Machine]
 
 	N, Z, V, C bool
-
-	pc     int
-	pcNext int
-	frames []frame
-
-	// Steps counts executed instructions; Counts breaks them down by
-	// mnemonic, used by the dynamic code-quality experiment (E3).
-	Steps    int64
-	Counts   map[string]int64
-	MaxSteps int64
-
-	// modeCounts tallies operand evaluations by addressing mode (indexed
-	// by AddrMode); deferred and indexed variants are counted separately.
-	// Cheap fixed-slot increments, so they are always on.
-	modeCounts    [8]int64
-	deferredCount int64
-	indexedCount  int64
-
-	// fnSteps attributes executed instructions to the function (call
-	// stack top) executing them; nil until EnableFuncProfile.
-	fnSteps map[string]int64
-	fnStack []string
 }
 
-type frame struct {
-	saved [6]uint32 // r6..r11, the simulated entry-mask register save
+// ExecError describes a runtime fault of the simulated machine.
+type ExecError = simcore.ExecError
+
+// isa is the VAX half of the simulator.
+var isa = simcore.ISA[Operand, *Machine]{
+	Name:  "vaxsim",
+	Exec:  execTable,
+	Parse: parseOperand,
+	// The addressing modes in AddrMode order (the assembler's surface
+	// syntax), then the deferred and indexed variants, counted separately.
+	ModeNames: []string{"rN", "(rN)", "d(rN)", "_abs", "$imm", "(rN)+", "-(rN)", "label",
+		"*deferred", "[rX] indexed"},
+	Reset: func(m *Machine) { m.N, m.Z, m.V, m.C = false, false, false, false },
 }
 
-// Register numbers of the dedicated registers.
+// ModeCounts slots of the deferred and indexed variants.
 const (
-	regAP = 12
-	regFP = 13
-	regSP = 14
-	regPC = 15
+	modeDeferred = 8
+	modeIndexed  = 9
 )
-
-// retSentinel is the return "pc" of the outermost frame.
-const retSentinel = -2
-
-// ExecError describes a runtime fault of the simulated machine: the
-// failing instruction by program counter and assembly source line, its
-// disassembly, and the underlying cause. Every instruction-level fault —
-// including a Go panic recovered out of a handler — surfaces as an
-// ExecError from Call, never as a panic of the simulator itself.
-type ExecError struct {
-	PC    int    // index into Program.Instrs
-	Line  int    // assembly source line of the instruction
-	Instr string // disassembled instruction
-	Err   error  // underlying cause
-}
-
-func (e *ExecError) Error() string {
-	return fmt.Sprintf("vaxsim: pc %d, line %d (%s): %v", e.PC, e.Line, e.Instr, e.Err)
-}
-
-func (e *ExecError) Unwrap() error { return e.Err }
-
-// DefaultMemory is the simulated memory size.
-const DefaultMemory = 1 << 20
 
 // New returns a machine for the program with default memory.
 func New(p *Program) *Machine {
-	m := &Machine{
-		p:        p,
-		Mem:      make([]byte, DefaultMemory),
-		Counts:   make(map[string]int64),
-		MaxSteps: 50_000_000,
-	}
-	m.Reset()
+	m := new(Machine)
+	m.Core = simcore.NewCore[uint32](&isa, m, p)
 	return m
-}
-
-// Reset clears registers and memory and reapplies data initialization.
-func (m *Machine) Reset() {
-	m.R = [16]uint32{}
-	for i := range m.Mem {
-		m.Mem[i] = 0
-	}
-	for _, di := range m.p.init {
-		copy(m.Mem[di.addr:], di.bytes)
-	}
-	m.R[regSP] = uint32(len(m.Mem) - 64)
-	m.N, m.Z, m.V, m.C = false, false, false, false
-	m.frames = m.frames[:0]
-}
-
-// Global returns the address of a data symbol.
-func (m *Machine) Global(name string) (uint32, bool) {
-	a, ok := m.p.Globals[name]
-	return a, ok
-}
-
-// Call resets the machine, pushes the given longword arguments and executes
-// the named function until it returns, yielding r0 as a signed 32-bit
-// result. Arguments are pushed so the first appears at 4(ap), matching the
-// calling convention the code generators emit.
-func (m *Machine) Call(name string, args ...int64) (int64, error) {
-	m.Reset()
-	return m.CallPreservingState(name, args...)
-}
-
-// CallPreservingState is Call without the Reset, so globals keep their
-// values across calls.
-func (m *Machine) CallPreservingState(name string, args ...int64) (int64, error) {
-	entry, ok := m.p.Labels[name]
-	if !ok {
-		return 0, fmt.Errorf("vaxsim: no function %q", name)
-	}
-	if m.fnSteps != nil {
-		m.fnStack = append(m.fnStack[:0], name)
-	}
-	for i := len(args) - 1; i >= 0; i-- {
-		m.push32(uint32(args[i]))
-	}
-	m.push32(uint32(len(args)))
-	apAddr := m.R[regSP]
-	m.push32(m.R[regAP])
-	m.push32(m.R[regFP])
-	m.push32(^uint32(1)) // retSentinel (-2) as an unsigned word
-	m.R[regFP] = m.R[regSP]
-	m.R[regAP] = apAddr
-	m.frames = append(m.frames, m.saveRegs())
-	m.pc = entry
-
-	for {
-		if m.pc == retSentinel {
-			return int64(int32(m.R[0])), nil
-		}
-		if m.pc < 0 || m.pc >= len(m.p.Instrs) {
-			return 0, fmt.Errorf("vaxsim: pc %d out of range", m.pc)
-		}
-		if m.Steps++; m.Steps > m.MaxSteps {
-			return 0, fmt.Errorf("vaxsim: step limit %d exceeded", m.MaxSteps)
-		}
-		in := &m.p.Instrs[m.pc]
-		m.Counts[in.Mn]++
-		if m.fnSteps != nil && len(m.fnStack) > 0 {
-			m.fnSteps[m.fnStack[len(m.fnStack)-1]]++
-		}
-		m.pcNext = m.pc + 1
-		h := execTable[in.Mn]
-		if h == nil {
-			return 0, &ExecError{PC: m.pc, Line: in.Line, Instr: in.String(),
-				Err: fmt.Errorf("unknown instruction %q", in.Mn)}
-		}
-		if err := m.step(in, h); err != nil {
-			return 0, &ExecError{PC: m.pc, Line: in.Line, Instr: in.String(), Err: err}
-		}
-		m.pc = m.pcNext
-	}
-}
-
-// step runs one handler, converting a panic — an out-of-range register
-// number in a hand-built Program, say — into an ordinary error so the
-// fault is reported with its instruction context instead of unwinding
-// through the caller.
-func (m *Machine) step(in *Instr, h handler) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("panic: %v", r)
-		}
-	}()
-	return h(m, in)
-}
-
-func (m *Machine) saveRegs() frame {
-	var f frame
-	copy(f.saved[:], m.R[6:12])
-	return f
-}
-
-func (m *Machine) restoreRegs(f frame) {
-	copy(m.R[6:12], f.saved[:])
-}
-
-func (m *Machine) push32(v uint32) {
-	m.R[regSP] -= 4
-	m.storeMem(m.R[regSP], 4, uint64(v))
-}
-
-func (m *Machine) pop32() uint32 {
-	v := uint32(m.loadMem(m.R[regSP], 4))
-	m.R[regSP] += 4
-	return v
-}
-
-func (m *Machine) loadMem(addr uint32, size int) uint64 {
-	var v uint64
-	for i := 0; i < size; i++ {
-		v |= uint64(m.Mem[(addr+uint32(i))%uint32(len(m.Mem))]) << (8 * i)
-	}
-	return v
-}
-
-func (m *Machine) storeMem(addr uint32, size int, v uint64) {
-	for i := 0; i < size; i++ {
-		m.Mem[(addr+uint32(i))%uint32(len(m.Mem))] = byte(v >> (8 * i))
-	}
 }
 
 // loc is a resolved operand location.
@@ -236,12 +66,12 @@ const (
 // autodecrement side effects (which must happen exactly once per operand
 // evaluation; cf. §6.1 on side-effect descriptors).
 func (m *Machine) resolve(o *Operand, size int) (loc, error) {
-	m.modeCounts[o.Mode]++
+	m.ModeCounts[o.Mode]++
 	if o.Deferred {
-		m.deferredCount++
+		m.ModeCounts[modeDeferred]++
 	}
 	if o.Index >= 0 {
-		m.indexedCount++
+		m.ModeCounts[modeIndexed]++
 	}
 	var l loc
 	switch o.Mode {
@@ -256,7 +86,7 @@ func (m *Machine) resolve(o *Operand, size int) (loc, error) {
 	case MDisp:
 		l = loc{kind: locMem, addr: m.R[o.Reg] + uint32(o.Disp)}
 	case MAbs:
-		a, ok := m.p.Globals[o.Sym]
+		a, ok := m.Prog.Globals[o.Sym]
 		if !ok {
 			return l, fmt.Errorf("undefined symbol %q", o.Sym)
 		}
@@ -282,7 +112,7 @@ func (m *Machine) resolve(o *Operand, size int) (loc, error) {
 	}
 	if o.Deferred {
 		// The addressed longword holds the operand's address.
-		l.addr = uint32(m.loadMem(l.addr, 4))
+		l.addr = uint32(m.Mem.Load(l.addr, 4))
 	}
 	if o.Index >= 0 {
 		l.addr += m.R[o.Index] * uint32(size)
@@ -300,29 +130,9 @@ func (m *Machine) readInt(l loc, size int, unsigned bool) (int64, error) {
 		}
 		return l.imm, nil
 	case locReg:
-		return extend(uint64(m.R[l.reg]), size, unsigned), nil
+		return simcore.Extend(uint64(m.R[l.reg]), size, unsigned), nil
 	default:
-		return extend(m.loadMem(l.addr, size), size, unsigned), nil
-	}
-}
-
-func extend(v uint64, size int, unsigned bool) int64 {
-	switch size {
-	case 1:
-		if unsigned {
-			return int64(uint8(v))
-		}
-		return int64(int8(v))
-	case 2:
-		if unsigned {
-			return int64(uint16(v))
-		}
-		return int64(int16(v))
-	default:
-		if unsigned {
-			return int64(uint32(v))
-		}
-		return int64(int32(v))
+		return simcore.Extend(m.Mem.Load(l.addr, size), size, unsigned), nil
 	}
 }
 
@@ -342,7 +152,7 @@ func (m *Machine) writeInt(l loc, size int, v int64) error {
 			m.R[l.reg] = uint32(v)
 		}
 	default:
-		m.storeMem(l.addr, size, uint64(v))
+		m.Mem.Store(l.addr, size, uint64(v))
 	}
 	return nil
 }
@@ -367,9 +177,9 @@ func (m *Machine) readFloat(l loc, size int) (float64, error) {
 		return math.Float64frombits(bits), nil
 	default:
 		if size == 4 {
-			return float64(math.Float32frombits(uint32(m.loadMem(l.addr, 4)))), nil
+			return float64(math.Float32frombits(uint32(m.Mem.Load(l.addr, 4)))), nil
 		}
-		return math.Float64frombits(m.loadMem(l.addr, 8)), nil
+		return math.Float64frombits(m.Mem.Load(l.addr, 8)), nil
 	}
 }
 
@@ -391,87 +201,10 @@ func (m *Machine) writeFloat(l loc, size int, v float64) error {
 		return nil
 	default:
 		if size == 4 {
-			m.storeMem(l.addr, 4, uint64(math.Float32bits(float32(v))))
+			m.Mem.Store(l.addr, 4, uint64(math.Float32bits(float32(v))))
 			return nil
 		}
-		m.storeMem(l.addr, 8, math.Float64bits(v))
+		m.Mem.Store(l.addr, 8, math.Float64bits(v))
 		return nil
 	}
-}
-
-// EnableFuncProfile turns on per-function step attribution: each executed
-// instruction is charged to the function on top of the simulated call
-// stack. Off by default (it costs a map increment per step).
-func (m *Machine) EnableFuncProfile() {
-	if m.fnSteps == nil {
-		m.fnSteps = make(map[string]int64)
-	}
-}
-
-// modeNames labels the addressing modes in profile output, in AddrMode
-// order (the assembler's surface syntax).
-var modeNames = [8]string{"rN", "(rN)", "d(rN)", "_abs", "$imm", "(rN)+", "-(rN)", "label"}
-
-// Profile snapshots the machine's dynamic execution profile: opcode
-// frequencies, operand addressing-mode frequencies and, when enabled,
-// per-function step counts.
-func (m *Machine) Profile() obs.SimProfile {
-	p := obs.SimProfile{Steps: m.Steps}
-	if len(m.Counts) > 0 {
-		p.Opcodes = make(map[string]int64, len(m.Counts))
-		for mn, n := range m.Counts {
-			p.Opcodes[mn] = n
-		}
-	}
-	p.Modes = make(map[string]int64)
-	for i, n := range m.modeCounts {
-		if n > 0 {
-			p.Modes[modeNames[i]] = n
-		}
-	}
-	if m.deferredCount > 0 {
-		p.Modes["*deferred"] = m.deferredCount
-	}
-	if m.indexedCount > 0 {
-		p.Modes["[rX] indexed"] = m.indexedCount
-	}
-	if len(m.fnSteps) > 0 {
-		p.FuncSteps = make(map[string]int64, len(m.fnSteps))
-		for fn, n := range m.fnSteps {
-			p.FuncSteps[fn] = n
-		}
-	}
-	return p
-}
-
-// ReadGlobal reads size bytes of the named global as a signed integer, a
-// convenience for tests and examples.
-func (m *Machine) ReadGlobal(name string, size int) (int64, error) {
-	a, ok := m.Global(name)
-	if !ok {
-		return 0, fmt.Errorf("vaxsim: no global %q", name)
-	}
-	return extend(m.loadMem(a, size), size, false), nil
-}
-
-// ReadGlobalFloat reads the named global as an F or D floating value.
-func (m *Machine) ReadGlobalFloat(name string, size int) (float64, error) {
-	a, ok := m.Global(name)
-	if !ok {
-		return 0, fmt.Errorf("vaxsim: no global %q", name)
-	}
-	if size == 4 {
-		return float64(math.Float32frombits(uint32(m.loadMem(a, 4)))), nil
-	}
-	return math.Float64frombits(m.loadMem(a, 8)), nil
-}
-
-// WriteGlobal stores a signed integer into the named global.
-func (m *Machine) WriteGlobal(name string, size int, v int64) error {
-	a, ok := m.Global(name)
-	if !ok {
-		return fmt.Errorf("vaxsim: no global %q", name)
-	}
-	m.storeMem(a, size, uint64(v))
-	return nil
 }

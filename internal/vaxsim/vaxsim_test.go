@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"ggcg/internal/simcore"
 )
 
 func assemble(t *testing.T, src string) *Program {
@@ -99,7 +101,7 @@ _f:	.word 0
 		t.Errorf("_x = %d", v)
 	}
 	a, _ := m.Global("_arr")
-	if got := extend(m.loadMem(a+8, 4), 4, false); got != 99 {
+	if got := simcore.Extend(m.Mem.Load(a+8, 4), 4, false); got != 99 {
 		t.Errorf("_arr[2] = %d", got)
 	}
 }
@@ -116,10 +118,10 @@ _f:	.word 0
 	ret
 `, "_f")
 	a, _ := m.Global("_arr")
-	if got := extend(m.loadMem(a+12, 4), 4, false); got != 55 {
+	if got := simcore.Extend(m.Mem.Load(a+12, 4), 4, false); got != 55 {
 		t.Errorf("long index store: got %d at +12", got)
 	}
-	if got := extend(m.loadMem(a+26, 2), 2, false); got != 7 {
+	if got := simcore.Extend(m.Mem.Load(a+26, 2), 2, false); got != 7 {
 		t.Errorf("word index store: got %d at +26", got)
 	}
 }
@@ -299,7 +301,7 @@ _f:	.word 0
 	a, _ := m.Global("_a")
 	want := []int64{5, 6, 7}
 	for i, w := range want {
-		if got := extend(m.loadMem(a+uint32(4*i), 4), 4, false); got != w {
+		if got := simcore.Extend(m.Mem.Load(a+uint32(4*i), 4), 4, false); got != w {
 			t.Errorf("_a[%d] = %d, want %d", i, got, w)
 		}
 	}
@@ -690,5 +692,29 @@ func TestHandlerPanicBecomesExecError(t *testing.T) {
 	}
 	if ee.PC != 0 || ee.Line != 3 {
 		t.Errorf("PC, Line = %d, %d, want 0, 3", ee.PC, ee.Line)
+	}
+}
+
+func TestCallResetsConditionCodes(t *testing.T) {
+	// _g leaves Z set; the next Call must start from clear condition codes.
+	m := New(assemble(t, header+`
+_g:	.word 0
+	clrl r0
+	ret
+_f:	.word 0
+	jeql L1
+	movl $1,r0
+	ret
+L1:	movl $2,r0
+	ret
+`))
+	if _, err := m.Call("_g"); err != nil {
+		t.Fatal(err)
+	}
+	if !m.Z {
+		t.Fatal("clrl did not set Z")
+	}
+	if r, err := m.Call("_f"); err != nil || r != 1 {
+		t.Errorf("f() = %d, %v; want 1 (Z clear)", r, err)
 	}
 }
