@@ -117,7 +117,7 @@ func Compile(u *ir.Unit, opt Options) (*Result, error) {
 	sp := o.Start("codegen")
 	out := getEmitter()
 	defer emitterPool.Put(out)
-	mach.EmitGlobals(out, u.Globals)
+	target.EmitGlobals(out, u.Globals)
 	res := &Result{}
 	// Parallelism is skipped whenever any per-action trace consumer is
 	// attached: the listing is ordered, and observer shards deliberately

@@ -244,10 +244,13 @@ func (g *gen) applyBin(op ir.Op, t ir.Type, a, b *vax.Operand) (*vax.Operand, er
 	case ir.Lsh, ir.Rsh:
 		return g.shiftOp(op, t, a, b)
 	case ir.And:
+		// A constant mask is complemented in its own descriptor; a fresh
+		// one would escape to the heap through the register manager.
 		if b.Mode == vax.OImm {
-			b = immOp(t, ^b.Val)
+			*b = *immOp(t, ^b.Val)
 		} else if a.Mode == vax.OImm {
-			a, b = b, immOp(t, ^a.Val)
+			*a = *immOp(t, ^a.Val)
+			a, b = b, a
 		} else {
 			m, err := g.allocReg(t)
 			if err != nil {

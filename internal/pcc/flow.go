@@ -26,13 +26,14 @@ func (g *gen) assignExpr(n *ir.Node) (*vax.Operand, error) {
 	if err != nil {
 		return nil, err
 	}
+	val := src
 	if src.Mode == vax.OImm {
-		src = immOp(t, truncConst(src.Val, t))
+		val = immOp(t, truncConst(src.Val, t))
 	}
-	if src.ImmIs(0) || src.Mode == vax.OFImm && src.FVal == 0 {
+	if val.ImmIs(0) || val.Mode == vax.OFImm && val.FVal == 0 {
 		g.e.Emit("clr"+t.Machine().Suffix(), dst.Asm())
-	} else if !src.Same(dst) {
-		g.e.Emit("mov"+t.Machine().Suffix(), src.Asm(), dst.Asm())
+	} else if !val.Same(dst) {
+		g.e.Emit("mov"+t.Machine().Suffix(), val.Asm(), dst.Asm())
 	}
 	g.rm.Consume(src)
 	return dst, nil

@@ -16,6 +16,7 @@ import (
 	"fmt"
 
 	"ggcg/internal/ir"
+	"ggcg/internal/target"
 	"ggcg/internal/vax"
 )
 
@@ -29,7 +30,7 @@ type Result struct {
 // Compile generates VAX assembly for a unit with the ad hoc generator.
 func Compile(u *ir.Unit) (*Result, error) {
 	out := vax.NewEmitter()
-	vax.EmitGlobals(out, u.Globals)
+	target.EmitGlobals(out, u.Globals)
 	res := &Result{}
 	labelBase := 0
 	for _, f := range u.Funcs {

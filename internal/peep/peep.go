@@ -134,30 +134,12 @@ func render(lines []*line) string {
 	return b.String()
 }
 
-// Optimize applies the peephole rules to a fixed point and returns the
-// improved assembly and the applications performed.
+// Optimize applies the peephole rules to VAX assembly to a fixed point —
+// the rule-driven passes with the VAX vocabulary, then the VAX-only
+// condition-code, autoincrement, range-idiom and loop rewrites — and
+// returns the improved assembly and the applications performed.
 func Optimize(src string) (string, Stats) {
-	lines := parse(src)
-	var st Stats
-	before := countInstrs(lines)
-	for pass := 0; pass < 8; pass++ {
-		changed := false
-		changed = removeJumpToNext(lines, &st) || changed
-		changed = collapseJumpChains(lines, &st) || changed
-		changed = invertBranchOverJump(lines, &st) || changed
-		changed = removeRedundantMoves(lines, &st) || changed
-		changed = removeRedundantTst(lines, &st) || changed
-		changed = introduceAutoStep(lines, &st) || changed
-		changed = rangeIdioms(lines, &st) || changed
-		changed = introduceAOB(lines, &st) || changed
-		changed = dropDeadLabels(lines, &st) || changed
-		lines = compact(lines)
-		if !changed {
-			break
-		}
-	}
-	st.LinesRemoved = before - countInstrs(lines)
-	return render(lines), st
+	return runPasses(src, vaxRules, []pass{removeRedundantTst, introduceAutoStep, rangeIdioms, introduceAOB})
 }
 
 func countInstrs(lines []*line) int {
@@ -237,68 +219,6 @@ func labelDefs(lines []*line) map[string]int {
 	return defs
 }
 
-func removeJumpToNext(lines []*line, st *Stats) bool {
-	changed := false
-	for i, l := range lines {
-		if l == nil || l.kind != lInstr || l.mn != "jbr" || len(l.ops) != 1 {
-			continue
-		}
-		// Every following line until the first instruction must be a label;
-		// if one of them is the target, the jump is redundant.
-		for j := i + 1; j < len(lines); j++ {
-			m := lines[j]
-			if m == nil {
-				continue
-			}
-			if m.kind != lLabel {
-				break
-			}
-			if m.label == l.ops[0] {
-				lines[i] = nil
-				st.JumpsToNext++
-				changed = true
-				break
-			}
-		}
-	}
-	return changed
-}
-
-func collapseJumpChains(lines []*line, st *Stats) bool {
-	defs := labelDefs(lines)
-	changed := false
-	for _, l := range lines {
-		if l == nil || l.kind != lInstr || len(l.ops) == 0 {
-			continue
-		}
-		if _, cond := invert[l.mn]; !cond && l.mn != "jbr" {
-			continue
-		}
-		target := l.ops[len(l.ops)-1]
-		for hops := 0; hops < 4; hops++ {
-			di, ok := defs[target]
-			if !ok {
-				break
-			}
-			ni := nextInstrSameBlockFromLabel(lines, di)
-			if ni < 0 || lines[ni].mn != "jbr" || len(lines[ni].ops) != 1 {
-				break
-			}
-			nt := lines[ni].ops[0]
-			if nt == target {
-				break // self loop
-			}
-			target = nt
-		}
-		if target != l.ops[len(l.ops)-1] {
-			l.ops[len(l.ops)-1] = target
-			st.JumpChains++
-			changed = true
-		}
-	}
-	return changed
-}
-
 // nextInstrSameBlockFromLabel finds the first instruction after a label,
 // skipping further labels (they all name the same point).
 func nextInstrSameBlockFromLabel(lines []*line, i int) int {
@@ -313,47 +233,6 @@ func nextInstrSameBlockFromLabel(lines []*line, i int) int {
 		return -1
 	}
 	return -1
-}
-
-func invertBranchOverJump(lines []*line, st *Stats) bool {
-	changed := false
-	for i, l := range lines {
-		if l == nil || l.kind != lInstr {
-			continue
-		}
-		inv, ok := invert[l.mn]
-		if !ok || len(l.ops) != 1 {
-			continue
-		}
-		j := nextInstrSameBlock(lines, i)
-		if j < 0 || lines[j].mn != "jbr" || len(lines[j].ops) != 1 {
-			continue
-		}
-		// The conditional's target must be the line right after the jbr.
-		found := false
-		for k := j + 1; k < len(lines); k++ {
-			m := lines[k]
-			if m == nil {
-				continue
-			}
-			if m.kind != lLabel {
-				break
-			}
-			if m.label == l.ops[0] {
-				found = true
-				break
-			}
-		}
-		if !found {
-			continue
-		}
-		l.mn = inv
-		l.ops[0] = lines[j].ops[0]
-		lines[j] = nil
-		st.InvertedOver++
-		changed = true
-	}
-	return changed
 }
 
 // writesResult reports whether the instruction's last operand is a
@@ -399,35 +278,6 @@ func opSize(mn string) int {
 		return suffixSize(c)
 	}
 	return 0
-}
-
-func removeRedundantMoves(lines []*line, st *Stats) bool {
-	changed := false
-	for i, l := range lines {
-		if l == nil || l.kind != lInstr || !strings.HasPrefix(l.mn, "mov") || strings.HasPrefix(l.mn, "mova") || strings.HasPrefix(l.mn, "movz") {
-			continue
-		}
-		if len(l.ops) == 2 && l.ops[0] == l.ops[1] && !hasSideEffect(l.ops[0]) {
-			lines[i] = nil
-			st.RedundantMoves++
-			changed = true
-			continue
-		}
-		// mov a,b ; mov b,a  — the reload is redundant.
-		j := nextInstrSameBlock(lines, i)
-		if j < 0 {
-			continue
-		}
-		m := lines[j]
-		if m.kind == lInstr && m.mn == l.mn && len(m.ops) == 2 && len(l.ops) == 2 &&
-			m.ops[0] == l.ops[1] && m.ops[1] == l.ops[0] &&
-			!hasSideEffect(l.ops[0]) && !hasSideEffect(l.ops[1]) {
-			lines[j] = nil
-			st.RedundantMoves++
-			changed = true
-		}
-	}
-	return changed
 }
 
 // hasSideEffect reports whether formatting the operand again would change

@@ -1,11 +1,12 @@
 package peep
 
+import "strings"
+
 // Rules parameterize the target-neutral half of the peephole optimizer —
 // the control-flow cleanups and redundant-move removal that only need to
-// know a backend's branch vocabulary, not its addressing modes. The VAX
-// pass set in Optimize keeps its historical hand-tuned pipeline (with the
-// VAX-only autoincrement and range-idiom rewrites); other backends
-// describe their mnemonics here and run OptimizeWith.
+// know a backend's branch vocabulary, not its addressing modes. Optimize
+// runs them with the VAX vocabulary plus the VAX-only rewrites; other
+// backends describe their mnemonics here and run OptimizeWith.
 type Rules struct {
 	// Jump is the unconditional jump mnemonic; its sole operand is the
 	// target label.
@@ -15,10 +16,6 @@ type Rules struct {
 	// target label is its last operand (compare-and-branch forms carry
 	// the compared registers first).
 	Invert map[string]string
-
-	// OtherBranch reports additional control transfers (calls, returns)
-	// that end a basic block, beyond Jump and the Invert keys.
-	OtherBranch func(mn string) bool
 
 	// Move reports a pure two-operand register move; `move x,x` is
 	// removable and `move a,b ; move b,a` drops its second half
@@ -35,18 +32,38 @@ func (r Rules) sideEffect(op string) bool {
 	return r.SideEffect != nil && r.SideEffect(op)
 }
 
+// vaxRules is the VAX vocabulary of the rule-driven passes.
+var vaxRules = Rules{
+	Jump:   "jbr",
+	Invert: invert,
+	Move: func(mn string) bool {
+		return strings.HasPrefix(mn, "mov") && !strings.HasPrefix(mn, "mova") && !strings.HasPrefix(mn, "movz")
+	},
+	SideEffect: hasSideEffect,
+}
+
+// pass is one machine-specific rewrite over the line list; it reports
+// whether it changed anything.
+type pass func(lines []*line, st *Stats) bool
+
 // OptimizeWith applies the rule-driven passes to a fixed point, the
 // backend-parameterized counterpart of Optimize.
-func OptimizeWith(src string, r Rules) (string, Stats) {
+func OptimizeWith(src string, r Rules) (string, Stats) { return runPasses(src, r, nil) }
+
+// runPasses runs the rule-driven passes, then the machine's own passes, then
+// dead-label removal, until nothing changes (at most eight rounds).
+func runPasses(src string, r Rules, own []pass) (string, Stats) {
 	lines := parse(src)
 	var st Stats
 	before := countInstrs(lines)
-	for pass := 0; pass < 8; pass++ {
-		changed := false
-		changed = removeJumpToNextR(lines, r, &st) || changed
-		changed = collapseJumpChainsR(lines, r, &st) || changed
-		changed = invertBranchOverJumpR(lines, r, &st) || changed
-		changed = removeRedundantMovesR(lines, r, &st) || changed
+	for round := 0; round < 8; round++ {
+		changed := removeJumpToNext(lines, r, &st)
+		changed = collapseJumpChains(lines, r, &st) || changed
+		changed = invertBranchOverJump(lines, r, &st) || changed
+		changed = removeRedundantMoves(lines, r, &st) || changed
+		for _, p := range own {
+			changed = p(lines, &st) || changed
+		}
 		changed = dropDeadLabels(lines, &st) || changed
 		lines = compact(lines)
 		if !changed {
@@ -57,14 +74,16 @@ func OptimizeWith(src string, r Rules) (string, Stats) {
 	return render(lines), st
 }
 
-// removeJumpToNextR drops an unconditional jump whose target labels the
+// removeJumpToNext drops an unconditional jump whose target labels the
 // textually next instruction.
-func removeJumpToNextR(lines []*line, r Rules, st *Stats) bool {
+func removeJumpToNext(lines []*line, r Rules, st *Stats) bool {
 	changed := false
 	for i, l := range lines {
 		if l == nil || l.kind != lInstr || l.mn != r.Jump || len(l.ops) != 1 {
 			continue
 		}
+		// Every following line until the first instruction must be a label;
+		// if one of them is the target, the jump is redundant.
 		for j := i + 1; j < len(lines); j++ {
 			m := lines[j]
 			if m == nil {
@@ -84,9 +103,9 @@ func removeJumpToNextR(lines []*line, r Rules, st *Stats) bool {
 	return changed
 }
 
-// collapseJumpChainsR retargets a branch whose destination is itself an
+// collapseJumpChains retargets a branch whose destination is itself an
 // unconditional jump.
-func collapseJumpChainsR(lines []*line, r Rules, st *Stats) bool {
+func collapseJumpChains(lines []*line, r Rules, st *Stats) bool {
 	defs := labelDefs(lines)
 	changed := false
 	for _, l := range lines {
@@ -121,9 +140,9 @@ func collapseJumpChainsR(lines []*line, r Rules, st *Stats) bool {
 	return changed
 }
 
-// invertBranchOverJumpR rewrites `bcc A ; jump B ; A:` into the inverted
+// invertBranchOverJump rewrites `bcc A ; jump B ; A:` into the inverted
 // branch straight to B.
-func invertBranchOverJumpR(lines []*line, r Rules, st *Stats) bool {
+func invertBranchOverJump(lines []*line, r Rules, st *Stats) bool {
 	changed := false
 	for i, l := range lines {
 		if l == nil || l.kind != lInstr {
@@ -165,10 +184,10 @@ func invertBranchOverJumpR(lines []*line, r Rules, st *Stats) bool {
 	return changed
 }
 
-// removeRedundantMovesR drops `move x,x` and the second half of a
+// removeRedundantMoves drops `move x,x` and the second half of a
 // `move a,b ; move b,a` pair; both rules hold whichever operand the
 // backend's move writes.
-func removeRedundantMovesR(lines []*line, r Rules, st *Stats) bool {
+func removeRedundantMoves(lines []*line, r Rules, st *Stats) bool {
 	if r.Move == nil {
 		return false
 	}

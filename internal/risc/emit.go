@@ -1,66 +1,12 @@
 package risc
 
-import (
-	"math"
-
-	"ggcg/internal/ir"
-	"ggcg/internal/target"
-)
+import "ggcg/internal/target"
 
 // Emitter is the target-neutral assembly accumulator (internal/target).
 type Emitter = target.Emitter
 
 // NewEmitter returns an empty emitter.
 func NewEmitter() *Emitter { return target.NewEmitter() }
-
-// floatBits returns the memory image of a floating initializer.
-func floatBits(t ir.Type, v float64) uint64 {
-	if t == ir.Float {
-		return uint64(math.Float32bits(float32(v)))
-	}
-	return math.Float64bits(v)
-}
-
-// EmitGlobals writes the data directives for a unit's globals. The data
-// image is the same as the VAX backend's — riscsim and vaxsim share the
-// memory layout, so the differential harness reads either target's
-// globals identically.
-func EmitGlobals(e *Emitter, globals []ir.Global) {
-	if len(globals) == 0 {
-		return
-	}
-	e.Raw(".data")
-	for _, g := range globals {
-		size := g.Size
-		if size == 0 {
-			size = g.Type.Size()
-		}
-		if !g.HasInit {
-			e.Appendf(".comm _%s,%d\n", g.Name, size)
-			continue
-		}
-		e.Raw(".align 2")
-		e.Raw("_" + g.Name + ":")
-		if g.Type.IsFloat() {
-			bits := floatBits(g.Type, g.FInit)
-			if g.Type == ir.Float {
-				e.Appendf("\t.long %d\n", int64(int32(bits)))
-			} else {
-				e.Appendf("\t.long %d,%d\n", int64(int32(bits)), int64(int32(bits>>32)))
-			}
-			continue
-		}
-		switch g.Type.Size() {
-		case 1:
-			e.Appendf("\t.byte %d\n", int8(g.Init))
-		case 2:
-			e.Appendf("\t.byte %d,%d\n", int8(g.Init), int8(g.Init>>8))
-		default:
-			e.Appendf("\t.long %d\n", int64(int32(g.Init)))
-		}
-	}
-	e.Raw(".text")
-}
 
 // FuncHeader emits a function's label and frame allocation. The RISC
 // call instruction saves registers itself, so there is no entry mask;

@@ -44,7 +44,7 @@ func floatVal(t ir.Type, v float64) float64 {
 // allocReg allocates a fresh register for a value of type t.
 func (g *Gen) allocReg(t ir.Type) (*Operand, error) {
 	dst := regOp(t, 0)
-	r, err := g.RM.Alloc(dst)
+	r, err := g.RM.Alloc(t, dst)
 	if err != nil {
 		return nil, err
 	}
@@ -56,11 +56,11 @@ func (g *Gen) allocReg(t ir.Type) (*Operand, error) {
 // register when the manager allows it.
 func (g *Gen) reclaimOrAlloc(src *Operand, t ir.Type) (*Operand, error) {
 	dst := regOp(t, 0)
-	if r, ok := g.RM.ReclaimAsDest(src, dst); ok {
+	if r, ok := g.RM.ReclaimAsDest(src, t, dst); ok {
 		dst.Reg, dst.Owned = r, []int{r}
 		return dst, nil
 	}
-	r, err := g.RM.Alloc(dst)
+	r, err := g.RM.Alloc(t, dst)
 	if err != nil {
 		return nil, err
 	}
@@ -204,12 +204,12 @@ func (g *Gen) op3(key string, t ir.Type, a, b *Operand) (*Operand, error) {
 	g.RM.Pin(av)
 	g.RM.Pin(bv)
 	dst := regOp(t, 0)
-	if r, ok := g.RM.ReclaimAsDest(av, dst); ok {
+	if r, ok := g.RM.ReclaimAsDest(av, t, dst); ok {
 		dst.Reg = r
-	} else if r, ok := g.RM.ReclaimAsDest(bv, dst); ok {
+	} else if r, ok := g.RM.ReclaimAsDest(bv, t, dst); ok {
 		dst.Reg = r
 	} else {
-		r, err := g.RM.Alloc(dst)
+		r, err := g.RM.Alloc(t, dst)
 		if err != nil {
 			return nil, err
 		}
@@ -509,7 +509,7 @@ func (g *Gen) emitCall(n *ir.Node) {
 // callResult claims the r0 result of a call.
 func (g *Gen) callResult(t ir.Type) (*Operand, error) {
 	res := regOp(t, 0)
-	if err := g.RM.AllocSpecific(0, res); err != nil {
+	if err := g.RM.AllocSpecific(0, t, res); err != nil {
 		return nil, err
 	}
 	res.Owned = []int{0}

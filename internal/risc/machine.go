@@ -10,32 +10,36 @@ import (
 	"ggcg/internal/target"
 )
 
-// machine adapts this package to the target.Machine seam.
-type machine struct{}
+// desc is the RISC description, built once per process (target.Desc).
+var desc = target.NewDesc("risc", GenericGrammar)
+
+// Grammar returns the type-replicated RISC machine description.
+func Grammar() (*cgram.Grammar, error) { return desc.Grammar() }
+
+// GenericStats sizes the generic (pre-replication) RISC description.
+func GenericStats() (cgram.Stats, error) { return desc.GenericStats() }
+
+// Tables returns the shared instruction-selection tables for the RISC.
+func Tables() (*tablegen.Tables, error) { return desc.Tables() }
+
+// TableID returns the content hash of the RISC tables.
+func TableID() (string, error) { return desc.TableID() }
+
+// machine adapts this package to the target.Machine seam; the embedded
+// description supplies Name through TableID.
+type machine struct{ *target.Desc }
 
 // Target is the load/store RISC-subset backend, the second machine grown
 // over the seam to demonstrate the paper's retargeting claim.
-var Target target.Machine = machine{}
+var Target target.Machine = machine{desc}
 
 func init() { target.Register(Target) }
-
-func (machine) Name() string { return "risc" }
-
-func (machine) Grammar() (*cgram.Grammar, error) { return Grammar() }
-
-func (machine) GenericStats() (cgram.Stats, error) { return GenericStats() }
-
-func (machine) Tables() (*tablegen.Tables, error) { return Tables() }
-
-func (machine) TableID() (string, error) { return TableID() }
 
 func (machine) NewGen(body *target.Emitter, f *ir.Func, labelBase int) target.Gen {
 	g := NewGen(body, f)
 	g.LabelBase = labelBase
 	return g
 }
-
-func (machine) EmitGlobals(e *target.Emitter, globals []ir.Global) { EmitGlobals(e, globals) }
 
 func (machine) FuncHeader(e *target.Emitter, name string, frameBytes int) {
 	FuncHeader(e, name, frameBytes)
@@ -61,10 +65,7 @@ func Rules() peep.Rules {
 	return peep.Rules{
 		Jump:   "jmp",
 		Invert: invertMap,
-		OtherBranch: func(mn string) bool {
-			return mn == "call" || mn == "ret"
-		},
-		Move: func(mn string) bool { return mn == "mv" },
+		Move:   func(mn string) bool { return mn == "mv" },
 	}
 }
 

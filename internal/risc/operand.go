@@ -4,8 +4,8 @@
 // mdgen expansion, the table constructor, the matcher, the
 // tree-transformation pass — and supplies only what the paper says a
 // retarget needs: a machine description (grammar.go), semantic actions
-// over a small operand algebra (sem.go, gen.go), and a register manager
-// (regman.go).
+// over a small operand algebra (sem.go, gen.go), and the spill and move
+// hooks of the shared register manager (regman.go).
 //
 // The operand algebra is smaller than the VAX's because the machine is
 // load/store: once a value participates in arithmetic it lives in a

@@ -4,291 +4,72 @@ import (
 	"fmt"
 
 	"ggcg/internal/ir"
+	"ggcg/internal/target"
 )
 
-// RegMan is the RISC backend's register manager, the same §5.3.3 design
-// as the VAX one: allocatable registers r0–r5 are handed out on demand
-// with a stack discipline, and when the bank is exhausted the oldest
-// unpinned allocation — the value with the most distant future use — is
-// spilled to a virtual register in the frame. It is simpler than the VAX
-// manager in two ways the machine dictates: every value fits one 64-bit
-// register (no pairs, so doubles need no special casing), and addressing
-// modes absorb at most one base register (no index registers).
-type RegMan struct {
-	e *Emitter
-	f *ir.Func
+// RegMan is the shared §5.3.3 register manager (internal/target) over RISC
+// operand descriptors. The machine makes it simpler than the VAX one:
+// every value fits one 64-bit register (no pairs), and a location absorbs
+// at most one base register (no index registers).
+type RegMan = target.RegMan[*Operand]
 
-	owner  [ir.NAllocatable]*Operand
-	busy   [ir.NAllocatable]bool
-	phase1 [ir.NAllocatable]bool
-	pinned [ir.NAllocatable]bool
-	order  []int // allocation order, oldest first, for spill selection
-
-	// Spills counts registers spilled to virtual registers.
-	Spills int
+var regHooks = target.RegHooks[*Operand]{
+	Name:  "risc",
+	Width: func(ir.Type) int { return 1 },
+	Spill: spillReg,
+	Move:  moveReg,
 }
 
 // NewRegMan returns a register manager emitting spill code through e and
 // allocating virtual registers in f's frame.
-func NewRegMan(e *Emitter, f *ir.Func) *RegMan {
-	return &RegMan{e: e, f: f}
+func NewRegMan(e *Emitter, f *ir.Func) *RegMan { return target.NewRegMan(&regHooks, e, f) }
+
+// MachineType returns the machine type of the operand's value.
+func (o *Operand) MachineType() ir.Type { return o.Type.Machine() }
+
+// Regs returns the operand's owned-register list for the register manager.
+func (o *Operand) Regs() *[]int { return &o.Owned }
+
+// spillReg spills register r out of o. A register holding a value is
+// stored (with the sized store of its type) and the descriptor redirected
+// to the frame slot. A register serving as a load/store base is spilled by
+// computing the effective address into the slot, turning the location
+// into its deferred form.
+func spillReg(e *Emitter, f *ir.Func, o *Operand, r int) target.Freed {
+	switch {
+	case o.Mode == OReg && o.Reg == r:
+		t := o.Type.Machine()
+		off := f.AllocTemp(t)
+		e.Emit("st"+t.Suffix(), ir.RegName(r), fmt.Sprintf("%d(fp)", off))
+		// The operand now names the virtual register; all later uses
+		// reload from it.
+		o.Mode, o.Base, o.Off, o.Sym = OLoc, ir.RegFP, int64(off), ""
+		return target.FreedValue
+
+	case o.Mode == OLoc && !o.Deferred && o.Auto == 0 && o.Base == r:
+		off := f.AllocTemp(ir.Long)
+		if o.Off != 0 {
+			e.Emit("addi", ir.RegName(r), ir.RegName(r), fmt.Sprintf("$%d", o.Off))
+		}
+		e.Emit("stl", ir.RegName(r), fmt.Sprintf("%d(fp)", off))
+		o.Deferred = true
+		o.Base, o.Off = ir.RegFP, int64(off)
+		return target.FreedBase
+	}
+	return target.NotSpilled
 }
 
-// Phase1Busy marks a register as owned by the tree-transformation phase's
-// register manager for the current span of statements (§5.3.3).
-func (rm *RegMan) Phase1Busy(r int, busy bool) {
-	if r >= 0 && r < ir.NAllocatable {
-		rm.phase1[r] = busy
-	}
-}
-
-func (rm *RegMan) take(r int, o *Operand) {
-	rm.busy[r] = true
-	rm.owner[r] = o
-	rm.order = append(rm.order, r)
-}
-
-func (rm *RegMan) release(r int) {
-	rm.busy[r] = false
-	rm.owner[r] = nil
-	for i, x := range rm.order {
-		if x == r {
-			rm.order = append(rm.order[:i], rm.order[i+1:]...)
-			break
-		}
-	}
-}
-
-// Alloc allocates a register for the value owned by o, spilling if
-// necessary.
-func (rm *RegMan) Alloc(o *Operand) (int, error) {
-	for {
-		if r, ok := rm.findFree(); ok {
-			rm.take(r, o)
-			return r, nil
-		}
-		if err := rm.spillOne(); err != nil {
-			return 0, err
-		}
-	}
-}
-
-func (rm *RegMan) findFree() (int, bool) {
-	for r := 0; r < ir.NAllocatable; r++ {
-		if !rm.busy[r] && !rm.phase1[r] {
-			return r, true
-		}
-	}
-	return 0, false
-}
-
-// spillOne spills the oldest unpinned allocation to a virtual register.
-// A register holding a value is stored (with the sized store of its
-// type) and the descriptor redirected to the frame slot. A register
-// serving as a load/store base is spilled by computing the effective
-// address into the slot, turning the location into its deferred form.
-func (rm *RegMan) spillOne() error {
-	for _, r := range rm.order {
-		o := rm.owner[r]
-		if o == nil || rm.pinned[r] {
-			continue
-		}
-		switch {
-		case o.Mode == OReg && o.Reg == r:
-			rm.Spills++
-			t := o.Type.Machine()
-			off := rm.f.AllocTemp(t)
-			rm.e.Emit("st"+t.Suffix(), ir.RegName(r), fmt.Sprintf("%d(fp)", off))
-			rm.release(r)
-			// The operand now names the virtual register; all later uses
-			// reload from it.
-			o.Mode = OLoc
-			o.Base = ir.RegFP
-			o.Off = int64(off)
-			o.Sym = ""
-			o.Owned = nil
-			return nil
-
-		case o.Mode == OLoc && !o.Deferred && o.Auto == 0 && o.Base == r:
-			rm.Spills++
-			off := rm.f.AllocTemp(ir.Long)
-			slot := fmt.Sprintf("%d(fp)", off)
-			if o.Off != 0 {
-				rm.e.Emit("addi", ir.RegName(r), ir.RegName(r), fmt.Sprintf("$%d", o.Off))
-			}
-			rm.e.Emit("stl", ir.RegName(r), slot)
-			rm.release(r)
-			o.Deferred = true
-			o.Base, o.Off = ir.RegFP, int64(off)
-			owned := o.Owned[:0]
-			for _, x := range o.Owned {
-				if x != r {
-					owned = append(owned, x)
-				}
-			}
-			o.Owned = owned
-			return nil
-		}
-	}
-	detail := ""
-	for r := 0; r < ir.NAllocatable; r++ {
-		switch {
-		case rm.phase1[r]:
-			detail += fmt.Sprintf(" r%d=phase1", r)
-		case rm.pinned[r]:
-			detail += fmt.Sprintf(" r%d=pinned", r)
-		case rm.busy[r]:
-			detail += fmt.Sprintf(" r%d=%s", r, rm.owner[r].Asm())
-		}
-	}
-	return fmt.Errorf("risc: no spillable register:%s", detail)
-}
-
-// AllocSpecific makes a particular register available (evacuating a live
-// value if needed) and allocates it to o. The call action uses it for the
-// r0 result convention.
-func (rm *RegMan) AllocSpecific(r int, o *Operand) error {
-	if rm.busy[r] || rm.phase1[r] {
-		if err := rm.evacuate(r); err != nil {
-			return err
-		}
-	}
-	rm.take(r, o)
-	return nil
-}
-
-// evacuate moves whatever lives in register r somewhere else. A value
-// held in r moves to another register or spills to a virtual register; a
-// register serving as a location's base is relocated so the location
-// stays addressable (materializing its value would read a store
-// destination before the store).
-func (rm *RegMan) evacuate(r int) error {
-	if rm.phase1[r] {
-		return fmt.Errorf("risc: cannot evacuate phase-1 register r%d", r)
-	}
-	o := rm.owner[r]
-	if o == nil {
-		return fmt.Errorf("risc: register r%d busy without owner", r)
-	}
-
-	if o.Mode != OReg {
-		nr, ok := rm.findFree()
-		for !ok {
-			if err := rm.spillOne(); err != nil {
-				return err
-			}
-			if !rm.busy[r] {
-				// spillOne picked o itself and spilled the base out of the
-				// location; r is already vacated.
-				return nil
-			}
-			nr, ok = rm.findFree()
-		}
-		rm.e.Emit("mv", ir.RegName(nr), ir.RegName(r))
-		rm.release(r)
-		rm.take(nr, o)
-		if o.Mode != OLoc || o.Base != r {
-			return fmt.Errorf("risc: cannot relocate r%d out of operand %s", r, o.Asm())
-		}
-		o.Base = nr
-		for i, x := range o.Owned {
-			if x == r {
-				o.Owned[i] = nr
-			}
-		}
-		return nil
-	}
-
-	// A plain value: try another register first, else spill.
-	if nr, ok := rm.findFree(); ok {
-		rm.e.Emit("mv", ir.RegName(nr), ir.RegName(r))
-		rm.release(r)
-		rm.take(nr, o)
+// moveReg moves register r of o — its value or its location's base — into
+// nr.
+func moveReg(e *Emitter, o *Operand, r, nr int) bool {
+	switch {
+	case o.Mode == OReg:
 		o.Reg = nr
-		o.Owned = []int{nr}
-		return nil
+	case o.Mode == OLoc && o.Base == r:
+		o.Base = nr
+	default:
+		return false
 	}
-	rm.Spills++
-	t := o.Type.Machine()
-	off := rm.f.AllocTemp(t)
-	rm.e.Emit("st"+t.Suffix(), ir.RegName(r), fmt.Sprintf("%d(fp)", off))
-	rm.release(r)
-	o.Mode, o.Base, o.Off, o.Sym, o.Owned = OLoc, ir.RegFP, int64(off), "", nil
-	return nil
-}
-
-// Pin protects an operand's registers from spilling while an instruction
-// is being put together.
-func (rm *RegMan) Pin(o *Operand) {
-	for _, r := range o.Owned {
-		rm.pinned[r] = true
-	}
-	if o.Mode == OReg && o.Reg < ir.NAllocatable {
-		rm.pinned[o.Reg] = true
-	}
-}
-
-// Unpin releases all pins.
-func (rm *RegMan) Unpin() { rm.pinned = [ir.NAllocatable]bool{} }
-
-// Transfer reassigns ownership of an operand's registers to the operand
-// that encapsulates it, so the spill machinery sees the encapsulating
-// descriptor instead of the stale sub-operand.
-func (rm *RegMan) Transfer(from, to *Operand) []int {
-	owned := from.Owned
-	from.Owned = nil
-	for _, r := range owned {
-		if r >= 0 && r < ir.NAllocatable && rm.owner[r] == from {
-			rm.owner[r] = to
-		}
-	}
-	return owned
-}
-
-// Consume reclaims every register an operand owns; called when the
-// operand has been used as an instruction source.
-func (rm *RegMan) Consume(o *Operand) {
-	for _, r := range o.Owned {
-		if r >= 0 && r < ir.NAllocatable {
-			rm.release(r)
-		}
-	}
-	o.Owned = nil
-}
-
-// ReclaimAsDest tries to reuse a source operand's register as the
-// destination of the instruction consuming it, the "attempt to reclaim
-// and reuse allocatable registers from the source operands" of §5.3.3.
-// On success the register changes owner.
-func (rm *RegMan) ReclaimAsDest(src, dst *Operand) (int, bool) {
-	if src.Mode != OReg || len(src.Owned) != 1 || src.Owned[0] != src.Reg {
-		return 0, false
-	}
-	r := src.Reg
-	rm.owner[r] = dst
-	src.Owned = nil
-	return r, true
-}
-
-// SpillLive spills every live allocation to virtual registers.
-func (rm *RegMan) SpillLive() error {
-	for len(rm.order) > 0 {
-		if err := rm.spillOne(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// CheckStatementEnd verifies the stack discipline: at a statement
-// boundary no phase-3 register may remain allocated. It returns an error
-// naming the leak, which the tests treat as fatal.
-func (rm *RegMan) CheckStatementEnd() error {
-	for r := 0; r < ir.NAllocatable; r++ {
-		if rm.busy[r] {
-			return fmt.Errorf("risc: register r%d leaked across a statement boundary", r)
-		}
-	}
-	rm.order = rm.order[:0]
-	return nil
+	e.Emit("mv", ir.RegName(nr), ir.RegName(r))
+	return true
 }

@@ -6,6 +6,7 @@ import (
 	"ggcg/internal/cfront"
 	"ggcg/internal/codegen"
 	"ggcg/internal/corpus"
+	"ggcg/internal/ir"
 	"ggcg/internal/risc"
 	"ggcg/internal/riscsim"
 	"ggcg/internal/vax"
@@ -133,5 +134,83 @@ func TestPackedDenseGoldenCorpus(t *testing.T) {
 			t.Fatalf("program %d: matcher stats diverge: packed %+v dense %+v",
 				i, packed.Stats.Matcher, dense.Stats.Matcher)
 		}
+	}
+}
+
+// value allocates a register value of type typ the way the semantic
+// actions do.
+func value(t *testing.T, rm *risc.RegMan, typ ir.Type) *risc.Operand {
+	t.Helper()
+	o := &risc.Operand{Mode: risc.OReg, Type: typ, Base: -1}
+	r, err := rm.Alloc(typ, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.Reg, o.Owned = r, []int{r}
+	return o
+}
+
+// location absorbs a fresh register value as the base of off(base).
+func location(t *testing.T, rm *risc.RegMan, off int64) *risc.Operand {
+	t.Helper()
+	v := value(t, rm, ir.Long)
+	loc := &risc.Operand{Mode: risc.OLoc, Type: ir.Long, Base: v.Reg, Off: off}
+	loc.Owned = rm.Transfer(v, loc)
+	return loc
+}
+
+// TestRegManSpillsValueWithSizedStore: a spilled value is stored with the
+// store of its own size and read back from the frame slot.
+func TestRegManSpillsValueWithSizedStore(t *testing.T) {
+	e := risc.NewEmitter()
+	rm := risc.NewRegMan(e, &ir.Func{Name: "t"})
+	w := value(t, rm, ir.Word)
+	for i := 0; i < ir.NAllocatable; i++ {
+		value(t, rm, ir.Long)
+	}
+	if want := "\tstw\tr0,-2(fp)\n"; e.String() != want {
+		t.Errorf("spill emitted %q, want %q", e.String(), want)
+	}
+	if w.Mode != risc.OLoc || w.Base != ir.RegFP || w.Off != -2 || len(w.Owned) != 0 {
+		t.Errorf("spilled value not redirected to its slot: %+v", w)
+	}
+	if rm.Spills != 1 {
+		t.Errorf("spills = %d, want 1", rm.Spills)
+	}
+}
+
+// TestRegManSpillsBaseToDeferred: a spilled base register takes its
+// location's address into the slot, and the location becomes deferred.
+func TestRegManSpillsBaseToDeferred(t *testing.T) {
+	e := risc.NewEmitter()
+	rm := risc.NewRegMan(e, &ir.Func{Name: "t"})
+	loc := location(t, rm, 8)
+	for i := 0; i < ir.NAllocatable; i++ {
+		value(t, rm, ir.Long)
+	}
+	if want := "\taddi\tr0,r0,$8\n\tstl\tr0,-4(fp)\n"; e.String() != want {
+		t.Errorf("spill emitted %q, want %q", e.String(), want)
+	}
+	if !loc.Deferred || loc.Base != ir.RegFP || loc.Off != -4 || len(loc.Owned) != 0 {
+		t.Errorf("location not deferred through its slot: %+v", loc)
+	}
+}
+
+// TestRegManAllocSpecificRelocatesBase: claiming r0 for a call result
+// while r0 is a pending store's base moves the base with mv, so the
+// location stays addressable.
+func TestRegManAllocSpecificRelocatesBase(t *testing.T) {
+	e := risc.NewEmitter()
+	rm := risc.NewRegMan(e, &ir.Func{Name: "t"})
+	loc := location(t, rm, 0)
+	res := &risc.Operand{Mode: risc.OReg, Type: ir.Long, Base: -1}
+	if err := rm.AllocSpecific(0, ir.Long, res); err != nil {
+		t.Fatal(err)
+	}
+	if want := "\tmv\tr1,r0\n"; e.String() != want {
+		t.Errorf("evacuation emitted %q, want %q", e.String(), want)
+	}
+	if loc.Base != 1 || len(loc.Owned) != 1 || loc.Owned[0] != 1 || loc.Asm() != "(r1)" {
+		t.Errorf("base not relocated to r1: %+v", loc)
 	}
 }

@@ -2,7 +2,10 @@ package target
 
 import (
 	"fmt"
+	"math"
 	"strconv"
+
+	"ggcg/internal/ir"
 )
 
 // Operand is the slice of an operand descriptor the emitter needs: its
@@ -28,9 +31,9 @@ type Operand interface {
 // the code generator builds every function body in its own emitter (the
 // frame size is only known afterwards), and recycling those buffers keeps
 // the per-function output path allocation-free in steady state. The type
-// is target-neutral; machine-specific directive formatting (globals,
-// function headers) lives in each backend, built from the append
-// primitives below.
+// is target-neutral; the data directives are too (EmitGlobals), while each
+// backend formats its own function headers from the append primitives
+// below.
 type Emitter struct {
 	buf   []byte
 	lines int
@@ -167,3 +170,52 @@ func (e *Emitter) AddLines(n int) { e.lines += n }
 // InvalidateResult forgets the last result register, so a condition-code
 // pattern cannot trust codes across whatever was just appended.
 func (e *Emitter) InvalidateResult() { e.lastResultReg = -1 }
+
+// EmitGlobals writes the data directives for a unit's globals. Every
+// backend shares the data image: the bundled simulators share the memory
+// layout, so the differential harness reads either target's globals
+// identically.
+func EmitGlobals(e *Emitter, globals []ir.Global) {
+	if len(globals) == 0 {
+		return
+	}
+	e.Raw(".data")
+	for _, g := range globals {
+		size := g.Size
+		if size == 0 {
+			size = g.Type.Size()
+		}
+		if !g.HasInit {
+			e.Appendf(".comm _%s,%d\n", g.Name, size)
+			continue
+		}
+		e.Raw(".align 2")
+		e.Raw("_" + g.Name + ":")
+		if g.Type.IsFloat() {
+			bits := floatBits(g.Type, g.FInit)
+			if g.Type == ir.Float {
+				e.Appendf("\t.long %d\n", int64(int32(bits)))
+			} else {
+				e.Appendf("\t.long %d,%d\n", int64(int32(bits)), int64(int32(bits>>32)))
+			}
+			continue
+		}
+		switch g.Type.Size() {
+		case 1:
+			e.Appendf("\t.byte %d\n", int8(g.Init))
+		case 2:
+			e.Appendf("\t.byte %d,%d\n", int8(g.Init), int8(g.Init>>8))
+		default:
+			e.Appendf("\t.long %d\n", int64(int32(g.Init)))
+		}
+	}
+	e.Raw(".text")
+}
+
+// floatBits returns the memory image of a floating initializer.
+func floatBits(t ir.Type, v float64) uint64 {
+	if t == ir.Float {
+		return uint64(math.Float32bits(float32(v)))
+	}
+	return math.Float64bits(v)
+}

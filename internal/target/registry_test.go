@@ -21,7 +21,6 @@ func (fakeMachine) GenericStats() (cgram.Stats, error)       { return cgram.Stat
 func (fakeMachine) Tables() (*tablegen.Tables, error)        { return nil, nil }
 func (fakeMachine) TableID() (string, error)                 { return "", nil }
 func (fakeMachine) NewGen(*Emitter, *ir.Func, int) Gen       { return nil }
-func (fakeMachine) EmitGlobals(*Emitter, []ir.Global)        {}
 func (fakeMachine) FuncHeader(*Emitter, string, int)         {}
 func (fakeMachine) Peephole(asm string) (string, peep.Stats) { return asm, peep.Stats{} }
 func (fakeMachine) NewSim(string) (Sim, error)               { return nil, nil }

@@ -7,6 +7,13 @@
 // stitching in internal/codegen — see a backend only through this
 // package, and backends announce themselves in a process-wide registry so
 // callers select one by name (ggcg.Config.Target, ggcc -target).
+//
+// The package also holds the backend skeleton every machine shares: the
+// description loader (Desc), the emitter and data directives (Emitter,
+// EmitGlobals), and the §5.3.3 register manager (RegMan), which a machine
+// instantiates over its operand type with a few spill and move hooks. A
+// backend keeps only what differs: its description text, operand algebra,
+// semantic routines, function header and peephole rules.
 package target
 
 import (
@@ -21,8 +28,9 @@ import (
 // Machine is one backend: a machine description plus the hand-written
 // machine-specific halves of the generator. Implementations must be
 // goroutine-safe values — every method may be called from any number of
-// concurrent compilations — and are expected to build their grammar and
-// tables once per process (sync.Once), the static half of the system.
+// concurrent compilations. A backend embeds a *Desc for the description
+// methods (Name through TableID), which build the grammar and tables once
+// per process, the static half of the system.
 type Machine interface {
 	// Name is the registry key ("vax", "risc"); it is folded into compile
 	// cache fingerprints, so two machines may never share a name.
@@ -51,9 +59,6 @@ type Machine interface {
 	// fresh register manager and emitting into body. Labels are numbered
 	// from labelBase so they stay unique across the output file.
 	NewGen(body *Emitter, f *ir.Func, labelBase int) Gen
-
-	// EmitGlobals writes the data directives for a unit's globals.
-	EmitGlobals(e *Emitter, globals []ir.Global)
 
 	// FuncHeader writes a function's label/prologue and allocates its
 	// frame; called after the body is generated, when the frame size

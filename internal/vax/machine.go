@@ -10,35 +10,37 @@ import (
 	"ggcg/internal/vaxsim"
 )
 
-// machine adapts this package to the target.Machine seam. The package's
-// historical exported surface (Grammar, Tables, NewGen, EmitGlobals, ...)
-// is kept as-is; the adapter is a thin veneer over it so the
-// target-neutral driver and the direct API stay byte-for-byte equivalent.
-type machine struct{}
+// desc is the VAX description, built once per process (target.Desc).
+var desc = target.NewDesc("vax", GenericGrammar)
+
+// Grammar returns the type-replicated VAX machine description.
+func Grammar() (*cgram.Grammar, error) { return desc.Grammar() }
+
+// GenericStats sizes the generic (pre-replication) VAX description.
+func GenericStats() (cgram.Stats, error) { return desc.GenericStats() }
+
+// Tables returns the shared instruction-selection tables for the VAX.
+func Tables() (*tablegen.Tables, error) { return desc.Tables() }
+
+// TableID returns the content hash of the VAX tables.
+func TableID() (string, error) { return desc.TableID() }
+
+// machine adapts this package to the target.Machine seam: the embedded
+// description supplies Name through TableID, and the methods below front
+// the package's generator, header, peephole and simulator.
+type machine struct{ *target.Desc }
 
 // Target is the VAX-11 backend, the machine of the paper's experiment and
 // the default target of the code generator.
-var Target target.Machine = machine{}
+var Target target.Machine = machine{desc}
 
 func init() { target.Register(Target) }
-
-func (machine) Name() string { return "vax" }
-
-func (machine) Grammar() (*cgram.Grammar, error) { return Grammar() }
-
-func (machine) GenericStats() (cgram.Stats, error) { return GenericStats() }
-
-func (machine) Tables() (*tablegen.Tables, error) { return Tables() }
-
-func (machine) TableID() (string, error) { return TableID() }
 
 func (machine) NewGen(body *target.Emitter, f *ir.Func, labelBase int) target.Gen {
 	g := NewGen(body, f)
 	g.LabelBase = labelBase
 	return g
 }
-
-func (machine) EmitGlobals(e *target.Emitter, globals []ir.Global) { EmitGlobals(e, globals) }
 
 func (machine) FuncHeader(e *target.Emitter, name string, frameBytes int) {
 	FuncHeader(e, name, frameBytes)

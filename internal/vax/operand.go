@@ -1,8 +1,9 @@
 // Package vax is the VAX-11 target of the table-driven code generator: the
 // machine description grammar, the semantic attribute routines invoked by
 // the pattern matcher's reductions, the hand-written instruction table with
-// its binding and range idioms (§5.3 of the paper), the register manager
-// (§5.3.3), and the assembly output formatting (§5.4).
+// its binding and range idioms (§5.3 of the paper), the machine half of
+// the register manager (§5.3.3: register pairs, value, base and index
+// spills), and the function header (§5.4).
 package vax
 
 import (

@@ -4,64 +4,31 @@ import (
 	"fmt"
 
 	"ggcg/internal/ir"
+	"ggcg/internal/target"
 )
 
-// RegMan is the register manager of the instruction generation phase
-// (§5.3.3). It is deliberately simple: allocatable registers (r0–r5) are
-// handed out on demand; since there is no common sub-expression detection,
-// values can be assigned and freed with a stack discipline, and when the
-// bank is exhausted the register nearest the bottom of the stack — the one
-// with the most distant future use — is spilled to a compiler-generated
-// temporary, a "virtual register". A spilled value is reloaded just before
-// it is used.
-//
-// Registers assigned by the tree-transformation phase are communicated via
-// special trees; Phase1Busy models their spans so this phase does not hand
-// them out while they are live.
-type RegMan struct {
-	e *Emitter
-	f *ir.Func
+// RegMan is the shared §5.3.3 register manager (internal/target) over VAX
+// operand descriptors. The machine adds register pairs for doubles, the
+// index register of the indexed modes, and movl/movaX as its move and
+// spill instructions.
+type RegMan = target.RegMan[*Operand]
 
-	owner  [ir.NAllocatable]*Operand // operand holding the register, if any
-	busy   [ir.NAllocatable]bool
-	phase1 [ir.NAllocatable]bool
-	pinned [ir.NAllocatable]bool
-	order  []int // allocation order, oldest first, for spill selection
-
-	// Spills counts registers spilled to virtual registers.
-	Spills int
+var regHooks = target.RegHooks[*Operand]{
+	Name:  "vax",
+	Width: regsFor,
+	Spill: spillReg,
+	Move:  moveReg,
 }
 
 // NewRegMan returns a register manager emitting spill code through e and
 // allocating virtual registers in f's frame.
-func NewRegMan(e *Emitter, f *ir.Func) *RegMan {
-	return &RegMan{e: e, f: f}
-}
+func NewRegMan(e *Emitter, f *ir.Func) *RegMan { return target.NewRegMan(&regHooks, e, f) }
 
-// Phase1Busy marks a register as owned by the tree-transformation phase's
-// register manager for the current span of statements (§5.3.3).
-func (rm *RegMan) Phase1Busy(r int, busy bool) {
-	if r >= 0 && r < ir.NAllocatable {
-		rm.phase1[r] = busy
-	}
-}
+// MachineType returns the machine type of the operand's value.
+func (o *Operand) MachineType() ir.Type { return o.Type.Machine() }
 
-func (rm *RegMan) take(r int, o *Operand) {
-	rm.busy[r] = true
-	rm.owner[r] = o
-	rm.order = append(rm.order, r)
-}
-
-func (rm *RegMan) release(r int) {
-	rm.busy[r] = false
-	rm.owner[r] = nil
-	for i, x := range rm.order {
-		if x == r {
-			rm.order = append(rm.order[:i], rm.order[i+1:]...)
-			break
-		}
-	}
-}
+// Regs returns the operand's owned-register list for the register manager.
+func (o *Operand) Regs() *[]int { return &o.Owned }
 
 // regsFor returns how many consecutive registers a value of type t needs:
 // doubles occupy a register pair.
@@ -72,308 +39,75 @@ func regsFor(t ir.Type) int {
 	return 1
 }
 
-// Alloc allocates a register (or pair) for a value of type t owned by o,
-// spilling if necessary.
-func (rm *RegMan) Alloc(t ir.Type, o *Operand) (int, error) {
-	n := regsFor(t)
-	for {
-		if r, ok := rm.findFree(n); ok {
-			for i := 0; i < n; i++ {
-				rm.take(r+i, o)
-			}
-			return r, nil
+// spillReg spills register r out of o. A register holding a value is
+// stored and the descriptor redirected to the frame slot. A register
+// absorbed into an addressing mode as the base is spilled by computing the
+// address into the slot and turning the operand into its deferred form
+// (*off(fp)). A register serving as the index is spilled by materializing
+// the whole effective address with movaX, whose own operand size scales
+// the index, releasing every register the mode absorbed.
+func spillReg(e *Emitter, f *ir.Func, o *Operand, r int) target.Freed {
+	switch {
+	case o.Mode == OReg && o.Reg == r:
+		t := o.Type.Machine()
+		off := f.AllocTemp(t)
+		e.Emit("mov"+t.Suffix(), o.Asm(), fmt.Sprintf("%d(fp)", off))
+		// The operand now names the virtual register; all later uses
+		// reload from it.
+		o.Mode, o.Reg, o.Off, o.Xreg = ODisp, ir.RegFP, int64(off), -1
+		return target.FreedValue
+
+	case (o.Mode == ODisp || o.Mode == ORegDef) && !o.Deferred && o.Reg == r:
+		off := f.AllocTemp(ir.Long)
+		slot := fmt.Sprintf("%d(fp)", off)
+		if o.Mode == ORegDef || o.Off == 0 {
+			e.Emit("movl", ir.RegName(r), slot)
+		} else {
+			e.Emit("addl3", fmt.Sprintf("$%d", o.Off), ir.RegName(r), slot)
 		}
-		if err := rm.spillOne(); err != nil {
-			return 0, err
+		o.Mode, o.Deferred = ODisp, true
+		o.Reg, o.Off = ir.RegFP, int64(off)
+		return target.FreedBase
+
+	case o.Xreg == r && (o.Mode == OAbs || o.Mode == ODisp || o.Mode == ORegDef):
+		suffix := ""
+		switch o.Type.Size() {
+		case 1:
+			suffix = "b"
+		case 2:
+			suffix = "w"
+		case 4:
+			suffix = "l"
+		case 8:
+			suffix = "q"
 		}
+		if suffix == "" {
+			return target.NotSpilled
+		}
+		off := f.AllocTemp(ir.Long)
+		e.Emit("mova"+suffix, o.Asm(), fmt.Sprintf("%d(fp)", off))
+		o.Mode, o.Deferred = ODisp, true
+		o.Reg, o.Off, o.Xreg = ir.RegFP, int64(off), -1
+		return target.FreedAll
 	}
+	return target.NotSpilled
 }
 
-func (rm *RegMan) findFree(n int) (int, bool) {
-	for r := 0; r+n <= ir.NAllocatable; r++ {
-		ok := true
-		for i := 0; i < n; i++ {
-			if rm.busy[r+i] || rm.phase1[r+i] {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return r, true
-		}
-	}
-	return 0, false
-}
-
-// spillOne spills the oldest unpinned allocation to a virtual register.
-// A register holding a value is stored and its descriptor redirected to
-// the frame slot. A register absorbed into an addressing mode as the base
-// is spilled by computing the address into the slot and turning the
-// operand into its deferred form (*off(fp)). A register serving as the
-// index is spilled by materializing the whole effective address with
-// movaX, whose own operand size scales the index, releasing every
-// register the mode absorbed.
-func (rm *RegMan) spillOne() error {
-	for _, r := range rm.order {
-		o := rm.owner[r]
-		if o == nil || rm.pinned[r] {
-			continue
-		}
-		switch {
-		case o.Mode == OReg && o.Reg == r:
-			rm.Spills++
-			t := o.Type.Machine()
-			off := rm.f.AllocTemp(t)
-			rm.e.Emit("mov"+t.Suffix(), o.Asm(), fmt.Sprintf("%d(fp)", off))
-			for i := 0; i < regsFor(t); i++ {
-				rm.release(r + i)
-			}
-			// The operand now names the virtual register; all later uses
-			// reload from it.
-			o.Mode = ODisp
-			o.Reg = ir.RegFP
-			o.Off = int64(off)
-			o.Xreg = -1
-			o.Owned = nil
-			return nil
-
-		case (o.Mode == ODisp || o.Mode == ORegDef) && !o.Deferred && o.Reg == r:
-			rm.Spills++
-			off := rm.f.AllocTemp(ir.Long)
-			slot := fmt.Sprintf("%d(fp)", off)
-			if o.Mode == ORegDef || o.Off == 0 {
-				rm.e.Emit("movl", ir.RegName(r), slot)
-			} else {
-				rm.e.Emit("addl3", fmt.Sprintf("$%d", o.Off), ir.RegName(r), slot)
-			}
-			rm.release(r)
-			o.Mode, o.Deferred = ODisp, true
-			o.Reg, o.Off = ir.RegFP, int64(off)
-			owned := o.Owned[:0]
-			for _, x := range o.Owned {
-				if x != r {
-					owned = append(owned, x)
-				}
-			}
-			o.Owned = owned
-			return nil
-
-		case o.Xreg == r && (o.Mode == OAbs || o.Mode == ODisp || o.Mode == ORegDef):
-			suffix := ""
-			switch o.Type.Size() {
-			case 1:
-				suffix = "b"
-			case 2:
-				suffix = "w"
-			case 4:
-				suffix = "l"
-			case 8:
-				suffix = "q"
-			}
-			if suffix == "" {
-				continue
-			}
-			rm.Spills++
-			off := rm.f.AllocTemp(ir.Long)
-			rm.e.Emit("mova"+suffix, o.Asm(), fmt.Sprintf("%d(fp)", off))
-			for _, x := range o.Owned {
-				if x >= 0 && x < ir.NAllocatable {
-					rm.release(x)
-				}
-			}
-			o.Mode, o.Deferred = ODisp, true
-			o.Reg, o.Off, o.Xreg = ir.RegFP, int64(off), -1
-			o.Owned = nil
-			return nil
-		}
-	}
-	detail := ""
-	for r := 0; r < ir.NAllocatable; r++ {
-		switch {
-		case rm.phase1[r]:
-			detail += fmt.Sprintf(" r%d=phase1", r)
-		case rm.pinned[r]:
-			detail += fmt.Sprintf(" r%d=pinned", r)
-		case rm.busy[r]:
-			detail += fmt.Sprintf(" r%d=%s", r, rm.owner[r].Asm())
-		}
-	}
-	return fmt.Errorf("vax: no spillable register:%s", detail)
-}
-
-// AllocSpecific makes a particular register available (evacuating a live
-// value if needed) and allocates it to o. The call pseudo-instructions use
-// it for the r0/r1 result convention.
-func (rm *RegMan) AllocSpecific(r int, t ir.Type, o *Operand) error {
-	n := regsFor(t)
-	for i := 0; i < n; i++ {
-		if rm.busy[r+i] || rm.phase1[r+i] {
-			if err := rm.evacuate(r + i); err != nil {
-				return err
-			}
-		}
-	}
-	for i := 0; i < n; i++ {
-		rm.take(r+i, o)
-	}
-	return nil
-}
-
-// evacuate moves whatever lives in register r somewhere else. A value held
-// in r moves to another register or spills to a virtual register; a
-// register absorbed into an addressing mode — as base or index — is
-// relocated so the mode stays intact. Materializing a memory operand's
-// value would read a store destination before the store, so addressing
-// registers are always relocated, spilling an unrelated value when the
-// bank is full.
-func (rm *RegMan) evacuate(r int) error {
-	if rm.phase1[r] {
-		return fmt.Errorf("vax: cannot evacuate phase-1 register r%d", r)
-	}
-	o := rm.owner[r]
-	if o == nil {
-		return fmt.Errorf("vax: register r%d busy without owner", r)
-	}
-
-	if o.Mode != OReg {
-		nr, ok := rm.findFree(1)
-		for !ok {
-			if err := rm.spillOne(); err != nil {
-				return err
-			}
-			if !rm.busy[r] {
-				// spillOne picked o itself and spilled the base out of the
-				// addressing mode; r is already vacated.
-				return nil
-			}
-			nr, ok = rm.findFree(1)
-		}
-		rm.e.Emit("movl", ir.RegName(r), ir.RegName(nr))
-		rm.release(r)
-		rm.take(nr, o)
-		switch {
-		case o.Xreg == r:
-			o.Xreg = nr
-		case o.Reg == r && (o.Mode == ODisp || o.Mode == ORegDef || o.Mode == OAutoInc || o.Mode == OAutoDec):
-			o.Reg = nr
-		default:
-			return fmt.Errorf("vax: cannot relocate r%d out of operand %s", r, o.Asm())
-		}
-		for i, x := range o.Owned {
-			if x == r {
-				o.Owned[i] = nr
-			}
-		}
-		return nil
-	}
-
-	t := o.Type.Machine()
-	base := o.Reg
-	// Try another register first, else spill to a virtual register.
-	if nr, ok := rm.findFree(regsFor(t)); ok {
-		rm.e.Emit("mov"+t.Suffix(), o.Asm(), ir.RegName(nr))
-		for i := 0; i < regsFor(t); i++ {
-			rm.release(base + i)
-			rm.take(nr+i, o)
-		}
+// moveReg moves register r of o into nr: a value (or pair) with its own
+// sized move, a base or index register with movl.
+func moveReg(e *Emitter, o *Operand, r, nr int) bool {
+	switch {
+	case o.Mode == OReg:
+		e.Emit("mov"+o.Type.Machine().Suffix(), o.Asm(), ir.RegName(nr))
 		o.Reg = nr
-		o.Owned = []int{nr}
-		if regsFor(t) == 2 {
-			o.Owned = []int{nr, nr + 1}
-		}
-		return nil
+		return true
+	case o.Xreg == r:
+		o.Xreg = nr
+	case o.Reg == r && (o.Mode == ODisp || o.Mode == ORegDef || o.Mode == OAutoInc || o.Mode == OAutoDec):
+		o.Reg = nr
+	default:
+		return false
 	}
-	rm.Spills++
-	off := rm.f.AllocTemp(t)
-	rm.e.Emit("mov"+t.Suffix(), o.Asm(), fmt.Sprintf("%d(fp)", off))
-	for i := 0; i < regsFor(t); i++ {
-		rm.release(base + i)
-	}
-	o.Mode, o.Reg, o.Off, o.Xreg, o.Owned = ODisp, ir.RegFP, int64(off), -1, nil
-	return nil
-}
-
-// Pin protects an operand's registers from spilling while an instruction
-// is being put together.
-func (rm *RegMan) Pin(o *Operand) {
-	for _, r := range o.Owned {
-		rm.pinned[r] = true
-	}
-	if o.Mode == OReg && o.Reg < ir.NAllocatable {
-		rm.pinned[o.Reg] = true
-	}
-}
-
-// Unpin releases all pins.
-func (rm *RegMan) Unpin() { rm.pinned = [ir.NAllocatable]bool{} }
-
-// Transfer reassigns ownership of an operand's registers to the operand
-// that encapsulates it — an addressing mode absorbing its base or index
-// register. The spill machinery then sees the encapsulating descriptor
-// (which, not being a plain register value, it will not spill) instead of
-// the stale sub-operand.
-func (rm *RegMan) Transfer(from, to *Operand) []int {
-	owned := from.Owned
-	from.Owned = nil
-	for _, r := range owned {
-		if r >= 0 && r < ir.NAllocatable && rm.owner[r] == from {
-			rm.owner[r] = to
-		}
-	}
-	return owned
-}
-
-// Consume reclaims every register an operand owns; called when the operand
-// has been used as an instruction source.
-func (rm *RegMan) Consume(o *Operand) {
-	for _, r := range o.Owned {
-		if r >= 0 && r < ir.NAllocatable {
-			rm.release(r)
-		}
-	}
-	o.Owned = nil
-}
-
-// ReclaimAsDest tries to reuse a source operand's register as the
-// destination of an instruction producing a value of type t, the "attempt
-// to reclaim and reuse allocatable registers from the source operands"
-// of §5.3.3. On success the registers change owner.
-func (rm *RegMan) ReclaimAsDest(src *Operand, t ir.Type, dst *Operand) (int, bool) {
-	if src.Mode != OReg || len(src.Owned) == 0 || src.Owned[0] != src.Reg {
-		return 0, false
-	}
-	if len(src.Owned) != regsFor(t) {
-		return 0, false
-	}
-	r := src.Reg
-	for i := 0; i < len(src.Owned); i++ {
-		rm.owner[r+i] = dst
-	}
-	src.Owned = nil
-	return r, true
-}
-
-// SpillLive spills every live allocation to virtual registers. The ad hoc
-// baseline generator uses it before an embedded call, since calls do not
-// preserve the allocatable registers.
-func (rm *RegMan) SpillLive() error {
-	for len(rm.order) > 0 {
-		if err := rm.spillOne(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// CheckStatementEnd verifies the stack discipline: at a statement boundary
-// no phase-3 register may remain allocated. It returns an error naming the
-// leak, which the tests treat as fatal.
-func (rm *RegMan) CheckStatementEnd() error {
-	for r := 0; r < ir.NAllocatable; r++ {
-		if rm.busy[r] {
-			return fmt.Errorf("vax: register r%d leaked across a statement boundary", r)
-		}
-	}
-	rm.order = rm.order[:0]
-	return nil
+	e.Emit("movl", ir.RegName(r), ir.RegName(nr))
+	return true
 }

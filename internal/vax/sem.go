@@ -378,12 +378,13 @@ func (g *Gen) assign(t ir.Type, src, dst *Operand) error {
 		}
 		src = m
 	}
+	val := src
 	if src.Mode == OImm {
 		narrowed := *src
 		narrowed.Val = truncImm(src.Val, t)
-		src = &narrowed
+		val = &narrowed
 	}
-	g.move(t, src, dst)
+	g.move(t, val, dst)
 	g.RM.Consume(src)
 	g.RM.Consume(dst)
 	return nil
@@ -463,13 +464,18 @@ func (g *Gen) binAction(base string, args []matcher.Value) (any, error) {
 
 // andOp implements AND with the bit-clear instruction: the VAX has no and,
 // so one operand is complemented — at table-construction time for
-// constants, with an mcom instruction otherwise.
+// constants, with an mcom instruction otherwise. A constant mask is
+// complemented in its own descriptor: the immediate is consumed here, and
+// a fresh descriptor would escape to the heap through the register
+// manager.
 func (g *Gen) andOp(t ir.Type, a, b *Operand) (*Operand, error) {
 	if b.Mode == OImm {
-		return g.binary("bic", t, a, intOp(t, ^b.Val))
+		*b = Operand{Mode: OImm, Type: t, Val: ^b.Val}
+		return g.binary("bic", t, a, b)
 	}
 	if a.Mode == OImm {
-		return g.binary("bic", t, b, intOp(t, ^a.Val))
+		*a = Operand{Mode: OImm, Type: t, Val: ^a.Val}
+		return g.binary("bic", t, b, a)
 	}
 	g.RM.Pin(a)
 	mask, err := g.unary("mcom$", t, b)

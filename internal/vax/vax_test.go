@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ggcg/internal/ir"
+	"ggcg/internal/target"
 )
 
 func TestOperandAsm(t *testing.T) {
@@ -72,85 +73,6 @@ func TestOperandSame(t *testing.T) {
 	}
 }
 
-func TestRegManStackDiscipline(t *testing.T) {
-	e := NewEmitter()
-	f := &ir.Func{Name: "t"}
-	rm := NewRegMan(e, f)
-	var ops []*Operand
-	for i := 0; i < ir.NAllocatable; i++ {
-		o := &Operand{Mode: OReg, Type: ir.Long, Xreg: -1}
-		r, err := rm.Alloc(ir.Long, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		o.Reg, o.Owned = r, []int{r}
-		ops = append(ops, o)
-	}
-	if err := rm.CheckStatementEnd(); err == nil {
-		t.Error("leak check passed with all registers busy")
-	}
-	for _, o := range ops {
-		rm.Consume(o)
-	}
-	if err := rm.CheckStatementEnd(); err != nil {
-		t.Errorf("all freed but: %v", err)
-	}
-}
-
-func TestRegManSpillsOldest(t *testing.T) {
-	e := NewEmitter()
-	f := &ir.Func{Name: "t"}
-	rm := NewRegMan(e, f)
-	var ops []*Operand
-	for i := 0; i < ir.NAllocatable; i++ {
-		o := &Operand{Mode: OReg, Type: ir.Long, Xreg: -1}
-		r, _ := rm.Alloc(ir.Long, o)
-		o.Reg, o.Owned = r, []int{r}
-		ops = append(ops, o)
-	}
-	// The bank is full; the next allocation spills the oldest value — the
-	// one with the most distant future use (§5.3.3).
-	extra := &Operand{Mode: OReg, Type: ir.Long, Xreg: -1}
-	r, err := rm.Alloc(ir.Long, extra)
-	if err != nil {
-		t.Fatal(err)
-	}
-	extra.Reg, extra.Owned = r, []int{r}
-	if rm.Spills != 1 {
-		t.Errorf("spills = %d, want 1", rm.Spills)
-	}
-	if ops[0].Mode != ODisp || ops[0].Reg != ir.RegFP {
-		t.Errorf("oldest operand not redirected to a virtual register: %+v", ops[0])
-	}
-	if !strings.Contains(e.String(), "movl\tr0,") {
-		t.Errorf("no spill store emitted:\n%s", e.String())
-	}
-	if f.TotalFrame() == 0 {
-		t.Error("no virtual register allocated in the frame")
-	}
-}
-
-func TestRegManPinPreventsSpill(t *testing.T) {
-	e := NewEmitter()
-	f := &ir.Func{Name: "t"}
-	rm := NewRegMan(e, f)
-	var ops []*Operand
-	for i := 0; i < ir.NAllocatable; i++ {
-		o := &Operand{Mode: OReg, Type: ir.Long, Xreg: -1}
-		r, _ := rm.Alloc(ir.Long, o)
-		o.Reg, o.Owned = r, []int{r}
-		rm.Pin(o)
-		ops = append(ops, o)
-	}
-	if _, err := rm.Alloc(ir.Long, &Operand{}); err == nil {
-		t.Error("allocation succeeded with every register pinned")
-	}
-	rm.Unpin()
-	if _, err := rm.Alloc(ir.Long, &Operand{Xreg: -1}); err != nil {
-		t.Errorf("allocation failed after unpin: %v", err)
-	}
-}
-
 func TestRegManDoublePairs(t *testing.T) {
 	e := NewEmitter()
 	f := &ir.Func{Name: "t"}
@@ -174,43 +96,6 @@ func TestRegManDoublePairs(t *testing.T) {
 	rm.Consume(o2)
 	if err := rm.CheckStatementEnd(); err != nil {
 		t.Errorf("%v", err)
-	}
-}
-
-func TestRegManPhase1Spans(t *testing.T) {
-	e := NewEmitter()
-	f := &ir.Func{Name: "t"}
-	rm := NewRegMan(e, f)
-	rm.Phase1Busy(5, true)
-	seen := map[int]bool{}
-	var ops []*Operand
-	// Exactly NAllocatable-1 registers are available; allocating them all
-	// must never hand out r5 (further allocations would spill instead).
-	for i := 0; i < ir.NAllocatable-1; i++ {
-		o := &Operand{Mode: OReg, Type: ir.Long, Xreg: -1}
-		r, err := rm.Alloc(ir.Long, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		o.Reg, o.Owned = r, []int{r}
-		ops = append(ops, o)
-		if seen[r] {
-			t.Fatalf("register r%d allocated twice", r)
-		}
-		seen[r] = true
-	}
-	if seen[5] {
-		t.Error("phase-1 register r5 handed out by phase 3")
-	}
-	if rm.Spills != 0 {
-		t.Errorf("unexpected spills: %d", rm.Spills)
-	}
-	for _, o := range ops {
-		rm.Consume(o)
-	}
-	rm.Phase1Busy(5, false)
-	if err := rm.CheckStatementEnd(); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -431,7 +316,7 @@ func TestEmitterLastSet(t *testing.T) {
 
 func TestEmitGlobals(t *testing.T) {
 	e := NewEmitter()
-	EmitGlobals(e, []ir.Global{
+	target.EmitGlobals(e, []ir.Global{
 		{Name: "x", Type: ir.Long, Size: 4},
 		{Name: "arr", Type: ir.Long, Size: 40},
 		{Name: "init", Type: ir.Long, Size: 4, HasInit: true, Init: -7},
