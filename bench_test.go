@@ -19,6 +19,7 @@ import (
 	"ggcg/internal/pcc"
 	"ggcg/internal/peep"
 	"ggcg/internal/tablegen"
+	"ggcg/internal/target"
 	"ggcg/internal/transform"
 	"ggcg/internal/vax"
 	"ggcg/internal/vaxsim"
@@ -423,21 +424,55 @@ func BenchmarkA_AppendixStatement(b *testing.B) {
 
 // Substrate benchmarks: the simulator and the front end, to put the E2
 // numbers in context.
-func BenchmarkSimulatorLargeProgram(b *testing.B) {
-	u := benchUnit(b, 15)
-	res, err := codegen.Compile(u, codegen.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	prog, err := vaxsim.Assemble(res.Asm)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := vaxsim.New(prog).Call("_main"); err != nil {
-			b.Fatal(err)
-		}
+//
+// simBenchSrc is a loop-heavy program for BenchmarkSim: a bubble sort of
+// a global array (indexed loads and stores, compares and branches) and a
+// recursive fib (calls and returns), so execution outweighs assembly.
+const simBenchSrc = `
+int a[64];
+int fib(int n) { if (n < 2) return n; return fib(n - 1) + fib(n - 2); }
+int main() {
+	int i, j, t, s;
+	for (i = 0; i < 64; i++) a[i] = (i * 37) % 64;
+	for (i = 0; i < 64; i++)
+		for (j = 0; j + 1 < 64 - i; j++)
+			if (a[j] > a[j + 1]) { t = a[j]; a[j] = a[j + 1]; a[j + 1] = t; }
+	s = 0;
+	for (i = 0; i < 64; i++) s += a[i] * i;
+	return s + fib(15);
+}
+`
+
+// BenchmarkSim runs simBenchSrc on each target's simulator the way the
+// oracles and vaxrun do: assemble, make a machine and call main, all
+// through target.Lookup(name).NewSim. It reports the time per simulated
+// instruction and the exact instruction count of one run.
+func BenchmarkSim(b *testing.B) {
+	for _, name := range Targets() {
+		b.Run(name, func(b *testing.B) {
+			mach, err := target.Lookup(name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			res, err := Compile(simBenchSrc, Config{Target: name})
+			if err != nil {
+				b.Fatal(err)
+			}
+			var insns int64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s, err := mach.NewSim(res.Asm)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if r, err := s.Call("_main"); err != nil || r != 85954 {
+					b.Fatalf("main() = %d, %v; want 85954", r, err)
+				}
+				insns = s.Steps()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(insns*int64(b.N)), "ns/insn")
+			b.ReportMetric(float64(insns), "insns/op")
+		})
 	}
 }
 

@@ -16,8 +16,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strconv"
@@ -29,51 +31,72 @@ import (
 	_ "ggcg/internal/vax" // register the VAX backend
 )
 
+// errUsage reports a malformed command line.
+var errUsage = errors.New("usage: vaxrun [flags] file.s [arg...]")
+
 func main() {
-	var (
-		tgt     = flag.String("target", "vax", "target whose simulator to execute on ("+strings.Join(target.Names(), ", ")+")")
-		fn      = flag.String("f", "main", "function to call")
-		counts  = flag.Bool("counts", false, "print per-mnemonic instruction counts")
-		profile = flag.Bool("profile", false, "print the full execution profile")
-	)
-	flag.Parse()
-	if flag.NArg() < 1 {
-		fmt.Fprintln(os.Stderr, "usage: vaxrun [flags] file.s [arg...]")
+	switch err := run(os.Args[1:], os.Stdout); {
+	case err == nil:
+	case errors.Is(err, errUsage):
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
+	default:
+		fmt.Fprintln(os.Stderr, "vaxrun:", err)
+		os.Exit(1)
 	}
-	src, err := os.ReadFile(flag.Arg(0))
+}
+
+// run is the whole tool over its arguments, writing the report to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("vaxrun", flag.ContinueOnError)
+	var (
+		tgt     = fs.String("target", "vax", "target whose simulator to execute on ("+strings.Join(target.Names(), ", ")+")")
+		fn      = fs.String("f", "main", "function to call")
+		counts  = fs.Bool("counts", false, "print per-mnemonic instruction counts")
+		profile = fs.Bool("profile", false, "print the full execution profile")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return errUsage
+	}
+	if fs.NArg() < 1 {
+		return errUsage
+	}
+	src, err := os.ReadFile(fs.Arg(0))
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	var args []int64
-	for _, a := range flag.Args()[1:] {
+	var callArgs []int64
+	for _, a := range fs.Args()[1:] {
 		v, err := strconv.ParseInt(a, 0, 64)
 		if err != nil {
-			fatal(fmt.Errorf("bad argument %q: %v", a, err))
+			return fmt.Errorf("bad argument %q: %v", a, err)
 		}
-		args = append(args, v)
+		callArgs = append(callArgs, v)
 	}
 
 	mach, err := target.Lookup(*tgt)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	sim, err := mach.NewSim(string(src))
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if *profile {
 		sim.EnableFuncProfile()
 	}
-	r, err := sim.Call("_"+*fn, args...)
+	r, err := sim.Call("_"+*fn, callArgs...)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
-	fmt.Printf("%s(%v) = %d\n", *fn, args, r)
-	fmt.Printf("%d instructions executed\n", sim.Steps())
+	fmt.Fprintf(stdout, "%s(%v) = %d\n", *fn, callArgs, r)
+	fmt.Fprintf(stdout, "%d instructions executed\n", sim.Steps())
 	if *profile {
-		obs.WriteSimProfile(os.Stdout, sim.Profile())
+		obs.WriteSimProfile(stdout, sim.Profile())
 	} else if *counts {
 		type mc struct {
 			mn string
@@ -83,14 +106,15 @@ func main() {
 		for mn, n := range sim.Profile().Opcodes {
 			list = append(list, mc{mn, n})
 		}
-		sort.Slice(list, func(i, j int) bool { return list[i].n > list[j].n })
+		sort.Slice(list, func(i, j int) bool {
+			if list[i].n != list[j].n {
+				return list[i].n > list[j].n
+			}
+			return list[i].mn < list[j].mn
+		})
 		for _, c := range list {
-			fmt.Printf("%10d  %s\n", c.n, c.mn)
+			fmt.Fprintf(stdout, "%10d  %s\n", c.n, c.mn)
 		}
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "vaxrun:", err)
-	os.Exit(1)
+	return nil
 }

@@ -47,7 +47,8 @@ var modeOf = [...]AddrMode{
 	simcore.KAbs: MAbs, simcore.KImm: MImm, simcore.KLabel: MLabel,
 }
 
-// Operand is one parsed instruction operand.
+// Operand is one parsed instruction operand. The embedded Ref holds what
+// the assembler resolved of Sym.
 type Operand struct {
 	Mode AddrMode
 	Reg  int
@@ -56,6 +57,7 @@ type Operand struct {
 	Imm  int64
 	FImm float64
 	IsF  bool // immediate is floating
+	simcore.Ref
 }
 
 func (o Operand) String() string {
@@ -80,12 +82,13 @@ func (o Operand) String() string {
 	return "?"
 }
 
-// Label returns the code label the operand names, or "".
-func (o Operand) Label() string {
-	if o.Mode == MLabel {
-		return o.Sym
+// Symbol returns the symbol an absolute or label operand names, and
+// whether it is a label operand, which must name a code label.
+func (o Operand) Symbol() (string, bool) {
+	if o.Mode == MAbs || o.Mode == MLabel {
+		return o.Sym, o.Mode == MLabel
 	}
-	return ""
+	return "", false
 }
 
 // Instr is one assembled instruction.

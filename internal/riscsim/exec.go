@@ -181,11 +181,10 @@ func target(m *Machine, o *Operand) (int, error) {
 		return 0, fmt.Errorf("bad code target %s", o)
 	}
 	m.ModeCounts[MLabel]++
-	e, ok := m.Prog.Labels[o.Sym]
-	if !ok {
+	if !o.IsCode {
 		return 0, fmt.Errorf("undefined code target %q", o.Sym)
 	}
-	return e, nil
+	return o.Code, nil
 }
 
 func li(m *Machine, in *Instr) error {

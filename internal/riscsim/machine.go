@@ -25,6 +25,7 @@ var isa = simcore.ISA[Operand, *Machine]{
 	Name:      "riscsim",
 	Exec:      execTable,
 	Parse:     parseOperand,
+	Link:      func(o *Operand) *simcore.Ref { return &o.Ref },
 	ModeNames: []string{"rN", "d(rN)", "_abs", "$imm", "label"}, // AddrMode order
 }
 
@@ -45,11 +46,10 @@ func (m *Machine) memAddr(o *Operand) (uint32, error) {
 	case MDisp:
 		return m.addr(o.Reg) + uint32(o.Disp), nil
 	case MAbs:
-		a, ok := m.Prog.Globals[o.Sym]
-		if !ok {
+		if !o.IsData {
 			return 0, fmt.Errorf("undefined symbol %q", o.Sym)
 		}
-		return a + uint32(o.Disp), nil
+		return o.Addr + uint32(o.Disp), nil
 	}
 	return 0, fmt.Errorf("operand %s is not a memory reference", o)
 }

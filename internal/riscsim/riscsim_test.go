@@ -36,8 +36,8 @@ _f:
 	if m.Steps != 4 {
 		t.Errorf("Steps = %d, want 4", m.Steps)
 	}
-	if m.Counts["li"] != 2 || m.Counts["addl"] != 1 || m.Counts["ret"] != 1 {
-		t.Errorf("counts = %v", m.Counts)
+	if ops := m.Profile().Opcodes; ops["li"] != 2 || ops["addl"] != 1 || ops["ret"] != 1 {
+		t.Errorf("counts = %v", ops)
 	}
 }
 

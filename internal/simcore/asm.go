@@ -2,15 +2,19 @@ package simcore
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
 	"ggcg/internal/obs"
 )
 
-// Instr is one assembled instruction.
+// Instr is one assembled instruction. Op is its opcode, the index of its
+// mnemonic in the ISA's handler table, which the assembler stamps so the
+// step loop dispatches without looking the mnemonic up.
 type Instr[O Operand] struct {
 	Mn   string
+	Op   int
 	Ops  []O
 	Line int
 }
@@ -32,13 +36,17 @@ func (i *Instr[O]) WantOps(n int) error {
 	return nil
 }
 
-// Program is an assembled unit ready to execute.
+// Program is an assembled unit ready to execute. Machines only read it,
+// so any number may run one Program at once.
 type Program[O Operand] struct {
 	Instrs  []Instr[O]
 	Labels  map[string]int    // code label -> instruction index
 	Globals map[string]uint32 // data symbol -> address
 	DataEnd uint32            // first address beyond static data
 	init    []dataInit
+	// decoded is set once every Instr carries its opcode and every
+	// operand its resolved symbol, as Assemble leaves them.
+	decoded bool
 }
 
 type dataInit struct {
@@ -74,9 +82,13 @@ func Assemble[O Operand, M any](isa *ISA[O, M], src string) (*Program[O], error)
 		Labels:  make(map[string]int),
 		Globals: make(map[string]uint32),
 	}
+	lines := strings.Split(src, "\n")
+	// At most one instruction per line; sizing for that once saves
+	// regrowing the slice of instructions as it fills.
+	p.Instrs = make([]Instr[O], 0, len(lines))
 	cursor := uint32(dataBase)
 	inData := false
-	for lineNo, raw := range strings.Split(src, "\n") {
+	for lineNo, raw := range lines {
 		line := raw
 		if i := strings.IndexByte(line, '#'); i >= 0 {
 			line = line[:i]
@@ -114,19 +126,68 @@ func Assemble[O Operand, M any](isa *ISA[O, M], src string) (*Program[O], error)
 		p.Instrs = append(p.Instrs, instr)
 	}
 	p.DataEnd = cursor
-	// Verify that every code target resolves.
-	for _, in := range p.Instrs {
-		for _, o := range in.Ops {
-			if sym := o.Label(); sym != "" {
-				if _, ok := p.Labels[sym]; !ok {
-					if _, isData := p.Globals[sym]; !isData {
-						return nil, fmt.Errorf("%s: line %d: undefined target %q", isa.Name, in.Line, sym)
-					}
-				}
+	// Link every operand to the symbol it names; a code target must
+	// resolve.
+	for i := range p.Instrs {
+		in := &p.Instrs[i]
+		for j := range in.Ops {
+			if sym, ok := p.link(isa.Link, &in.Ops[j]); !ok {
+				return nil, fmt.Errorf("%s: line %d: undefined target %q", isa.Name, in.Line, sym)
 			}
 		}
 	}
+	p.decoded = true
 	return p, nil
+}
+
+// Ref is what the assembler resolved of the symbol an operand names: the
+// code label's instruction index (Code, when IsCode) and the data
+// symbol's address (Addr, when IsData). A machine's operand embeds one
+// and ISA.Link returns it, so execution reads these fields instead of
+// looking the symbol up.
+type Ref struct {
+	Code   int
+	Addr   uint32
+	IsCode bool
+	IsData bool
+}
+
+// link resolves the symbol operand o names into its Ref, found by ref
+// (the ISA's Link). It reports false, with the symbol, for a code target
+// that is neither a label nor a global; any other symbol that does not
+// resolve is left to fail only if it is executed.
+func (p *Program[O]) link(ref func(*O) *Ref, o *O) (string, bool) {
+	sym, label := (*o).Symbol()
+	if sym == "" {
+		return "", true
+	}
+	r := ref(o)
+	r.Code, r.IsCode = p.Labels[sym]
+	r.Addr, r.IsData = p.Globals[sym]
+	return sym, !label || r.IsCode || r.IsData
+}
+
+// decode returns a decoded copy of a Program built by hand: opcodes from
+// index, a mnemonic it lacks getting the unknown-instruction slot one past
+// the last, and operands linked. Unlike Assemble it accepts undefined
+// code targets and unknown mnemonics; they fail only when executed.
+func (p *Program[O]) decode(index map[string]int, ref func(*O) *Ref) *Program[O] {
+	q := *p
+	q.Instrs = slices.Clone(p.Instrs)
+	for i := range q.Instrs {
+		in := &q.Instrs[i]
+		op, ok := index[in.Mn]
+		if !ok {
+			op = len(index)
+		}
+		in.Op = op
+		in.Ops = slices.Clone(in.Ops)
+		for j := range in.Ops {
+			q.link(ref, &in.Ops[j])
+		}
+	}
+	q.decoded = true
+	return &q
 }
 
 func isLabelDef(s string) bool {
@@ -220,11 +281,13 @@ func parseInstr[O Operand, M any](isa *ISA[O, M], line string, lineNo int) (Inst
 	if i := strings.IndexAny(line, " \t"); i >= 0 {
 		mn, rest = line[:i], strings.TrimSpace(line[i+1:])
 	}
-	in := Instr[O]{Mn: mn, Line: lineNo}
-	if _, ok := isa.Exec[mn]; !ok {
+	op, ok := isa.opcodes().index[mn]
+	in := Instr[O]{Mn: mn, Op: op, Line: lineNo}
+	if !ok {
 		return in, fmt.Errorf("unknown instruction %q", mn)
 	}
 	if rest != "" {
+		in.Ops = make([]O, 0, strings.Count(rest, ",")+1)
 		for _, part := range strings.Split(rest, ",") {
 			op, err := isa.Parse(strings.TrimSpace(part))
 			if err != nil {

@@ -5,11 +5,20 @@
 // its step limit, counts and fault recovery, and the profile and global
 // accessors. A simulator supplies only what differs, as an ISA: its
 // operand syntax and its execute table.
+//
+// Names are resolved once, at assembly, the way the code generator
+// resolves its description into tables ahead of use: each instruction
+// carries its opcode, an index into a handler table built once from the
+// execute table, and each operand the code index and data address of the
+// symbol it names. The step loop only indexes.
 package simcore
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+	"sort"
+	"sync"
 
 	"ggcg/internal/obs"
 )
@@ -19,11 +28,11 @@ import (
 type Word interface{ ~uint32 | ~uint64 }
 
 // Operand is what the core needs of a machine's operand type: its
-// disassembly, and the code label it names (or "") so the assembler can
-// reject undefined targets.
+// disassembly, and the symbol it names (or ""), with whether it is a code
+// target, which the assembler requires to be defined.
 type Operand interface {
 	String() string
-	Label() string
+	Symbol() (name string, label bool)
 }
 
 // ISA is the machine-specific half of a simulator, for machine type M
@@ -32,15 +41,54 @@ type ISA[O Operand, M any] struct {
 	// Name prefixes every error message ("vaxsim", "riscsim").
 	Name string
 	// Exec maps mnemonics to handlers; it is also the set of mnemonics the
-	// assembler accepts. A handler advances control by setting Core.Next.
+	// assembler accepts. It is the declaration: the assembler and the step
+	// loop use the opcode table built from it once. A handler advances
+	// control by setting Core.Next.
 	Exec map[string]func(M, *Instr[O]) error
 	// Parse parses one operand.
 	Parse func(string) (O, error)
+	// Link returns the Ref an operand embeds, where the assembler stores
+	// what it resolved of the operand's symbol.
+	Link func(*O) *Ref
 	// ModeNames labels the Core.ModeCounts slots in Profile (at most
 	// len(ModeCounts)).
 	ModeNames []string
 	// Reset, if set, clears machine-specific state when the core resets.
 	Reset func(M)
+
+	once  sync.Once
+	table opcodeTable[O, M]
+}
+
+// opcodeTable is an ISA's Exec indexed by opcode. Opcodes number the
+// mnemonics in sorted order.
+type opcodeTable[O Operand, M any] struct {
+	names []string       // mnemonic of each opcode
+	index map[string]int // mnemonic -> opcode
+	// ops holds the handler of each opcode and, one past the last, the
+	// handler of a mnemonic the ISA lacks, which only a Program built by
+	// hand can hold.
+	ops []func(M, *Instr[O]) error
+}
+
+// opcodes returns the opcode table, building it on first use.
+func (isa *ISA[O, M]) opcodes() *opcodeTable[O, M] {
+	isa.once.Do(func() {
+		t := &isa.table
+		for mn := range isa.Exec {
+			t.names = append(t.names, mn)
+		}
+		sort.Strings(t.names)
+		t.index = make(map[string]int, len(t.names))
+		for op, mn := range t.names {
+			t.index[mn] = op
+			t.ops = append(t.ops, isa.Exec[mn])
+		}
+		t.ops = append(t.ops, func(_ M, in *Instr[O]) error {
+			return fmt.Errorf("unknown instruction %q", in.Mn)
+		})
+	})
+	return &isa.table
 }
 
 // Dedicated register numbers.
@@ -70,9 +118,8 @@ type Core[W Word, O Operand, M any] struct {
 	Next int
 
 	// Steps counts executed instructions over the machine's lifetime;
-	// Counts breaks them down by mnemonic. MaxSteps bounds each call.
+	// Profile breaks them down by opcode. MaxSteps bounds each call.
 	Steps    int64
-	Counts   map[string]int64
 	MaxSteps int64
 
 	// ModeCounts tallies operand evaluations per addressing mode, in the
@@ -81,35 +128,52 @@ type Core[W Word, O Operand, M any] struct {
 	ModeCounts [16]int64
 
 	isa    *ISA[O, M]
+	ops    []func(M, *Instr[O]) error // the ISA's handlers by opcode
 	self   M
 	pc     int
-	frames [][6]W // r6..r11 of each active frame, the entry-mask save
+	frames [][6]W  // r6..r11 of each active frame, the entry-mask save
+	counts []int64 // executions per opcode
 
 	// fnSteps attributes executed instructions to the function (call
-	// stack top) executing them; nil until EnableFuncProfile.
+	// stack top) executing them; nil until EnableFuncProfile. fnRun
+	// counts the steps since the last call or return, charged to the top
+	// function at the next one.
 	fnSteps map[string]int64
 	fnStack []string
+	fnRun   int64
 }
 
 // NewCore returns the core of machine self for program p, with default
-// memory, already reset.
+// memory, already reset. A Program built by hand rather than by Assemble
+// is decoded into a private copy first.
 func NewCore[W Word, O Operand, M any](isa *ISA[O, M], self M, p *Program[O]) Core[W, O, M] {
+	t := isa.opcodes()
+	if !p.decoded {
+		p = p.decode(t.index, isa.Link)
+	}
 	c := Core[W, O, M]{
 		Prog:     p,
 		Mem:      make(Memory, DefaultMemory),
-		Counts:   make(map[string]int64),
 		MaxSteps: 50_000_000,
 		isa:      isa,
+		ops:      t.ops,
 		self:     self,
+		counts:   make([]int64, len(t.ops)),
 	}
-	c.Reset()
+	c.load() // make has zeroed the memory
 	return c
 }
 
 // Reset clears registers and memory and reapplies data initialization.
 func (c *Core[W, O, M]) Reset() {
-	c.R = [16]W{}
 	clear(c.Mem)
+	c.load()
+}
+
+// load brings a machine with zeroed memory to its initial state: data
+// initialization applied, registers clear, the stack pointer at the top.
+func (c *Core[W, O, M]) load() {
+	c.R = [16]W{}
 	for _, di := range c.Prog.init {
 		copy(c.Mem[di.addr:], di.bytes)
 	}
@@ -161,47 +225,60 @@ func (c *Core[W, O, M]) CallPreservingState(name string, args ...int64) (int64, 
 	}
 	c.pushFrame(uint32(len(args)), retSentinel, name)
 	c.pc = entry
+	return c.run()
+}
 
+// run is the step loop: it executes from c.pc until the outermost frame
+// returns, dispatching on each instruction's opcode. A handler panic — an
+// out-of-range register number in a hand-built Program, say — is
+// recovered here, once per call rather than once per step, and reported
+// with its instruction context like any other fault instead of unwinding
+// through the caller.
+func (c *Core[W, O, M]) run() (r int64, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			r, err = 0, c.fault(fmt.Errorf("panic: %v", p))
+		}
+		c.chargeFn()
+	}()
+	instrs, ops, counts := c.Prog.Instrs, c.ops, c.counts
 	start := c.Steps
 	for {
 		if c.pc == retSentinel {
 			return int64(int32(uint32(c.R[0]))), nil
 		}
-		if c.pc < 0 || c.pc >= len(c.Prog.Instrs) {
+		if c.pc < 0 || c.pc >= len(instrs) {
 			return 0, fmt.Errorf("%s: pc %d out of range", c.isa.Name, c.pc)
 		}
 		if c.Steps++; c.Steps-start > c.MaxSteps {
 			return 0, fmt.Errorf("%s: step limit %d exceeded", c.isa.Name, c.MaxSteps)
 		}
-		in := &c.Prog.Instrs[c.pc]
-		c.Counts[in.Mn]++
-		if c.fnSteps != nil && len(c.fnStack) > 0 {
-			c.fnSteps[c.fnStack[len(c.fnStack)-1]]++
+		in := &instrs[c.pc]
+		counts[in.Op]++
+		if c.fnSteps != nil {
+			c.fnRun++
 		}
 		c.Next = c.pc + 1
-		h := c.isa.Exec[in.Mn]
-		if h == nil {
-			return 0, &ExecError{PC: c.pc, Line: in.Line, Instr: in.String(),
-				Err: fmt.Errorf("unknown instruction %q", in.Mn), Sim: c.isa.Name}
-		}
-		if err := c.step(in, h); err != nil {
-			return 0, &ExecError{PC: c.pc, Line: in.Line, Instr: in.String(), Err: err, Sim: c.isa.Name}
+		if err := ops[in.Op](c.self, in); err != nil {
+			return 0, c.fault(err)
 		}
 		c.pc = c.Next
 	}
 }
 
-// step runs one handler, converting a panic — an out-of-range register
-// number in a hand-built Program, say — into an ordinary error so the
-// fault is reported with its instruction context instead of unwinding
-// through the caller.
-func (c *Core[W, O, M]) step(in *Instr[O], h func(M, *Instr[O]) error) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("panic: %v", r)
-		}
-	}()
-	return h(c.self, in)
+// fault reports err as a fault of the instruction at the current pc.
+func (c *Core[W, O, M]) fault(err error) *ExecError {
+	in := &c.Prog.Instrs[c.pc]
+	return &ExecError{PC: c.pc, Line: in.Line, Instr: in.String(), Err: err, Sim: c.isa.Name}
+}
+
+// chargeFn charges the steps run since the last call or return to the
+// function on top of the call stack.
+func (c *Core[W, O, M]) chargeFn() {
+	if c.fnRun > 0 && len(c.fnStack) > 0 {
+		c.fnSteps[c.fnStack[len(c.fnStack)-1]] += c.fnRun
+	}
+	c.fnRun = 0
 }
 
 // PushFrame is the call half of the frame protocol, after the caller has
@@ -216,6 +293,7 @@ func (c *Core[W, O, M]) PushFrame(n uint32, fn string, entry int) {
 
 func (c *Core[W, O, M]) pushFrame(n uint32, ret int, fn string) {
 	if c.fnSteps != nil {
+		c.chargeFn()
 		c.fnStack = append(c.fnStack, fn)
 	}
 	c.Push32(n)
@@ -235,6 +313,7 @@ func (c *Core[W, O, M]) PopFrame() error {
 		return fmt.Errorf("ret with no active frame")
 	}
 	if c.fnSteps != nil && len(c.fnStack) > 0 {
+		c.chargeFn()
 		c.fnStack = c.fnStack[:len(c.fnStack)-1]
 	}
 	copy(c.R[6:12], c.frames[len(c.frames)-1][:])
@@ -265,8 +344,25 @@ func (c *Core[W, O, M]) pop32() uint32 {
 // Addresses wrap at its size.
 type Memory []byte
 
+// fits reports whether size bytes at addr lie in memory without wrapping.
+func (mem Memory) fits(addr uint32, size int) bool {
+	return uint64(addr)+uint64(size) <= uint64(len(mem))
+}
+
 // Load reads size bytes at addr, zero-extended.
 func (mem Memory) Load(addr uint32, size int) uint64 {
+	if mem.fits(addr, size) {
+		switch size {
+		case 1:
+			return uint64(mem[addr])
+		case 2:
+			return uint64(binary.LittleEndian.Uint16(mem[addr:]))
+		case 4:
+			return uint64(binary.LittleEndian.Uint32(mem[addr:]))
+		case 8:
+			return binary.LittleEndian.Uint64(mem[addr:])
+		}
+	}
 	var v uint64
 	for i := 0; i < size; i++ {
 		v |= uint64(mem[(addr+uint32(i))%uint32(len(mem))]) << (8 * i)
@@ -276,6 +372,22 @@ func (mem Memory) Load(addr uint32, size int) uint64 {
 
 // Store writes the low size bytes of v at addr.
 func (mem Memory) Store(addr uint32, size int, v uint64) {
+	if mem.fits(addr, size) {
+		switch size {
+		case 1:
+			mem[addr] = byte(v)
+			return
+		case 2:
+			binary.LittleEndian.PutUint16(mem[addr:], uint16(v))
+			return
+		case 4:
+			binary.LittleEndian.PutUint32(mem[addr:], uint32(v))
+			return
+		case 8:
+			binary.LittleEndian.PutUint64(mem[addr:], v)
+			return
+		}
+	}
 	for i := 0; i < size; i++ {
 		mem[(addr+uint32(i))%uint32(len(mem))] = byte(v >> (8 * i))
 	}
@@ -304,7 +416,7 @@ func Extend(v uint64, size int, unsigned bool) int64 {
 
 // EnableFuncProfile turns on per-function step attribution: each executed
 // instruction is charged to the function on top of the simulated call
-// stack. Off by default (it costs a map increment per step).
+// stack. Off by default (it costs a map update per call and return).
 func (c *Core[W, O, M]) EnableFuncProfile() {
 	if c.fnSteps == nil {
 		c.fnSteps = make(map[string]int64)
@@ -316,10 +428,13 @@ func (c *Core[W, O, M]) EnableFuncProfile() {
 // per-function step counts.
 func (c *Core[W, O, M]) Profile() obs.SimProfile {
 	p := obs.SimProfile{Steps: c.Steps}
-	if len(c.Counts) > 0 {
-		p.Opcodes = make(map[string]int64, len(c.Counts))
-		for mn, n := range c.Counts {
-			p.Opcodes[mn] = n
+	names := c.isa.opcodes().names
+	for op, n := range c.counts[:len(names)] {
+		if n > 0 {
+			if p.Opcodes == nil {
+				p.Opcodes = make(map[string]int64)
+			}
+			p.Opcodes[names[op]] = n
 		}
 	}
 	p.Modes = make(map[string]int64)

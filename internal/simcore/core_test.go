@@ -51,4 +51,9 @@ func TestMemoryWraps(t *testing.T) {
 	if got := mem.Load(14, 4); got != 0x44332211 {
 		t.Errorf("wrapped load = %#x", got)
 	}
+	// An address past the end wraps too, even when the access would fit.
+	mem.Store(18, 2, 0x6655)
+	if mem[2] != 0x55 || mem[3] != 0x66 || mem.Load(2, 2) != 0x6655 || mem.Load(18, 2) != 0x6655 {
+		t.Errorf("store past the end = % x", mem)
+	}
 }

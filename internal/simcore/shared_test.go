@@ -6,6 +6,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"ggcg/internal/obs"
@@ -27,8 +28,10 @@ type machine interface {
 // sim is one simulator under the shared behaviour table, with the
 // programs the table runs spelled in its instruction set.
 type sim struct {
-	name     string // the message prefix
-	assemble func(src string) (machine, error)
+	name string // the message prefix
+	// assemble assembles src once and returns a constructor of machines
+	// that all run that one Program.
+	assemble func(src string) (func() machine, error)
 	// handBuilt returns a machine for a program the assembler would
 	// reject: at _f, on line 3, instruction mn writing 1 to register 99.
 	handBuilt func(mn string) machine
@@ -45,6 +48,9 @@ type sim struct {
 	div0, div0Err string
 	// countdown: _g(n) loops n times.
 	countdown string
+	// undef: _f(x) returns 0 when x is 0 and otherwise reads the
+	// undefined absolute symbol _nope, at pc 3.
+	undef string
 }
 
 // each expands an instruction template once for each of r6-r11: {r} is
@@ -60,12 +66,12 @@ func each(tmpl string) string {
 var sims = []sim{
 	{
 		name: "vaxsim",
-		assemble: func(src string) (machine, error) {
+		assemble: func(src string) (func() machine, error) {
 			p, err := vaxsim.Assemble(src)
 			if err != nil {
 				return nil, err
 			}
-			return vaxsim.New(p), nil
+			return func() machine { return vaxsim.New(p) }, nil
 		},
 		handBuilt: func(mn string) machine {
 			return vaxsim.New(&vaxsim.Program{
@@ -84,15 +90,16 @@ var sims = []sim{
 		div0:      "_f:\t.word 0\n\tmovl $1,r1\n\tdivl3 $0,r1,r0\n\tret\n",
 		div0Err:   "integer divide by zero",
 		countdown: "_g:\t.word 0\n\tmovl 4(ap),r0\nL2:\tdecl r0\n\tjgtr L2\n\tret\n",
+		undef:     "_f:\t.word 0\n\tclrl r0\n\ttstl 4(ap)\n\tjeql L1\n\tmovl _nope,r0\nL1:\tret\n",
 	},
 	{
 		name: "riscsim",
-		assemble: func(src string) (machine, error) {
+		assemble: func(src string) (func() machine, error) {
 			p, err := riscsim.Assemble(src)
 			if err != nil {
 				return nil, err
 			}
-			return riscsim.New(p), nil
+			return func() machine { return riscsim.New(p) }, nil
 		},
 		handBuilt: func(mn string) machine {
 			return riscsim.New(&riscsim.Program{
@@ -111,16 +118,17 @@ var sims = []sim{
 		div0:      "_f:\n\tli r1,$0\n\tdivl r0,r1,r1\n\tret\n",
 		div0Err:   "divide by zero",
 		countdown: "_g:\n\tldl r0,4(ap)\n\tli r1,$0\nL2:\taddi r0,r0,$-1\n\tbgtl r0,r1,L2\n\tret\n",
+		undef:     "_f:\n\tldl r1,4(ap)\n\tli r0,$0\n\tbeql r1,r0,L1\n\tldl r0,_nope\nL1:\tret\n",
 	},
 }
 
 func (s sim) must(t *testing.T, src string) machine {
 	t.Helper()
-	m, err := s.assemble(src)
+	newM, err := s.assemble(src)
 	if err != nil {
 		t.Fatalf("%s: assemble: %v", s.name, err)
 	}
-	return m
+	return newM()
 }
 
 func labels(m machine) map[string]int {
@@ -131,6 +139,33 @@ func labels(m machine) map[string]int {
 		return m.Prog.Labels
 	}
 	panic(fmt.Sprintf("unknown machine %T", m))
+}
+
+// refs returns what the assembler resolved of the symbols of the
+// operands of every instruction with mnemonic mn, in program order.
+func refs(m machine, mn string) []simcore.Ref {
+	var out []simcore.Ref
+	switch m := m.(type) {
+	case *vaxsim.Machine:
+		for _, in := range m.Prog.Instrs {
+			if in.Mn != mn {
+				continue
+			}
+			for _, o := range in.Ops {
+				out = append(out, o.Ref)
+			}
+		}
+	case *riscsim.Machine:
+		for _, in := range m.Prog.Instrs {
+			if in.Mn != mn {
+				continue
+			}
+			for _, o := range in.Ops {
+				out = append(out, o.Ref)
+			}
+		}
+	}
+	return out
 }
 
 func setMaxSteps(m machine, n int64) {
@@ -335,6 +370,94 @@ func TestStepLimit(t *testing.T) {
 		}
 		if _, err := m.Call("_g", 30); err != nil {
 			t.Errorf("%s: call after a step-limit failure: %v", s.name, err)
+		}
+	}
+}
+
+// TestSharedProgram: machines only read their Program, so one assembled
+// Program runs on several machines at once (the race detector checks
+// it) with the same results and step counts as on one.
+func TestSharedProgram(t *testing.T) {
+	for _, s := range sims {
+		newM, err := s.assemble(".data\n_n:\t.long 5\n.text\n" + s.args + s.countdown + s.counter)
+		if err != nil {
+			t.Fatalf("%s: assemble: %v", s.name, err)
+		}
+		type run struct {
+			results []int64
+			steps   int64
+		}
+		runs := make([]run, 4)
+		var wg sync.WaitGroup
+		for i := range runs {
+			wg.Add(1)
+			go func(r *run) {
+				defer wg.Done()
+				m := newM()
+				for _, c := range []struct {
+					fn   string
+					args []int64
+				}{{"_f", []int64{30, 12}}, {"_g", []int64{500}}, {"_inc", nil}} {
+					v, err := m.Call(c.fn, c.args...)
+					if err != nil {
+						t.Errorf("%s: %s: %v", s.name, c.fn, err)
+					}
+					r.results = append(r.results, v)
+				}
+				r.steps = m.Profile().Steps
+			}(&runs[i])
+		}
+		wg.Wait()
+		for i, r := range runs {
+			if fmt.Sprint(r) != fmt.Sprint(runs[0]) {
+				t.Errorf("%s: machine %d ran %v, machine 0 %v", s.name, i, r, runs[0])
+			}
+		}
+		if want := []int64{63, 0, 6}; fmt.Sprint(runs[0].results) != fmt.Sprint(want) {
+			t.Errorf("%s: results %v, want %v", s.name, runs[0].results, want)
+		}
+	}
+}
+
+// TestLinking: the assembler resolves each operand's symbol once. A call
+// names its function's code label and a data operand its global's
+// address; an absolute operand naming no symbol at all still assembles,
+// runs while it is not executed, and faults with "undefined symbol" when
+// it is.
+func TestLinking(t *testing.T) {
+	for _, s := range sims {
+		m := s.must(t, ".data\n_n:\t.long 5\n.text\n"+s.args+s.counter)
+		call := "calls"
+		if s.name == "riscsim" {
+			call = "call"
+		}
+		if rs := refs(m, call); len(rs) != 2 || !rs[1].IsCode || rs[1].Code != labels(m)["_add"] || rs[1].IsData {
+			t.Errorf("%s: %s operands resolved to %+v, want code index %d", s.name, call, rs, labels(m)["_add"])
+		}
+		n, _ := m.Global("_n")
+		var data []simcore.Ref
+		for _, mn := range []string{"incl", "movl", "ldl", "stl"} {
+			for _, r := range refs(m, mn) {
+				if r.IsData {
+					data = append(data, r)
+				}
+			}
+		}
+		if len(data) != 2 || data[0].Addr != n || data[1].Addr != n {
+			t.Errorf("%s: data operands resolved to %+v, want two at %#x", s.name, data, n)
+		}
+
+		m = s.must(t, ".text\n"+s.undef)
+		if r, err := m.Call("_f", 0); err != nil || r != 0 {
+			t.Errorf("%s: f(0) = %d, %v; want 0", s.name, r, err)
+		}
+		_, err := m.Call("_f", 1)
+		var ee *simcore.ExecError
+		if !errors.As(err, &ee) {
+			t.Fatalf("%s: f(1): error %v is %T, want *simcore.ExecError", s.name, err, err)
+		}
+		if ee.PC != 3 || ee.Unwrap().Error() != `undefined symbol "_nope"` {
+			t.Errorf("%s: f(1) = %v, want undefined symbol \"_nope\" at pc 3", s.name, err)
 		}
 	}
 }

@@ -296,12 +296,20 @@ func (rm *RegMan[O]) evacuate(r int) error {
 
 // Pin protects an operand's registers from spilling while an instruction
 // is being put together.
-func (rm *RegMan[O]) Pin(o O) {
-	for _, r := range *o.Regs() {
+func (rm *RegMan[O]) Pin(o O) { rm.PinRegs(*o.Regs(), o.ResultReg()) }
+
+// PinRegs, ConsumeRegs and ReclaimRegs are Pin, Consume and ReclaimAsDest
+// for a source operand given by its owned-register list and the register
+// it names (its ResultReg). The manager calls an operand's methods through
+// its type parameter, which Go's escape analysis treats as letting the
+// operand escape; these forms take the registers instead, so a semantic
+// routine's throwaway descriptor can stay on its stack.
+func (rm *RegMan[O]) PinRegs(owned []int, result int) {
+	for _, r := range owned {
 		rm.pinned[r] = true
 	}
-	if r := o.ResultReg(); r >= 0 && r < ir.NAllocatable {
-		rm.pinned[r] = true
+	if result >= 0 && result < ir.NAllocatable {
+		rm.pinned[result] = true
 	}
 }
 
@@ -325,8 +333,10 @@ func (rm *RegMan[O]) Transfer(from, to O) []int {
 
 // Consume reclaims every register an operand owns; called when the operand
 // has been used as an instruction source.
-func (rm *RegMan[O]) Consume(o O) {
-	owned := o.Regs()
+func (rm *RegMan[O]) Consume(o O) { rm.ConsumeRegs(o.Regs()) }
+
+// ConsumeRegs is Consume over an operand's owned-register list.
+func (rm *RegMan[O]) ConsumeRegs(owned *[]int) {
 	for _, r := range *owned {
 		if r >= 0 && r < ir.NAllocatable {
 			rm.release(r)
@@ -340,8 +350,12 @@ func (rm *RegMan[O]) Consume(o O) {
 // to reclaim and reuse allocatable registers from the source operands"
 // of §5.3.3. On success the registers change owner.
 func (rm *RegMan[O]) ReclaimAsDest(src O, t ir.Type, dst O) (int, bool) {
-	owned := src.Regs()
-	r := src.ResultReg()
+	return rm.ReclaimRegs(src.Regs(), src.ResultReg(), t, dst)
+}
+
+// ReclaimRegs is ReclaimAsDest for a source given by its owned-register
+// list and the register it names.
+func (rm *RegMan[O]) ReclaimRegs(owned *[]int, r int, t ir.Type, dst O) (int, bool) {
 	if r < 0 || len(*owned) != rm.m.Width(t) || (*owned)[0] != r {
 		return 0, false
 	}

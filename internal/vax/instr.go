@@ -119,8 +119,8 @@ func (g *Gen) binary(key string, t ir.Type, a, b *Operand) (*Operand, error) {
 		return nil, fmt.Errorf("vax: no instruction cluster %q", key)
 	}
 	three := cluster[0]
-	g.RM.Pin(a)
-	g.RM.Pin(b)
+	g.pin(a)
+	g.pin(b)
 	defer g.RM.Unpin()
 
 	dst := &Operand{Mode: OReg, Type: t, Xreg: -1}
@@ -129,11 +129,11 @@ func (g *Gen) binary(key string, t ir.Type, a, b *Operand) (*Operand, error) {
 	// two-address instruction.
 	var other *Operand
 	if three.binding {
-		if r, ok := g.RM.ReclaimAsDest(a, t, dst); ok {
+		if r, ok := g.reclaim(a, t, dst); ok {
 			dst.Reg = r
 			other = b
 		} else if three.revOK {
-			if r, ok := g.RM.ReclaimAsDest(b, t, dst); ok {
+			if r, ok := g.reclaim(b, t, dst); ok {
 				dst.Reg = r
 				other = a
 			}
@@ -142,16 +142,16 @@ func (g *Gen) binary(key string, t ir.Type, a, b *Operand) (*Operand, error) {
 	if other != nil {
 		g.BindingIdioms++
 		g.emitTwoOp(cluster, t, other, dst)
-		g.RM.Consume(a)
-		g.RM.Consume(b)
+		g.consume(a)
+		g.consume(b)
 		dst.Owned = ownedRegs(dst.Reg, t)
 		return dst, nil
 	}
 	// Three-address form: the destination may still reuse either source's
 	// register — operands are read before the result is written.
-	if r, ok := g.RM.ReclaimAsDest(a, t, dst); ok {
+	if r, ok := g.reclaim(a, t, dst); ok {
 		dst.Reg = r
-	} else if r, ok := g.RM.ReclaimAsDest(b, t, dst); ok {
+	} else if r, ok := g.reclaim(b, t, dst); ok {
 		dst.Reg = r
 	} else {
 		r, err := g.RM.Alloc(t, dst)
@@ -166,10 +166,22 @@ func (g *Gen) binary(key string, t ir.Type, a, b *Operand) (*Operand, error) {
 	} else {
 		g.E.EmitResult(mn(three.print, t), dst, a.Asm(), b.Asm())
 	}
-	g.RM.Consume(a)
-	g.RM.Consume(b)
+	g.consume(a)
+	g.consume(b)
 	return dst, nil
 }
+
+// pin, reclaim and consume are the register manager's Pin, ReclaimAsDest
+// and Consume for a source operand through their register-list forms, so
+// binary's sources — a dedicated-register base built on the spot, say —
+// do not escape to the heap.
+func (g *Gen) pin(o *Operand) { g.RM.PinRegs(o.Owned, o.ResultReg()) }
+
+func (g *Gen) reclaim(src *Operand, t ir.Type, dst *Operand) (int, bool) {
+	return g.RM.ReclaimRegs(&src.Owned, src.ResultReg(), t, dst)
+}
+
+func (g *Gen) consume(o *Operand) { g.RM.ConsumeRegs(&o.Owned) }
 
 // binaryInto generates `a OP b` with an explicit destination — the
 // three-address instruction scheme of §5.3.1 in which the destination is

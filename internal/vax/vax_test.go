@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ggcg/internal/ir"
+	"ggcg/internal/matcher"
 	"ggcg/internal/target"
 )
 
@@ -518,5 +519,58 @@ func TestSpillIndexedOperand(t *testing.T) {
 	}
 	if rm.Spills != 1 {
 		t.Errorf("spills = %d, want 1", rm.Spills)
+	}
+}
+
+// raceEnabled is set by race_test.go in race-detector builds.
+var raceEnabled bool
+
+// TestBridgeDedicatedBaseAllocs pins the bridge productions whose base is
+// a dedicated register (mbrdxd, mbrrxd, mbraddrd): the base's descriptor
+// is built on the spot and must not escape through the register manager.
+// Each allocates exactly as much as its twin whose base arrives as an
+// operand attribute (mbrdx, mbrrx, mbraddr), and both emit the same code
+// but for the base register's name.
+func TestBridgeDedicatedBaseAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not comparable under the race detector")
+	}
+	tok := func(n *ir.Node) matcher.Value { return matcher.Value{Tok: &ir.Token{N: n}} }
+	var (
+		indir = tok(&ir.Node{Op: ir.Indir, Type: ir.Long})
+		fp    = tok(ir.NewDreg(ir.Long, ir.RegFP))
+		ap    = matcher.Value{Sem: regOp(ir.Long, ir.RegAP)}
+		con   = matcher.Value{Sem: int64(-32)}
+		rv    = matcher.Value{Sem: intOp(ir.Long, 4)}
+		glue  matcher.Value
+	)
+	for _, c := range []struct {
+		dedicated, twin string
+		args            func(base matcher.Value) []matcher.Value
+	}{
+		{"mbrdxd", "mbrdx", func(b matcher.Value) []matcher.Value { return []matcher.Value{indir, glue, glue, con, b, glue, rv, rv} }},
+		{"mbrrxd", "mbrrx", func(b matcher.Value) []matcher.Value { return []matcher.Value{indir, glue, b, glue, rv, rv} }},
+		{"mbraddrd", "mbraddr", func(b matcher.Value) []matcher.Value { return []matcher.Value{indir, glue, glue, con, b, rv} }},
+	} {
+		run := func(action string, base matcher.Value) (float64, string) {
+			args := c.args(base)
+			var asm string
+			allocs := testing.AllocsPerRun(20, func() {
+				g := testGen()
+				if _, err := g.action(action, ir.Long, nil, args); err != nil {
+					t.Fatalf("%s: %v", action, err)
+				}
+				asm = g.E.String()
+			})
+			return allocs, asm
+		}
+		da, dasm := run(c.dedicated, fp)
+		ta, tasm := run(c.twin, ap)
+		if da != ta {
+			t.Errorf("%s: %.0f allocs, its twin %s %.0f", c.dedicated, da, c.twin, ta)
+		}
+		if strings.ReplaceAll(tasm, "ap", "fp") != dasm {
+			t.Errorf("%s emitted\n%s\n%s emitted\n%s", c.dedicated, dasm, c.twin, tasm)
+		}
 	}
 }

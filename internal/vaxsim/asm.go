@@ -48,7 +48,8 @@ var modeOf = [...]AddrMode{
 // Operand is one parsed instruction operand. Index >= 0 adds the
 // size-scaled index register of the VAX indexed addressing mode, written
 // base[rX]. Deferred marks the '*' prefix: the addressed longword holds
-// the operand's address.
+// the operand's address. The embedded Ref holds what the assembler
+// resolved of Sym.
 type Operand struct {
 	Mode     AddrMode
 	Reg      int
@@ -59,6 +60,7 @@ type Operand struct {
 	FImm     float64
 	IsF      bool // immediate is floating
 	Deferred bool
+	simcore.Ref
 }
 
 func (o Operand) String() string {
@@ -98,12 +100,13 @@ func (o Operand) String() string {
 	return pfx + base
 }
 
-// Label returns the code label the operand names, or "".
-func (o Operand) Label() string {
-	if o.Mode == MLabel {
-		return o.Sym
+// Symbol returns the symbol an absolute or label operand names, and
+// whether it is a label operand, which must name a code label.
+func (o Operand) Symbol() (string, bool) {
+	if o.Mode == MAbs || o.Mode == MLabel {
+		return o.Sym, o.Mode == MLabel
 	}
-	return ""
+	return "", false
 }
 
 // Instr is one assembled instruction.

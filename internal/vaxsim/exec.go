@@ -700,12 +700,12 @@ var branchConds = map[string]func(m *Machine) bool{
 	"jgequ": func(m *Machine) bool { return !m.C },
 }
 
-func target(m *Machine, o *Operand) (int, error) {
+func target(o *Operand) (int, error) {
 	if o.Mode != MLabel && o.Mode != MAbs {
 		return 0, fmt.Errorf("bad branch target %s", o)
 	}
-	if idx, ok := m.Prog.Labels[o.Sym]; ok {
-		return idx, nil
+	if o.IsCode {
+		return o.Code, nil
 	}
 	return 0, fmt.Errorf("undefined code label %q", o.Sym)
 }
@@ -714,7 +714,7 @@ func jbr(m *Machine, in *Instr) error {
 	if err := in.WantOps(1); err != nil {
 		return err
 	}
-	t, err := target(m, &in.Ops[0])
+	t, err := target(&in.Ops[0])
 	if err != nil {
 		return err
 	}
@@ -727,7 +727,7 @@ func branch(cond func(*Machine) bool) handler {
 		if err := in.WantOps(1); err != nil {
 			return err
 		}
-		t, err := target(m, &in.Ops[0])
+		t, err := target(&in.Ops[0])
 		if err != nil {
 			return err
 		}
@@ -769,7 +769,7 @@ func aob(cont func(index, limit int64) bool) handler {
 		if err := m.writeInt(li, 4, index); err != nil {
 			return err
 		}
-		t, err := target(m, &in.Ops[2])
+		t, err := target(&in.Ops[2])
 		if err != nil {
 			return err
 		}
@@ -819,7 +819,7 @@ func calls(m *Machine, in *Instr) error {
 		m.R[simcore.SP] += 4 * n
 		return nil
 	}
-	entry, err := target(m, &in.Ops[1])
+	entry, err := target(&in.Ops[1])
 	if err != nil {
 		return err
 	}

@@ -26,6 +26,7 @@ var isa = simcore.ISA[Operand, *Machine]{
 	Name:  "vaxsim",
 	Exec:  execTable,
 	Parse: parseOperand,
+	Link:  func(o *Operand) *simcore.Ref { return &o.Ref },
 	// The addressing modes in AddrMode order (the assembler's surface
 	// syntax), then the deferred and indexed variants, counted separately.
 	ModeNames: []string{"rN", "(rN)", "d(rN)", "_abs", "$imm", "(rN)+", "-(rN)", "label",
@@ -46,14 +47,13 @@ func New(p *Program) *Machine {
 	return m
 }
 
-// loc is a resolved operand location.
+// loc is a resolved operand location. It has at most four fields, so the
+// compiler keeps it in registers rather than in memory.
 type loc struct {
 	kind uint8 // 0 reg, 1 mem, 2 imm
 	reg  int
 	addr uint32
-	imm  int64
-	fimm float64
-	isF  bool
+	imm  *Operand // the immediate operand, for kind locImm
 }
 
 const (
@@ -86,13 +86,12 @@ func (m *Machine) resolve(o *Operand, size int) (loc, error) {
 	case MDisp:
 		l = loc{kind: locMem, addr: m.R[o.Reg] + uint32(o.Disp)}
 	case MAbs:
-		a, ok := m.Prog.Globals[o.Sym]
-		if !ok {
+		if !o.IsData {
 			return l, fmt.Errorf("undefined symbol %q", o.Sym)
 		}
-		l = loc{kind: locMem, addr: a + uint32(o.Disp)}
+		l = loc{kind: locMem, addr: o.Addr + uint32(o.Disp)}
 	case MImm:
-		return loc{kind: locImm, imm: o.Imm, fimm: o.FImm, isF: o.IsF}, nil
+		return loc{kind: locImm, imm: o}, nil
 	case MAutoInc:
 		step := uint32(size)
 		if o.Deferred {
@@ -125,10 +124,10 @@ func (m *Machine) resolve(o *Operand, size int) (loc, error) {
 func (m *Machine) readInt(l loc, size int, unsigned bool) (int64, error) {
 	switch l.kind {
 	case locImm:
-		if l.isF {
-			return int64(l.fimm), nil
+		if l.imm.IsF {
+			return int64(l.imm.FImm), nil
 		}
-		return l.imm, nil
+		return l.imm.Imm, nil
 	case locReg:
 		return simcore.Extend(uint64(m.R[l.reg]), size, unsigned), nil
 	default:
@@ -162,10 +161,10 @@ func (m *Machine) writeInt(l loc, size int, v int64) error {
 func (m *Machine) readFloat(l loc, size int) (float64, error) {
 	switch l.kind {
 	case locImm:
-		if l.isF {
-			return l.fimm, nil
+		if l.imm.IsF {
+			return l.imm.FImm, nil
 		}
-		return float64(l.imm), nil
+		return float64(l.imm.Imm), nil
 	case locReg:
 		if size == 4 {
 			return float64(math.Float32frombits(m.R[l.reg])), nil

@@ -425,8 +425,8 @@ _f:	.word 0
 	if m.Steps != 4 {
 		t.Errorf("steps = %d, want 4", m.Steps)
 	}
-	if m.Counts["addl2"] != 2 {
-		t.Errorf("addl2 count = %d", m.Counts["addl2"])
+	if n := m.Profile().Opcodes["addl2"]; n != 2 {
+		t.Errorf("addl2 count = %d", n)
 	}
 }
 
