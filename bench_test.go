@@ -7,6 +7,7 @@ package ggcg
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"ggcg/internal/cfront"
@@ -17,7 +18,6 @@ import (
 	"ggcg/internal/matcher"
 	"ggcg/internal/mdgen"
 	"ggcg/internal/pcc"
-	"ggcg/internal/peep"
 	"ggcg/internal/tablegen"
 	"ggcg/internal/target"
 	"ggcg/internal/transform"
@@ -582,18 +582,26 @@ func BenchmarkCompileParallel(b *testing.B) {
 	})
 }
 
-// Peephole: the optimizer pass over generated output (the §6.1 extension).
-func BenchmarkPeepholeOptimizer(b *testing.B) {
+// BenchmarkPeephole runs each generator's peephole pass — vax and risc
+// through Machine.Peephole, the pcc baseline through peep.Optimize — over
+// its unoptimized corpus.Large(40) output. It reports the time per input
+// line and the exact input line count of one call.
+func BenchmarkPeephole(b *testing.B) {
 	u := benchUnit(b, 40)
-	res, err := codegen.Compile(u, codegen.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		peep.Optimize(res.Asm)
+	for _, p := range peepInputs(b, u) {
+		b.Run(p.name, func(b *testing.B) {
+			lines := strings.Count(p.asm, "\n")
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				peepSink, _ = p.optimize(p.asm)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(lines*b.N), "ns/line")
+			b.ReportMetric(float64(lines), "lines/op")
+		})
 	}
 }
+
+var peepSink string
 
 // The compile cache's amortization claim: a warm-cache repeat of an
 // identical compilation must be at least an order of magnitude faster

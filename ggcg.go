@@ -210,13 +210,6 @@ func compile(src string, cfg Config) (*Compiled, error) {
 			psp.End()
 			codegen.CountPeep(o, pst)
 			out.Stats.AsmLines -= pst.LinesRemoved
-			if out.Stats.AsmLines < 0 {
-				// The baseline's line count and the optimizer's removal
-				// count are measured differently (emitted instructions vs
-				// instructions parsed back from the text); never let the
-				// difference go negative.
-				out.Stats.AsmLines = 0
-			}
 		}
 		o.Count("codegen.asm_lines", int64(out.Stats.AsmLines))
 		o.Count("codegen.spills", int64(out.Stats.Spills))

@@ -147,12 +147,6 @@ func Compile(u *ir.Unit, opt Options) (*Result, error) {
 		res.Asm, pst = mach.Peephole(res.Asm)
 		res.Stats.Peephole = pst
 		res.Stats.AsmLines -= pst.LinesRemoved
-		if res.Stats.AsmLines < 0 {
-			// The emitters count only instructions they Emit; the optimizer
-			// counts instructions it parses from the text, so the two can
-			// disagree on raw lines. Never report a negative line count.
-			res.Stats.AsmLines = 0
-		}
 		psp.End()
 		CountPeep(o, pst)
 	}
@@ -188,6 +182,9 @@ func CountPeep(o *obs.Observer, pst peep.Stats) {
 	o.Count("peep.inverted_branches", int64(pst.InvertedOver))
 	o.Count("peep.autoinc", int64(pst.AutoInc))
 	o.Count("peep.autodec", int64(pst.AutoDec))
+	o.Count("peep.incdec", int64(pst.IncDec))
+	o.Count("peep.clr_zero", int64(pst.ClrZero))
+	o.Count("peep.aob_loops", int64(pst.AOBLoops))
 	o.Count("peep.dead_labels", int64(pst.DeadLabels))
 	o.Count("peep.lines_removed", int64(pst.LinesRemoved))
 }

@@ -1,11 +1,15 @@
 package codegen
 
 import (
+	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"ggcg/internal/cfront"
 	"ggcg/internal/corpus"
 	"ggcg/internal/irinterp"
+	"ggcg/internal/obs"
 	"ggcg/internal/pcc"
 	"ggcg/internal/peep"
 	"ggcg/internal/vaxsim"
@@ -157,4 +161,42 @@ func TestPeepholeLargeProgram(t *testing.T) {
 		t.Errorf("got %d, oracle %d", got, oracle)
 	}
 	t.Logf("peephole on Large(30): %s", res.Stats.Peephole)
+}
+
+// TestCountPeepCoversStats: every numeric peep.Stats field reaches its own
+// observer counter, so no rule application goes unreported in reports,
+// events or ggcd /metrics.
+func TestCountPeepCoversStats(t *testing.T) {
+	var st peep.Stats
+	v := reflect.ValueOf(&st).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		if !v.Field(i).CanInt() {
+			t.Fatalf("peep.Stats.%s is not numeric", v.Type().Field(i).Name)
+		}
+		v.Field(i).SetInt(int64(101 + i))
+	}
+	o := obs.New(obs.Config{})
+	CountPeep(o, st)
+	var report strings.Builder
+	o.WriteReport(&report)
+	byValue := make(map[int64]string)
+	for _, line := range strings.Split(report.String(), "\n") {
+		f := strings.Fields(line)
+		if len(f) != 2 || !strings.HasPrefix(f[0], "peep.") {
+			continue
+		}
+		n, err := strconv.ParseInt(f[1], 10, 64)
+		if err != nil {
+			t.Fatalf("counter line %q: %v", line, err)
+		}
+		byValue[n] = f[0]
+	}
+	for i := 0; i < v.NumField(); i++ {
+		if _, ok := byValue[int64(101+i)]; !ok {
+			t.Errorf("peep.Stats.%s has no peep.* counter", v.Type().Field(i).Name)
+		}
+	}
+	if len(byValue) != v.NumField() {
+		t.Errorf("%d peep.* counters for %d Stats fields: %v", len(byValue), v.NumField(), byValue)
+	}
 }

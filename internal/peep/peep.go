@@ -5,9 +5,14 @@
 // optimizer would introduce autoinc and condition code improvement where
 // possible", by a post analysis of basic blocks.
 //
-// The optimizer works on the textual assembly the code generators emit,
-// within basic blocks (label definitions and control transfers are
-// boundaries), applying a small set of rules to a fixed point:
+// The optimizer takes the assembly text the code generators emit and scans
+// it once into a flat array of records — label definitions, directives and
+// instructions whose mnemonic and operands are substrings of the text —
+// resolving every label an operand names to a dense index and every
+// mnemonic to its class (jump, conditional branch, move) as it goes. The
+// rules read and edit those records, within basic blocks (label
+// definitions and control transfers are boundaries), to a fixed point, and
+// the result is rendered once:
 //
 //   - redundant move elimination (mov x,x; store/reload pairs)
 //   - condition-code awareness: a tst of a location the previous
@@ -45,122 +50,17 @@ type Stats struct {
 	LinesRemoved   int
 }
 
-type lineKind uint8
-
-const (
-	lDirective lineKind = iota
-	lLabel
-	lInstr
-)
-
-type line struct {
-	kind  lineKind
-	label string // label name, for lLabel
-	mn    string
-	ops   []string
-	raw   string // directives keep their original text
-}
-
-func (l *line) render() string {
-	switch l.kind {
-	case lDirective:
-		return l.raw
-	case lLabel:
-		return l.label + ":"
-	default:
-		if len(l.ops) == 0 {
-			return "\t" + l.mn
-		}
-		return "\t" + l.mn + "\t" + strings.Join(l.ops, ",")
-	}
-}
-
-// parse splits assembly text into lines. Function headers like
-// "_f:\t.word 0" become a label line plus a directive line.
-func parse(src string) []*line {
-	var out []*line
-	for _, raw := range strings.Split(src, "\n") {
-		text := strings.TrimRight(raw, " \t")
-		if text == "" {
-			continue
-		}
-		trimmed := strings.TrimSpace(text)
-		// Peel leading label definitions.
-		for {
-			colon := strings.IndexByte(trimmed, ':')
-			if colon <= 0 || strings.ContainsAny(trimmed[:colon], " \t,$(") {
-				break
-			}
-			out = append(out, &line{kind: lLabel, label: trimmed[:colon]})
-			trimmed = strings.TrimSpace(trimmed[colon+1:])
-		}
-		if trimmed == "" {
-			continue
-		}
-		if strings.HasPrefix(trimmed, ".") {
-			raw := text
-			if len(out) > 0 && out[len(out)-1].kind == lLabel && !strings.HasPrefix(text, ".") {
-				// The directive shared its line with a peeled label.
-				raw = "\t" + trimmed
-			}
-			out = append(out, &line{kind: lDirective, raw: raw})
-			continue
-		}
-		mn := trimmed
-		var ops []string
-		if i := strings.IndexAny(trimmed, " \t"); i >= 0 {
-			mn = trimmed[:i]
-			rest := strings.TrimSpace(trimmed[i+1:])
-			if rest != "" {
-				for _, o := range strings.Split(rest, ",") {
-					ops = append(ops, strings.TrimSpace(o))
-				}
-			}
-		}
-		out = append(out, &line{kind: lInstr, mn: mn, ops: ops})
-	}
-	return out
-}
-
-func render(lines []*line) string {
-	var b strings.Builder
-	for _, l := range lines {
-		if l == nil {
-			continue
-		}
-		b.WriteString(l.render())
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
 // Optimize applies the peephole rules to VAX assembly to a fixed point —
 // the rule-driven passes with the VAX vocabulary, then the VAX-only
 // condition-code, autoincrement, range-idiom and loop rewrites — and
 // returns the improved assembly and the applications performed.
 func Optimize(src string) (string, Stats) {
-	return runPasses(src, vaxRules, []pass{removeRedundantTst, introduceAutoStep, rangeIdioms, introduceAOB})
+	return runPasses(src, &vaxRules, vaxPasses)
 }
 
-func countInstrs(lines []*line) int {
-	n := 0
-	for _, l := range lines {
-		if l != nil && l.kind == lInstr {
-			n++
-		}
-	}
-	return n
-}
-
-func compact(lines []*line) []*line {
-	out := lines[:0]
-	for _, l := range lines {
-		if l != nil {
-			out = append(out, l)
-		}
-	}
-	return out
-}
+// vaxPasses are the VAX-only rewrites Optimize runs after the rule-driven
+// passes of each round.
+var vaxPasses = []pass{removeRedundantTst, introduceAutoStep, rangeIdioms, introduceAOB}
 
 // isBranch reports whether the mnemonic transfers control.
 func isBranch(mn string) bool {
@@ -180,59 +80,6 @@ var invert = map[string]string{
 	"jleq": "jgtr", "jgtr": "jleq",
 	"jlssu": "jgequ", "jgequ": "jlssu",
 	"jlequ": "jgtru", "jgtru": "jlequ",
-}
-
-// next returns the index of the next non-nil line at or after i, or -1.
-func next(lines []*line, i int) int {
-	for ; i < len(lines); i++ {
-		if lines[i] != nil {
-			return i
-		}
-	}
-	return -1
-}
-
-// nextInstrSameBlock returns the next instruction index if no label or
-// directive intervenes, else -1.
-func nextInstrSameBlock(lines []*line, i int) int {
-	for j := i + 1; j < len(lines); j++ {
-		l := lines[j]
-		if l == nil {
-			continue
-		}
-		if l.kind != lInstr {
-			return -1
-		}
-		return j
-	}
-	return -1
-}
-
-// labelTargets collects, for each label, the index of its definition.
-func labelDefs(lines []*line) map[string]int {
-	defs := make(map[string]int)
-	for i, l := range lines {
-		if l != nil && l.kind == lLabel {
-			defs[l.label] = i
-		}
-	}
-	return defs
-}
-
-// nextInstrSameBlockFromLabel finds the first instruction after a label,
-// skipping further labels (they all name the same point).
-func nextInstrSameBlockFromLabel(lines []*line, i int) int {
-	for j := i + 1; j < len(lines); j++ {
-		l := lines[j]
-		if l == nil || l.kind == lLabel {
-			continue
-		}
-		if l.kind == lInstr {
-			return j
-		}
-		return -1
-	}
-	return -1
 }
 
 // writesResult reports whether the instruction's last operand is a
@@ -287,28 +134,30 @@ func hasSideEffect(op string) bool {
 		strings.Contains(op, "(sp)")
 }
 
-func removeRedundantTst(lines []*line, st *Stats) bool {
+func removeRedundantTst(u *unit, st *Stats) bool {
 	changed := false
-	var prev *line
-	for i, l := range lines {
-		if l == nil {
+	prev := -1
+	for i := range u.recs {
+		l := &u.recs[i]
+		if l.kind == kDead {
 			continue
 		}
-		if l.kind != lInstr {
-			prev = nil
+		if l.kind != kInstr {
+			prev = -1
 			continue
 		}
-		if strings.HasPrefix(l.mn, "tst") && len(l.ops) == 1 && prev != nil &&
-			writesResult(prev.mn) && len(prev.ops) > 0 &&
-			prev.ops[len(prev.ops)-1] == l.ops[0] &&
-			opSize(prev.mn) == opSize(l.mn) &&
-			!hasSideEffect(l.ops[0]) {
-			lines[i] = nil
-			st.RedundantTst++
-			changed = true
-			continue // prev still describes the codes for a further tst
+		if l.nops == 1 && prev >= 0 && strings.HasPrefix(l.s, "tst") {
+			p := &u.recs[prev]
+			op := u.ops[l.op0].s
+			if writesResult(p.s) && p.nops > 0 && u.ops[p.last()].s == op &&
+				opSize(p.s) == opSize(l.s) && !hasSideEffect(op) {
+				u.kill(i)
+				st.RedundantTst++
+				changed = true
+				continue // prev still describes the codes for a further tst
+			}
 		}
-		prev = l
+		prev = i
 	}
 	return changed
 }
@@ -320,23 +169,24 @@ func removeRedundantTst(lines []*line, st *Stats) bool {
 //
 // when rN appears exactly once in the operation — §6.1's autoincrement
 // improvement by post analysis of a basic block.
-func introduceAutoStep(lines []*line, st *Stats) bool {
+func introduceAutoStep(u *unit, st *Stats) bool {
 	changed := false
-	for i, l := range lines {
-		if l == nil || l.kind != lInstr {
+	for i := range u.recs {
+		l := &u.recs[i]
+		if l.kind != kInstr {
 			continue
 		}
-		j := nextInstrSameBlock(lines, i)
+		j := u.nextInstrSameBlock(i)
 		if j < 0 {
 			continue
 		}
-		m := lines[j]
+		m := &u.recs[j]
 		// Post-increment: l uses (rN), m is addl2 $size,rN.
-		if m.mn == "addl2" && len(m.ops) == 2 && isBranch(l.mn) == false {
-			if reg, size, ok := stepOf(m); ok && size == opSize(l.mn) {
-				if k, ok := soleRegDefUse(l, reg); ok {
-					l.ops[k] = "(" + reg + ")+"
-					lines[j] = nil
+		if m.s == "addl2" && m.nops == 2 && !isBranch(l.s) {
+			if reg, size, ok := u.stepOf(m); ok && size == opSize(l.s) {
+				if k, ok := u.soleRegDefUse(l, reg); ok {
+					u.setOp(l, k, u.resolve("("+reg+")+"))
+					u.kill(j)
 					st.AutoInc++
 					changed = true
 					continue
@@ -344,11 +194,11 @@ func introduceAutoStep(lines []*line, st *Stats) bool {
 			}
 		}
 		// Pre-decrement: l is subl2 $size,rN, m uses (rN).
-		if l.mn == "subl2" && len(l.ops) == 2 && m.kind == lInstr && !isBranch(m.mn) {
-			if reg, size, ok := stepOf(l); ok && size == opSize(m.mn) {
-				if k, ok := soleRegDefUse(m, reg); ok {
-					m.ops[k] = "-(" + reg + ")"
-					lines[i] = nil
+		if l.s == "subl2" && l.nops == 2 && !isBranch(m.s) {
+			if reg, size, ok := u.stepOf(l); ok && size == opSize(m.s) {
+				if k, ok := u.soleRegDefUse(m, reg); ok {
+					u.setOp(m, k, u.resolve("-("+reg+")"))
+					u.kill(i)
 					st.AutoDec++
 					changed = true
 				}
@@ -359,15 +209,19 @@ func introduceAutoStep(lines []*line, st *Stats) bool {
 }
 
 // stepOf decodes addl2/subl2 $k,rN into (register, k).
-func stepOf(l *line) (reg string, size int, ok bool) {
-	if len(l.ops) != 2 || !strings.HasPrefix(l.ops[0], "$") || !isRegName(l.ops[1]) {
+func (u *unit) stepOf(l *rec) (reg string, size int, ok bool) {
+	if l.nops != 2 {
 		return "", 0, false
 	}
-	k, err := strconv.Atoi(l.ops[0][1:])
+	imm, reg := u.ops[l.op0].s, u.ops[l.op0+1].s
+	if !strings.HasPrefix(imm, "$") || !isRegName(reg) {
+		return "", 0, false
+	}
+	k, err := strconv.Atoi(imm[1:])
 	if err != nil || k <= 0 {
 		return "", 0, false
 	}
-	return l.ops[1], k, true
+	return reg, k, true
 }
 
 func isRegName(s string) bool {
@@ -381,27 +235,25 @@ func isRegName(s string) bool {
 	return false
 }
 
-// soleRegDefUse returns the operand index where the register appears as a
-// plain deferred operand "(rN)", provided the register occurs nowhere else
-// in the instruction.
-func soleRegDefUse(l *line, reg string) (int, bool) {
-	idx := -1
-	for i, op := range l.ops {
-		if op == "("+reg+")" {
+// soleRegDefUse returns the operand backing index where the register
+// appears as a plain deferred operand "(rN)", provided the register occurs
+// nowhere else in the instruction.
+func (u *unit) soleRegDefUse(l *rec, reg string) (int32, bool) {
+	idx := int32(-1)
+	for k := l.op0; k < l.op0+l.nops; k++ {
+		op := u.ops[k].s
+		if len(op) == len(reg)+2 && op[0] == '(' && op[len(op)-1] == ')' && op[1:len(op)-1] == reg {
 			if idx >= 0 {
 				return 0, false
 			}
-			idx = i
+			idx = k
 			continue
 		}
 		if strings.Contains(op, reg) {
 			return 0, false
 		}
 	}
-	if idx < 0 {
-		return 0, false
-	}
-	return idx, true
+	return idx, idx >= 0
 }
 
 // rangeIdioms rewrites the immediate-constant special cases into their
@@ -415,40 +267,51 @@ func soleRegDefUse(l *line, reg string) (int, bool) {
 //
 // It runs after autoincrement introduction in the pass so a byte-sized
 // `addl2 $1,rN` step is claimed as (rN)+ before it can become `incl rN`.
-func rangeIdioms(lines []*line, st *Stats) bool {
+func rangeIdioms(u *unit, st *Stats) bool {
 	changed := false
-	for _, l := range lines {
-		if l == nil || l.kind != lInstr || len(l.ops) != 2 || !strings.HasPrefix(l.ops[0], "$") {
+	for i := range u.recs {
+		l := &u.recs[i]
+		if l.kind != kInstr || l.nops != 2 {
 			continue
 		}
-		n, err := strconv.Atoi(l.ops[0][1:])
+		mn := l.s
+		move := mn == "movb" || mn == "movw" || mn == "movl"
+		step := len(mn) == 5 && mn[4] == '2' &&
+			(mn[:3] == "add" || mn[:3] == "sub") &&
+			(mn[3] == 'b' || mn[3] == 'w' || mn[3] == 'l')
+		if !move && !step {
+			continue
+		}
+		imm := u.ops[l.op0].s
+		if !strings.HasPrefix(imm, "$") {
+			continue
+		}
+		n, err := strconv.Atoi(imm[1:])
 		if err != nil {
 			continue
 		}
-		var mn string
 		switch {
-		case l.mn == "movb" || l.mn == "movw" || l.mn == "movl":
+		case move:
 			if n != 0 {
 				continue
 			}
-			mn = "clr" + l.mn[3:]
+			mn = "clr" + mn[3:]
 			st.ClrZero++
-		case len(l.mn) == 5 && l.mn[4] == '2' &&
-			(l.mn[:3] == "add" || l.mn[:3] == "sub") &&
-			(l.mn[3] == 'b' || l.mn[3] == 'w' || l.mn[3] == 'l'):
+		default:
 			if n != 1 && n != -1 {
 				continue
 			}
 			op := "inc"
-			if (l.mn[:3] == "sub") == (n == 1) {
+			if (mn[:3] == "sub") == (n == 1) {
 				op = "dec"
 			}
-			mn = op + l.mn[3:4]
+			mn = op + mn[3:4]
 			st.IncDec++
-		default:
-			continue
 		}
-		l.mn, l.ops = mn, l.ops[1:]
+		u.setMn(l, mn)
+		u.ref(u.ops[l.op0], -1)
+		l.op0++
+		l.nops--
 		changed = true
 	}
 	return changed
@@ -464,32 +327,33 @@ func rangeIdioms(lines []*line, st *Stats) bool {
 // operand must not mention rN or carry a side effect, and the fall-through
 // successor must not read the condition codes — after the rewrite they
 // describe the incremented index, not the dropped compare.
-func introduceAOB(lines []*line, st *Stats) bool {
+func introduceAOB(u *unit, st *Stats) bool {
 	changed := false
-	for i, l := range lines {
-		if l == nil || l.kind != lInstr || l.mn != "incl" || len(l.ops) != 1 || !isRegName(l.ops[0]) {
+	for i := range u.recs {
+		l := &u.recs[i]
+		if l.kind != kInstr || l.s != "incl" || l.nops != 1 || !isRegName(u.ops[l.op0].s) {
 			continue
 		}
-		reg := l.ops[0]
-		j := nextInstrSameBlock(lines, i)
+		reg := u.ops[l.op0]
+		j := u.nextInstrSameBlock(i)
 		if j < 0 {
 			continue
 		}
-		c := lines[j]
-		if c.mn != "cmpl" || len(c.ops) != 2 || c.ops[0] != reg {
+		c := &u.recs[j]
+		if c.s != "cmpl" || c.nops != 2 || u.ops[c.op0].s != reg.s {
 			continue
 		}
-		limit := c.ops[1]
-		if strings.Contains(limit, reg) || hasSideEffect(limit) {
+		limit := u.ops[c.op0+1]
+		if strings.Contains(limit.s, reg.s) || hasSideEffect(limit.s) {
 			continue
 		}
-		k := nextInstrSameBlock(lines, j)
+		k := u.nextInstrSameBlock(j)
 		if k < 0 {
 			continue
 		}
-		b := lines[k]
+		b := &u.recs[k]
 		var mn string
-		switch b.mn {
+		switch b.s {
 		case "jlss":
 			mn = "aoblss"
 		case "jleq":
@@ -497,11 +361,13 @@ func introduceAOB(lines []*line, st *Stats) bool {
 		default:
 			continue
 		}
-		if len(b.ops) != 1 || condConsumerFollows(lines, k) {
+		if b.nops != 1 || u.condConsumerFollows(k) {
 			continue
 		}
-		b.mn, b.ops = mn, []string{limit, reg, b.ops[0]}
-		lines[i], lines[j] = nil, nil
+		u.setMn(b, mn)
+		u.setOps(k, limit, reg, u.ops[b.op0])
+		u.kill(i)
+		u.kill(j)
 		st.AOBLoops++
 		changed = true
 	}
@@ -509,51 +375,13 @@ func introduceAOB(lines []*line, st *Stats) bool {
 }
 
 // condConsumerFollows reports whether the instruction reached by falling
-// through from index k is a conditional branch, i.e. consumes the condition
-// codes set before k.
-func condConsumerFollows(lines []*line, k int) bool {
-	for j := k + 1; j < len(lines); j++ {
-		l := lines[j]
-		if l == nil || l.kind == lLabel {
-			continue
-		}
-		if l.kind != lInstr {
-			return false
-		}
-		_, cond := invert[l.mn]
-		return cond
+// through from record k is a conditional branch, i.e. consumes the
+// condition codes set before k.
+func (u *unit) condConsumerFollows(k int) bool {
+	if j := u.nextInstrFromLabel(k); j >= 0 {
+		return u.recs[j].cls&cCond != 0
 	}
 	return false
-}
-
-func dropDeadLabels(lines []*line, st *Stats) bool {
-	used := make(map[string]bool)
-	for _, l := range lines {
-		if l == nil || l.kind != lInstr {
-			continue
-		}
-		for _, op := range l.ops {
-			used[op] = true
-			if i := strings.IndexByte(op, '+'); i > 0 {
-				used[op[:i]] = true
-			}
-		}
-	}
-	changed := false
-	for i, l := range lines {
-		if l == nil || l.kind != lLabel {
-			continue
-		}
-		if strings.HasPrefix(l.label, "_") {
-			continue // function entries and data symbols stay
-		}
-		if !used[l.label] {
-			lines[i] = nil
-			st.DeadLabels++
-			changed = true
-		}
-	}
-	return changed
 }
 
 // String summarizes the statistics.

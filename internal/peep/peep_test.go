@@ -153,6 +153,19 @@ func TestDeadLabelRemoval(t *testing.T) {
 	}
 }
 
+// TestLabelUses: a label stays while an operand names it, whole or as the
+// base of a name+offset operand, and goes in the round its last user does.
+func TestLabelUses(t *testing.T) {
+	out, st := optimize(t, "\tmovl\tL1+4,r0\n\tret\nL1:\t.long 0\nL2:\t.long 0\n")
+	if !strings.Contains(out, "L1:") || strings.Contains(out, "L2:") || st.DeadLabels != 1 {
+		t.Errorf("stats = %+v\n%s", st, out)
+	}
+	out, st = optimize(t, "\tjbr\tL1\nL1:\tret\n")
+	if out != "\tret\n" || st.JumpsToNext != 1 || st.DeadLabels != 1 {
+		t.Errorf("stats = %+v\n%s", st, out)
+	}
+}
+
 func TestFunctionLabelsKept(t *testing.T) {
 	src := ".globl _f\n_f:\t.word 0\n\tret\n"
 	out, _ := optimize(t, src)
