@@ -110,6 +110,38 @@ func TestCompileErrors(t *testing.T) {
 	}
 }
 
+// TestDeepNestingRejected: a request nested far past the front end's
+// budget — 300000 parentheses, 600 KB, under the 1 MiB MaxSource — gets a
+// 422 naming the limit instead of overflowing the daemon's stack, and the
+// same server then answers a valid compile.
+func TestDeepNestingRejected(t *testing.T) {
+	_, ts := newTestServer(t)
+	const depth = 300000
+	deep := "int main() { return " + strings.Repeat("(", depth) + "1" + strings.Repeat(")", depth) + "; }"
+	resp, err := http.Post(ts.URL+"/compile", "text/plain", strings.NewReader(deep))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("status %d, want 422: %s", resp.StatusCode, body)
+	}
+	if !strings.Contains(string(body), "nesting depth exceeds the limit of") {
+		t.Errorf("body does not name the nesting limit: %s", body)
+	}
+
+	resp, err = http.Post(ts.URL+"/compile", "text/plain", strings.NewReader(prog))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "_main:") {
+		t.Fatalf("valid compile after the rejected one: status %d: %s", resp.StatusCode, body)
+	}
+}
+
 func TestMetricsEndpoint(t *testing.T) {
 	_, ts := newTestServer(t)
 	// Two compiles so the counters are visibly cumulative.

@@ -20,286 +20,195 @@ func lvexpr(lv *ir.Node, t ctype, fetch *ir.Node) expr { return expr{n: fetch, l
 // sequencing.
 func (p *parser) expr() expr {
 	e := p.assignExpr()
-	for p.accept(",") {
+	for p.accept(',') {
 		p.emitExprStmt(e)
 		e = p.assignExpr()
 	}
 	return e
 }
 
-var compoundOps = map[string]ir.Op{
-	"+=": ir.Plus, "-=": ir.Minus, "*=": ir.Mul, "/=": ir.Div, "%=": ir.Mod,
-	"&=": ir.And, "|=": ir.Or, "^=": ir.Xor, "<<=": ir.Lsh, ">>=": ir.Rsh,
+// compoundOps maps each compound assignment to its binary operator; every
+// other id maps to ir.Nop.
+var compoundOps = [256]ir.Op{
+	pAddAssign: ir.Plus, pSubAssign: ir.Minus, pMulAssign: ir.Mul,
+	pDivAssign: ir.Div, pModAssign: ir.Mod, pAndAssign: ir.And,
+	pOrAssign: ir.Or, pXorAssign: ir.Xor, pShlAssign: ir.Lsh, pShrAssign: ir.Rsh,
 }
 
 func (p *parser) assignExpr() expr {
 	e := p.condExpr()
-	t := p.peek()
-	if t.kind != tPunct {
+	id := p.at()
+	op := compoundOps[id]
+	if id != '=' && op == ir.Nop {
 		return e
 	}
-	if t.text == "=" {
-		p.advance()
-		rhs := p.assignExpr()
+	p.pos++
+	p.nest()
+	rhs := p.assignExpr()
+	p.unnest()
+	if id == '=' {
 		return p.buildAssign(e, rhs)
 	}
-	if op, ok := compoundOps[t.text]; ok {
-		p.advance()
-		rhs := p.assignExpr()
-		// a op= b is expanded to a = a op b (§6.5); the address expression
-		// is re-evaluated, so it must be side-effect free.
-		if e.lv == nil {
-			p.errf("left side of %s is not assignable", t.text)
-		}
-		read := expr{n: p.a.Clone(e.n), t: e.t}
-		return p.buildAssign(e, p.buildBin(op, read, rhs))
+	// a op= b is expanded to a = a op b (§6.5); the address expression
+	// is re-evaluated, so it must be side-effect free.
+	if e.lv == nil {
+		p.errf("left side of %s is not assignable", idText[id])
 	}
-	return e
+	read := expr{n: p.a.Clone(e.n), t: e.t}
+	return p.buildAssign(e, p.buildBin(op, read, rhs))
 }
 
 func (p *parser) condExpr() expr {
-	c := p.orExpr()
-	if !p.accept("?") {
+	c := p.binExpr(1)
+	if !p.accept('?') {
 		return c
 	}
+	p.nest()
 	a := p.assignExpr()
-	p.expect(":")
+	p.expect(':')
 	b := p.condExpr()
+	p.unnest()
 	t := arith(a.t, b.t)
 	sel := p.newNode(ir.Select, t.irType())
 	sel.Kids = p.a.Kids(c.n, a.n, b.n)
 	return rval(sel, t)
 }
 
-func (p *parser) orExpr() expr {
-	e := p.andExpr()
-	for p.accept("||") {
-		r := p.andExpr()
-		e = rval(p.a.Bin(ir.OrOr, ir.Long, e.n, r.n), ctype{base: ir.Long})
-	}
-	return e
+// binOp is one row of the binary-operator table: how tightly the operator
+// binds (0 for ids that are not binary operators), its IR operator, and
+// the routine that types, folds and builds the node.
+type binOp struct {
+	prec  uint8
+	op    ir.Op
+	build func(p *parser, op ir.Op, a, b expr) expr
 }
 
-func (p *parser) andExpr() expr {
-	e := p.bitOrExpr()
-	for p.accept("&&") {
-		r := p.bitOrExpr()
-		e = rval(p.a.Bin(ir.AndAnd, ir.Long, e.n, r.n), ctype{base: ir.Long})
-	}
-	return e
+// binOps is the precedence table, indexed by token id, that drives
+// binExpr: C's ten binary levels from || (loosest) to * / % (tightest).
+var binOps = [256]binOp{
+	pOrOr:   {1, ir.OrOr, (*parser).buildLogical},
+	pAndAnd: {2, ir.AndAnd, (*parser).buildLogical},
+	'|':     {3, ir.Or, (*parser).buildBin},
+	'^':     {4, ir.Xor, (*parser).buildBin},
+	'&':     {5, ir.And, (*parser).buildBin},
+	pEq:     {6, ir.Eq, (*parser).buildRel},
+	pNe:     {6, ir.Ne, (*parser).buildRel},
+	'<':     {7, ir.Lt, (*parser).buildRel},
+	'>':     {7, ir.Gt, (*parser).buildRel},
+	pLe:     {7, ir.Le, (*parser).buildRel},
+	pGe:     {7, ir.Ge, (*parser).buildRel},
+	pShl:    {8, ir.Lsh, (*parser).buildShift},
+	pShr:    {8, ir.Rsh, (*parser).buildShift},
+	'+':     {9, ir.Plus, (*parser).buildAdd},
+	'-':     {9, ir.Minus, (*parser).buildAdd},
+	'*':     {10, ir.Mul, (*parser).buildBin},
+	'/':     {10, ir.Div, (*parser).buildBin},
+	'%':     {10, ir.Mod, (*parser).buildMod},
 }
 
-func (p *parser) bitOrExpr() expr {
-	e := p.bitXorExpr()
-	for p.peek().kind == tPunct && p.peek().text == "|" {
-		p.advance()
-		e = p.buildBin(ir.Or, e, p.bitXorExpr())
-	}
-	return e
-}
-
-func (p *parser) bitXorExpr() expr {
-	e := p.bitAndExpr()
-	for p.peek().kind == tPunct && p.peek().text == "^" {
-		p.advance()
-		e = p.buildBin(ir.Xor, e, p.bitAndExpr())
-	}
-	return e
-}
-
-func (p *parser) bitAndExpr() expr {
-	e := p.eqExpr()
-	for p.peek().kind == tPunct && p.peek().text == "&" {
-		p.advance()
-		e = p.buildBin(ir.And, e, p.eqExpr())
-	}
-	return e
-}
-
-func (p *parser) eqExpr() expr {
-	e := p.relExpr()
-	for {
-		var op ir.Op
-		switch {
-		case p.accept("=="):
-			op = ir.Eq
-		case p.accept("!="):
-			op = ir.Ne
-		default:
-			return e
-		}
-		e = p.buildRel(op, e, p.relExpr())
-	}
-}
-
-func (p *parser) relExpr() expr {
-	e := p.shiftExpr()
-	for {
-		var op ir.Op
-		switch {
-		case p.accept("<="):
-			op = ir.Le
-		case p.accept(">="):
-			op = ir.Ge
-		case p.accept("<"):
-			op = ir.Lt
-		case p.accept(">"):
-			op = ir.Gt
-		default:
-			return e
-		}
-		e = p.buildRel(op, e, p.shiftExpr())
-	}
-}
-
-func (p *parser) shiftExpr() expr {
-	e := p.addExpr()
-	for {
-		var op ir.Op
-		switch {
-		case p.accept("<<"):
-			op = ir.Lsh
-		case p.accept(">>"):
-			op = ir.Rsh
-		default:
-			return e
-		}
-		r := p.addExpr()
-		// The shift result has the promoted type of the left operand.
-		t := arith(e.t, ctype{base: ir.Long})
-		if !e.t.irType().IsUnsigned() {
-			t = ctype{base: ir.Long}
-		}
-		if f := p.foldInt(op, t, e.n, r.n); f != nil {
-			e = rval(f, t)
-			continue
-		}
-		e = rval(p.a.Bin(op, t.irType(), e.n, r.n), t)
-	}
-}
-
-func (p *parser) addExpr() expr {
-	e := p.mulExpr()
-	for {
-		switch {
-		case p.accept("+"):
-			e = p.buildAdd(e, p.mulExpr(), false)
-		case p.accept("-"):
-			e = p.buildAdd(e, p.mulExpr(), true)
-		default:
-			return e
-		}
-	}
-}
-
-func (p *parser) mulExpr() expr {
+// binExpr parses a binary expression by precedence climbing: it takes
+// every operator binding at least as tightly as minPrec and parses each
+// right operand one level tighter, which makes all of them
+// left-associative. Nodes are built in the order a recursive-descent
+// cascade of one function per level would build them.
+func (p *parser) binExpr(minPrec uint8) expr {
 	e := p.unaryExpr()
 	for {
-		var op ir.Op
-		switch {
-		case p.accept("*"):
-			op = ir.Mul
-		case p.accept("/"):
-			op = ir.Div
-		case p.accept("%"):
-			op = ir.Mod
-		default:
+		b := &binOps[p.at()]
+		if b.prec < minPrec {
 			return e
 		}
-		r := p.unaryExpr()
-		if op == ir.Mod && (e.t.isFloat() || r.t.isFloat()) {
-			p.errf("%% requires integer operands")
-		}
-		e = p.buildBin(op, e, r)
+		p.pos++
+		e = b.build(p, b.op, e, p.binExpr(b.prec+1))
 	}
 }
 
+// unaryExpr parses a unary expression. Parentheses, casts and unary
+// chains all recurse through here, so it carries the nesting budget.
 func (p *parser) unaryExpr() expr {
-	t := p.peek()
-	if t.kind == tIdent && t.text == "sizeof" {
-		p.advance()
+	p.nest()
+	defer p.unnest()
+	switch id := p.at(); id {
+	case kSizeof:
+		p.pos++
 		return p.sizeofExpr()
-	}
-	if t.kind == tPunct {
-		switch t.text {
-		case "(":
-			// A cast if the parenthesis opens a type name.
-			if typ, isCast := p.tryCast(); isCast {
-				e := p.unaryExpr()
-				return p.buildCast(typ, e)
-			}
-		case "-":
-			p.advance()
+	case '(':
+		// A cast if the parenthesis opens a type name.
+		if typ, isCast := p.tryCast(); isCast {
 			e := p.unaryExpr()
-			if e.n.Op == ir.Const {
-				return rval(p.a.SmallConst(-e.n.Val), e.t)
-			}
-			if e.n.Op == ir.FConst {
-				return rval(p.a.NewFConst(e.n.Type, -e.n.F), e.t)
-			}
-			t := arith(e.t, ctype{base: ir.Long})
-			return rval(p.a.Un(ir.Neg, t.irType(), e.n), t)
-		case "~":
-			p.advance()
-			e := p.unaryExpr()
-			if e.t.isFloat() || e.t.isPtr() {
-				p.errf("~ requires an integer operand")
-			}
-			t := arith(e.t, ctype{base: ir.Long})
-			if e.n.Op == ir.Const {
-				return rval(p.a.SmallConst(^e.n.Val), t)
-			}
-			return rval(p.a.Un(ir.Compl, t.irType(), e.n), t)
-		case "!":
-			p.advance()
-			e := p.unaryExpr()
-			return rval(p.a.Un(ir.Not, ir.Long, e.n), ctype{base: ir.Long})
-		case "*":
-			p.advance()
-			e := p.unaryExpr()
-			if !e.t.isPtr() {
-				p.errf("cannot dereference non-pointer %v", e.t)
-			}
-			et := e.t.elem()
-			lv := p.a.Un(ir.Indir, et.irType(), e.n)
-			return lvexpr(lv, et, p.a.Clone(lv))
-		case "&":
-			p.advance()
-			e := p.unaryExpr()
-			if e.lv == nil {
-				p.errf("cannot take the address of this expression")
-			}
-			switch e.lv.Op {
-			case ir.Name:
-				return rval(e.lv, ctype{base: e.t.base, ptr: e.t.ptr + 1})
-			case ir.Indir:
-				return rval(e.lv.Kids[0], ctype{base: e.t.base, ptr: e.t.ptr + 1})
-			}
-			p.errf("cannot take the address of a register variable")
-		case "++", "--":
-			p.advance()
-			op := ir.PreInc
-			if t.text == "--" {
-				op = ir.PreDec
-			}
-			e := p.unaryExpr()
-			return p.buildIncDec(op, e)
+			return rval(p.convertValue(e, typ), typ)
 		}
+	case '-':
+		p.pos++
+		e := p.unaryExpr()
+		if e.n.Op == ir.Const {
+			return rval(p.a.SmallConst(-e.n.Val), e.t)
+		}
+		if e.n.Op == ir.FConst {
+			return rval(p.a.NewFConst(e.n.Type, -e.n.F), e.t)
+		}
+		t := arith(e.t, ctype{base: ir.Long})
+		return rval(p.a.Un(ir.Neg, t.irType(), e.n), t)
+	case '~':
+		p.pos++
+		e := p.unaryExpr()
+		if e.t.isFloat() || e.t.isPtr() {
+			p.errf("~ requires an integer operand")
+		}
+		t := arith(e.t, ctype{base: ir.Long})
+		if e.n.Op == ir.Const {
+			return rval(p.a.SmallConst(^e.n.Val), t)
+		}
+		return rval(p.a.Un(ir.Compl, t.irType(), e.n), t)
+	case '!':
+		p.pos++
+		e := p.unaryExpr()
+		return rval(p.a.Un(ir.Not, ir.Long, e.n), ctype{base: ir.Long})
+	case '*':
+		p.pos++
+		e := p.unaryExpr()
+		if !e.t.isPtr() {
+			p.errf("cannot dereference non-pointer %v", e.t)
+		}
+		et := e.t.elem()
+		lv := p.a.Un(ir.Indir, et.irType(), e.n)
+		return lvexpr(lv, et, p.a.Clone(lv))
+	case '&':
+		p.pos++
+		e := p.unaryExpr()
+		if e.lv == nil {
+			p.errf("cannot take the address of this expression")
+		}
+		switch e.lv.Op {
+		case ir.Name:
+			return rval(e.lv, ctype{base: e.t.base, ptr: e.t.ptr + 1})
+		case ir.Indir:
+			return rval(e.lv.Kids[0], ctype{base: e.t.base, ptr: e.t.ptr + 1})
+		}
+		p.errf("cannot take the address of a register variable")
+	case pInc, pDec:
+		p.pos++
+		op := ir.PreInc
+		if id == pDec {
+			op = ir.PreDec
+		}
+		e := p.unaryExpr()
+		return p.buildIncDec(op, e)
 	}
 	return p.postfixExpr()
 }
 
 func (p *parser) sizeofExpr() expr {
-	if p.accept("(") {
+	if p.accept('(') {
 		if typ, ok := p.typeSpec(); ok {
-			for p.accept("*") {
+			for p.accept('*') {
 				typ.ptr++
 			}
-			p.expect(")")
+			p.expect(')')
 			return rval(p.a.SmallConst(int64(typ.size())), ctype{base: ir.Long})
 		}
 		e := p.expr()
-		p.expect(")")
+		p.expect(')')
 		return rval(p.a.SmallConst(int64(e.t.size())), ctype{base: ir.Long})
 	}
 	e := p.unaryExpr()
@@ -309,7 +218,7 @@ func (p *parser) sizeofExpr() expr {
 // tryCast checks for '(' typename ')' and consumes it if present.
 func (p *parser) tryCast() (ctype, bool) {
 	save := p.pos
-	if !p.accept("(") {
+	if !p.accept('(') {
 		return ctype{}, false
 	}
 	typ, ok := p.typeSpec()
@@ -317,37 +226,29 @@ func (p *parser) tryCast() (ctype, bool) {
 		p.pos = save
 		return ctype{}, false
 	}
-	for p.accept("*") {
+	for p.accept('*') {
 		typ.ptr++
 	}
-	if !p.accept(")") {
+	if !p.accept(')') {
 		p.pos = save
 		return ctype{}, false
 	}
 	return typ, true
 }
 
-func (p *parser) buildCast(t ctype, e expr) expr {
-	return rval(p.convertValue(e, t), t)
-}
-
 func (p *parser) postfixExpr() expr {
 	e := p.primary()
 	for {
-		t := p.peek()
-		if t.kind != tPunct {
-			return e
-		}
-		switch t.text {
-		case "[":
-			p.advance()
+		switch id := p.at(); id {
+		case '[':
+			p.pos++
 			idx := p.expr()
-			p.expect("]")
+			p.expect(']')
 			e = p.buildIndex(e, idx)
-		case "++", "--":
-			p.advance()
+		case pInc, pDec:
+			p.pos++
 			op := ir.PostInc
-			if t.text == "--" {
+			if id == pDec {
 				op = ir.PostDec
 			}
 			e = p.buildIncDec(op, e)
@@ -369,12 +270,12 @@ func (p *parser) primary() expr {
 	case tFloat:
 		p.advance()
 		if t.text == "f" {
-			return rval(p.a.NewFConst(ir.Float, t.fval), ctype{base: ir.Float})
+			return rval(p.a.NewFConst(ir.Float, t.fval()), ctype{base: ir.Float})
 		}
-		return rval(p.a.NewFConst(ir.Double, t.fval), ctype{base: ir.Double})
+		return rval(p.a.NewFConst(ir.Double, t.fval()), ctype{base: ir.Double})
 	case tIdent:
 		p.advance()
-		if p.peek().kind == tPunct && p.peek().text == "(" {
+		if p.at() == '(' {
 			return p.callExpr(t.text)
 		}
 		s := p.lookup(t.text)
@@ -383,10 +284,10 @@ func (p *parser) primary() expr {
 		}
 		return p.symbolExpr(s)
 	case tPunct:
-		if t.text == "(" {
+		if t.id == '(' {
 			p.advance()
 			e := p.expr()
-			p.expect(")")
+			p.expect(')')
 			return e
 		}
 	}
@@ -435,11 +336,11 @@ func (p *parser) callExpr(name string) expr {
 	if s.kind != symFunc {
 		p.errf("%q is not a function", name)
 	}
-	p.expect("(")
+	p.expect('(')
 	var args []*ir.Node
 	words := 0
 	i := 0
-	if !p.accept(")") {
+	if !p.accept(')') {
 		for {
 			a := p.assignExpr()
 			if s.defined && i < len(s.params) {
@@ -455,8 +356,8 @@ func (p *parser) callExpr(name string) expr {
 			}
 			args = append(args, a.n)
 			i++
-			if !p.accept(",") {
-				p.expect(")")
+			if !p.accept(',') {
+				p.expect(')')
 				break
 			}
 		}
@@ -552,11 +453,8 @@ func (p *parser) buildIncDec(op ir.Op, e expr) expr {
 }
 
 // buildAdd handles + and -, including pointer arithmetic.
-func (p *parser) buildAdd(a, b expr, sub bool) expr {
-	op := ir.Plus
-	if sub {
-		op = ir.Minus
-	}
+func (p *parser) buildAdd(op ir.Op, a, b expr) expr {
+	sub := op == ir.Minus
 	switch {
 	case a.t.isPtr() && b.t.isPtr():
 		if !sub {
@@ -594,6 +492,33 @@ func (p *parser) buildBin(op ir.Op, a, b expr) expr {
 		return rval(f, t)
 	}
 	return rval(p.a.Bin(op, t.irType(), a.n, b.n), t)
+}
+
+// buildMod builds %, which C defines only on integers.
+func (p *parser) buildMod(op ir.Op, a, b expr) expr {
+	if a.t.isFloat() || b.t.isFloat() {
+		p.errf("%% requires integer operands")
+	}
+	return p.buildBin(op, a, b)
+}
+
+// buildShift builds << and >>; the result has the promoted type of the
+// left operand.
+func (p *parser) buildShift(op ir.Op, a, b expr) expr {
+	t := arith(a.t, ctype{base: ir.Long})
+	if !a.t.irType().IsUnsigned() {
+		t = ctype{base: ir.Long}
+	}
+	if f := p.foldInt(op, t, a.n, b.n); f != nil {
+		return rval(f, t)
+	}
+	return rval(p.a.Bin(op, t.irType(), a.n, b.n), t)
+}
+
+// buildLogical builds && and ||, which the transformation phase later
+// rewrites into explicit control flow.
+func (p *parser) buildLogical(op ir.Op, a, b expr) expr {
+	return rval(p.a.Bin(op, ir.Long, a.n, b.n), ctype{base: ir.Long})
 }
 
 // buildRel builds a relational value expression; its type records the

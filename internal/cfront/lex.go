@@ -12,10 +12,19 @@
 // short-circuit operators and casts), and if/while/do/for/break/continue/
 // return statements. Structures and bit fields — the paper's "rough edges"
 // (§6.5) — are out of scope.
+//
+// The front end is table-driven where the paper's move applies: the lexer
+// interns each punctuator and keyword to a one-byte tokID, so the parser
+// compares bytes, and one precedence-climbing loop reads every binary
+// operator's precedence, IR operator and builder from binOps. One nesting
+// budget covers every recursive path of the parser, so input nested past
+// it is a *LimitError, never a stack overflow.
 package cfront
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -30,13 +39,95 @@ const (
 	tPunct // operators and punctuation, in text
 )
 
+// tokID is the interned identity of a punctuator or keyword. The lexer
+// stamps it on the token, so the parser compares one byte where it would
+// otherwise compare text. A one-character punctuator is its own byte ('('
+// is tokID('(')); longer punctuators and the keywords are numbered from
+// 128. Keywords stay tIdent tokens (a declared variable may still be named
+// like one); all other tokens carry 0.
+type tokID uint8
+
+// singlePunct lists the one-character punctuators.
+const singlePunct = "+-*/%&|^~!<>=(){}[];,?:"
+
+const (
+	// Multi-character punctuators, longest first: within a shared first
+	// byte the lexer tries them in this order and the one-character
+	// punctuator last, which is maximal munch ("<<=", "<<", "<").
+	pShlAssign tokID = 128 + iota
+	pShrAssign
+	pInc
+	pDec
+	pShl
+	pShr
+	pLe
+	pGe
+	pEq
+	pNe
+	pAndAnd
+	pOrOr
+	pAddAssign
+	pSubAssign
+	pMulAssign
+	pDivAssign
+	pModAssign
+	pAndAssign
+	pOrAssign
+	pXorAssign
+
+	// Keywords.
+	kBreak
+	kCase
+	kChar
+	kContinue
+	kDefault
+	kDo
+	kDouble
+	kElse
+	kFloat
+	kFor
+	kIf
+	kInt
+	kLong
+	kRegister
+	kReturn
+	kShort
+	kSizeof
+	kSwitch
+	kUnsigned
+	kVoid
+	kWhile
+)
+
+// idText is the source spelling of every punctuator and keyword; init
+// adds the one-character punctuators.
+var idText = [256]string{
+	pShlAssign: "<<=", pShrAssign: ">>=", pInc: "++", pDec: "--", pShl: "<<",
+	pShr: ">>", pLe: "<=", pGe: ">=", pEq: "==", pNe: "!=", pAndAnd: "&&",
+	pOrOr: "||", pAddAssign: "+=", pSubAssign: "-=", pMulAssign: "*=",
+	pDivAssign: "/=", pModAssign: "%=", pAndAssign: "&=", pOrAssign: "|=",
+	pXorAssign: "^=",
+
+	kBreak: "break", kCase: "case", kChar: "char", kContinue: "continue",
+	kDefault: "default", kDo: "do", kDouble: "double", kElse: "else",
+	kFloat: "float", kFor: "for", kIf: "if", kInt: "int", kLong: "long",
+	kRegister: "register", kReturn: "return", kShort: "short",
+	kSizeof: "sizeof", kSwitch: "switch", kUnsigned: "unsigned",
+	kVoid: "void", kWhile: "while",
+}
+
+// token is one lexeme, packed into 32 bytes: the parser's hot path
+// copies and compares tokens, and hostile sources lex to millions.
 type token struct {
 	kind tokKind
+	id   tokID
+	line int32
 	text string
-	ival int64
-	fval float64
-	line int
+	ival int64 // tInt: the value; tFloat: the float64 bits (see fval)
 }
+
+// fval is the value of a tFloat token.
+func (t token) fval() float64 { return math.Float64frombits(uint64(t.ival)) }
 
 func (t token) String() string {
 	switch t.kind {
@@ -45,41 +136,34 @@ func (t token) String() string {
 	case tInt:
 		return strconv.FormatInt(t.ival, 10)
 	case tFloat:
-		return string(strconv.AppendFloat(nil, t.fval, 'g', -1, 64))
+		return string(strconv.AppendFloat(nil, t.fval(), 'g', -1, 64))
 	}
 	return t.text
 }
 
-// multi-character operators, longest first.
-var punctuators = []string{
-	"<<=", ">>=",
-	"++", "--", "<<", ">>", "<=", ">=", "==", "!=", "&&", "||",
-	"+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=",
-	"+", "-", "*", "/", "%", "&", "|", "^", "~", "!", "<", ">", "=",
-	"(", ")", "{", "}", "[", "]", ";", ",", "?", ":",
-}
-
-// punctByFirst buckets the punctuators by first byte so the lexer probes
-// only the handful sharing the current byte instead of scanning all 30.
-// Bucket order inherits the table's longest-first order, which keeps
-// maximal-munch behaviour ("<<=" before "<<" before "<").
-var punctByFirst [256][]string
+// byFirst buckets the ids by first byte, so the lexer probes only the
+// handful sharing the current byte: punctuators in maximal-munch order,
+// keywords under their initial letter.
+var byFirst [256][]tokID
 
 func init() {
-	for _, p := range punctuators {
-		punctByFirst[p[0]] = append(punctByFirst[p[0]], p)
+	for id := pShlAssign; id <= kWhile; id++ {
+		c := idText[id][0]
+		byFirst[c] = append(byFirst[c], id)
+	}
+	for i := 0; i < len(singlePunct); i++ {
+		c := singlePunct[i]
+		idText[c] = singlePunct[i : i+1]
+		byFirst[c] = append(byFirst[c], tokID(c))
 	}
 }
 
 type lexer struct {
 	src  string
 	pos  int
-	line int
+	line int32
 	toks []token
 }
-
-// lex tokenizes the whole source up front.
-func lex(src string) ([]token, error) { return lexInto(src, nil) }
 
 // lexInto tokenizes the whole source up front, appending into toks —
 // typically a pooled slice resliced to length zero — so steady-state
@@ -91,6 +175,12 @@ func lexInto(src string, toks []token) ([]token, error) {
 		if l.pos >= len(l.src) {
 			l.toks = append(l.toks, token{kind: tEOF, line: l.line})
 			return l.toks, nil
+		}
+		if len(l.toks) == cap(l.toks) {
+			// Double rather than let append grow by a quarter: a
+			// multi-megabyte source then leaves one slice's worth of
+			// garbage behind instead of four.
+			l.toks = slices.Grow(l.toks, len(l.toks))
 		}
 		if err := l.next(); err != nil {
 			return nil, err
@@ -113,7 +203,7 @@ func (l *lexer) skipSpaceAndComments() {
 				l.pos = len(l.src)
 				return
 			}
-			l.line += strings.Count(l.src[l.pos:l.pos+2+end+2], "\n")
+			l.line += int32(strings.Count(l.src[l.pos:l.pos+2+end+2], "\n"))
 			l.pos += 2 + end + 2
 		case c == '/' && l.pos+1 < len(l.src) && l.src[l.pos+1] == '/':
 			nl := strings.IndexByte(l.src[l.pos:], '\n')
@@ -142,7 +232,13 @@ func (l *lexer) next() error {
 		for l.pos < len(l.src) && isIdentChar(l.src[l.pos]) {
 			l.pos++
 		}
-		l.toks = append(l.toks, token{kind: tIdent, text: l.src[start:l.pos], line: l.line})
+		t := token{kind: tIdent, text: l.src[start:l.pos], line: l.line}
+		for _, id := range byFirst[c] { // the keywords starting with c
+			if idText[id] == t.text {
+				t.id = id
+			}
+		}
+		l.toks = append(l.toks, t)
 		return nil
 	case c >= '0' && c <= '9' || c == '.' && l.pos+1 < len(l.src) && l.src[l.pos+1] >= '0' && l.src[l.pos+1] <= '9':
 		return l.number()
@@ -150,9 +246,9 @@ func (l *lexer) next() error {
 		return l.charLit()
 	}
 	rest := l.src[l.pos:]
-	for _, p := range punctByFirst[c] {
-		if strings.HasPrefix(rest, p) {
-			l.toks = append(l.toks, token{kind: tPunct, text: p, line: l.line})
+	for _, id := range byFirst[c] {
+		if p := idText[id]; strings.HasPrefix(rest, p) {
+			l.toks = append(l.toks, token{kind: tPunct, id: id, text: p, line: l.line})
 			l.pos += len(p)
 			return nil
 		}
@@ -189,28 +285,17 @@ func (l *lexer) number() error {
 	text := l.src[start:l.pos]
 	// Suffixes: u/U (unsigned), f/F (float), l/L (ignored).
 	unsigned, float32Suffix := false, false
-	for l.pos < len(l.src) {
-		switch l.src[l.pos] {
-		case 'u', 'U':
-			unsigned = true
-			l.pos++
-			continue
-		case 'f', 'F':
-			float32Suffix = true
-			l.pos++
-			continue
-		case 'l', 'L':
-			l.pos++
-			continue
-		}
-		break
+	for ; l.pos < len(l.src) && strings.IndexByte("uUfFlL", l.src[l.pos]) >= 0; l.pos++ {
+		c := l.src[l.pos] | 0x20 // lower case
+		unsigned = unsigned || c == 'u'
+		float32Suffix = float32Suffix || c == 'f'
 	}
 	if isFloat || float32Suffix && strings.ContainsAny(text, ".eE") {
 		f, err := strconv.ParseFloat(text, 64)
 		if err != nil {
 			return fmt.Errorf("cfront: line %d: bad number %q", l.line, text)
 		}
-		t := token{kind: tFloat, fval: f, line: l.line}
+		t := token{kind: tFloat, ival: int64(math.Float64bits(f)), line: l.line}
 		if float32Suffix {
 			t.text = "f"
 		}
@@ -237,6 +322,10 @@ func isHexDigit(c byte) bool {
 	return c >= '0' && c <= '9' || c >= 'a' && c <= 'f' || c >= 'A' && c <= 'F'
 }
 
+// escapeChars are the escapes a character literal may use, standing for
+// the bytes of escapeValues.
+const escapeChars, escapeValues = "nt0\\'", "\n\t\x00\\'"
+
 func (l *lexer) charLit() error {
 	l.pos++ // opening quote
 	if l.pos >= len(l.src) {
@@ -249,20 +338,11 @@ func (l *lexer) charLit() error {
 		if l.pos >= len(l.src) {
 			return fmt.Errorf("cfront: line %d: unterminated escape", l.line)
 		}
-		switch l.src[l.pos] {
-		case 'n':
-			v = '\n'
-		case 't':
-			v = '\t'
-		case '0':
-			v = 0
-		case '\\':
-			v = '\\'
-		case '\'':
-			v = '\''
-		default:
+		i := strings.IndexByte(escapeChars, l.src[l.pos])
+		if i < 0 {
 			return fmt.Errorf("cfront: line %d: unknown escape \\%c", l.line, l.src[l.pos])
 		}
+		v = int64(escapeValues[i])
 		l.pos++
 	} else {
 		v = int64(c)

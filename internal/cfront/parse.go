@@ -37,6 +37,9 @@ func CompileArena(src string, a *ir.Arena, o *obs.Observer) (u *ir.Unit, err err
 		*tp = toks
 	}
 	defer func() {
+		if cap(*tp) > maxPooledTokens {
+			return // a huge unit's slice goes to the collector, not the pool
+		}
 		clear(*tp) // drop the strings pinning src
 		tokPool.Put(tp)
 	}()
@@ -66,8 +69,11 @@ func CompileArena(src string, a *ir.Arena, o *obs.Observer) (u *ir.Unit, err err
 
 // tokPool recycles token slices across compiles; lexInto appends into the
 // pooled backing array, so steady-state lexing allocates only when a unit
-// out-grows every slice seen before.
+// out-grows every slice seen before. Slices longer than maxPooledTokens
+// (2 MiB; corpus.Large(60) lexes to about 4500 tokens) are not pooled.
 var tokPool = sync.Pool{New: func() any { return new([]token) }}
+
+const maxPooledTokens = 1 << 16
 
 // parserPool recycles parser state — the globals map, scope maps, symbol
 // slab and the bookkeeping slices — across compiles.
@@ -79,7 +85,7 @@ func acquireParser(toks []token, a *ir.Arena) *parser {
 	p := parserPool.Get().(*parser)
 	p.toks, p.a = toks, a
 	p.unit = &ir.Unit{}
-	p.pos = 0
+	p.pos, p.depth = 0, 0
 	return p
 }
 
@@ -114,8 +120,9 @@ func MustCompile(src string) *ir.Unit {
 }
 
 type parser struct {
-	toks []token
-	pos  int
+	toks  []token
+	pos   int
+	depth int // current nesting, bounded by maxNesting
 
 	a       *ir.Arena // node arena; nil means heap allocation
 	unit    *ir.Unit
@@ -135,6 +142,25 @@ type parser struct {
 	switches []*switchCtx
 	curFunc  *symbol
 }
+
+// maxNesting is the nesting budget: how deeply statements and expressions
+// may nest, counted together. Every recursive path of the parser passes
+// through a counted point, so input past the budget is a LimitError rather
+// than a stack overflow. The deepest unit of the corpus, corpus.Large and
+// progen seeds 1-2000 nests 21 levels (progen seed 127); C itself only
+// guarantees 63 nested parentheses and 127 nested blocks.
+const maxNesting = 1000
+
+// nest enters one nesting level; unnest leaves it. A parse error abandons
+// the parser, and acquireParser resets the count.
+func (p *parser) nest() {
+	p.depth++
+	if p.depth > maxNesting {
+		panic(perr{&LimitError{Line: int(p.peek().line), What: "nesting depth", Limit: maxNesting}})
+	}
+}
+
+func (p *parser) unnest() { p.depth-- }
 
 // newSymbol hands out a zeroed symbol from the parser's slab. Chunks are
 // fixed-capacity so previously returned pointers stay valid when the slab
@@ -183,15 +209,7 @@ type switchCase struct {
 	label int
 }
 
-func (p *parser) peek() token  { return p.toks[p.pos] }
-func (p *parser) peek2() token { return p.toks[min(p.pos+1, len(p.toks)-1)] }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
+func (p *parser) peek() token { return p.toks[p.pos] }
 
 func (p *parser) advance() token {
 	t := p.toks[p.pos]
@@ -201,102 +219,80 @@ func (p *parser) advance() token {
 	return t
 }
 
-func (p *parser) accept(text string) bool {
-	if p.peek().kind == tPunct && p.peek().text == text {
+// at returns the id of the current token.
+func (p *parser) at() tokID { return p.toks[p.pos].id }
+
+// accept consumes the current token if it is the punctuator or keyword id.
+func (p *parser) accept(id tokID) bool {
+	if p.toks[p.pos].id == id {
 		p.pos++
 		return true
 	}
 	return false
 }
 
-func (p *parser) expect(text string) {
-	if !p.accept(text) {
-		p.errf("expected %q, found %q", text, p.peek().String())
+func (p *parser) expect(id tokID) {
+	if !p.accept(id) {
+		p.errf("expected %q, found %q", idText[id], p.peek().String())
 	}
 }
 
-func (p *parser) acceptKw(kw string) bool {
-	if p.peek().kind == tIdent && p.peek().text == kw {
-		p.pos++
-		return true
-	}
-	return false
+// typeSpecs maps each type keyword to its base type and to the type
+// "unsigned" makes of it, the same type where unsigned cannot apply.
+var typeSpecs = [256]struct {
+	ok             bool
+	base, unsigned ir.Type
+}{
+	kChar: {true, ir.Byte, ir.UByte}, kShort: {true, ir.Word, ir.UWord},
+	kInt: {true, ir.Long, ir.ULong}, kLong: {true, ir.Long, ir.ULong},
+	kFloat: {true, ir.Float, ir.Float}, kDouble: {true, ir.Double, ir.Double},
+	kVoid: {true, ir.Void, ir.Void},
 }
 
 // typeSpec parses a type specifier if one is present.
 func (p *parser) typeSpec() (ctype, bool) {
-	t := p.peek()
-	if t.kind != tIdent {
-		return ctype{}, false
-	}
-	unsigned := false
 	save := p.pos
-	if t.text == "unsigned" {
-		unsigned = true
-		p.pos++
-		t = p.peek()
-		if t.kind != tIdent {
-			// Bare "unsigned" means unsigned int.
-			return ctype{base: ir.ULong}, true
-		}
-	}
-	var base ir.Type
-	switch t.text {
-	case "char":
-		base = ir.Byte
-	case "short":
-		base = ir.Word
-	case "int", "long":
-		base = ir.Long
-	case "float":
-		base = ir.Float
-	case "double":
-		base = ir.Double
-	case "void":
-		base = ir.Void
-	default:
+	unsigned := p.accept(kUnsigned)
+	id := p.at()
+	ts := typeSpecs[id]
+	if !ts.ok {
 		if unsigned {
+			// Bare "unsigned" means unsigned int.
 			return ctype{base: ir.ULong}, true
 		}
 		p.pos = save
 		return ctype{}, false
 	}
 	p.pos++
-	if t.text == "long" && p.acceptKw("int") {
-		// "long int"
+	if id == kLong {
+		p.accept(kInt) // "long int"
 	}
-	if unsigned {
-		switch base {
-		case ir.Byte:
-			base = ir.UByte
-		case ir.Word:
-			base = ir.UWord
-		case ir.Long:
-			base = ir.ULong
-		default:
-			p.errf("cannot apply unsigned to %v", base)
-		}
+	if !unsigned {
+		return ctype{base: ts.base}, true
 	}
-	return ctype{base: base}, true
+	if ts.unsigned == ts.base {
+		p.errf("cannot apply unsigned to %v", ts.base)
+	}
+	return ctype{base: ts.unsigned}, true
 }
 
 // declarator parses '*'* ident ('[' n ']')?.
 func (p *parser) declarator(base ctype) (name string, t ctype, array int) {
 	t = base
-	for p.accept("*") {
+	for p.accept('*') {
 		t.ptr++
 	}
 	id := p.advance()
 	if id.kind != tIdent {
 		p.errf("expected identifier, found %q", id.String())
 	}
-	if p.accept("[") {
+	if p.accept('[') {
 		n := p.advance()
 		if n.kind != tInt || n.ival <= 0 {
 			p.errf("array size must be a positive integer constant")
 		}
 		array = int(n.ival)
-		p.expect("]")
+		p.expect(']')
 	}
 	return id.text, t, array
 }
@@ -314,16 +310,25 @@ func (p *parser) topDecl() {
 	}
 	// Function or variable?
 	name, t, array := p.declarator(base)
-	if p.peek().kind == tPunct && p.peek().text == "(" {
+	if p.at() == '(' {
 		p.function(name, t)
 		return
 	}
 	p.globalVar(name, t, array)
-	for p.accept(",") {
+	for p.accept(',') {
 		n2, t2, a2 := p.declarator(base)
 		p.globalVar(n2, t2, a2)
 	}
-	p.expect(";")
+	p.expect(';')
+}
+
+// signedLiteral reads a token that may follow a minus sign, as a global
+// initializer or a case label; sign is -1 after a minus and 1 otherwise.
+func (p *parser) signedLiteral() (tok token, sign int64) {
+	if tok = p.advance(); tok.id == '-' {
+		return p.advance(), -1
+	}
+	return tok, 1
 }
 
 func (p *parser) globalVar(name string, t ctype, array int) {
@@ -338,31 +343,16 @@ func (p *parser) globalVar(name string, t ctype, array int) {
 		size *= array
 	}
 	g := ir.Global{Name: name, Type: t.irType(), Size: size}
-	if p.accept("=") {
+	if p.accept('=') {
 		if array > 0 {
 			p.errf("array initializers are not supported")
 		}
-		tok := p.advance()
-		neg := false
-		if tok.kind == tPunct && tok.text == "-" {
-			neg = true
-			tok = p.advance()
-		}
+		tok, sign := p.signedLiteral()
 		switch tok.kind {
 		case tInt:
-			v := tok.ival
-			if neg {
-				v = -v
-			}
-			g.Init = v
-			g.HasInit = true
+			g.Init, g.HasInit = sign*tok.ival, true
 		case tFloat:
-			v := tok.fval
-			if neg {
-				v = -v
-			}
-			g.FInit = v
-			g.HasInit = true
+			g.FInit, g.HasInit = float64(sign)*tok.fval(), true
 		default:
 			p.errf("global initializer must be a constant")
 		}
@@ -382,15 +372,12 @@ func (p *parser) function(name string, result ctype) {
 	} else if sym.kind != symFunc {
 		p.errf("redeclaration of %q", name)
 	}
-	p.expect("(")
-	var params []struct {
-		name string
-		t    ctype
-	}
+	p.expect('(')
+	var params []symbol
 	var ptypes []ctype
-	if !p.accept(")") {
-		if p.acceptKw("void") {
-			p.expect(")")
+	if !p.accept(')') {
+		if p.accept(kVoid) {
+			p.expect(')')
 		} else {
 			for {
 				base, ok := p.typeSpec()
@@ -404,19 +391,16 @@ func (p *parser) function(name string, result ctype) {
 				if pt.base == ir.Float && pt.ptr == 0 {
 					p.errf("float parameters are received as double (K&R rules); declare parameter %q double", pname)
 				}
-				params = append(params, struct {
-					name string
-					t    ctype
-				}{pname, pt})
+				params = append(params, symbol{name: pname, t: pt})
 				ptypes = append(ptypes, pt)
-				if !p.accept(",") {
-					p.expect(")")
+				if !p.accept(',') {
+					p.expect(')')
 					break
 				}
 			}
 		}
 	}
-	if p.accept(";") {
+	if p.accept(';') {
 		// Prototype only.
 		sym.result, sym.params = result, ptypes
 		return
@@ -442,7 +426,7 @@ func (p *parser) function(name string, result ctype) {
 		}
 		p.declare(s)
 	}
-	p.expect("{")
+	p.expect('{')
 	p.block()
 	// An implicit return for functions that run off the end.
 	if n := len(p.fn.Items); n == 0 || p.fn.Items[n-1].Kind != ir.ItemTree ||
@@ -479,7 +463,7 @@ func (p *parser) lookup(name string) *symbol {
 // consumed.
 func (p *parser) block() {
 	p.pushScope()
-	for !p.accept("}") {
+	for !p.accept('}') {
 		if p.peek().kind == tEOF {
 			p.errf("unexpected end of file in block")
 		}
@@ -488,59 +472,65 @@ func (p *parser) block() {
 	p.popScope()
 }
 
+// statement parses one statement. Blocks and the bodies of if, loops,
+// switch and case labels all recurse through here, so it carries the
+// nesting budget.
 func (p *parser) statement() {
+	p.nest()
+	defer p.unnest()
 	// Local declarations.
-	isReg := p.acceptKw("register")
+	isReg := p.accept(kRegister)
 	if base, ok := p.typeSpec(); ok {
 		for {
 			p.localDecl(base, isReg)
-			if !p.accept(",") {
+			if !p.accept(',') {
 				break
 			}
 		}
-		p.expect(";")
+		p.expect(';')
 		return
 	}
 	if isReg {
 		p.errf("register must be followed by a type")
 	}
 	switch {
-	case p.accept(";"):
-	case p.accept("{"):
+	case p.accept(';'):
+	case p.accept('{'):
 		p.block()
-	case p.acceptKw("if"):
+	case p.accept(kIf):
 		p.ifStmt()
-	case p.acceptKw("while"):
+	case p.accept(kWhile):
 		p.whileStmt()
-	case p.acceptKw("do"):
+	case p.accept(kDo):
 		p.doStmt()
-	case p.acceptKw("for"):
+	case p.accept(kFor):
 		p.forStmt()
-	case p.acceptKw("switch"):
+	case p.accept(kSwitch):
 		p.switchStmt()
-	case p.acceptKw("case"):
+	case p.accept(kCase):
 		p.caseLabel()
-	case p.acceptKw("default"):
+	case p.accept(kDefault):
 		p.defaultLabel()
-	case p.acceptKw("return"):
+	case p.accept(kReturn):
 		p.returnStmt()
-	case p.acceptKw("break"):
-		if len(p.breakLs) == 0 {
-			p.errf("break outside loop")
-		}
-		p.fn.Emit(p.a.Un(ir.Jump, ir.Void, p.a.NewLab(p.breakLs[len(p.breakLs)-1])))
-		p.expect(";")
-	case p.acceptKw("continue"):
-		if len(p.contLs) == 0 {
-			p.errf("continue outside loop")
-		}
-		p.fn.Emit(p.a.Un(ir.Jump, ir.Void, p.a.NewLab(p.contLs[len(p.contLs)-1])))
-		p.expect(";")
+	case p.accept(kBreak):
+		p.jumpStmt(p.breakLs, "break")
+	case p.accept(kContinue):
+		p.jumpStmt(p.contLs, "continue")
 	default:
 		e := p.expr()
-		p.expect(";")
+		p.expect(';')
 		p.emitExprStmt(e)
 	}
+}
+
+// jumpStmt emits a break or continue: a jump to the innermost of targets.
+func (p *parser) jumpStmt(targets []int, kw string) {
+	if len(targets) == 0 {
+		p.errf("%s outside loop", kw)
+	}
+	p.fn.Emit(p.a.Un(ir.Jump, ir.Void, p.a.NewLab(targets[len(targets)-1])))
+	p.expect(';')
 }
 
 func (p *parser) localDecl(base ctype, isReg bool) {
@@ -574,7 +564,7 @@ func (p *parser) localDecl(base ctype, isReg bool) {
 		*s = symbol{name: name, kind: symLocal, t: t, offset: p.frameOff, array: array}
 	}
 	p.declare(s)
-	if p.accept("=") {
+	if p.accept('=') {
 		if array > 0 {
 			p.errf("array initializers are not supported")
 		}
@@ -585,13 +575,13 @@ func (p *parser) localDecl(base ctype, isReg bool) {
 }
 
 func (p *parser) ifStmt() {
-	p.expect("(")
+	p.expect('(')
 	cond := p.expr()
-	p.expect(")")
+	p.expect(')')
 	elseL := p.fn.NewLabel()
 	p.branchIfFalse(cond, elseL)
 	p.statement()
-	if p.acceptKw("else") {
+	if p.accept(kElse) {
 		endL := p.fn.NewLabel()
 		p.fn.Emit(p.a.Un(ir.Jump, ir.Void, p.a.NewLab(endL)))
 		p.fn.EmitLabel(elseL)
@@ -602,19 +592,25 @@ func (p *parser) ifStmt() {
 	}
 }
 
+// loopBody parses a loop body, with break jumping to brk and continue to
+// cont.
+func (p *parser) loopBody(brk, cont int) {
+	p.breakLs = append(p.breakLs, brk)
+	p.contLs = append(p.contLs, cont)
+	p.statement()
+	p.breakLs = p.breakLs[:len(p.breakLs)-1]
+	p.contLs = p.contLs[:len(p.contLs)-1]
+}
+
 func (p *parser) whileStmt() {
 	top := p.fn.NewLabel()
 	end := p.fn.NewLabel()
 	p.fn.EmitLabel(top)
-	p.expect("(")
+	p.expect('(')
 	cond := p.expr()
-	p.expect(")")
+	p.expect(')')
 	p.branchIfFalse(cond, end)
-	p.breakLs = append(p.breakLs, end)
-	p.contLs = append(p.contLs, top)
-	p.statement()
-	p.breakLs = p.breakLs[:len(p.breakLs)-1]
-	p.contLs = p.contLs[:len(p.contLs)-1]
+	p.loopBody(end, top)
 	p.fn.Emit(p.a.Un(ir.Jump, ir.Void, p.a.NewLab(top)))
 	p.fn.EmitLabel(end)
 }
@@ -624,49 +620,41 @@ func (p *parser) doStmt() {
 	end := p.fn.NewLabel()
 	cont := p.fn.NewLabel()
 	p.fn.EmitLabel(top)
-	p.breakLs = append(p.breakLs, end)
-	p.contLs = append(p.contLs, cont)
-	p.statement()
-	p.breakLs = p.breakLs[:len(p.breakLs)-1]
-	p.contLs = p.contLs[:len(p.contLs)-1]
+	p.loopBody(end, cont)
 	p.fn.EmitLabel(cont)
-	if !p.acceptKw("while") {
+	if !p.accept(kWhile) {
 		p.errf("expected while after do body")
 	}
-	p.expect("(")
+	p.expect('(')
 	cond := p.expr()
-	p.expect(")")
-	p.expect(";")
+	p.expect(')')
+	p.expect(';')
 	p.branchIfTrue(cond, top)
 	p.fn.EmitLabel(end)
 }
 
 func (p *parser) forStmt() {
-	p.expect("(")
-	if !p.accept(";") {
+	p.expect('(')
+	if !p.accept(';') {
 		p.emitExprStmt(p.expr())
-		p.expect(";")
+		p.expect(';')
 	}
 	top := p.fn.NewLabel()
 	end := p.fn.NewLabel()
 	cont := p.fn.NewLabel()
 	p.fn.EmitLabel(top)
-	if !p.accept(";") {
+	if !p.accept(';') {
 		cond := p.expr()
-		p.expect(";")
+		p.expect(';')
 		p.branchIfFalse(cond, end)
 	}
 	var post *expr
-	if !p.accept(")") {
+	if !p.accept(')') {
 		e := p.expr()
 		post = &e
-		p.expect(")")
+		p.expect(')')
 	}
-	p.breakLs = append(p.breakLs, end)
-	p.contLs = append(p.contLs, cont)
-	p.statement()
-	p.breakLs = p.breakLs[:len(p.breakLs)-1]
-	p.contLs = p.contLs[:len(p.contLs)-1]
+	p.loopBody(end, cont)
 	p.fn.EmitLabel(cont)
 	if post != nil {
 		p.emitExprStmt(*post)
@@ -679,9 +667,9 @@ func (p *parser) forStmt() {
 // saved, control jumps to a dispatch block emitted after the body, and the
 // dispatch compares against each recorded case label in turn.
 func (p *parser) switchStmt() {
-	p.expect("(")
+	p.expect('(')
 	e := p.expr()
-	p.expect(")")
+	p.expect(')')
 	if e.t.isFloat() {
 		p.errf("switch requires an integer expression")
 	}
@@ -732,20 +720,12 @@ func (p *parser) currentSwitch() *switchCtx {
 
 func (p *parser) caseLabel() {
 	sw := p.currentSwitch()
-	tok := p.advance()
-	neg := false
-	if tok.kind == tPunct && tok.text == "-" {
-		neg = true
-		tok = p.advance()
-	}
+	tok, sign := p.signedLiteral()
 	if tok.kind != tInt {
 		p.errf("case label must be an integer constant")
 	}
-	v := tok.ival
-	if neg {
-		v = -v
-	}
-	p.expect(":")
+	v := sign * tok.ival
+	p.expect(':')
 	for _, c := range sw.cases {
 		if c.value == v {
 			p.errf("duplicate case %d", v)
@@ -759,7 +739,7 @@ func (p *parser) caseLabel() {
 
 func (p *parser) defaultLabel() {
 	sw := p.currentSwitch()
-	p.expect(":")
+	p.expect(':')
 	if sw.defaultL != 0 {
 		p.errf("duplicate default label")
 	}
@@ -769,12 +749,12 @@ func (p *parser) defaultLabel() {
 }
 
 func (p *parser) returnStmt() {
-	if p.accept(";") {
+	if p.accept(';') {
 		p.fn.Emit(p.newNode(ir.Ret, ir.Void))
 		return
 	}
 	e := p.expr()
-	p.expect(";")
+	p.expect(';')
 	rt := p.curFunc.result
 	if rt.base == ir.Void && rt.ptr == 0 {
 		p.errf("value returned from void function")
@@ -799,11 +779,11 @@ func (p *parser) returnStmt() {
 // non-zero. Boolean structure (&&, ||, !) is left in the tree for the code
 // generator's explicit-control-flow phase to rewrite (§5.1.1).
 func (p *parser) branchIfTrue(cond expr, label int) {
-	p.fn.Emit(p.cbranch(p.boolNode(cond), label))
+	p.fn.Emit(p.cbranch(cond.n, label))
 }
 
 func (p *parser) branchIfFalse(cond expr, label int) {
-	n := p.a.Un(ir.Not, ir.Long, p.boolNode(cond))
+	n := p.a.Un(ir.Not, ir.Long, cond.n)
 	p.fn.Emit(p.cbranch(n, label))
 }
 
@@ -821,9 +801,6 @@ func (p *parser) cbranch(cond *ir.Node, label int) *ir.Node {
 	n.Kids = p.a.Kids(cond, p.a.NewLab(label))
 	return n
 }
-
-// boolNode returns the tree used as a truth value.
-func (p *parser) boolNode(e expr) *ir.Node { return e.n }
 
 // emitExprStmt emits an expression evaluated for its side effects.
 func (p *parser) emitExprStmt(e expr) {

@@ -98,6 +98,19 @@ func (s *symbol) isArray() bool { return s.array > 0 }
 // panic-across-a-package-internal-boundary idiom.
 type perr struct{ err error }
 
+// LimitError reports input that exceeds one of the front end's fixed
+// budgets, such as the nesting budget: Line is where the parser stopped,
+// What names the budget and Limit is its value.
+type LimitError struct {
+	Line  int
+	What  string
+	Limit int
+}
+
+func (e *LimitError) Error() string {
+	return fmt.Sprintf("cfront: line %d: %s exceeds the limit of %d", e.Line, e.What, e.Limit)
+}
+
 func (p *parser) errf(format string, args ...any) {
 	panic(perr{fmt.Errorf("cfront: line %d: "+format, append([]any{p.peek().line}, args...)...)})
 }

@@ -12,17 +12,30 @@ import (
 	"ggcg/internal/progen"
 )
 
+// sweep scales a sweep's options for the build. Under the race detector,
+// which makes every compile about ten times slower, it keeps a quarter of
+// the candidate budget and a tenth of the default shrink budget (most of
+// a short run's compiles minimize admitted entries); otherwise it changes
+// nothing.
+func sweep(o Options) Options {
+	if raceEnabled {
+		o.Budget /= 4
+		o.ShrinkBudget = 25
+	}
+	return o
+}
+
 // TestGuidedBeatsRandom is the issue's acceptance comparison at a tier-1
 // budget: with the same seed and candidate budget, the guided engine must
 // cover strictly more productions than the random sweep. (CI repeats this
 // at the full 2000-candidate budget via cmd/ggfuzz.)
 func TestGuidedBeatsRandom(t *testing.T) {
-	const budget = 300
-	g, err := Run(Options{Seed: 1, Budget: budget})
+	opt := sweep(Options{Seed: 1, Budget: 300})
+	g, err := Run(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := RandomSweep(Options{Seed: 1, Budget: budget})
+	r, err := RandomSweep(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +55,7 @@ func TestGuidedBeatsRandom(t *testing.T) {
 // bitmap, identical corpus, identical report. This is what lets CI cache
 // and replay guided corpora meaningfully.
 func TestReplayDeterministic(t *testing.T) {
-	opt := Options{Seed: 9, Budget: 200}
+	opt := sweep(Options{Seed: 9, Budget: 200})
 	a, err := Run(opt)
 	if err != nil {
 		t.Fatal(err)
@@ -62,10 +75,10 @@ func TestReplayDeterministic(t *testing.T) {
 			a.Candidates, a.CompileFailed, b.Candidates, b.CompileFailed)
 	}
 	var ja, jb bytes.Buffer
-	if err := a.Report("guided", 9, 200).WriteJSON(&ja); err != nil {
+	if err := a.Report("guided", 9, opt.Budget).WriteJSON(&ja); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Report("guided", 9, 200).WriteJSON(&jb); err != nil {
+	if err := b.Report("guided", 9, opt.Budget).WriteJSON(&jb); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(ja.Bytes(), jb.Bytes()) {
@@ -76,7 +89,7 @@ func TestReplayDeterministic(t *testing.T) {
 // TestCorpusRoundTrip: a corpus survives save/load exactly, and replaying
 // it as the seed corpus restores its coverage contribution.
 func TestCorpusRoundTrip(t *testing.T) {
-	res, err := Run(Options{Seed: 3, Budget: 150})
+	res, err := Run(sweep(Options{Seed: 3, Budget: 150}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +115,9 @@ func TestCorpusRoundTrip(t *testing.T) {
 
 	// Replaying just the corpus (budget = corpus size) must reproduce at
 	// least every production the corpus entries were admitted for.
-	replay, err := Run(Options{Seed: 3, Budget: len(progs), InitialSeeds: 1, SeedCorpus: progs})
+	replayOpt := sweep(Options{Seed: 3, InitialSeeds: 1, SeedCorpus: progs})
+	replayOpt.Budget = len(progs)
+	replay, err := Run(replayOpt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,13 +182,13 @@ func TestReportRoundTrip(t *testing.T) {
 func TestCheckStopsRun(t *testing.T) {
 	boom := errors.New("boom")
 	calls := 0
-	res, err := Run(Options{Seed: 1, Budget: 100, Check: func(p *progen.Prog, cand int) error {
+	res, err := Run(sweep(Options{Seed: 1, Budget: 100, Check: func(p *progen.Prog, cand int) error {
 		calls++
 		if calls == 5 {
 			return boom
 		}
 		return nil
-	}})
+	}}))
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
@@ -240,7 +255,7 @@ func TestLoopBounded(t *testing.T) {
 // strip a program down to something still executable, or it cannot serve
 // as a mutation parent for oracle-checked candidates.
 func TestCorpusExecutable(t *testing.T) {
-	res, err := Run(Options{Seed: 1, Budget: 300})
+	res, err := Run(sweep(Options{Seed: 1, Budget: 300}))
 	if err != nil {
 		t.Fatal(err)
 	}

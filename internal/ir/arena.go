@@ -12,29 +12,35 @@ import "sync"
 // An Arena is single-owner: it is not safe for concurrent use. Concurrent
 // compilations each acquire their own (AcquireArena), and the parallel
 // per-function path inside one compilation gives each worker its own.
-// Reset recycles all slabs for reuse; Release returns the arena to a
-// process-wide pool. After Reset or Release every node previously handed
-// out is invalid — callers must guarantee nothing that outlives the
-// compilation aliases arena memory. A nil *Arena is valid and falls back
+// Reset keeps the slabs it grew, up to maxSlabs of each kind, and the next
+// compilation advances through them again before allocating any new one;
+// Release returns the arena to a process-wide pool, which drops idle
+// arenas at garbage collection. After Reset or Release every node
+// previously handed out is invalid — callers must guarantee nothing that
+// outlives the compilation aliases arena memory. A nil *Arena is valid and falls back
 // to ordinary heap allocation, node for node, so code threading an arena
 // can be written once and exercised both ways.
 type Arena struct {
-	slabs   [][]Node  // all node slabs, including the active one
-	kidSets [][]*Node // all child-pointer slabs, including the active one
-	ni      int       // next free index in the active node slab
-	ki      int       // next free index in the active kid slab
+	slabs   [][]Node  // node slabs held, in use or retained from before Reset
+	kidSets [][]*Node // child-pointer slabs held, likewise
+	ns, ni  int       // node slabs in use (the last one active); next free index in it
+	nk, ki  int       // kid slabs in use; next free index in the active one
 
 	// allocated counts nodes handed out since the last Reset, for tests
 	// and introspection.
 	allocated int
 }
 
-// Slab sizing: nodes are ~80 bytes, so 1024 of them is one ~80 KB slab —
-// large enough that a typical function body costs zero slab growths in
-// steady state, small enough that an idle pooled arena holds little.
+// Slab sizing: nodes are 64 bytes, so 1024 of them is one 64 KB slab, and
+// a kid slab of 2048 pointers is 16 KB. maxSlabs caps how many slabs of
+// each kind Reset retains — about 4 MiB of nodes, five times the 12 node
+// slabs the front half of corpus.Large(60) fills — so a pooled arena
+// holds the working set of the units it serves, not the high-water mark
+// of a pathological one.
 const (
 	nodeSlabLen = 1024
 	kidSlabLen  = 2048
+	maxSlabs    = 64
 )
 
 // arenaPool recycles arenas (and with them their grown slabs) across
@@ -58,37 +64,34 @@ func (a *Arena) Release() {
 	arenaPool.Put(a)
 }
 
-// Reset invalidates every node the arena has handed out and makes its
-// slabs available for reuse. Used slab prefixes are zeroed so stale child
-// slices and symbol strings do not pin garbage across compilations.
+// Reset invalidates every node the arena has handed out and rewinds it to
+// its first slab; the slabs stay, up to maxSlabs of each kind. Only the
+// used part is zeroed — every slot written since the last Reset — so
+// stale child slices and symbol strings do not pin garbage across
+// compilations, and every retained slab is all zeros again.
 func (a *Arena) Reset() {
 	if a == nil {
 		return
 	}
-	for i, s := range a.slabs {
-		n := len(s)
-		if i == len(a.slabs)-1 {
-			n = a.ni
-		}
-		clear(s[:n])
-	}
-	for i, s := range a.kidSets {
-		n := len(s)
-		if i == len(a.kidSets)-1 {
-			n = a.ki
-		}
-		clear(s[:n])
-	}
-	// Keep at most one slab of each kind: a pooled arena should hold a
-	// warm slab, not the high-water mark of the largest unit it ever saw.
-	if len(a.slabs) > 1 {
-		a.slabs = a.slabs[len(a.slabs)-1:]
-	}
-	if len(a.kidSets) > 1 {
-		a.kidSets = a.kidSets[len(a.kidSets)-1:]
-	}
-	a.ni, a.ki = 0, 0
+	resetSlabs(&a.slabs, a.ns, a.ni)
+	resetSlabs(&a.kidSets, a.nk, a.ki)
+	a.ns, a.ni, a.nk, a.ki = 0, 0, 0, 0
 	a.allocated = 0
+}
+
+// resetSlabs zeroes the first used slabs of *slabs — the last of them
+// only up to next — and drops the slabs past maxSlabs.
+func resetSlabs[T any](slabs *[][]T, used, next int) {
+	for i, s := range (*slabs)[:used] {
+		if i == used-1 {
+			s = s[:next]
+		}
+		clear(s)
+	}
+	if len(*slabs) > maxSlabs {
+		clear((*slabs)[maxSlabs:])
+		*slabs = (*slabs)[:maxSlabs]
+	}
 }
 
 // Allocated returns the number of nodes handed out since the last Reset.
@@ -113,12 +116,14 @@ func (a *Arena) New() *Node {
 	if a == nil {
 		return &Node{}
 	}
-	if len(a.slabs) == 0 || a.ni == nodeSlabLen {
-		a.slabs = append(a.slabs, make([]Node, nodeSlabLen))
+	if a.ns == 0 || a.ni == nodeSlabLen {
+		if a.ns == len(a.slabs) {
+			a.slabs = append(a.slabs, make([]Node, nodeSlabLen))
+		}
+		a.ns++
 		a.ni = 0
 	}
-	slab := a.slabs[len(a.slabs)-1]
-	n := &slab[a.ni]
+	n := &a.slabs[a.ns-1][a.ni]
 	a.ni++
 	a.allocated++
 	return n
@@ -133,12 +138,14 @@ func (a *Arena) kids(n int) []*Node {
 	if n > kidSlabLen {
 		return make([]*Node, n) // oversized: straight to the heap
 	}
-	if len(a.kidSets) == 0 || a.ki+n > kidSlabLen {
-		a.kidSets = append(a.kidSets, make([]*Node, kidSlabLen))
+	if a.nk == 0 || a.ki+n > kidSlabLen {
+		if a.nk == len(a.kidSets) {
+			a.kidSets = append(a.kidSets, make([]*Node, kidSlabLen))
+		}
+		a.nk++
 		a.ki = 0
 	}
-	slab := a.kidSets[len(a.kidSets)-1]
-	s := slab[a.ki : a.ki+n : a.ki+n]
+	s := a.kidSets[a.nk-1][a.ki : a.ki+n : a.ki+n]
 	a.ki += n
 	return s
 }

@@ -85,32 +85,84 @@ func TestArenaOversizedKids(t *testing.T) {
 	}
 }
 
+// TestArenaResetReuse: Reset keeps every slab it grew (up to maxSlabs),
+// leaves each used slot zeroed, and a refill walks the same slabs again.
 func TestArenaResetReuse(t *testing.T) {
 	a := NewTestArena()
-	for i := 0; i < 2*nodeSlabLen; i++ {
-		a.NewName(Long, "sym")
+	const total = 2*nodeSlabLen + 5
+	for i := 0; i < total; i++ {
+		n := a.NewName(Long, "sym")
+		n.Kids = a.Kids(n, n)
 	}
-	if a.Slabs() < 2 {
-		t.Fatalf("expected >= 2 slabs before reset, got %d", a.Slabs())
+	slabs, kidSets := a.Slabs(), len(a.kidSets)
+	if slabs != 3 || kidSets < 2 {
+		t.Fatalf("before Reset: %d node slabs, %d kid slabs", slabs, kidSets)
 	}
 	a.Reset()
 	if a.Allocated() != 0 {
 		t.Fatalf("Allocated after Reset = %d", a.Allocated())
 	}
-	if a.Slabs() != 1 {
-		t.Fatalf("Reset should keep one warm slab, kept %d", a.Slabs())
+	if a.Slabs() != slabs || len(a.kidSets) != kidSets {
+		t.Fatalf("Reset kept %d node and %d kid slabs, want %d and %d", a.Slabs(), len(a.kidSets), slabs, kidSets)
 	}
-	// Reused slots come back zeroed: no stale Sym strings or Kids.
-	n := a.New()
-	if n.Op != 0 || n.Sym != "" || n.Kids != nil || n.Val != 0 {
-		t.Fatalf("reused node not zeroed: %+v", n)
+	// Every retained slot is zero: no stale Sym strings, Kids or child
+	// pointers pin the previous compilation's garbage.
+	for i, s := range a.slabs {
+		for j := range s {
+			if n := &s[j]; n.Op != 0 || n.Sym != "" || n.Kids != nil || n.Val != 0 {
+				t.Fatalf("node slab %d slot %d not zeroed: %+v", i, j, n)
+			}
+		}
 	}
-	// A second fill after Reset must produce the same structure as the
-	// first one did.
+	for i, s := range a.kidSets {
+		for j, k := range s {
+			if k != nil {
+				t.Fatalf("kid slab %d slot %d not zeroed", i, j)
+			}
+		}
+	}
+	// Refilling reuses the retained slabs in order and grows none.
+	first := &a.slabs[0][0]
+	if n := a.New(); n != first {
+		t.Fatal("first node after Reset is not the first retained slot")
+	}
+	for i := 1; i < total; i++ {
+		a.New()
+	}
+	if a.Slabs() != slabs {
+		t.Fatalf("refill grew the arena to %d slabs, want %d", a.Slabs(), slabs)
+	}
+	// A fill after Reset produces the same structure as a fresh one.
+	a.Reset()
 	tree := a.Bin(Plus, Long, a.SmallConst(1), a.SmallConst(2))
 	want := Bin(Plus, Long, SmallConst(1), SmallConst(2))
 	if !tree.Equal(want) {
 		t.Fatalf("post-Reset tree differs: %s", tree)
+	}
+}
+
+// TestArenaResetCapsSlabs: an arena grown past maxSlabs drops back to the
+// cap on Reset, so one pathological unit cannot pin its high-water mark
+// in the pool.
+func TestArenaResetCapsSlabs(t *testing.T) {
+	a := NewTestArena()
+	for i := 0; i < (maxSlabs+3)*nodeSlabLen; i++ {
+		a.New()
+	}
+	for i := 0; i < (maxSlabs+2)*kidSlabLen; i++ {
+		a.MakeKids(1)
+	}
+	if a.Slabs() != maxSlabs+3 || len(a.kidSets) != maxSlabs+2 {
+		t.Fatalf("grew %d node and %d kid slabs", a.Slabs(), len(a.kidSets))
+	}
+	a.Reset()
+	if a.Slabs() != maxSlabs || len(a.kidSets) != maxSlabs {
+		t.Fatalf("after Reset: %d node and %d kid slabs, want %d each", a.Slabs(), len(a.kidSets), maxSlabs)
+	}
+	if cap(a.slabs) > maxSlabs {
+		if s := a.slabs[:cap(a.slabs)][maxSlabs]; s != nil {
+			t.Fatal("a dropped slab is still referenced from the backing array")
+		}
 	}
 }
 
