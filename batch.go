@@ -24,17 +24,12 @@ type BatchConfig struct {
 	// which worker did what — exported through internal/obs/traceexport
 	// (ggcc -tracefile), an 8-worker batch renders as eight parallel
 	// timeline tracks. Config.Workers additionally parallelizes the
-	// functions within each unit.
+	// functions within each unit. With Config.Cache set, duplicate units
+	// in the batch compile exactly once — concurrent duplicates coalesce
+	// onto one in-flight compile, later ones hit the stored entry — and
+	// their outputs stay byte-identical to an uncached run. A cache
+	// shared across batches amortizes repeated traffic the same way.
 	Config Config
-
-	// Cache, if non-nil, is the compile-result cache every unit of the
-	// batch compiles through (shorthand for setting Config.Cache):
-	// duplicate units in the batch compile exactly once — concurrent
-	// duplicates coalesce onto one in-flight compile, later ones hit the
-	// stored entry — and their outputs stay byte-identical to an
-	// uncached run. A cache shared across batches amortizes repeated
-	// traffic the same way.
-	Cache *Cache
 }
 
 // BatchError aggregates the per-unit failures of a batch. Units compile
@@ -87,9 +82,6 @@ func (e *BatchError) Unwrap() []error {
 func CompileBatch(srcs []string, cfg BatchConfig) ([]*Compiled, error) {
 	if cfg.Config.Trace != nil {
 		return nil, errors.New("ggcg: BatchConfig.Config.Trace is not supported; trace single units with Compile")
-	}
-	if cfg.Cache != nil {
-		cfg.Config.Cache = cfg.Cache
 	}
 	out := make([]*Compiled, len(srcs))
 	if len(srcs) == 0 {

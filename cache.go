@@ -9,10 +9,10 @@ import (
 // bounded LRU keyed by the SHA-256 of the source bytes and a
 // configuration fingerprint, with singleflight deduplication so N
 // concurrent identical compilations run exactly once. Attach one via
-// Config.Cache (or BatchConfig.Cache); a single Cache may be shared by
-// any number of concurrent Compile and CompileBatch calls, which is the
-// point — it is the serving-layer extension of the once-built tables'
-// amortization argument. See internal/compcache for the key contract.
+// Config.Cache; a single Cache may be shared by any number of concurrent
+// Compile and CompileBatch calls, which is the point — it is the
+// serving-layer extension of the once-built tables' amortization
+// argument. See internal/compcache for the key contract.
 type Cache = compcache.Cache
 
 // CacheConfig bounds a new Cache and optionally attaches a metrics sink;
@@ -35,9 +35,9 @@ const compiledOverhead = 256
 
 // cacheFingerprint derives the configuration half of a cache key from a
 // Config: every knob that changes the output (Baseline, Peephole,
-// NoReverseOps), the caller's scope, the table wire-format version, and
-// — for the table-driven generator — the target's name plus the content
-// identity of its shared tables. Workers and Observer are deliberately
+// NoReverseOps), the table wire-format version, and — for the
+// table-driven generator — the target's name plus the content identity
+// of its shared tables. Workers and Observer are deliberately
 // excluded: parallel and instrumented compilations are guaranteed
 // byte-identical to plain ones.
 func cacheFingerprint(cfg Config) (compcache.Fingerprint, error) {
@@ -45,7 +45,6 @@ func cacheFingerprint(cfg Config) (compcache.Fingerprint, error) {
 		Baseline:        cfg.Baseline,
 		Peephole:        cfg.Peephole,
 		NoReverseOps:    cfg.NoReverseOps,
-		Scope:           cfg.CacheScope,
 		EncodingVersion: tablegen.EncodingVersion,
 	}
 	if !cfg.Baseline {

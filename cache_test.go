@@ -85,7 +85,7 @@ func TestCompileBatchCachedDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	cache := NewCache(CacheConfig{})
-	cached, err := CompileBatch(srcs, BatchConfig{Workers: 4, Cache: cache})
+	cached, err := CompileBatch(srcs, BatchConfig{Workers: 4, Config: Config{Cache: cache}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestCompileBatchCachedDifferential(t *testing.T) {
 	}
 
 	// A second identical batch through the same cache is all hits.
-	again, err := CompileBatch(srcs, BatchConfig{Workers: 4, Cache: cache})
+	again, err := CompileBatch(srcs, BatchConfig{Workers: 4, Config: Config{Cache: cache}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,16 +150,6 @@ func TestCacheSeparatesConfigurations(t *testing.T) {
 			t.Fatalf("round %d: configurations cross-contaminated through the cache", i)
 		}
 	}
-	// Same source under two scopes occupies two entries.
-	scoped := NewCache(CacheConfig{})
-	for _, scope := range []string{"text", "json"} {
-		if _, err := Compile(src, Config{Cache: scoped, CacheScope: scope}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := scoped.Stats(); st.Misses != 2 || st.Hits != 0 {
-		t.Errorf("scoped stats = %+v, want 2 misses, 0 hits", st)
-	}
 }
 
 // Compile errors pass through the cache uncached, and a batch with
@@ -174,7 +164,7 @@ func TestCacheBatchFirstErrorParity(t *testing.T) {
 		t.Fatal("uncached batch of bad units succeeded")
 	}
 	cache := NewCache(CacheConfig{})
-	_, cachedErr := CompileBatch(srcs, BatchConfig{Workers: 4, Cache: cache})
+	_, cachedErr := CompileBatch(srcs, BatchConfig{Workers: 4, Config: Config{Cache: cache}})
 	if cachedErr == nil {
 		t.Fatal("cached batch of bad units succeeded")
 	}

@@ -256,29 +256,21 @@ func compile(opts options, files []string) (err error) {
 		}
 	}
 	if opts.run {
-		if opts.target == "" || opts.target == "vax" {
-			// The VAX path keeps its richer machine: assembly and execution
-			// report into the observer (spans, dynamic profile).
-			m, merr := ggcg.NewMachineObs(outs[0].Asm, o)
-			if merr != nil {
-				return merr
-			}
-			r, rerr := m.Call("main")
-			if rerr != nil {
-				return rerr
-			}
-			fmt.Printf("main() = %d (%d instructions executed)\n", r, m.Steps())
-		} else {
-			s, merr := ggcg.NewSim(opts.target, outs[0].Asm)
-			if merr != nil {
-				return merr
-			}
-			r, rerr := s.Call("_main")
-			if rerr != nil {
-				return rerr
-			}
-			fmt.Printf("main() = %d (%d instructions executed)\n", r, s.Steps())
+		asp := o.Start("assemble")
+		s, merr := ggcg.NewSim(opts.target, outs[0].Asm)
+		asp.End()
+		if merr != nil {
+			return merr
 		}
+		s.EnableFuncProfile()
+		esp := o.Start("execute")
+		r, rerr := s.Call("_main")
+		esp.End()
+		if rerr != nil {
+			return rerr
+		}
+		o.AddSim(s.Profile())
+		fmt.Printf("main() = %d (%d instructions executed)\n", r, s.Steps())
 	}
 
 	if o != nil {

@@ -25,8 +25,8 @@
 //	                     request and unit series), latency histograms
 //	                     with p50/p90/p99, per-phase span aggregates,
 //	                     table coverage
-//	GET  /healthz        liveness (also verifies the tables are built)
-//	GET  /debug/vars     expvar
+//	GET  /healthz        liveness (also verifies every target's tables
+//	                     are built)
 //	GET  /debug/pprof/   runtime profiles
 //
 // Usage:
@@ -45,6 +45,7 @@ import (
 	"net"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -62,14 +63,17 @@ func main() {
 	)
 	flag.Parse()
 
-	// Build the shared tables before accepting traffic, so the first
-	// request is not charged for the static half and a broken machine
-	// description fails fast at startup.
+	// Build every target's shared tables before accepting traffic, so no
+	// target's first request is charged for the static half and a broken
+	// machine description fails fast at startup.
 	start := time.Now()
-	if _, err := ggcg.BuildTables(false); err != nil {
-		log.Fatalf("ggcd: building tables: %v", err)
+	targets := ggcg.Targets()
+	for _, name := range targets {
+		if _, err := ggcg.InfoFor(name); err != nil {
+			log.Fatalf("ggcd: building %s tables: %v", name, err)
+		}
 	}
-	log.Printf("ggcd: tables built in %v", time.Since(start).Round(time.Millisecond))
+	log.Printf("ggcd: tables built for %s in %v", strings.Join(targets, ", "), time.Since(start).Round(time.Millisecond))
 
 	d := newDaemon(serverConfig{
 		Timeout: *timeout, MaxSource: *maxSource,

@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"io"
 	"net/http"
@@ -102,31 +101,12 @@ func newServer(cfg serverConfig) *server {
 	s.mux.HandleFunc("POST /compile", s.handleCompile)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	s.mux.Handle("GET /debug/vars", expvar.Handler())
 	s.mux.HandleFunc("GET /debug/pprof/", pprof.Index)
 	s.mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
 	s.mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
 	s.mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
 	s.mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 
-	// The request totals double as expvar gauges, so /debug/vars shows
-	// service health next to the runtime's memstats. Publish panics on a
-	// duplicate name, and tests construct more than one server, so only
-	// the first instance claims the names.
-	vars := map[string]func() int64{
-		"ggcd.requests": func() int64 { return s.reg.Counter("requests") },
-		"ggcd.errors":   func() int64 { return s.reg.Counter("errors") },
-	}
-	if s.cache != nil {
-		vars["ggcd.cache.hits"] = func() int64 { return s.reg.Counter("cache.hits") }
-		vars["ggcd.cache.misses"] = func() int64 { return s.reg.Counter("cache.misses") }
-	}
-	for name, get := range vars {
-		if expvar.Get(name) == nil {
-			get := get
-			expvar.Publish(name, expvar.Func(func() any { return get() }))
-		}
-	}
 	return s
 }
 
@@ -177,17 +157,10 @@ func (s *server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		cfg.Workers = n
 	}
 	wantJSON := q.Get("format") == "json"
-	if s.cache != nil {
-		cfg.Cache = s.cache
-		// The response format is part of the cache scope: a format=json
-		// request carries its own per-request events, so the two formats
-		// never share an entry even though the assembly would match.
-		if wantJSON {
-			cfg.CacheScope = "json"
-		} else {
-			cfg.CacheScope = "text"
-		}
-	}
+	// Both response formats render from the same cached result; a
+	// format=json response's events come from this request's own
+	// observer, never from the cache entry.
+	cfg.Cache = s.cache
 
 	s.reg.Count("requests", 1)
 	s.reg.Count("requests.target."+targetName, 1)
@@ -271,9 +244,11 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if _, err := ggcg.Info(); err != nil {
-		http.Error(w, "ggcd: tables unavailable: "+err.Error(), http.StatusInternalServerError)
-		return
+	for _, name := range ggcg.Targets() {
+		if _, err := ggcg.InfoFor(name); err != nil {
+			http.Error(w, "ggcd: tables unavailable: "+err.Error(), http.StatusInternalServerError)
+			return
+		}
 	}
 	io.WriteString(w, "ok\n")
 }

@@ -34,15 +34,15 @@ func main() {
 	fmt.Print(out.Asm)
 	fmt.Printf("=== statistics ===\n%+v\n", out.Stats)
 
-	m, err := ggcg.NewMachine(out.Asm)
+	s, err := ggcg.NewSim("vax", out.Asm)
 	if err != nil {
 		log.Fatal(err)
 	}
-	r, err := m.Call("main")
+	r, err := s.Call("_main")
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("=== execution ===\nmain() = %d (%d instructions)\n", r, m.Steps())
+	fmt.Printf("=== execution ===\nmain() = %d (%d instructions)\n", r, s.Steps())
 	if r != 285 {
 		log.Fatalf("expected 285 (sum of squares 0..9), got %d", r)
 	}

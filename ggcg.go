@@ -12,8 +12,8 @@
 //
 //	out, err := ggcg.Compile(`int main() { return 6 * 7; }`, ggcg.Config{})
 //	...
-//	m, err := ggcg.NewMachine(out.Asm)
-//	r, err := m.Call("main")   // r == 42
+//	s, err := ggcg.NewSim("vax", out.Asm)
+//	r, err := s.Call("_main")   // r == 42
 package ggcg
 
 import (
@@ -31,7 +31,6 @@ import (
 	"ggcg/internal/target"
 	"ggcg/internal/transform"
 	"ggcg/internal/vax"
-	"ggcg/internal/vaxsim"
 )
 
 // Observer is the unified instrumentation hook: hierarchical phase spans,
@@ -95,8 +94,9 @@ type Config struct {
 	// Trace receives the pattern matcher's shift/reduce actions, one per
 	// line — the listing style of the paper's appendix. It is a thin
 	// adapter over the Observer's trace event stream: the listing and the
-	// JSONL trace events render from the same events. Ignored by the
-	// baseline generator.
+	// JSONL trace events render from the same events. The listing covers
+	// this compilation only; the Observer keeps no trace sink afterwards.
+	// Ignored by the baseline generator.
 	Trace io.Writer
 
 	// Observer, if non-nil, instruments the whole compilation: phase
@@ -123,12 +123,6 @@ type Config struct {
 	// listing is a per-compilation side effect a cache hit could not
 	// replay.
 	Cache *Cache
-
-	// CacheScope is an opaque discriminator folded into the cache key.
-	// Serving layers whose requests must not share entries even for
-	// identical source and knobs (ggcd keys its response format here)
-	// set distinct scopes; leave empty otherwise.
-	CacheScope string
 }
 
 // Stats reports code-generation work for one compilation.
@@ -181,13 +175,19 @@ func compile(src string, cfg Config) (*Compiled, error) {
 	if cfg.Trace != nil {
 		// The appendix-style listing is a sink over the observer's trace
 		// event stream, so the listing and the JSONL trace events cannot
-		// drift apart. A trace with no explicit observer gets a private
-		// adapter-only one.
+		// drift apart. The sink sits on a shard merged back on return, so
+		// it never outlives this compile on the caller's observer. A trace
+		// with no explicit observer gets a private adapter-only one.
+		var tr *obs.Observer
 		if o == nil {
-			o = obs.New(obs.Config{})
+			tr = obs.New(obs.Config{})
+		} else {
+			tr = o.Shard()
+			defer o.Merge(tr)
 		}
 		w := cfg.Trace
-		o.SetTraceSink(func(e obs.TraceEvent) { fmt.Fprintln(w, e.String()) })
+		tr.SetTraceSink(func(e obs.TraceEvent) { fmt.Fprintln(w, e.String()) })
+		o = tr
 	}
 	sp := o.Start("compile")
 	defer sp.End()
@@ -223,11 +223,6 @@ func compile(src string, cfg Config) (*Compiled, error) {
 		Obs:       o,
 		Workers:   cfg.Workers,
 	}
-	if cfg.Trace != nil {
-		// The appendix-style listing is ordered per matcher action;
-		// concurrent functions would interleave it.
-		opt.Workers = 0
-	}
 	res, err := codegen.Compile(unit, opt)
 	if err != nil {
 		return nil, err
@@ -260,8 +255,7 @@ func resolveTarget(cfg Config) (target.Machine, error) {
 func Targets() []string { return target.Names() }
 
 // Sim executes a target's generated assembly: the common surface of the
-// per-target simulators (vaxsim, riscsim). The VAX-specific Machine type
-// below remains the richer interface to the VAX simulator.
+// per-target simulators (vaxsim, riscsim).
 type Sim = target.Sim
 
 // NewSim assembles generated output for execution on the named target's
@@ -273,69 +267,6 @@ func NewSim(targetName, asm string) (Sim, error) {
 		return nil, err
 	}
 	return mach.NewSim(asm)
-}
-
-// Machine executes generated assembly on the VAX-subset simulator.
-type Machine struct {
-	m      *vaxsim.Machine
-	obs    *Observer
-	merged SimProfile // profile portion already merged into obs
-}
-
-// NewMachine assembles a program for execution.
-func NewMachine(asm string) (*Machine, error) {
-	return NewMachineObs(asm, nil)
-}
-
-// NewMachineObs is NewMachine with instrumentation: assembly reports a
-// span, and every Call reports an execution span and merges its dynamic
-// profile (opcode/addressing-mode frequencies, per-function steps) into
-// the observer.
-func NewMachineObs(asm string, o *Observer) (*Machine, error) {
-	p, err := vaxsim.AssembleObs(asm, o)
-	if err != nil {
-		return nil, err
-	}
-	m := &Machine{m: vaxsim.New(p)}
-	m.SetObserver(o)
-	return m, nil
-}
-
-// SetObserver attaches (or, with nil, detaches) an instrumentation
-// observer; attaching enables per-function step attribution.
-func (m *Machine) SetObserver(o *Observer) {
-	m.obs = o
-	if o.Enabled() {
-		m.m.EnableFuncProfile()
-	}
-}
-
-// Call resets the machine and invokes a function (named as in the source;
-// the assembler-level underscore is added here) with longword arguments,
-// returning its int result.
-func (m *Machine) Call(fn string, args ...int64) (int64, error) {
-	sp := m.obs.Start("execute")
-	r, err := m.m.Call("_"+fn, args...)
-	sp.End()
-	if m.obs.Enabled() {
-		cur := m.m.Profile()
-		m.obs.AddSim(cur.Diff(m.merged))
-		m.merged = cur
-	}
-	return r, err
-}
-
-// Profile returns the cumulative dynamic execution profile of the
-// simulated machine.
-func (m *Machine) Profile() SimProfile { return m.m.Profile() }
-
-// Steps returns the number of simulated instructions executed so far.
-func (m *Machine) Steps() int64 { return m.m.Steps }
-
-// ReadGlobal reads a global variable of the given byte size (1, 2 or 4)
-// as a signed integer.
-func (m *Machine) ReadGlobal(name string, size int) (int64, error) {
-	return m.m.ReadGlobal("_"+name, size)
 }
 
 // GrammarInfo summarizes a target's machine description and its

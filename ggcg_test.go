@@ -14,11 +14,11 @@ func TestCompileAndRun(t *testing.T) {
 	if out.Stats.AsmLines == 0 || out.Stats.Trees == 0 {
 		t.Errorf("stats not populated: %+v", out.Stats)
 	}
-	m, err := NewMachine(out.Asm)
+	m, err := NewSim("vax", out.Asm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := m.Call("main")
+	r, err := m.Call("_main")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,11 +39,11 @@ func TestCompileBaseline(t *testing.T) {
 	if out.Stats.Shifts != 0 || out.Stats.Reduces != 0 {
 		t.Errorf("baseline reported matcher stats: %+v", out.Stats)
 	}
-	m, err := NewMachine(out.Asm)
+	m, err := NewSim("vax", out.Asm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := m.Call("main")
+	r, err := m.Call("_main")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,11 +57,11 @@ func TestCompileWithArguments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewMachine(out.Asm)
+	m, err := NewSim("vax", out.Asm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := m.Call("main", 50, 8)
+	r, err := m.Call("_main", 50, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,21 +75,21 @@ func TestMachineReadGlobal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewMachine(out.Asm)
+	m, err := NewSim("vax", out.Asm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Call("main"); err != nil {
+	if _, err := m.Call("_main"); err != nil {
 		t.Fatal(err)
 	}
-	v, err := m.ReadGlobal("g", 4)
+	v, err := m.ReadGlobal("_g", 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v != 1234 {
 		t.Errorf("g = %d", v)
 	}
-	if _, err := m.ReadGlobal("nosuch", 4); err == nil {
+	if _, err := m.ReadGlobal("_nosuch", 4); err == nil {
 		t.Error("reading a missing global succeeded")
 	}
 }
@@ -101,7 +101,7 @@ func TestCompileErrors(t *testing.T) {
 	if _, err := Compile(`@`, Config{}); err == nil {
 		t.Error("garbage compiled")
 	}
-	if _, err := NewMachine("not assembly at all $$$"); err == nil {
+	if _, err := NewSim("vax", "not assembly at all $$$"); err == nil {
 		t.Error("garbage assembled")
 	}
 }
@@ -170,11 +170,11 @@ int main() { a = 1; b = 2; c = 3; d = 4; return (a + b) - ((b + c) * (a + d)); }
 		t.Fatal(err)
 	}
 	run := func(asm string) int64 {
-		m, err := NewMachine(asm)
+		m, err := NewSim("vax", asm)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := m.Call("main")
+		r, err := m.Call("_main")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -41,14 +41,6 @@ type Options struct {
 	// the target's standard tables.
 	Tables *tablegen.Tables
 
-	// Trace, if non-nil, receives every pattern matcher action — the
-	// shift/reduce listing of the paper's appendix.
-	Trace func(matcher.TraceEvent)
-
-	// WrapSem, if non-nil, wraps the semantic routines; the phase-time
-	// experiment uses it to separate parsing time from semantic time.
-	WrapSem func(matcher.Semantics) matcher.Semantics
-
 	// Peephole runs the assembly-level peephole optimizer over the output
 	// — the alternative organization §6.1 of the paper discusses.
 	Peephole bool
@@ -59,14 +51,16 @@ type Options struct {
 	DenseTables bool
 
 	// Obs, if non-nil, receives phase spans, counters/histograms and
-	// table coverage for the whole compilation (see internal/obs).
+	// table coverage for the whole compilation (see internal/obs), and
+	// every pattern matcher action when it has a trace sink or trace
+	// events — the shift/reduce listing of the paper's appendix.
 	Obs *obs.Observer
 
 	// Workers sets the number of goroutines that compile independent
 	// functions of the unit concurrently; 0 or 1 compiles sequentially.
 	// Functions share only the immutable tables, so the parallel output
 	// is byte-identical to the sequential output. Ignored (sequential)
-	// when Trace or WrapSem is set, since both observe per-action order.
+	// when Obs wants trace actions, since the listing is per-action ordered.
 	Workers int
 }
 
@@ -119,10 +113,10 @@ func Compile(u *ir.Unit, opt Options) (*Result, error) {
 	defer emitterPool.Put(out)
 	target.EmitGlobals(out, u.Globals)
 	res := &Result{}
-	// Parallelism is skipped whenever any per-action trace consumer is
-	// attached: the listing is ordered, and observer shards deliberately
-	// do not inherit trace sinks.
-	if opt.Workers > 1 && len(u.Funcs) > 1 && opt.Trace == nil && opt.WrapSem == nil && !o.WantsTrace() {
+	// Parallelism is skipped whenever a trace consumer is attached: the
+	// listing is ordered, and observer shards deliberately do not inherit
+	// trace sinks.
+	if opt.Workers > 1 && len(u.Funcs) > 1 && !o.WantsTrace() {
 		if err := compileFuncsParallel(out, mach, t, u, opt, res); err != nil {
 			sp.End()
 			return nil, err
@@ -267,27 +261,14 @@ func generateFunc(out *target.Emitter, mach target.Machine, t *tablegen.Tables, 
 	body := getEmitter()
 	defer emitterPool.Put(body)
 	gen := mach.NewGen(body, tf, labelBase)
-	var sem matcher.Semantics = gen
-	if opt.WrapSem != nil {
-		sem = opt.WrapSem(gen)
-	}
 	m := matcherPool.Get().(*matcher.Matcher)
 	defer matcherPool.Put(m)
-	m.Reset(t, sem)
+	m.Reset(t, gen)
 	m.Obs = o
 	m.Dense = opt.DenseTables
-	// Fan every matcher action out to both the direct callback and the
-	// observer's trace stream (listing sink + JSONL), from the same event.
-	switch {
-	case opt.Trace != nil && o.WantsTrace():
-		tr := opt.Trace
-		m.Trace = func(e matcher.TraceEvent) {
-			tr(e)
-			o.Trace(e.Obs())
-		}
-	case opt.Trace != nil:
-		m.Trace = opt.Trace
-	case o.WantsTrace():
+	// Route every matcher action to the observer's trace stream (listing
+	// sink + JSONL) only when something consumes it.
+	if o.WantsTrace() {
 		m.Trace = func(e matcher.TraceEvent) { o.Trace(e.Obs()) }
 	}
 

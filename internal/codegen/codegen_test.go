@@ -7,7 +7,7 @@ import (
 	"ggcg/internal/cfront"
 	"ggcg/internal/corpus"
 	"ggcg/internal/irinterp"
-	"ggcg/internal/matcher"
+	"ggcg/internal/obs"
 	"ggcg/internal/transform"
 	"ggcg/internal/vaxsim"
 )
@@ -115,9 +115,9 @@ func TestTraceProducesAppendixStyleListing(t *testing.T) {
 long a;
 int main() { char b; b = 100; a = 27 + b; return a; }`)
 	var events []string
-	_, err := Compile(u, Options{Trace: func(e matcher.TraceEvent) {
-		events = append(events, e.String())
-	}})
+	o := obs.New(obs.Config{})
+	o.SetTraceSink(func(e obs.TraceEvent) { events = append(events, e.String()) })
+	_, err := Compile(u, Options{Obs: o})
 	if err != nil {
 		t.Fatal(err)
 	}

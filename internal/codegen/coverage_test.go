@@ -9,13 +9,12 @@ import (
 
 	"ggcg/internal/cfront"
 	"ggcg/internal/corpus"
-	"ggcg/internal/matcher"
 	"ggcg/internal/obs"
 	"ggcg/internal/vax"
 )
 
 // TestCoverageMatchesTrace compiles every corpus program with both the
-// coverage observer and a trace callback attached and asserts that every
+// coverage observer and a trace sink attached and asserts that every
 // production the coverage reporter says fired appears in some matcher
 // reduction — with the same count — and vice versa.
 func TestCoverageMatchesTrace(t *testing.T) {
@@ -26,14 +25,12 @@ func TestCoverageMatchesTrace(t *testing.T) {
 		}
 		o := obs.New(obs.Config{})
 		traced := make(map[int]int64)
-		_, err = Compile(u, Options{
-			Obs: o,
-			Trace: func(e matcher.TraceEvent) {
-				if e.Kind == matcher.TraceReduce {
-					traced[e.Prod.Index]++
-				}
-			},
+		o.SetTraceSink(func(e obs.TraceEvent) {
+			if e.Kind == "reduce" {
+				traced[e.Prod]++
+			}
 		})
+		_, err = Compile(u, Options{Obs: o})
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name, err)
 		}

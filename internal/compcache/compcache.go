@@ -75,12 +75,6 @@ type Fingerprint struct {
 	Peephole     bool
 	NoReverseOps bool
 
-	// Scope is an opaque caller-level discriminator folded into the key,
-	// for serving layers whose requests must not share entries even when
-	// the compiled artifact would be identical (ggcd keys its response
-	// format here).
-	Scope string
-
 	// EncodingVersion pins the table wire format (tablegen
 	// .EncodingVersion), so results cached against one table encoding
 	// generation are never served against another.
@@ -107,8 +101,8 @@ func KeyFor(src string, f Fingerprint) Key {
 	// The fingerprint is hashed in a canonical textual form; %q escapes
 	// the free-form fields so no two fingerprints can collide by
 	// concatenation.
-	fmt.Fprintf(h, "baseline=%t peephole=%t noreverse=%t scope=%q encoding=%d table=%q target=%q\n",
-		f.Baseline, f.Peephole, f.NoReverseOps, f.Scope, f.EncodingVersion, f.TableID, f.Target)
+	fmt.Fprintf(h, "baseline=%t peephole=%t noreverse=%t encoding=%d table=%q target=%q\n",
+		f.Baseline, f.Peephole, f.NoReverseOps, f.EncodingVersion, f.TableID, f.Target)
 	io.WriteString(h, src)
 	var k Key
 	h.Sum(k[:0])

@@ -132,7 +132,7 @@ func TestFingerprintSensitivity(t *testing.T) {
 		"baseline":  {Baseline: true, EncodingVersion: 2, TableID: "abc"},
 		"peephole":  {Peephole: true, EncodingVersion: 2, TableID: "abc"},
 		"noreverse": {NoReverseOps: true, EncodingVersion: 2, TableID: "abc"},
-		"scope":     {Scope: "json", EncodingVersion: 2, TableID: "abc"},
+		"target":    {EncodingVersion: 2, TableID: "abc", Target: "risc"},
 		"encoding":  {EncodingVersion: 3, TableID: "abc"},
 		"table":     {EncodingVersion: 2, TableID: "abd"},
 	}
@@ -156,11 +156,11 @@ func TestFingerprintSensitivity(t *testing.T) {
 
 // Free-form fingerprint fields must not collide by concatenation.
 func TestFingerprintNoConcatenationCollision(t *testing.T) {
-	a := KeyFor("src", Fingerprint{Scope: "x", TableID: "y"})
-	b := KeyFor("src", Fingerprint{Scope: "xy", TableID: ""})
-	c := KeyFor("src", Fingerprint{Scope: "", TableID: "xy"})
+	a := KeyFor("src", Fingerprint{TableID: "x", Target: "y"})
+	b := KeyFor("src", Fingerprint{TableID: "xy", Target: ""})
+	c := KeyFor("src", Fingerprint{TableID: "", Target: "xy"})
 	if a == b || a == c || b == c {
-		t.Error("scope/table boundary ambiguity: distinct fingerprints share keys")
+		t.Error("table/target boundary ambiguity: distinct fingerprints share keys")
 	}
 }
 

@@ -5,8 +5,6 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-
-	"ggcg/internal/obs"
 )
 
 // Instr is one assembled instruction. Op is its opcode, the index of its
@@ -58,21 +56,6 @@ type dataInit struct {
 // machines share the layout, so the differential harness reads globals of
 // either target identically.
 const dataBase = 0x1000
-
-// AssembleObs is Assemble with instrumentation: the pass reports a span
-// and instruction/symbol counters to the observer (nil disables).
-func AssembleObs[O Operand, M any](isa *ISA[O, M], src string, o *obs.Observer) (*Program[O], error) {
-	sp := o.Start("assemble")
-	defer sp.End()
-	p, err := Assemble(isa, src)
-	if err != nil {
-		return nil, err
-	}
-	o.Count("asm.instructions", int64(len(p.Instrs)))
-	o.Count("asm.labels", int64(len(p.Labels)))
-	o.Count("asm.globals", int64(len(p.Globals)))
-	return p, nil
-}
 
 // Assemble parses assembly text into an executable program: label
 // definitions and directives here, mnemonics and operands through the

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"strings"
 
-	"ggcg/internal/obs"
 	"ggcg/internal/simcore"
 )
 
@@ -117,12 +116,6 @@ type Program = simcore.Program[Operand]
 
 // Assemble parses assembly text into an executable program.
 func Assemble(src string) (*Program, error) { return simcore.Assemble(&isa, src) }
-
-// AssembleObs is Assemble with instrumentation: the pass reports a span
-// and instruction/symbol counters to the observer (nil disables).
-func AssembleObs(src string, o *obs.Observer) (*Program, error) {
-	return simcore.AssembleObs(&isa, src, o)
-}
 
 // parseOperand parses the VAX-only syntax — the '*' deferred prefix, a
 // trailing [rX] index, (rN)+ and -(rN) — around the shared operand syntax.

@@ -39,23 +39,32 @@ func TestPeepholeAsmLinesNeverNegative(t *testing.T) {
 	}
 }
 
-// The full pipeline with an observer: spans for every phase, counters,
-// coverage, an execution profile, and a JSONL stream where every line
-// decodes and re-encodes through encoding/json.
+// The full pipeline with an observer on each target: spans for every
+// phase, counters, coverage, an execution profile merged from the
+// target's simulator, and a JSONL stream where every line decodes and
+// re-encodes through encoding/json.
 func TestObserverEndToEnd(t *testing.T) {
+	for _, target := range Targets() {
+		t.Run(target, func(t *testing.T) { testObserverEndToEnd(t, target) })
+	}
+}
+
+func testObserverEndToEnd(t *testing.T, target string) {
 	var events bytes.Buffer
 	o := NewObserver(ObserverConfig{Events: &events})
-	out, err := Compile(obsProgram, Config{Peephole: true, Observer: o})
+	out, err := Compile(obsProgram, Config{Target: target, Peephole: true, Observer: o})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewMachineObs(out.Asm, o)
+	s, err := NewSim(target, out.Asm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r, err := m.Call("main"); err != nil || r != 285 {
+	s.EnableFuncProfile()
+	if r, err := s.Call("_main"); err != nil || r != 285 {
 		t.Fatalf("main() = %d, %v; want 285", r, err)
 	}
+	o.AddSim(s.Profile())
 	o.Flush()
 
 	// Phase spans cover the whole pipeline.
@@ -66,7 +75,7 @@ func TestObserverEndToEnd(t *testing.T) {
 	for _, want := range []string{
 		"compile", "compile/cfront", "compile/cfront/lex", "compile/cfront/parse",
 		"compile/codegen", "compile/codegen/transform", "compile/codegen/select",
-		"compile/peep", "assemble", "execute",
+		"compile/peep",
 	} {
 		if !paths[want] {
 			t.Errorf("no span for %q; have %v", want, paths)
@@ -97,12 +106,12 @@ func TestObserverEndToEnd(t *testing.T) {
 		t.Error("a single program should leave most of the description unfired")
 	}
 
-	// The simulator profile attributes work per opcode and function.
+	// The merged simulator profile attributes work per opcode and function.
 	sim := o.Sim()
-	if sim.Steps != int64(m.Steps()) {
-		t.Errorf("profile steps %d != machine steps %d", sim.Steps, m.Steps())
+	if sim.Steps == 0 || sim.Steps != s.Steps() {
+		t.Errorf("profile steps %d != machine steps %d", sim.Steps, s.Steps())
 	}
-	if sim.Opcodes["movl"] == 0 || sim.FuncSteps["_sum"] == 0 || sim.FuncSteps["_main"] == 0 {
+	if len(sim.Opcodes) == 0 || sim.FuncSteps["_sum"] == 0 || sim.FuncSteps["_main"] == 0 {
 		t.Errorf("profile incomplete: %+v", sim)
 	}
 	var modeEvals int64
@@ -183,5 +192,36 @@ func TestTraceWithoutObserver(t *testing.T) {
 	out := listing.String()
 	if !strings.Contains(out, "shift") || !strings.Contains(out, "reduce") || !strings.Contains(out, "accept") {
 		t.Errorf("listing incomplete:\n%s", out)
+	}
+}
+
+// A Config.Trace listing covers its own compile only: a later compile on
+// the same observer without Trace appends nothing to the first writer,
+// and the observer keeps no trace sink, while the traced compile's spans
+// still reach it.
+func TestTraceSinkDoesNotOutliveCompile(t *testing.T) {
+	const src = `int main() { return 1 + 2; }`
+	var listing bytes.Buffer
+	o := NewObserver(ObserverConfig{})
+	if _, err := Compile(src, Config{Trace: &listing, Observer: o}); err != nil {
+		t.Fatal(err)
+	}
+	n := listing.Len()
+	if n == 0 {
+		t.Fatal("traced compile wrote no listing")
+	}
+	if o.WantsTrace() {
+		t.Error("observer still wants trace actions after the traced compile")
+	}
+	if _, err := Compile(src, Config{Observer: o}); err != nil {
+		t.Fatal(err)
+	}
+	if extra := listing.Len() - n; extra != 0 {
+		t.Errorf("untraced compile appended %d bytes to the earlier listing", extra)
+	}
+	for _, p := range o.Phases() {
+		if p.Path == "compile" && p.Count != 2 {
+			t.Errorf("compile span count %d, want 2 (the traced compile must merge back)", p.Count)
+		}
 	}
 }
