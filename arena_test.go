@@ -154,7 +154,7 @@ func TestCompileAllocBudget(t *testing.T) {
 		t.Skip("allocation budget is a CI gate, skipped in -short")
 	}
 	src := corpus.Large(40)
-	if _, err := vax.Tables(); err != nil { // exclude the one-time table build
+	if _, err := vax.Tables(); err != nil { // exclude the one-time table load
 		t.Fatal(err)
 	}
 	if _, err := Compile(src, Config{}); err != nil { // warm the pools

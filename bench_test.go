@@ -18,6 +18,7 @@ import (
 	"ggcg/internal/matcher"
 	"ggcg/internal/mdgen"
 	"ggcg/internal/pcc"
+	"ggcg/internal/risc"
 	"ggcg/internal/tablegen"
 	"ggcg/internal/target"
 	"ggcg/internal/transform"
@@ -37,6 +38,38 @@ func BenchmarkE1_TableConstruction(b *testing.B) {
 		if _, err := tablegen.Build(g, tablegen.Options{}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// E1 companion: what a process pays for its tables now that they ship
+// with the backend — expand, parse and validate the description, then
+// wrap the shipped arrays over it (a fresh target.Desc per op, loading
+// tables identical to the shipped ones).
+func BenchmarkE1_TableLoad(b *testing.B) {
+	for _, c := range []struct {
+		mach    target.Machine
+		generic string
+	}{{vax.Target, vax.GenericGrammar}, {risc.Target, risc.GenericGrammar}} {
+		b.Run(c.mach.Name(), func(b *testing.B) {
+			g, err := c.mach.Grammar()
+			if err != nil {
+				b.Fatal(err)
+			}
+			built, err := tablegen.Build(g, tablegen.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			shipped, err := tablegen.Ship(built)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := target.NewDesc(c.mach.Name(), c.generic, shipped).Tables(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -300,9 +333,8 @@ func BenchmarkE6_PatternMatchOnly(b *testing.B) {
 }
 
 // BenchmarkMatch is the matcher hot-path micro: per-tree linearization
-// (interned-terminal stamping included) plus the parse loop, with no
-// semantic work — the packed comb-vector loop against the dense reference
-// loop over the same trees.
+// (interned-terminal stamping included) plus the packed comb-vector parse
+// loop, with no semantic work.
 func BenchmarkMatch(b *testing.B) {
 	u := benchUnit(b, 40)
 	tu, err := transform.Unit(u, transform.Options{})
@@ -321,30 +353,29 @@ func BenchmarkMatch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, cfg := range []struct {
-		name  string
-		dense bool
-	}{{"packed", false}, {"dense", true}} {
-		b.Run(cfg.name, func(b *testing.B) {
-			m := matcher.New(t, nullSem{})
-			m.Dense = cfg.dense
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for _, tree := range trees {
-					if _, err := m.MatchTree(tree); err != nil {
-						b.Fatal(err)
-					}
+	b.Run("packed", func(b *testing.B) {
+		m := matcher.New(t, nullSem{})
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, tree := range trees {
+				if _, err := m.MatchTree(tree); err != nil {
+					b.Fatal(err)
 				}
 			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkTableLookup sweeps every (state, terminal) ACTION entry and
 // every (state, nonterminal) GOTO entry of the VAX tables: the raw cost
-// of one table probe, packed comb vectors vs dense matrices.
+// of one table probe, packed comb vectors vs dense matrices. Only a build
+// has the dense matrices, so the tables are constructed here.
 func BenchmarkTableLookup(b *testing.B) {
-	t, err := vax.Tables()
+	g, err := vax.Grammar()
+	if err != nil {
+		b.Fatal(err)
+	}
+	t, err := tablegen.Build(g, tablegen.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -495,7 +526,7 @@ func BenchmarkFrontEnd(b *testing.B) {
 // pair as a smoke test.
 func BenchmarkCompile(b *testing.B) {
 	src := corpus.Large(40)
-	if _, err := vax.Tables(); err != nil { // exclude one-time table build
+	if _, err := vax.Tables(); err != nil { // exclude the one-time table load
 		b.Fatal(err)
 	}
 	b.ResetTimer()
@@ -541,7 +572,7 @@ func batchSources() []string {
 // from this benchmark.
 func BenchmarkCompileBatch(b *testing.B) {
 	srcs := batchSources()
-	if _, err := vax.Tables(); err != nil { // exclude the one-time table build
+	if _, err := vax.Tables(); err != nil { // exclude the one-time table load
 		b.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
@@ -611,7 +642,7 @@ var peepSink string
 // cache_test.go prove the two return byte-identical output.
 func BenchmarkCompileCached(b *testing.B) {
 	src := corpus.Large(40)
-	if _, err := vax.Tables(); err != nil { // exclude the one-time table build
+	if _, err := vax.Tables(); err != nil { // exclude the one-time table load
 		b.Fatal(err)
 	}
 	if _, err := vax.TableID(); err != nil { // and the one-time identity hash

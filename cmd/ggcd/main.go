@@ -1,9 +1,10 @@
 // Ggcd is the compile daemon: a long-running HTTP service that compiles
-// the C dialect to VAX assembly over the shared once-built tables and
-// surfaces the pipeline's instrumentation as standard operational
-// telemetry. It is the service form of the paper's economics: the static
-// half (table construction) is paid once at startup and every request
-// pays only the table-driven walk.
+// the C dialect to VAX assembly over the shared tables and surfaces the
+// pipeline's instrumentation as standard operational telemetry. It is the
+// service form of the paper's economics: the static half (table
+// construction) was paid once, offline, when the tables were generated;
+// startup only loads them and every request pays only the table-driven
+// walk.
 //
 // Endpoints:
 //
@@ -13,8 +14,9 @@
 //	                     registered list), peephole=1, baseline=1,
 //	                     noreverse=1, workers=N (per-unit function
 //	                     parallelism), format=json (JSON response with
-//	                     stats and the request's span events instead of
-//	                     bare assembly).
+//	                     stats, "cached" (a cache hit, which compiled
+//	                     nothing) and the request's span events instead
+//	                     of bare assembly).
 //	                     With the compile cache enabled (the default),
 //	                     repeated identical requests are served from a
 //	                     content-addressed store — concurrent duplicates

@@ -295,6 +295,34 @@ func TestCompileCacheHeader(t *testing.T) {
 	}
 }
 
+// TestCompileJSONCacheHit: a format=json cache hit says so in its body.
+// The first request compiles and carries its events; the second, for the
+// same source, compiles nothing and carries none.
+func TestCompileJSONCacheHit(t *testing.T) {
+	_, ts := newCachedTestServer(t)
+	var got [2]compileResponse
+	for i := range got {
+		asm, state := postProg(t, ts.URL+"/compile?format=json", prog)
+		if err := json.Unmarshal([]byte(asm), &got[i]); err != nil {
+			t.Fatalf("request %d: decoding JSON response: %v", i, err)
+		}
+		if want := []string{"miss", "hit"}[i]; state != want {
+			t.Errorf("request %d: X-GGCD-Cache = %q, want %s", i, state, want)
+		}
+	}
+	if got[0].Cached || len(got[0].Events) == 0 {
+		t.Errorf("first request: cached %v with %d events, want a compile with events",
+			got[0].Cached, len(got[0].Events))
+	}
+	if !got[1].Cached || len(got[1].Events) != 0 {
+		t.Errorf("second request: cached %v with %d events, want a hit with none",
+			got[1].Cached, len(got[1].Events))
+	}
+	if got[0].Asm != got[1].Asm {
+		t.Error("cache hit returned different assembly")
+	}
+}
+
 // The CI smoke's property, under the race detector: N concurrent
 // identical requests produce exactly one miss — the singleflight leader
 // — and N-1 hits, all byte-identical.

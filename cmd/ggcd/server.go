@@ -49,10 +49,14 @@ type server struct {
 	mux   *http.ServeMux
 }
 
-// compileResponse is the format=json response body.
+// compileResponse is the format=json response body. Cached reports a
+// compile-cache hit: nothing was compiled for this request, so Events
+// holds none of the compile's spans (the X-GGCD-Cache header says the
+// same).
 type compileResponse struct {
 	Asm    string            `json:"asm"`
 	Stats  ggcg.Stats        `json:"stats"`
+	Cached bool              `json:"cached"`
 	Events []json.RawMessage `json:"events,omitempty"`
 }
 
@@ -225,7 +229,7 @@ func (s *server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		io.WriteString(w, res.out.Asm)
 		return
 	}
-	resp := compileResponse{Asm: res.out.Asm, Stats: res.out.Stats}
+	resp := compileResponse{Asm: res.out.Asm, Stats: res.out.Stats, Cached: res.out.Cached}
 	dec := json.NewDecoder(bytes.NewReader(events.Bytes()))
 	for dec.More() {
 		var raw json.RawMessage

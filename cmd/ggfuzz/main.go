@@ -2,8 +2,7 @@
 // random programs (internal/progen) and cross-checks every execution path
 // of the repository against every other (internal/diffexec) — reference
 // interpreter, table-driven output, ad hoc baseline, peephole on/off,
-// reverse operators on/off, packed vs dense matcher tables, and batch vs
-// sequential compilation bytes. With -metamorphic each program is
+// reverse operators on/off, and batch vs sequential compilation bytes. With -metamorphic each program is
 // additionally rewritten through semantics-preserving transformations
 // (operand commutes, strength rewrites, neutral elements, statement
 // reorders, dead stores) whose outputs must execute to the same value.

@@ -3,6 +3,9 @@
 // tables, and reports the statistics and diagnostics of §3.2 and §8 of the
 // paper (grammar sizes, state counts, disambiguated conflicts, semantic
 // blocks, and — with -blocks — a bounded search for syntactic blocks).
+// With -gen it also writes the tables a backend ships, as Go source: the
+// static half of §3.2, run offline once per description edit instead of
+// in every process.
 //
 // Usage:
 //
@@ -16,9 +19,12 @@
 //	-conflicts    list every disambiguated conflict
 //	-blocks n     search for syntactic blocks on inputs up to n terminals
 //	-encode file  write the constructed tables to file
+//	-gen file     write the built-in description's tables as the Go source
+//	              its backend ships (go generate ./internal/... runs this)
 package main
 
 import (
+	"bytes"
 	"errors"
 	"flag"
 	"fmt"
@@ -59,6 +65,7 @@ func run(args []string, stdout io.Writer) error {
 		conflicts = fs.Bool("conflicts", false, "list disambiguated conflicts")
 		blocks    = fs.Int("blocks", 0, "search for syntactic blocks up to n terminals")
 		encode    = fs.String("encode", "", "write constructed tables to `file`")
+		gen       = fs.String("gen", "", "write the built-in description's tables as Go source to `file`")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -70,12 +77,14 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
+	if *gen != "" && (*naive || fs.NArg() > 0) {
+		return fmt.Errorf("-gen writes the standard construction of a built-in description; drop -naive and the file argument")
+	}
 
 	var (
 		name string
 		gs   cgram.Stats
 		g    *cgram.Grammar
-		t    *tablegen.Tables
 	)
 	switch fs.NArg() {
 	case 0:
@@ -86,13 +95,6 @@ func run(args []string, stdout io.Writer) error {
 		if g, err = mach.Grammar(); err != nil {
 			return err
 		}
-		if !*naive {
-			// The shared once-built tables: the same object a compilation
-			// drives.
-			if t, err = mach.Tables(); err != nil {
-				return err
-			}
-		}
 	case 1:
 		name = fs.Arg(0)
 		if gs, g, err = load(name); err != nil {
@@ -101,10 +103,9 @@ func run(args []string, stdout io.Writer) error {
 	default:
 		return errUsage
 	}
-	if t == nil {
-		if t, err = tablegen.Build(g, tablegen.Options{Naive: *naive}); err != nil {
-			return err
-		}
+	t, err := tablegen.Build(g, tablegen.Options{Naive: *naive})
+	if err != nil {
+		return err
 	}
 
 	fst := g.Stats()
@@ -141,8 +142,36 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 	if *encode != "" {
-		return write(stdout, t, *encode)
+		if err := write(stdout, t, *encode); err != nil {
+			return err
+		}
 	}
+	if *gen != "" {
+		return writeGo(stdout, mach.Name(), t, *gen)
+	}
+	return nil
+}
+
+// generate writes the Go source of the tables the named backend ships,
+// built as t, declaring them in the backend's package.
+func generate(w io.Writer, name string, t *tablegen.Tables) error {
+	s, err := tablegen.Ship(t)
+	if err != nil {
+		return err
+	}
+	return s.WriteGo(w, name, "shipped", "ggtables -target "+name+" -gen")
+}
+
+// writeGo writes generate's output to path.
+func writeGo(stdout io.Writer, name string, t *tablegen.Tables, path string) error {
+	var b bytes.Buffer
+	if err := generate(&b, name, t); err != nil {
+		return err
+	}
+	if err := os.WriteFile(path, b.Bytes(), 0o644); err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "shipped tables written to %s (%d bytes)\n", path, b.Len())
 	return nil
 }
 

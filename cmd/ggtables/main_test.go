@@ -3,10 +3,14 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"ggcg"
+	"ggcg/internal/tablegen"
+	"ggcg/internal/target"
 )
 
 // TestReportMatchesInfo: for every built-in target the report's grammar
@@ -53,5 +57,65 @@ func TestUnknownTarget(t *testing.T) {
 	}
 	if out.Len() != 0 {
 		t.Errorf("report written for an unknown target:\n%s", out.String())
+	}
+}
+
+// TestShippedTablesUpToDate is the drift check: the tables each backend
+// ships must be exactly what the constructor builds from its description
+// today. Editing a description (or the constructor) without rerunning
+// `go generate ./internal/vax ./internal/risc` fails here.
+func TestShippedTablesUpToDate(t *testing.T) {
+	for _, name := range []string{"vax", "risc"} {
+		t.Run(name, func(t *testing.T) {
+			mach, err := target.Lookup(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, err := mach.Grammar()
+			if err != nil {
+				t.Fatal(err)
+			}
+			built, err := tablegen.Build(g, tablegen.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want bytes.Buffer
+			if err := generate(&want, name, built); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join("..", "..", "internal", name, "tables_gen.go")
+			got, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want.Bytes()) {
+				t.Errorf("%s is stale: run go generate ./internal/%s", path, name)
+			}
+			// The shipped identity is the one a build computes.
+			id, err := tablegen.ID(built)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if shipped, err := mach.TableID(); err != nil || shipped != id {
+				t.Errorf("shipped table ID %s (err %v), built %s", shipped, err, id)
+			}
+		})
+	}
+}
+
+// TestGenRejectsOtherConstructions: -gen writes only what a backend
+// ships, the standard construction of its built-in description.
+func TestGenRejectsOtherConstructions(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "tables_gen.go")
+	for _, args := range [][]string{
+		{"-naive", "-gen", out},
+		{"-gen", out, "some.g"},
+	} {
+		if err := run(args, new(bytes.Buffer)); err == nil || !strings.Contains(err.Error(), "-gen") {
+			t.Errorf("run %v: err %v, want a -gen error", args, err)
+		}
+	}
+	if _, err := os.Stat(out); err == nil {
+		t.Error("a rejected -gen wrote its file")
 	}
 }

@@ -291,9 +291,9 @@ type GrammarInfo struct {
 }
 
 // Info returns grammar and table statistics for the default (VAX)
-// description; InfoFor selects another target by name. The statistics are
-// computed from the same once-built shared grammar and tables every
-// compilation drives, so a CLI table dump cannot diverge from what
+// description; InfoFor selects another target by name. The statistics
+// come from the same once-loaded shared grammar and shipped tables every
+// compilation drives, so what InfoFor reports cannot diverge from what
 // Compile actually uses.
 func Info() (GrammarInfo, error) { return InfoFor("") }
 
@@ -313,34 +313,34 @@ func InfoFor(targetName string) (GrammarInfo, error) {
 		return GrammarInfo{}, err
 	}
 	fs := t.Grammar.Stats()
-	sz := t.Size()
+	sum := t.Summary()
 	return GrammarInfo{
 		Target:             mach.Name(),
 		GenericProductions: gen.Productions,
 		Productions:        fs.Productions,
 		Terminals:          fs.Terminals,
 		Nonterminals:       fs.Nonterminals,
-		States:             t.Stats.States,
-		Conflicts:          len(t.Conflicts),
+		States:             sum.States,
+		Conflicts:          sum.Conflicts,
 		ChainRules:         fs.ChainRules,
-		TableBytes:         sz.Bytes,
-		PackedTableBytes:   sz.PackedBytes,
+		TableBytes:         sum.Bytes,
+		PackedTableBytes:   sum.PackedBytes,
 	}, nil
 }
 
 // BuildTables constructs the instruction-selection tables from the VAX
 // description, optionally with the naive first-cut algorithm (the
 // configuration that took "over two hours of VAX 11/780 CPU time", §7).
-// The standard (non-naive) configuration returns the same once-built
-// shared tables Compile drives, so a table dump and a compilation can
-// never describe different objects; only the naive experiment rebuilds.
+// The standard (non-naive) configuration reports the shipped tables
+// Compile drives, constructed offline by the same algorithm; only the
+// naive experiment constructs tables here.
 func BuildTables(naive bool) (states int, err error) {
 	if !naive {
 		t, err := vax.Tables()
 		if err != nil {
 			return 0, err
 		}
-		return t.Stats.States, nil
+		return t.Summary().States, nil
 	}
 	g, err := vax.Grammar()
 	if err != nil {

@@ -45,11 +45,6 @@ type Options struct {
 	// — the alternative organization §6.1 of the paper discusses.
 	Peephole bool
 
-	// DenseTables drives the matcher's dense-table reference loop instead
-	// of the packed comb-vector hot loop. Output is byte-identical either
-	// way; the corpus golden guard compiles with both and compares.
-	DenseTables bool
-
 	// Obs, if non-nil, receives phase spans, counters/histograms and
 	// table coverage for the whole compilation (see internal/obs), and
 	// every pattern matcher action when it has a trace sink or trace
@@ -91,9 +86,9 @@ func Compile(u *ir.Unit, opt Options) (*Result, error) {
 	}
 	t := opt.Tables
 	if t == nil {
-		// The standard tables are a cached once-per-process build, so this
-		// span is large on first use and ~zero after (§3's static/dynamic
-		// split: construction is not a per-compilation cost).
+		// The standard tables ship with the backend, constructed offline
+		// (§3's static/dynamic split); this span is the once-per-process
+		// grammar parse that wraps them, and ~zero after.
 		tsp := o.Start("tables")
 		var err error
 		t, err = mach.Tables()
@@ -102,7 +97,7 @@ func Compile(u *ir.Unit, opt Options) (*Result, error) {
 			return nil, err
 		}
 	}
-	o.SetCoverageUniverse(len(t.Grammar.Prods), t.Stats.States, func(i int) string {
+	o.SetCoverageUniverse(len(t.Grammar.Prods), t.Summary().States, func(i int) string {
 		if i >= 1 && i <= len(t.Grammar.Prods) {
 			return t.Grammar.Prods[i-1].String()
 		}
@@ -265,7 +260,6 @@ func generateFunc(out *target.Emitter, mach target.Machine, t *tablegen.Tables, 
 	defer matcherPool.Put(m)
 	m.Reset(t, gen)
 	m.Obs = o
-	m.Dense = opt.DenseTables
 	// Route every matcher action to the observer's trace stream (listing
 	// sink + JSONL) only when something consumes it.
 	if o.WantsTrace() {

@@ -4,12 +4,11 @@ import (
 	"testing"
 
 	"ggcg/internal/cfront"
-	"ggcg/internal/vax"
 	"ggcg/internal/vaxsim"
 )
 
 func TestTablesBuild(t *testing.T) {
-	tb, err := vax.Tables()
+	tb, err := builtVAX()
 	if err != nil {
 		t.Fatal(err)
 	}

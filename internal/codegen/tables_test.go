@@ -7,16 +7,15 @@ import (
 	"ggcg/internal/cfront"
 	"ggcg/internal/ir"
 	"ggcg/internal/tablegen"
-	"ggcg/internal/vax"
 	"ggcg/internal/vaxsim"
 )
 
 // TestShippedTablesDriveCompilation reproduces the static/dynamic split of
-// §3: the tables are constructed once, serialized (as they would ship with
-// a production compiler), decoded, and then drive a compilation that
-// executes correctly.
+// §3 through the wire encoding: the tables are constructed once,
+// serialized, decoded, and then drive a compilation that executes
+// correctly.
 func TestShippedTablesDriveCompilation(t *testing.T) {
-	built, err := vax.Tables()
+	built, err := builtVAX()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +60,7 @@ int main() {
 // produce must never be among them, which the differential suites already
 // guarantee. This records the diagnostic behaviour.
 func TestBlockSearchOnVAXDescription(t *testing.T) {
-	tb, err := vax.Tables()
+	tb, err := builtVAX()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,6 @@
 //	  ≡ pcc-peep    baseline + peephole, executed
 //	  ≡ gg-noreverse table-driven without reverse operators (§5.1.3)
 //	gg (bytes)
-//	  ≡ gg-dense    packed comb-vector tables vs the dense reference loop
 //	  ≡ batch       CompileBatch / Config.Workers parallel paths
 //
 // On a mismatch the harness shrinks the generated program to a minimal
@@ -43,7 +42,6 @@ import (
 const (
 	OracleRef      = "irinterp"
 	OracleGG       = "gg"
-	OracleGGDense  = "gg-dense"
 	OracleGGPeep   = "gg-peep"
 	OracleGGNoRev  = "gg-noreverse"
 	OraclePCC      = "pcc"
@@ -68,7 +66,7 @@ type Config struct {
 	Obs *obs.Observer
 
 	// Target names the backend under test; empty means "vax". The
-	// table-driven oracles (gg, gg-dense, gg-peep, gg-noreverse, batch)
+	// table-driven oracles (gg, gg-peep, gg-noreverse, batch)
 	// compile for and execute on the named target's simulator. The pcc
 	// oracles drop out of the lattice for non-VAX targets: the baseline
 	// generator is a hand-written VAX second pass with no counterpart
@@ -86,7 +84,7 @@ func (c Config) mutate(oracle, asm string) string {
 
 // Mismatch reports one disagreeing oracle pair. It implements error.
 type Mismatch struct {
-	Pair   string // "gg vs irinterp", "gg-dense vs gg", ...
+	Pair   string // "gg vs irinterp", "batch vs batch-seq", ...
 	Want   string // the reference side's value (or byte digest)
 	Got    string // the disagreeing side's value
 	Detail string // extra context: execution error text, first diverging line
@@ -153,17 +151,6 @@ func Check(src string, cfg Config) error {
 			Got: "<compile error>", Detail: err.Error()}
 	}
 	if m := run(OracleGG, gg.Asm); m != nil {
-		return m
-	}
-
-	// Packed ≡ dense matcher bytes.
-	dense, err := codegen.Compile(u, codegen.Options{Target: mach, DenseTables: true})
-	if err != nil {
-		return &Mismatch{Pair: OracleGGDense + " vs " + OracleGG, Want: "<compiles>",
-			Got: "<compile error>", Detail: err.Error()}
-	}
-	if m := diffBytes(OracleGGDense+" vs "+OracleGG,
-		cfg.mutate(OracleGG, gg.Asm), cfg.mutate(OracleGGDense, dense.Asm)); m != nil {
 		return m
 	}
 

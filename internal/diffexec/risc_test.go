@@ -10,7 +10,7 @@ import (
 
 // TestCheckSeedsRISC sweeps the oracle lattice with the RISC backend
 // generating the code under test: the reference interpreter, peephole,
-// no-reverse, packed-vs-dense and batch oracles all run against riscsim.
+// no-reverse and batch oracles all run against riscsim.
 // The PCC oracles drop out (the baseline is a hand-written VAX pass);
 // cmd/ggfuzz -target=risc runs this same harness at scale.
 func TestCheckSeedsRISC(t *testing.T) {

@@ -14,8 +14,9 @@
 // The parse loop drives the comb-vector (packed) form of the tables: one
 // interned terminal id per token, actions decoded from single int32 codes,
 // reduce gotos resolved through ids cached on the productions — no map
-// lookups anywhere on the hot path. The dense form is kept as a reference
-// matcher (Dense flag) so differential tests can hold the two together.
+// lookups anywhere on the hot path. Tests hold the packed arrays to the
+// dense matrices of a fresh build entry by entry
+// (tablegen.FuzzPackedEquivalence, codegen's TestPackedEquivalenceVAX).
 package matcher
 
 import (
@@ -114,11 +115,6 @@ type Matcher struct {
 	// are guarded by nil checks so a disabled observer costs one branch.
 	Obs *obs.Observer
 
-	// Dense selects the dense-table reference loop instead of the packed
-	// hot loop. The two produce identical actions in identical order —
-	// the corpus golden guard compiles with both and compares bytes.
-	Dense bool
-
 	stats Stats
 
 	// Reused parse stacks and linearization buffer; a Matcher is not safe
@@ -158,7 +154,6 @@ func (m *Matcher) Reset(t *tablegen.Tables, sem Semantics) {
 	m.sem = sem
 	m.Trace = nil
 	m.Obs = nil
-	m.Dense = false
 	m.stats = Stats{}
 }
 
@@ -195,7 +190,7 @@ func (m *Matcher) blockErr(toks []ir.Token, states []int32, pos int, term string
 }
 
 // fail stores the (possibly regrown) stacks back for reuse and returns the
-// error; it is the single cold exit of both parse loops.
+// error; it is the single cold exit of the parse loop.
 func (m *Matcher) fail(states []int32, vals []Value, err error) (Value, error) {
 	m.states, m.vals = states[:0], vals[:0]
 	return Value{}, err
@@ -215,9 +210,6 @@ func (m *Matcher) MatchTree(n *ir.Node) (Value, error) {
 // Unstamped tokens are interned on first sight (stamped in place), so a
 // caller-provided token slice pays the vocabulary map at most once.
 func (m *Matcher) Match(toks []ir.Token) (Value, error) {
-	if m.Dense {
-		return m.matchDense(toks)
-	}
 	t, p := m.tables, m.packed
 	prods := t.Grammar.Prods
 	if cap(m.states) == 0 {
@@ -305,122 +297,6 @@ func (m *Matcher) Match(toks []ir.Token) (Value, error) {
 			if m.Obs != nil {
 				m.Obs.ProdReduced(prod.Index)
 				m.Obs.StateVisited(int(to))
-			}
-			if m.Trace != nil {
-				m.Trace(TraceEvent{Kind: TraceReduce, Prod: prod})
-			}
-
-		case tablegen.ActAccept:
-			if maxDepth > m.stats.MaxDepth {
-				m.stats.MaxDepth = maxDepth
-			}
-			if m.Obs != nil {
-				m.Obs.Observe("matcher.stack_depth", int64(maxDepth))
-			}
-			if m.Trace != nil {
-				m.Trace(TraceEvent{Kind: TraceAccept})
-			}
-			res := vals[len(vals)-1]
-			m.states, m.vals = states[:0], vals[:0]
-			return res, nil
-
-		default:
-			term := "$end"
-			if tok != nil {
-				term = tok.TermName()
-			}
-			return m.fail(states, vals, m.blockErr(toks, states, pos, term))
-		}
-	}
-}
-
-// matchDense is the reference parse loop over the dense ACTION/GOTO
-// matrices, kept action-for-action equivalent to the packed loop.
-func (m *Matcher) matchDense(toks []ir.Token) (Value, error) {
-	t := m.tables
-	if cap(m.states) == 0 {
-		m.states = make([]int32, 0, 64)
-		m.vals = make([]Value, 0, 64)
-	}
-	states := append(m.states[:0], 0)
-	vals := append(m.vals[:0], Value{})
-	m.stats.Trees++
-	if m.Obs != nil {
-		m.Obs.StateVisited(0)
-	}
-
-	pos := 0
-	maxDepth := 1
-	for {
-		var termID int
-		var tok *ir.Token
-		if pos < len(toks) {
-			tok = &toks[pos]
-			if id, ok := tok.TermID(); ok {
-				termID = id
-			} else if id, ok := t.TermID(tok.TermName()); ok {
-				tok.SetTermID(id)
-				termID = id
-			} else {
-				return m.fail(states, vals,
-					m.blockErr(toks, states, pos, tok.TermName()+" (not in machine description)"))
-			}
-		} else if pos == len(toks) {
-			termID = t.End()
-		} else {
-			return m.fail(states, vals, fmt.Errorf("matcher: ran past end of input"))
-		}
-
-		act := t.Lookup(int(states[len(states)-1]), termID)
-		switch act.Kind {
-		case tablegen.ActShift:
-			states = append(states, act.Arg)
-			vals = append(vals, Value{Tok: tok})
-			if len(states) > maxDepth {
-				maxDepth = len(states)
-			}
-			m.stats.Shifts++
-			if m.Obs != nil {
-				m.Obs.StateVisited(int(act.Arg))
-			}
-			if m.Trace != nil {
-				m.Trace(TraceEvent{Kind: TraceShift, Term: tok.TermName()})
-			}
-			pos++
-
-		case tablegen.ActReduce, tablegen.ActChoice:
-			var prod *cgram.Prod
-			if act.Kind == tablegen.ActReduce {
-				prod = t.Grammar.Prods[act.Arg-1]
-			} else {
-				var err error
-				prod, err = m.choose(t.ChoiceProds(act), vals)
-				if err != nil {
-					return m.fail(states, vals, err)
-				}
-			}
-			n := len(prod.RHS)
-			args := vals[len(vals)-n:]
-			sem, err := m.sem.Reduce(prod, args)
-			if err != nil {
-				return m.fail(states, vals, fmt.Errorf("matcher: action %q of production %d: %w",
-					prod.Action, prod.Index, err))
-			}
-			states = states[:len(states)-n]
-			vals = vals[:len(vals)-n]
-			to := t.GotoState(int(states[len(states)-1]), int(prod.LHSID))
-			if to < 0 {
-				return m.fail(states, vals, m.blockErr(toks, states, pos, "goto "+prod.LHS))
-			}
-			states = append(states, int32(to))
-			vals = append(vals, Value{Sem: sem})
-			if len(states) > maxDepth {
-				maxDepth = len(states)
-			}
-			m.stats.Reduces++
-			if m.Obs != nil {
-				m.Obs.ProdReduced(prod.Index)
-				m.Obs.StateVisited(to)
 			}
 			if m.Trace != nil {
 				m.Trace(TraceEvent{Kind: TraceReduce, Prod: prod})

@@ -235,8 +235,8 @@ func TestTraceKindStrings(t *testing.T) {
 }
 
 // TestMaxDepthWithoutObserver checks satellite accounting: the stack-depth
-// high-water mark is tracked with no observer attached, counts the goto
-// push of the reduce path, and agrees between the packed and dense loops.
+// high-water mark is tracked with no observer attached and counts the
+// goto push of the reduce path.
 func TestMaxDepthWithoutObserver(t *testing.T) {
 	tb := buildTables(t, calcGrammar)
 	tree := `(Assign.l (Name.l a) (Plus.l (Const.b 3) (Plus.l (Const.b 5) (Plus.l (Const.b 6) (Const.b 7)))))`
@@ -248,41 +248,9 @@ func TestMaxDepthWithoutObserver(t *testing.T) {
 		t.Errorf("MaxDepth = %d, want at least the right-spine depth", packed)
 	}
 
-	d := New(tb, &calcSem{})
-	d.Dense = true
-	matchTree(t, d, tree)
-	if dense := d.Stats().MaxDepth; dense != packed {
-		t.Errorf("dense MaxDepth %d != packed %d", dense, packed)
-	}
-
 	// A shallow follow-up tree must not lower the high-water mark.
 	matchTree(t, m, `(Assign.l (Name.l a) (Const.b 3))`)
 	if after := m.Stats().MaxDepth; after != packed {
 		t.Errorf("MaxDepth dropped from %d to %d after a shallow tree", packed, after)
-	}
-}
-
-// TestPackedDenseSameActions drives the packed and dense loops over the
-// same trees with tracing on and expects identical action sequences.
-func TestPackedDenseSameActions(t *testing.T) {
-	tb := buildTables(t, calcGrammar)
-	for _, src := range []string{
-		`(Assign.l (Name.l a) (Const.l 300000))`,
-		`(Assign.l (Name.l a) (Mul.l (Plus.l (Const.b 3) (Const.b 5)) (Const.b 6)))`,
-	} {
-		var p, d []string
-		m := New(tb, &calcSem{})
-		m.Trace = func(e TraceEvent) { p = append(p, e.String()) }
-		matchTree(t, m, src)
-
-		md := New(tb, &calcSem{})
-		md.Dense = true
-		md.Trace = func(e TraceEvent) { d = append(d, e.String()) }
-		matchTree(t, md, src)
-
-		if strings.Join(p, "\n") != strings.Join(d, "\n") {
-			t.Errorf("action sequences diverge for %s:\npacked:\n%s\ndense:\n%s",
-				src, strings.Join(p, "\n"), strings.Join(d, "\n"))
-		}
 	}
 }

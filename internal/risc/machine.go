@@ -10,8 +10,10 @@ import (
 	"ggcg/internal/target"
 )
 
-// desc is the RISC description, built once per process (target.Desc).
-var desc = target.NewDesc("risc", GenericGrammar)
+// desc is the RISC description with its shipped tables (target.Desc).
+//
+//go:generate go run ggcg/cmd/ggtables -target risc -gen tables_gen.go
+var desc = target.NewDesc("risc", GenericGrammar, shipped)
 
 // Grammar returns the type-replicated RISC machine description.
 func Grammar() (*cgram.Grammar, error) { return desc.Grammar() }

@@ -1,6 +1,7 @@
 package risc_test
 
 import (
+	"sync"
 	"testing"
 
 	"ggcg/internal/cfront"
@@ -9,8 +10,20 @@ import (
 	"ggcg/internal/ir"
 	"ggcg/internal/risc"
 	"ggcg/internal/riscsim"
+	"ggcg/internal/tablegen"
 	"ggcg/internal/vax"
 )
+
+// builtRISC constructs the RISC tables from the description once per test
+// binary: the dense matrices and diagnostics only a build has, and the
+// reference the shipped tables are held to.
+var builtRISC = sync.OnceValues(func() (*tablegen.Tables, error) {
+	g, err := risc.Grammar()
+	if err != nil {
+		return nil, err
+	}
+	return tablegen.Build(g, tablegen.Options{})
+})
 
 // TestTablesBuild constructs the RISC instruction-selection tables and
 // checks the shape the paper's §8 statistics table reports per machine:
@@ -34,7 +47,7 @@ func TestTablesBuild(t *testing.T) {
 	if fs.ChainRules == 0 {
 		t.Error("no chain rules in the replicated grammar")
 	}
-	tb, err := risc.Tables()
+	tb, err := builtRISC()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,11 +113,15 @@ func TestCorpusExecutes(t *testing.T) {
 	}
 }
 
-// TestPackedDenseGoldenCorpus is the RISC counterpart of codegen's VAX
-// golden guard: the packed matcher loop and the dense reference loop must
-// emit byte-identical assembly with identical matcher statistics over the
-// corpus and a large synthetic unit.
-func TestPackedDenseGoldenCorpus(t *testing.T) {
+// TestShippedBuiltGoldenCorpus is the RISC counterpart of codegen's VAX
+// golden guard: the shipped tables and tables constructed afresh from the
+// description must emit byte-identical assembly with identical matcher
+// statistics over the corpus and a large synthetic unit.
+func TestShippedBuiltGoldenCorpus(t *testing.T) {
+	built, err := builtRISC()
+	if err != nil {
+		t.Fatal(err)
+	}
 	srcs := make([]string, 0, len(corpus.Programs())+1)
 	for _, p := range corpus.Programs() {
 		srcs = append(srcs, p.Src)
@@ -115,24 +132,24 @@ func TestPackedDenseGoldenCorpus(t *testing.T) {
 		if err != nil {
 			t.Fatalf("program %d: front end: %v", i, err)
 		}
-		packed, err := codegen.Compile(u, codegen.Options{Target: risc.Target})
+		shipped, err := codegen.Compile(u, codegen.Options{Target: risc.Target})
 		if err != nil {
-			t.Fatalf("program %d: packed compile: %v", i, err)
+			t.Fatalf("program %d: compile with shipped tables: %v", i, err)
 		}
 		u2, err := cfront.Compile(src)
 		if err != nil {
 			t.Fatalf("program %d: front end: %v", i, err)
 		}
-		dense, err := codegen.Compile(u2, codegen.Options{Target: risc.Target, DenseTables: true})
+		fresh, err := codegen.Compile(u2, codegen.Options{Target: risc.Target, Tables: built})
 		if err != nil {
-			t.Fatalf("program %d: dense compile: %v", i, err)
+			t.Fatalf("program %d: compile with built tables: %v", i, err)
 		}
-		if packed.Asm != dense.Asm {
-			t.Fatalf("program %d: packed and dense matchers emitted different RISC assembly", i)
+		if shipped.Asm != fresh.Asm {
+			t.Fatalf("program %d: shipped and built tables emitted different RISC assembly", i)
 		}
-		if packed.Stats.Matcher != dense.Stats.Matcher {
-			t.Fatalf("program %d: matcher stats diverge: packed %+v dense %+v",
-				i, packed.Stats.Matcher, dense.Stats.Matcher)
+		if shipped.Stats.Matcher != fresh.Stats.Matcher {
+			t.Fatalf("program %d: matcher stats diverge: shipped %+v built %+v",
+				i, shipped.Stats.Matcher, fresh.Stats.Matcher)
 		}
 	}
 }

@@ -105,6 +105,11 @@ const retSentinel = -2
 // DefaultMemory is the simulated memory size.
 const DefaultMemory = 1 << 20
 
+// pageBits sizes the pages Memory allocates on first store: 4 KiB.
+const pageBits = 12
+
+const pageSize = 1 << pageBits
+
 // Core is the state and behaviour both simulators share. A machine embeds
 // it, so its fields and methods are the machine's.
 type Core[W Word, O Operand, M any] struct {
@@ -153,20 +158,20 @@ func NewCore[W Word, O Operand, M any](isa *ISA[O, M], self M, p *Program[O]) Co
 	}
 	c := Core[W, O, M]{
 		Prog:     p,
-		Mem:      make(Memory, DefaultMemory),
 		MaxSteps: 50_000_000,
 		isa:      isa,
 		ops:      t.ops,
 		self:     self,
 		counts:   make([]int64, len(t.ops)),
 	}
-	c.load() // make has zeroed the memory
+	c.load() // a new Memory reads zero everywhere
 	return c
 }
 
 // Reset clears registers and memory and reapplies data initialization.
+// Only the pages stored to since the machine was made need clearing.
 func (c *Core[W, O, M]) Reset() {
-	clear(c.Mem)
+	c.Mem.clear()
 	c.load()
 }
 
@@ -175,9 +180,11 @@ func (c *Core[W, O, M]) Reset() {
 func (c *Core[W, O, M]) load() {
 	c.R = [16]W{}
 	for _, di := range c.Prog.init {
-		copy(c.Mem[di.addr:], di.bytes)
+		for i, b := range di.bytes {
+			c.Mem.Store(di.addr+uint32(i), 1, uint64(b))
+		}
 	}
-	c.R[SP] = W(len(c.Mem) - 64)
+	c.R[SP] = W(DefaultMemory - 64)
 	c.frames = c.frames[:0]
 	if c.isa.Reset != nil {
 		c.isa.Reset(c.self)
@@ -340,56 +347,91 @@ func (c *Core[W, O, M]) pop32() uint32 {
 	return v
 }
 
-// Memory is the simulated byte-addressable little-endian memory.
-// Addresses wrap at its size.
-type Memory []byte
+// Memory is the simulated byte-addressable little-endian memory of
+// DefaultMemory bytes. Addresses wrap at its size. It is paged: a page is
+// allocated on the first store to it, and a load from a page never stored
+// to reads zero, so a machine costs what its program touches rather than
+// the whole address space. The zero Memory is ready to use.
+type Memory struct {
+	pages [DefaultMemory >> pageBits]*[pageSize]byte
+	used  []uint32 // indices of the allocated pages
+}
 
-// fits reports whether size bytes at addr lie in memory without wrapping.
-func (mem Memory) fits(addr uint32, size int) bool {
-	return uint64(addr)+uint64(size) <= uint64(len(mem))
+// page returns page i, allocating it on first use.
+func (mem *Memory) page(i uint32) *[pageSize]byte {
+	p := mem.pages[i]
+	if p == nil {
+		p = new([pageSize]byte)
+		mem.pages[i] = p
+		mem.used = append(mem.used, i)
+	}
+	return p
+}
+
+// clear zeroes every allocated page, keeping it for the next run.
+func (mem *Memory) clear() {
+	for _, i := range mem.used {
+		clear(mem.pages[i][:])
+	}
+}
+
+// within returns the page holding size bytes at addr and the offset of
+// addr in it, or ok false if the bytes wrap or straddle a page.
+func within(addr uint32, size int) (page, off uint32, ok bool) {
+	off = addr & (pageSize - 1)
+	return addr >> pageBits, off, addr < DefaultMemory && int(off)+size <= pageSize
 }
 
 // Load reads size bytes at addr, zero-extended.
-func (mem Memory) Load(addr uint32, size int) uint64 {
-	if mem.fits(addr, size) {
+func (mem *Memory) Load(addr uint32, size int) uint64 {
+	if i, off, ok := within(addr, size); ok {
+		p := mem.pages[i]
+		if p == nil {
+			return 0
+		}
 		switch size {
 		case 1:
-			return uint64(mem[addr])
+			return uint64(p[off])
 		case 2:
-			return uint64(binary.LittleEndian.Uint16(mem[addr:]))
+			return uint64(binary.LittleEndian.Uint16(p[off:]))
 		case 4:
-			return uint64(binary.LittleEndian.Uint32(mem[addr:]))
+			return uint64(binary.LittleEndian.Uint32(p[off:]))
 		case 8:
-			return binary.LittleEndian.Uint64(mem[addr:])
+			return binary.LittleEndian.Uint64(p[off:])
 		}
 	}
 	var v uint64
 	for i := 0; i < size; i++ {
-		v |= uint64(mem[(addr+uint32(i))%uint32(len(mem))]) << (8 * i)
+		a := (addr + uint32(i)) % DefaultMemory
+		if p := mem.pages[a>>pageBits]; p != nil {
+			v |= uint64(p[a&(pageSize-1)]) << (8 * i)
+		}
 	}
 	return v
 }
 
 // Store writes the low size bytes of v at addr.
-func (mem Memory) Store(addr uint32, size int, v uint64) {
-	if mem.fits(addr, size) {
+func (mem *Memory) Store(addr uint32, size int, v uint64) {
+	if i, off, ok := within(addr, size); ok {
+		p := mem.page(i)
 		switch size {
 		case 1:
-			mem[addr] = byte(v)
+			p[off] = byte(v)
 			return
 		case 2:
-			binary.LittleEndian.PutUint16(mem[addr:], uint16(v))
+			binary.LittleEndian.PutUint16(p[off:], uint16(v))
 			return
 		case 4:
-			binary.LittleEndian.PutUint32(mem[addr:], uint32(v))
+			binary.LittleEndian.PutUint32(p[off:], uint32(v))
 			return
 		case 8:
-			binary.LittleEndian.PutUint64(mem[addr:], v)
+			binary.LittleEndian.PutUint64(p[off:], v)
 			return
 		}
 	}
 	for i := 0; i < size; i++ {
-		mem[(addr+uint32(i))%uint32(len(mem))] = byte(v >> (8 * i))
+		a := (addr + uint32(i)) % DefaultMemory
+		mem.page(a >> pageBits)[a&(pageSize-1)] = byte(v >> (8 * i))
 	}
 }
 

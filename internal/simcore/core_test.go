@@ -23,7 +23,7 @@ func TestExtendProperty(t *testing.T) {
 
 // Property: memory store/load round trips at every size and address.
 func TestMemoryRoundTripProperty(t *testing.T) {
-	mem := make(Memory, DefaultMemory)
+	var mem Memory
 	f := func(addr uint32, v int64, sz uint8) bool {
 		size := []int{1, 2, 4, 8}[sz%4]
 		a := dataBase + addr%4096
@@ -43,17 +43,43 @@ func TestMemoryRoundTripProperty(t *testing.T) {
 // TestMemoryWraps: an access that runs off the end of memory wraps to
 // address zero instead of faulting.
 func TestMemoryWraps(t *testing.T) {
-	mem := make(Memory, 16)
-	mem.Store(14, 4, 0x44332211)
-	if mem[14] != 0x11 || mem[15] != 0x22 || mem[0] != 0x33 || mem[1] != 0x44 {
-		t.Errorf("wrapped store = % x", mem)
+	var mem Memory
+	const end = DefaultMemory
+	at := func(a uint32) uint64 { return mem.Load(a, 1) }
+	mem.Store(end-2, 4, 0x44332211)
+	if at(end-2) != 0x11 || at(end-1) != 0x22 || at(0) != 0x33 || at(1) != 0x44 {
+		t.Errorf("wrapped store = % x", []uint64{at(end - 2), at(end - 1), at(0), at(1)})
 	}
-	if got := mem.Load(14, 4); got != 0x44332211 {
+	if got := mem.Load(end-2, 4); got != 0x44332211 {
 		t.Errorf("wrapped load = %#x", got)
 	}
 	// An address past the end wraps too, even when the access would fit.
-	mem.Store(18, 2, 0x6655)
-	if mem[2] != 0x55 || mem[3] != 0x66 || mem.Load(2, 2) != 0x6655 || mem.Load(18, 2) != 0x6655 {
-		t.Errorf("store past the end = % x", mem)
+	mem.Store(end+2, 2, 0x6655)
+	if at(2) != 0x55 || at(3) != 0x66 || mem.Load(2, 2) != 0x6655 || mem.Load(end+2, 2) != 0x6655 {
+		t.Errorf("store past the end = % x", []uint64{at(2), at(3)})
+	}
+}
+
+// TestMemoryPages: untouched memory reads zero without being allocated,
+// an access straddling two pages reads back what it stored, and clear
+// zeroes what was stored while keeping the pages.
+func TestMemoryPages(t *testing.T) {
+	var mem Memory
+	if mem.Load(0x5000, 8) != 0 || mem.Load(pageSize-3, 8) != 0 || len(mem.used) != 0 {
+		t.Fatalf("fresh memory: loads %#x, %d pages allocated", mem.Load(0x5000, 8), len(mem.used))
+	}
+	mem.Store(pageSize-3, 8, 0x0807060504030201)
+	if got := mem.Load(pageSize-3, 8); got != 0x0807060504030201 {
+		t.Errorf("straddling load = %#x", got)
+	}
+	if got := mem.Load(pageSize, 4); got != 0x07060504 {
+		t.Errorf("second page = %#x", got)
+	}
+	if len(mem.used) != 2 {
+		t.Errorf("%d pages allocated, want 2", len(mem.used))
+	}
+	mem.clear()
+	if got := mem.Load(pageSize-3, 8); got != 0 || len(mem.used) != 2 {
+		t.Errorf("after clear: load %#x, %d pages", got, len(mem.used))
 	}
 }

@@ -63,41 +63,11 @@ func Decode(r io.Reader) (*Tables, error) {
 		return nil, fmt.Errorf("tablegen: decode grammar: %v", err)
 	}
 	p := &wt.Packed
-	t := &Tables{
-		Grammar:   g,
-		Terms:     g.Terminals(),
-		Nonterms:  append(append([]string{}, g.Nonterminals()...), g.Start+"'"),
-		Choices:   p.Choices,
-		Conflicts: wt.Conflicts,
-		SemBlocks: wt.SemBlocks,
-		Stats:     wt.Stats,
-		termID:    make(map[string]int),
-		ntID:      make(map[string]int),
-		packed:    p,
+	t, err := wrap(g, p)
+	if err != nil {
+		return nil, fmt.Errorf("tablegen: decode: %v", err)
 	}
-	for i, s := range t.Terms {
-		t.termID[s] = i
-	}
-	for i, s := range t.Nonterms {
-		t.ntID[s] = i
-	}
-	if int(p.NumTerms) != len(t.Terms) {
-		return nil, fmt.Errorf("tablegen: decode: table width %d does not match %d terminals",
-			p.NumTerms, len(t.Terms))
-	}
-	if int(p.NumNonterms) != len(t.Nonterms) {
-		return nil, fmt.Errorf("tablegen: decode: %d goto columns do not match %d nonterminals",
-			p.NumNonterms, len(t.Nonterms))
-	}
-	if len(p.ProdLHS) != len(g.Prods)+1 {
-		return nil, fmt.Errorf("tablegen: decode: %d productions do not match grammar's %d",
-			len(p.ProdLHS)-1, len(g.Prods))
-	}
-	if len(p.Base) != int(p.NumStates) || len(p.Default) != int(p.NumStates) ||
-		len(p.GBase) != int(p.NumNonterms) || len(p.GDefault) != int(p.NumNonterms) ||
-		len(p.Next) != len(p.Check) || len(p.GNext) != len(p.GCheck) {
-		return nil, fmt.Errorf("tablegen: decode: packed array sizes are inconsistent")
-	}
+	t.Conflicts, t.SemBlocks, t.Stats = wt.Conflicts, wt.SemBlocks, wt.Stats
 	// Rebuild the dense matrices by exhaustive packed lookup; exact
 	// equivalence of the two forms makes this a lossless inverse of Pack.
 	t.Action = make([][]Action, p.NumStates)
@@ -114,5 +84,6 @@ func Decode(r io.Reader) (*Tables, error) {
 		t.Action[s] = arow
 		t.Goto[s] = grow
 	}
+	t.setSummary()
 	return t, nil
 }

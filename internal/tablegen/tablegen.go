@@ -97,7 +97,10 @@ type BuildStats struct {
 
 // Tables is the constructed parser: the ACTION/GOTO tables driving the
 // instruction pattern matcher, plus the diagnostics gathered during
-// construction.
+// construction. Tables a target loads from its shipped form (Load) carry
+// only the grammar, the symbol numbering, the choice lists, the packed
+// form and the Summary; the dense matrices, diagnostics and Stats are
+// filled in by Build and Decode alone.
 type Tables struct {
 	Grammar  *cgram.Grammar
 	Terms    []string // terminal vocabulary; the end marker has id len(Terms)
@@ -114,14 +117,20 @@ type Tables struct {
 	termID map[string]int
 	ntID   map[string]int
 
-	// packed is the comb-vector form, built once by Build/Decode and
-	// immutable afterwards; the matcher's hot loop drives it.
-	packed *Packed
+	// packed is the comb-vector form, built once by Build/Decode (or
+	// shipped, for Load) and immutable afterwards; the matcher's hot loop
+	// drives it.
+	packed  *Packed
+	summary Summary
 }
 
 // Packed returns the comb-vector form of the tables, lookup-equivalent to
 // the dense form for every (state, symbol) pair.
 func (t *Tables) Packed() *Packed { return t.packed }
+
+// Summary returns the state and conflict counts and the measured sizes of
+// both encodings, whichever way the tables were made.
+func (t *Tables) Summary() Summary { return t.summary }
 
 // End returns the terminal id of the end-of-tree marker.
 func (t *Tables) End() int { return len(t.Terms) }
@@ -165,10 +174,12 @@ type Size struct {
 	PackedBytes   int // measured bytes of the comb-vector arrays
 }
 
-// Size returns the table size. Bytes counts the dense representation as
-// resident: the full states x (terminals+1) Action matrix at the in-memory
-// entry size, the full states x nonterminals int32 GOTO matrix, and the
-// choice lists. PackedBytes counts every int32 of the packed arrays.
+// Size returns the table size, measured on the dense matrices, so only
+// built or decoded tables have one (loaded tables report Summary). Bytes
+// counts the dense representation as resident: the full states x
+// (terminals+1) Action matrix at the in-memory entry size, the full
+// states x nonterminals int32 GOTO matrix, and the choice lists.
+// PackedBytes counts every int32 of the packed arrays.
 func (t *Tables) Size() Size {
 	s := Size{States: len(t.Action)}
 	for _, row := range t.Action {
@@ -219,6 +230,19 @@ func Build(g *cgram.Grammar, opt Options) (*Tables, error) {
 	}
 	b.buildStates()
 	b.fillTables()
-	b.tables.packed = b.tables.Pack()
-	return b.tables, nil
+	t := b.tables
+	t.packed = t.Pack()
+	t.setSummary()
+	return t, nil
+}
+
+// setSummary fills the summary of tables that have their dense form.
+func (t *Tables) setSummary() {
+	sz := t.Size()
+	t.summary = Summary{
+		States:      sz.States,
+		Conflicts:   len(t.Conflicts),
+		Bytes:       sz.Bytes,
+		PackedBytes: sz.PackedBytes,
+	}
 }

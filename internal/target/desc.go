@@ -1,8 +1,6 @@
 package target
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"sync"
 
@@ -13,26 +11,29 @@ import (
 )
 
 // Desc is a backend's machine description: the generic description text
-// it writes, and everything the static half of the system (§3) builds
-// from that text — the type-replicated grammar, the generic statistics,
-// the instruction-selection tables and their content hash — each built
-// once per process on first use. The built objects are immutable and
-// shared read-only by every concurrent compilation. A backend's Machine
-// embeds a *Desc, which supplies its Name, Grammar, GenericStats, Tables
-// and TableID methods.
+// it writes, the instruction-selection tables constructed from it offline
+// (`ggtables -gen` writes them into the backend's package as program
+// source, §3.2's static table constructor), and what the static half of
+// the system (§3) derives from those at run time — the type-replicated
+// grammar, the generic statistics, and the tables wrapped over the
+// grammar — each made once per process on first use. The objects are
+// immutable and shared read-only by every concurrent compilation. A
+// backend's Machine embeds a *Desc, which supplies its Name, Grammar,
+// GenericStats, Tables and TableID methods.
 type Desc struct {
 	name    string
+	shipped *tablegen.Shipped
 	grammar func() (*cgram.Grammar, error)
 	stats   func() (cgram.Stats, error)
 	tables  func() (*tablegen.Tables, error)
-	tableID func() (string, error)
 }
 
 // NewDesc returns the description of the machine called name (the
 // registry key, which also prefixes its errors) from its generic
-// description text.
-func NewDesc(name, generic string) *Desc {
-	d := &Desc{name: name}
+// description text and the tables shipped with it (nil before the first
+// `ggtables -gen`, when only Grammar and GenericStats work).
+func NewDesc(name, generic string, shipped *tablegen.Shipped) *Desc {
+	d := &Desc{name: name, shipped: shipped}
 	d.grammar = sync.OnceValues(func() (*cgram.Grammar, error) {
 		expanded, err := mdgen.Expand(generic)
 		if err != nil {
@@ -59,19 +60,14 @@ func NewDesc(name, generic string) *Desc {
 		if err != nil {
 			return nil, err
 		}
-		return tablegen.Build(g, tablegen.Options{})
-	})
-	d.tableID = sync.OnceValues(func() (string, error) {
-		t, err := d.tables()
+		if shipped == nil {
+			return nil, fmt.Errorf("%s: no shipped tables; generate them with ggtables -target %s -gen", name, name)
+		}
+		t, err := tablegen.Load(g, shipped)
 		if err != nil {
-			return "", err
+			return nil, fmt.Errorf("%s: %v", name, err)
 		}
-		h := sha256.New()
-		fmt.Fprintf(h, "encoding=%d\n", tablegen.EncodingVersion)
-		if err := t.Encode(h); err != nil {
-			return "", fmt.Errorf("%s: hashing tables: %v", name, err)
-		}
-		return hex.EncodeToString(h.Sum(nil)), nil
+		return t, nil
 	})
 	return d
 }
@@ -87,14 +83,18 @@ func (d *Desc) Grammar() (*cgram.Grammar, error) { return d.grammar() }
 // "458 productions" row of the paper's §8 statistics table.
 func (d *Desc) GenericStats() (cgram.Stats, error) { return d.stats() }
 
-// Tables returns the constructed instruction-selection tables, built once
-// per process.
+// Tables returns the instruction-selection tables: the shipped arrays
+// wrapped over the grammar, once per process. Nothing is constructed.
 func (d *Desc) Tables() (*tablegen.Tables, error) { return d.tables() }
 
-// TableID returns a hex content hash identifying the tables: the SHA-256
-// of their wire encoding (grammar text, packed action/goto combs,
-// conflicts, semantic blocks, build stats) plus the encoding version. Any
-// change to the description or the table constructor changes the ID,
+// TableID returns the shipped tables' content hash (tablegen.ID): the
+// SHA-256 of the built tables' wire encoding plus the encoding version.
+// Any change to the description or the table constructor changes the ID,
 // which is what makes it safe as the table-identity half of a
-// compile-cache fingerprint.
-func (d *Desc) TableID() (string, error) { return d.tableID() }
+// compile-cache fingerprint. It fails as Tables does.
+func (d *Desc) TableID() (string, error) {
+	if _, err := d.tables(); err != nil {
+		return "", err
+	}
+	return d.shipped.ID, nil
+}

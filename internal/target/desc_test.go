@@ -1,6 +1,7 @@
 package target_test
 
 import (
+	"strings"
 	"sync"
 	"testing"
 
@@ -11,16 +12,28 @@ import (
 )
 
 // TestDescBuildsOnce: concurrent first uses of one description share a
-// single build, and a fresh description over a backend's text hashes to
-// the backend's own table ID — the loader is deterministic over the same
-// bytes.
+// single load, and tables constructed afresh from a backend's text ship
+// under the backend's own table ID — construction is deterministic over
+// the same bytes, and the shipped ID is the one a build computes.
 func TestDescBuildsOnce(t *testing.T) {
 	for _, c := range []struct {
 		mach    target.Machine
 		generic string
 	}{{vax.Target, vax.GenericGrammar}, {risc.Target, risc.GenericGrammar}} {
 		t.Run(c.mach.Name(), func(t *testing.T) {
-			d := target.NewDesc(c.mach.Name(), c.generic)
+			g, err := c.mach.Grammar()
+			if err != nil {
+				t.Fatal(err)
+			}
+			built, err := tablegen.Build(g, tablegen.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			shipped, err := tablegen.Ship(built)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := target.NewDesc(c.mach.Name(), c.generic, shipped)
 			const n = 8
 			tabs := make([]*tablegen.Tables, n)
 			ids := make([]string, n)
@@ -69,7 +82,7 @@ func TestDescBuildsOnce(t *testing.T) {
 // TestDescErrorsPropagate: a description that does not parse fails every
 // derived build with the same error instead of building anything.
 func TestDescErrorsPropagate(t *testing.T) {
-	d := target.NewDesc("broken", "reg.l : (\n")
+	d := target.NewDesc("broken", "reg.l : (\n", nil)
 	_, gerr := d.Grammar()
 	if gerr == nil {
 		t.Fatal("broken description parsed")
@@ -79,5 +92,37 @@ func TestDescErrorsPropagate(t *testing.T) {
 	}
 	if _, err := d.TableID(); err == nil || err.Error() != gerr.Error() {
 		t.Errorf("TableID error %v, want %v", err, gerr)
+	}
+}
+
+// TestDescRefusesStaleTables: tables shipped for one description do not
+// load over another, and a description shipped without tables says how
+// to generate them; neither constructs anything.
+func TestDescRefusesStaleTables(t *testing.T) {
+	vaxGrammar, err := vax.Target.Grammar()
+	if err != nil {
+		t.Fatal(err)
+	}
+	built, err := tablegen.Build(vaxGrammar, tablegen.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shipped, err := tablegen.Ship(built)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := target.NewDesc("risc", risc.GenericGrammar, shipped)
+	if _, err := d.Tables(); err == nil || !strings.Contains(err.Error(), "ggtables -gen") {
+		t.Errorf("VAX tables over the RISC description: err %v", err)
+	}
+	if _, err := d.TableID(); err == nil {
+		t.Error("stale tables have a table ID")
+	}
+	d = target.NewDesc("risc", risc.GenericGrammar, nil)
+	if _, err := d.Tables(); err == nil || !strings.Contains(err.Error(), "ggtables -target risc -gen") {
+		t.Errorf("description without tables: err %v", err)
+	}
+	if _, err := d.Grammar(); err != nil {
+		t.Errorf("grammar of a description without tables: %v", err)
 	}
 }

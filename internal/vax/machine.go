@@ -10,8 +10,10 @@ import (
 	"ggcg/internal/vaxsim"
 )
 
-// desc is the VAX description, built once per process (target.Desc).
-var desc = target.NewDesc("vax", GenericGrammar)
+// desc is the VAX description with its shipped tables (target.Desc).
+//
+//go:generate go run ggcg/cmd/ggtables -target vax -gen tables_gen.go
+var desc = target.NewDesc("vax", GenericGrammar, shipped)
 
 // Grammar returns the type-replicated VAX machine description.
 func Grammar() (*cgram.Grammar, error) { return desc.Grammar() }

@@ -6,6 +6,7 @@ import (
 
 	"ggcg/internal/ir"
 	"ggcg/internal/matcher"
+	"ggcg/internal/tablegen"
 	"ggcg/internal/target"
 )
 
@@ -277,7 +278,7 @@ func TestGrammarBuildsAndValidates(t *testing.T) {
 	if st.ChainRules == 0 {
 		t.Error("no chain rules; the conversion sub-grammar is missing")
 	}
-	tb, err := Tables()
+	tb, err := tablegen.Build(g, tablegen.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
