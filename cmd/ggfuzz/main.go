@@ -15,6 +15,11 @@
 // The engine is deterministic: same -seed and -n → same coverage bitmap
 // and same corpus, regardless of machine.
 //
+// A passing run ends with a summary line: the candidates, the time, and
+// two rates, candidates per second and exec/s, the differential checks
+// (one program through the plain or the metamorphic oracle lattice) per
+// second.
+//
 // On a mismatch the failing program is shrunk to a minimal reproducer,
 // written under -repro-dir, and printed with its seed. If the shrinker
 // itself fails (the reduction no longer reproduces), ggfuzz says so
@@ -126,10 +131,16 @@ func main() {
 		if rep != nil {
 			cov = fmt.Sprintf(", %d/%d productions", rep.CoveredProds, rep.Productions)
 		}
-		fmt.Printf("ggfuzz: PASS: %s, %d candidates%s, %.1fs, %.0f cands/s\n",
-			mode, *n, cov, el.Seconds(), float64(*n)/el.Seconds())
+		fmt.Printf("ggfuzz: PASS: %s, %d candidates%s, %.1fs, %.0f cands/s, %.0f exec/s\n",
+			mode, *n, cov, el.Seconds(), float64(*n)/el.Seconds(), float64(execs.Load())/el.Seconds())
 	}
 }
+
+// execs counts the differential checks run, each one program through
+// a diffexec oracle lattice (the plain or the metamorphic one). The
+// summary line reports their rate as exec/s, the figure
+// BenchmarkDiffExec measures over a fixed seed range.
+var execs atomic.Int64
 
 // fail prints the failure, writes a reproducer when the error carries
 // source, and exits non-zero. A failed shrink is reported in its own
@@ -158,11 +169,13 @@ func candidateCheck(meta, check bool, target string) func(p *progen.Prog, cand i
 	}
 	return func(p *progen.Prog, cand int) error {
 		if check {
+			execs.Add(1)
 			if err := diffexec.CheckProg(p, int64(cand), diffexec.Config{Target: target}); err != nil {
 				return err
 			}
 		}
 		if meta {
+			execs.Add(1)
 			if err := diffexec.CheckMetaProg(p, int64(cand), diffexec.Config{Target: target}); err != nil {
 				return err
 			}
@@ -238,8 +251,10 @@ func runRandom(seed int64, n, jobs int, meta, wantCover bool, target string) (*c
 					continue // a lower seed already failed; drain quickly
 				}
 				p := progen.Generate(s)
+				execs.Add(1)
 				err := diffexec.Check(p.Render(), diffexec.Config{Obs: sh, Target: target})
 				if err == nil && meta {
+					execs.Add(1)
 					err = diffexec.CheckMetaProg(p, s, diffexec.Config{Target: target})
 				}
 				if err != nil {

@@ -18,7 +18,6 @@
 //	-naive        use the naive first-cut construction algorithm (§7)
 //	-conflicts    list every disambiguated conflict
 //	-blocks n     search for syntactic blocks on inputs up to n terminals
-//	-encode file  write the constructed tables to file
 //	-gen file     write the built-in description's tables as the Go source
 //	              its backend ships (go generate ./internal/... runs this)
 package main
@@ -64,7 +63,6 @@ func run(args []string, stdout io.Writer) error {
 		naive     = fs.Bool("naive", false, "use the naive construction algorithm")
 		conflicts = fs.Bool("conflicts", false, "list disambiguated conflicts")
 		blocks    = fs.Int("blocks", 0, "search for syntactic blocks up to n terminals")
-		encode    = fs.String("encode", "", "write constructed tables to `file`")
 		gen       = fs.String("gen", "", "write the built-in description's tables as Go source to `file`")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -141,11 +139,6 @@ func run(args []string, stdout io.Writer) error {
 			fmt.Fprintln(stdout, " ", blk)
 		}
 	}
-	if *encode != "" {
-		if err := write(stdout, t, *encode); err != nil {
-			return err
-		}
-	}
 	if *gen != "" {
 		return writeGo(stdout, mach.Name(), t, *gen)
 	}
@@ -200,41 +193,4 @@ func load(path string) (cgram.Stats, *cgram.Grammar, error) {
 		fmt.Fprintln(os.Stderr, "warning:", err)
 	}
 	return generic.Stats(), g, nil
-}
-
-// write encodes t to path and round-trips what was written: the wire
-// format ships only the packed comb vectors, so this proves the file
-// decodes back to the exact tables (version check, packed consistency
-// validation, dense reconstruction) before anything downstream trusts it.
-func write(stdout io.Writer, t *tablegen.Tables, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := t.Encode(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	rf, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	t2, err := tablegen.Decode(rf)
-	rf.Close()
-	if err != nil {
-		return fmt.Errorf("round-trip of %s failed: %v", path, err)
-	}
-	if t2.Stats.States != t.Stats.States || len(t2.Terms) != len(t.Terms) {
-		return fmt.Errorf("round-trip of %s changed the tables", path)
-	}
-	fi, err := os.Stat(path)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "tables written to %s (%d bytes on disk, version %d, round-trip verified)\n",
-		path, fi.Size(), tablegen.EncodingVersion)
-	return nil
 }

@@ -8,6 +8,7 @@ import (
 	"ggcg/internal/corpus"
 	"ggcg/internal/tablegen"
 	"ggcg/internal/vax"
+	"ggcg/internal/vaxsim"
 )
 
 // builtVAX constructs the VAX tables from the description once per test
@@ -66,6 +67,52 @@ func TestPackedEquivalenceVAX(t *testing.T) {
 	}
 	if got, want := shipped.Summary(), tb.Summary(); got != want {
 		t.Errorf("shipped summary %+v, built %+v", got, want)
+	}
+}
+
+// TestShippedTablesDriveCompilation reproduces the static/dynamic split of
+// §3: the tables are constructed once, shipped (tablegen.Ship, what
+// ggtables -gen writes), loaded over the grammar, and then drive a
+// compilation that executes correctly.
+func TestShippedTablesDriveCompilation(t *testing.T) {
+	built, err := builtVAX()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := tablegen.Ship(built)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := vax.Grammar()
+	if err != nil {
+		t.Fatal(err)
+	}
+	shipped, err := tablegen.Load(g, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := cfront.MustCompile(`
+int a[6];
+int main() {
+	int i, s = 0;
+	for (i = 0; i < 6; i++) a[i] = i * 3;
+	for (i = 0; i < 6; i++) s += a[i];
+	return s;
+}`)
+	res, err := Compile(u, Options{Tables: shipped})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := vaxsim.Assemble(res.Asm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := vaxsim.New(prog).Call("_main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != 45 {
+		t.Errorf("main = %d, want 45", got)
 	}
 }
 

@@ -1,57 +1,11 @@
 package codegen
 
 import (
-	"bytes"
 	"testing"
 
-	"ggcg/internal/cfront"
 	"ggcg/internal/ir"
 	"ggcg/internal/tablegen"
-	"ggcg/internal/vaxsim"
 )
-
-// TestShippedTablesDriveCompilation reproduces the static/dynamic split of
-// §3 through the wire encoding: the tables are constructed once,
-// serialized, decoded, and then drive a compilation that executes
-// correctly.
-func TestShippedTablesDriveCompilation(t *testing.T) {
-	built, err := builtVAX()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := built.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("encoded tables: %d bytes for %d states", buf.Len(), built.Stats.States)
-	shipped, err := tablegen.Decode(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	u := cfront.MustCompile(`
-int a[6];
-int main() {
-	int i, s = 0;
-	for (i = 0; i < 6; i++) a[i] = i * 3;
-	for (i = 0; i < 6; i++) s += a[i];
-	return s;
-}`)
-	res, err := Compile(u, Options{Tables: shipped})
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := vaxsim.Assemble(res.Asm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := vaxsim.New(prog).Call("_main")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 45 {
-		t.Errorf("main = %d, want 45", got)
-	}
-}
 
 // TestBlockSearchOnVAXDescription runs the bounded syntactic-block search
 // of §3.2 over the real description. The input model over-approximates

@@ -3,9 +3,8 @@
 // target.Machine seam. It shares its core (internal/simcore) with vaxsim
 // — the same directive set, label syntax, frame protocol and memory
 // layout — so generated code for either target executes against the same
-// differential oracles, and holds only its operand syntax and execute
-// table. The instruction set is a deliberately minimal three-register
-// design:
+// differential oracles, and holds only its operand syntax and decoders.
+// The instruction set is a deliberately minimal three-register design:
 // sixteen 64-bit registers, loads and stores as the only memory accesses,
 // no condition codes (compare-and-branch instead), and immediates only in
 // li/lfi/addi/push.
@@ -95,7 +94,7 @@ func (o Operand) Symbol() (string, bool) {
 type Instr = simcore.Instr[Operand]
 
 // Program is an assembled unit ready to execute.
-type Program = simcore.Program[Operand]
+type Program = simcore.Program[Operand, *Machine]
 
 // Assemble parses assembly text into an executable program.
 func Assemble(src string) (*Program, error) { return simcore.Assemble(&isa, src) }

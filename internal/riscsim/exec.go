@@ -1,100 +1,108 @@
 package riscsim
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
 	"ggcg/internal/simcore"
 )
 
-// handler executes one instruction.
-type handler = func(*Machine, *Instr) error
+// exec is a decoded instruction. The step loop advances control to
+// m.Next, which control transfers overwrite.
+type exec = simcore.Exec[*Machine]
 
-// execTable maps mnemonics to handlers. The assembler also consults it to
+// decoder checks an instruction's operands and returns its exec with
+// them bound.
+type decoder = func(in *Instr) exec
+
+// decoders maps mnemonics to decoders. The assembler also consults it to
 // reject unknown instructions at parse time.
-var execTable = map[string]handler{}
+var decoders = map[string]decoder{}
+
+var fail = simcore.Fail[*Machine]
 
 // sizes maps the integer size suffixes to byte widths.
 var sizes = map[byte]int{'b': 1, 'w': 2, 'l': 4}
 
 func init() {
 	// Data movement.
-	execTable["li"] = li
-	execTable["lfi"] = lfi
-	execTable["la"] = la
-	execTable["mv"] = mv
+	decoders["li"] = li
+	decoders["lfi"] = lfi
+	decoders["la"] = la
+	decoders["mv"] = mv
 	for s, n := range sizes {
-		execTable["ld"+string(s)] = loadInt(n)
-		execTable["st"+string(s)] = storeInt(n)
+		decoders["ld"+string(s)] = loadInt(n)
+		decoders["st"+string(s)] = storeInt(n)
 	}
-	execTable["ldf"] = ldf
-	execTable["ldd"] = ldd
-	execTable["stf"] = stf
-	execTable["std"] = std
+	decoders["ldf"] = ldf
+	decoders["ldd"] = ldd
+	decoders["stf"] = stf
+	decoders["std"] = std
 
 	// Integer arithmetic: three-register, destination first. Producers
 	// write per-size extended results; consumers re-extend, so only the
 	// low bits carry meaning between instructions.
 	for s, n := range sizes {
-		execTable["add"+string(s)] = binSigned(n, func(a, b int64) (int64, error) { return a + b, nil })
-		execTable["sub"+string(s)] = binSigned(n, func(a, b int64) (int64, error) { return a - b, nil })
-		execTable["mul"+string(s)] = binSigned(n, func(a, b int64) (int64, error) { return a * b, nil })
-		execTable["div"+string(s)] = binSigned(n, func(a, b int64) (int64, error) {
+		decoders["add"+string(s)] = binSigned(n, func(a, b int64) (int64, error) { return a + b, nil })
+		decoders["sub"+string(s)] = binSigned(n, func(a, b int64) (int64, error) { return a - b, nil })
+		decoders["mul"+string(s)] = binSigned(n, func(a, b int64) (int64, error) { return a * b, nil })
+		decoders["div"+string(s)] = binSigned(n, func(a, b int64) (int64, error) {
 			if b == 0 {
 				return 0, fmt.Errorf("divide by zero")
 			}
 			return a / b, nil
 		})
-		execTable["rem"+string(s)] = binSigned(n, func(a, b int64) (int64, error) {
+		decoders["rem"+string(s)] = binSigned(n, func(a, b int64) (int64, error) {
 			if b == 0 {
 				return 0, fmt.Errorf("modulus by zero")
 			}
 			return a % b, nil
 		})
-		execTable["divu"+string(s)] = binUnsigned(n, func(a, b int64) (int64, error) {
+		decoders["divu"+string(s)] = binUnsigned(n, func(a, b int64) (int64, error) {
 			if b == 0 {
 				return 0, fmt.Errorf("divide by zero")
 			}
 			return a / b, nil
 		})
-		execTable["remu"+string(s)] = binUnsigned(n, func(a, b int64) (int64, error) {
+		decoders["remu"+string(s)] = binUnsigned(n, func(a, b int64) (int64, error) {
 			if b == 0 {
 				return 0, fmt.Errorf("modulus by zero")
 			}
 			return a % b, nil
 		})
-		execTable["and"+string(s)] = binSigned(n, func(a, b int64) (int64, error) { return a & b, nil })
-		execTable["or"+string(s)] = binSigned(n, func(a, b int64) (int64, error) { return a | b, nil })
-		execTable["xor"+string(s)] = binSigned(n, func(a, b int64) (int64, error) { return a ^ b, nil })
-		execTable["sll"+string(s)] = binSigned(n, func(a, b int64) (int64, error) { return shiftLeft(a, b), nil })
-		execTable["sllu"+string(s)] = binUnsigned(n, func(a, b int64) (int64, error) { return shiftLeft(a, b), nil })
-		execTable["sra"+string(s)] = binSigned(n, func(a, b int64) (int64, error) { return shiftLeft(a, -b), nil })
-		execTable["srl"+string(s)] = binUnsigned(n, func(a, b int64) (int64, error) {
+		decoders["and"+string(s)] = binSigned(n, func(a, b int64) (int64, error) { return a & b, nil })
+		decoders["or"+string(s)] = binSigned(n, func(a, b int64) (int64, error) { return a | b, nil })
+		decoders["xor"+string(s)] = binSigned(n, func(a, b int64) (int64, error) { return a ^ b, nil })
+		decoders["sll"+string(s)] = binSigned(n, func(a, b int64) (int64, error) { return shiftLeft(a, b), nil })
+		decoders["sllu"+string(s)] = binUnsigned(n, func(a, b int64) (int64, error) { return shiftLeft(a, b), nil })
+		decoders["sra"+string(s)] = binSigned(n, func(a, b int64) (int64, error) { return shiftLeft(a, -b), nil })
+		decoders["srl"+string(s)] = binUnsigned(n, func(a, b int64) (int64, error) {
 			if b >= 32 || b < 0 {
 				return 0, nil
 			}
 			return int64(uint32(a) >> uint(b)), nil
 		})
-		execTable["neg"+string(s)] = unSigned(n, func(a int64) int64 { return -a })
-		execTable["not"+string(s)] = unSigned(n, func(a int64) int64 { return ^a })
+		decoders["neg"+string(s)] = unSigned(n, func(a int64) int64 { return -a })
+		decoders["not"+string(s)] = unSigned(n, func(a int64) int64 { return ^a })
 	}
-	execTable["addi"] = addi
+	decoders["addi"] = addi
 
 	// Floating arithmetic; f-forms round through float32.
 	for _, s := range []byte{'f', 'd'} {
 		f := s == 'f'
-		execTable["add"+string(s)] = binFloat(f, func(a, b float64) (float64, error) { return a + b, nil })
-		execTable["sub"+string(s)] = binFloat(f, func(a, b float64) (float64, error) { return a - b, nil })
-		execTable["mul"+string(s)] = binFloat(f, func(a, b float64) (float64, error) { return a * b, nil })
-		execTable["div"+string(s)] = binFloat(f, func(a, b float64) (float64, error) {
+		decoders["add"+string(s)] = binFloat(f, func(a, b float64) (float64, error) { return a + b, nil })
+		decoders["sub"+string(s)] = binFloat(f, func(a, b float64) (float64, error) { return a - b, nil })
+		decoders["mul"+string(s)] = binFloat(f, func(a, b float64) (float64, error) { return a * b, nil })
+		decoders["div"+string(s)] = binFloat(f, func(a, b float64) (float64, error) {
 			if b == 0 {
 				return 0, fmt.Errorf("floating divide by zero")
 			}
 			return a / b, nil
 		})
 	}
-	execTable["negf"] = unFloat(func(a float64) float64 { return -a })
-	execTable["negd"] = unFloat(func(a float64) float64 { return -a })
+	decoders["negf"] = unFloat(func(a float64) float64 { return -a })
+	decoders["negd"] = unFloat(func(a float64) float64 { return -a })
 
 	// Conversions. Integer pairs read the source size signed (or, in the
 	// u-forms, unsigned) and write per the destination size.
@@ -104,20 +112,20 @@ func init() {
 			if from == to {
 				continue
 			}
-			execTable["cvt"+string(from)+string(to)] = cvtInt(sizes[from], sizes[to], false)
+			decoders["cvt"+string(from)+string(to)] = cvtInt(sizes[from], sizes[to], false)
 			if sizes[from] < sizes[to] {
-				execTable["cvtu"+string(from)+string(to)] = cvtInt(sizes[from], sizes[to], true)
+				decoders["cvtu"+string(from)+string(to)] = cvtInt(sizes[from], sizes[to], true)
 			}
 		}
 		for _, to := range []byte{'f', 'd'} {
-			execTable["cvt"+string(from)+string(to)] = cvtIntFloat(sizes[from], to == 'f', false)
-			execTable["cvtu"+string(from)+string(to)] = cvtIntFloat(sizes[from], to == 'f', true)
+			decoders["cvt"+string(from)+string(to)] = cvtIntFloat(sizes[from], to == 'f', false)
+			decoders["cvtu"+string(from)+string(to)] = cvtIntFloat(sizes[from], to == 'f', true)
 		}
-		execTable["cvtf"+string(from)] = cvtFloatInt(sizes[from])
-		execTable["cvtd"+string(from)] = cvtFloatInt(sizes[from])
+		decoders["cvtf"+string(from)] = cvtFloatInt(sizes[from])
+		decoders["cvtd"+string(from)] = cvtFloatInt(sizes[from])
 	}
-	execTable["cvtfd"] = cvtFF(false)
-	execTable["cvtdf"] = cvtFF(true)
+	decoders["cvtfd"] = cvtFF(false)
+	decoders["cvtdf"] = cvtFF(true)
 
 	// Compare-and-branch. eq/ne need no unsigned variant: equality of the
 	// low bits is equality under either extension.
@@ -139,24 +147,24 @@ func init() {
 	}
 	for cond, cmp := range conds {
 		for s, n := range sizes {
-			execTable["b"+cond+string(s)] = branchInt(n, false, cmp)
+			decoders["b"+cond+string(s)] = branchInt(n, false, cmp)
 			if cond != "eq" && cond != "ne" {
-				execTable["b"+cond+"u"+string(s)] = branchInt(n, true, cmp)
+				decoders["b"+cond+"u"+string(s)] = branchInt(n, true, cmp)
 			}
 		}
 	}
 	for cond, cmp := range fconds {
-		execTable["b"+cond+"f"] = branchFloat(cmp)
-		execTable["b"+cond+"d"] = branchFloat(cmp)
+		decoders["b"+cond+"f"] = branchFloat(cmp)
+		decoders["b"+cond+"d"] = branchFloat(cmp)
 	}
-	execTable["jmp"] = jmp
+	decoders["jmp"] = jmp
 
 	// Calls and the stack.
-	execTable["push"] = push
-	execTable["pushd"] = pushd
-	execTable["call"] = call
-	execTable["ret"] = ret
-	execTable["enter"] = enter
+	decoders["push"] = push
+	decoders["pushd"] = pushd
+	decoders["call"] = call
+	decoders["ret"] = ret
+	decoders["enter"] = enter
 }
 
 // shiftLeft mirrors the reference interpreter's shift semantics (which in
@@ -175,510 +183,514 @@ func shiftLeft(v, cnt int64) int64 {
 	return v << uint(cnt)
 }
 
-// target resolves a code-transfer operand to an instruction index.
-func target(m *Machine, o *Operand) (int, error) {
+// target decodes a code-transfer operand to an instruction index.
+func target(o *Operand) (int, error) {
 	if o.Mode != MLabel && o.Mode != MAbs {
 		return 0, fmt.Errorf("bad code target %s", o)
 	}
-	m.ModeCounts[MLabel]++
 	if !o.IsCode {
 		return 0, fmt.Errorf("undefined code target %q", o.Sym)
 	}
 	return o.Code, nil
 }
 
-func li(m *Machine, in *Instr) error {
-	if err := in.WantOps(2); err != nil {
-		return err
+// regs checks that in has n operands, all registers, and returns their
+// numbers.
+func regs(in *Instr, n int) ([3]int, error) {
+	if err := in.WantOps(n); err != nil {
+		return [3]int{}, err
 	}
-	rd, err := m.reg(&in.Ops[0])
-	if err != nil {
-		return err
-	}
-	o := &in.Ops[1]
-	if o.Mode != MImm || o.IsF {
-		return fmt.Errorf("li needs an integer immediate")
-	}
-	m.ModeCounts[MImm]++
-	m.R[rd] = uint64(o.Imm)
-	return nil
+	return regsOf(in.Ops)
 }
 
-func lfi(m *Machine, in *Instr) error {
+// regsOf checks that the operands are registers and returns their
+// numbers.
+func regsOf(ops []Operand) (r [3]int, err error) {
+	for i := range ops {
+		if r[i], err = decodeReg(&ops[i]); err != nil {
+			return r, err
+		}
+	}
+	return r, nil
+}
+
+// regMem decodes `op rN,mem`.
+func regMem(in *Instr) (int, mem, error) {
 	if err := in.WantOps(2); err != nil {
-		return err
+		return 0, mem{}, err
 	}
-	rd, err := m.reg(&in.Ops[0])
+	r, err := decodeReg(&in.Ops[0])
 	if err != nil {
-		return err
+		return 0, mem{}, err
 	}
-	o := &in.Ops[1]
-	if o.Mode != MImm {
-		return fmt.Errorf("lfi needs an immediate")
+	a, err := decodeMem(&in.Ops[1])
+	return r, a, err
+}
+
+// regImm decodes `op rN,$imm`, the immediate integer unless float, and
+// failing with what when it is not an immediate of that kind.
+func regImm(in *Instr, float bool, what string) (int, *Operand, error) {
+	if err := in.WantOps(2); err != nil {
+		return 0, nil, err
 	}
-	m.ModeCounts[MImm]++
+	r, err := decodeReg(&in.Ops[0])
+	if err != nil {
+		return 0, nil, err
+	}
+	if o := &in.Ops[1]; o.Mode == MImm && (float || !o.IsF) {
+		return r, o, nil
+	}
+	return 0, nil, errors.New(what)
+}
+
+func li(in *Instr) exec {
+	rd, o, err := regImm(in, false, "li needs an integer immediate")
+	if err != nil {
+		return fail(err)
+	}
+	v := uint64(o.Imm)
+	return func(m *Machine) error {
+		m.ModeCounts[MReg]++
+		m.ModeCounts[MImm]++
+		m.R[rd] = v
+		return nil
+	}
+}
+
+func lfi(in *Instr) exec {
+	rd, o, err := regImm(in, true, "lfi needs an immediate")
+	if err != nil {
+		return fail(err)
+	}
 	v := float64(o.Imm)
 	if o.IsF {
 		v = o.FImm
 	}
-	m.setF(rd, v)
-	return nil
-}
-
-func la(m *Machine, in *Instr) error {
-	if err := in.WantOps(2); err != nil {
-		return err
-	}
-	rd, err := m.reg(&in.Ops[0])
-	if err != nil {
-		return err
-	}
-	a, err := m.memAddr(&in.Ops[1])
-	if err != nil {
-		return err
-	}
-	m.setInt(rd, 4, int64(int32(a)))
-	return nil
-}
-
-func mv(m *Machine, in *Instr) error {
-	if err := in.WantOps(2); err != nil {
-		return err
-	}
-	rd, err := m.reg(&in.Ops[0])
-	if err != nil {
-		return err
-	}
-	rs, err := m.reg(&in.Ops[1])
-	if err != nil {
-		return err
-	}
-	m.R[rd] = m.R[rs]
-	return nil
-}
-
-func loadInt(size int) handler {
-	return func(m *Machine, in *Instr) error {
-		if err := in.WantOps(2); err != nil {
-			return err
-		}
-		rd, err := m.reg(&in.Ops[0])
-		if err != nil {
-			return err
-		}
-		a, err := m.memAddr(&in.Ops[1])
-		if err != nil {
-			return err
-		}
-		m.setInt(rd, size, simcore.Extend(m.Mem.Load(a, size), size, false))
-		return nil
-	}
-}
-
-func storeInt(size int) handler {
-	return func(m *Machine, in *Instr) error {
-		if err := in.WantOps(2); err != nil {
-			return err
-		}
-		rs, err := m.reg(&in.Ops[0])
-		if err != nil {
-			return err
-		}
-		a, err := m.memAddr(&in.Ops[1])
-		if err != nil {
-			return err
-		}
-		m.Mem.Store(a, size, m.R[rs])
-		return nil
-	}
-}
-
-func ldf(m *Machine, in *Instr) error {
-	if err := in.WantOps(2); err != nil {
-		return err
-	}
-	rd, err := m.reg(&in.Ops[0])
-	if err != nil {
-		return err
-	}
-	a, err := m.memAddr(&in.Ops[1])
-	if err != nil {
-		return err
-	}
-	m.setF(rd, float64(math.Float32frombits(uint32(m.Mem.Load(a, 4)))))
-	return nil
-}
-
-func ldd(m *Machine, in *Instr) error {
-	if err := in.WantOps(2); err != nil {
-		return err
-	}
-	rd, err := m.reg(&in.Ops[0])
-	if err != nil {
-		return err
-	}
-	a, err := m.memAddr(&in.Ops[1])
-	if err != nil {
-		return err
-	}
-	m.R[rd] = m.Mem.Load(a, 8)
-	return nil
-}
-
-func stf(m *Machine, in *Instr) error {
-	if err := in.WantOps(2); err != nil {
-		return err
-	}
-	rs, err := m.reg(&in.Ops[0])
-	if err != nil {
-		return err
-	}
-	a, err := m.memAddr(&in.Ops[1])
-	if err != nil {
-		return err
-	}
-	m.Mem.Store(a, 4, uint64(math.Float32bits(float32(m.fval(rs)))))
-	return nil
-}
-
-func std(m *Machine, in *Instr) error {
-	if err := in.WantOps(2); err != nil {
-		return err
-	}
-	rs, err := m.reg(&in.Ops[0])
-	if err != nil {
-		return err
-	}
-	a, err := m.memAddr(&in.Ops[1])
-	if err != nil {
-		return err
-	}
-	m.Mem.Store(a, 8, m.R[rs])
-	return nil
-}
-
-func addi(m *Machine, in *Instr) error {
-	if err := in.WantOps(3); err != nil {
-		return err
-	}
-	rd, err := m.reg(&in.Ops[0])
-	if err != nil {
-		return err
-	}
-	ra, err := m.reg(&in.Ops[1])
-	if err != nil {
-		return err
-	}
-	o := &in.Ops[2]
-	if o.Mode != MImm || o.IsF {
-		return fmt.Errorf("addi needs an integer immediate")
-	}
-	m.ModeCounts[MImm]++
-	m.setInt(rd, 4, int64(int32(uint32(m.R[ra])+uint32(o.Imm))))
-	return nil
-}
-
-// threeRegs parses `op rD,rA,rB`.
-func threeRegs(m *Machine, in *Instr) (rd, ra, rb int, err error) {
-	if err = in.WantOps(3); err != nil {
-		return
-	}
-	if rd, err = m.reg(&in.Ops[0]); err != nil {
-		return
-	}
-	if ra, err = m.reg(&in.Ops[1]); err != nil {
-		return
-	}
-	rb, err = m.reg(&in.Ops[2])
-	return
-}
-
-func binSigned(size int, f func(a, b int64) (int64, error)) handler {
-	return func(m *Machine, in *Instr) error {
-		rd, ra, rb, err := threeRegs(m, in)
-		if err != nil {
-			return err
-		}
-		v, err := f(m.sx(ra, size), m.sx(rb, size))
-		if err != nil {
-			return err
-		}
-		m.setInt(rd, size, v)
-		return nil
-	}
-}
-
-func binUnsigned(size int, f func(a, b int64) (int64, error)) handler {
-	return func(m *Machine, in *Instr) error {
-		rd, ra, rb, err := threeRegs(m, in)
-		if err != nil {
-			return err
-		}
-		v, err := f(m.zx(ra, size), m.zx(rb, size))
-		if err != nil {
-			return err
-		}
-		m.setUint(rd, size, v)
-		return nil
-	}
-}
-
-func binFloat(round bool, f func(a, b float64) (float64, error)) handler {
-	return func(m *Machine, in *Instr) error {
-		rd, ra, rb, err := threeRegs(m, in)
-		if err != nil {
-			return err
-		}
-		v, err := f(m.fval(ra), m.fval(rb))
-		if err != nil {
-			return err
-		}
-		if round {
-			v = float64(float32(v))
-		}
+	return func(m *Machine) error {
+		m.ModeCounts[MReg]++
+		m.ModeCounts[MImm]++
 		m.setF(rd, v)
 		return nil
 	}
 }
 
-// twoRegs parses `op rD,rA`.
-func twoRegs(m *Machine, in *Instr) (rd, ra int, err error) {
-	if err = in.WantOps(2); err != nil {
-		return
+func la(in *Instr) exec {
+	rd, a, err := regMem(in)
+	if err != nil {
+		return fail(err)
 	}
-	if rd, err = m.reg(&in.Ops[0]); err != nil {
-		return
-	}
-	ra, err = m.reg(&in.Ops[1])
-	return
-}
-
-func unSigned(size int, f func(a int64) int64) handler {
-	return func(m *Machine, in *Instr) error {
-		rd, ra, err := twoRegs(m, in)
-		if err != nil {
-			return err
-		}
-		m.setInt(rd, size, f(m.sx(ra, size)))
+	return func(m *Machine) error {
+		m.ModeCounts[MReg]++
+		m.setInt(rd, 4, int64(int32(m.at(a))))
 		return nil
 	}
 }
 
-func unFloat(f func(a float64) float64) handler {
-	return func(m *Machine, in *Instr) error {
-		rd, ra, err := twoRegs(m, in)
-		if err != nil {
-			return err
-		}
-		m.setF(rd, f(m.fval(ra)))
+func mv(in *Instr) exec {
+	r, err := regs(in, 2)
+	if err != nil {
+		return fail(err)
+	}
+	rd, rs := r[0], r[1]
+	return func(m *Machine) error {
+		m.ModeCounts[MReg] += 2
+		m.R[rd] = m.R[rs]
 		return nil
 	}
 }
 
-func cvtInt(from, to int, unsigned bool) handler {
-	return func(m *Machine, in *Instr) error {
-		rd, ra, err := twoRegs(m, in)
+func loadInt(size int) decoder {
+	return func(in *Instr) exec {
+		rd, a, err := regMem(in)
 		if err != nil {
-			return err
+			return fail(err)
 		}
-		m.setInt(rd, to, simcore.Extend(m.R[ra], from, unsigned))
+		return func(m *Machine) error {
+			m.ModeCounts[MReg]++
+			m.setInt(rd, size, simcore.Extend(m.Mem.Load(m.at(a), size), size, false))
+			return nil
+		}
+	}
+}
+
+func storeInt(size int) decoder {
+	return func(in *Instr) exec {
+		rs, a, err := regMem(in)
+		if err != nil {
+			return fail(err)
+		}
+		return func(m *Machine) error {
+			m.ModeCounts[MReg]++
+			m.Mem.Store(m.at(a), size, m.R[rs])
+			return nil
+		}
+	}
+}
+
+func ldf(in *Instr) exec {
+	rd, a, err := regMem(in)
+	if err != nil {
+		return fail(err)
+	}
+	return func(m *Machine) error {
+		m.ModeCounts[MReg]++
+		m.setF(rd, float64(math.Float32frombits(uint32(m.Mem.Load(m.at(a), 4)))))
 		return nil
 	}
 }
 
-func cvtIntFloat(from int, toF, unsigned bool) handler {
-	return func(m *Machine, in *Instr) error {
-		rd, ra, err := twoRegs(m, in)
+func ldd(in *Instr) exec {
+	rd, a, err := regMem(in)
+	if err != nil {
+		return fail(err)
+	}
+	return func(m *Machine) error {
+		m.ModeCounts[MReg]++
+		m.R[rd] = m.Mem.Load(m.at(a), 8)
+		return nil
+	}
+}
+
+func stf(in *Instr) exec {
+	rs, a, err := regMem(in)
+	if err != nil {
+		return fail(err)
+	}
+	return func(m *Machine) error {
+		m.ModeCounts[MReg]++
+		m.Mem.Store(m.at(a), 4, uint64(math.Float32bits(float32(m.fval(rs)))))
+		return nil
+	}
+}
+
+func std(in *Instr) exec {
+	rs, a, err := regMem(in)
+	if err != nil {
+		return fail(err)
+	}
+	return func(m *Machine) error {
+		m.ModeCounts[MReg]++
+		m.Mem.Store(m.at(a), 8, m.R[rs])
+		return nil
+	}
+}
+
+func addi(in *Instr) exec {
+	if err := in.WantOps(3); err != nil {
+		return fail(err)
+	}
+	r, err := regsOf(in.Ops[:2])
+	if err != nil {
+		return fail(err)
+	}
+	o := &in.Ops[2]
+	if o.Mode != MImm || o.IsF {
+		return fail(fmt.Errorf("addi needs an integer immediate"))
+	}
+	rd, ra, v := r[0], r[1], uint32(o.Imm)
+	return func(m *Machine) error {
+		m.ModeCounts[MReg] += 2
+		m.ModeCounts[MImm]++
+		m.setInt(rd, 4, int64(int32(uint32(m.R[ra])+v)))
+		return nil
+	}
+}
+
+func binSigned(size int, f func(a, b int64) (int64, error)) decoder {
+	return func(in *Instr) exec {
+		r, err := regs(in, 3)
 		if err != nil {
-			return err
+			return fail(err)
 		}
+		rd, ra, rb := r[0], r[1], r[2]
+		return func(m *Machine) error {
+			m.ModeCounts[MReg] += 3
+			v, err := f(m.sx(ra, size), m.sx(rb, size))
+			if err != nil {
+				return err
+			}
+			m.setInt(rd, size, v)
+			return nil
+		}
+	}
+}
+
+func binUnsigned(size int, f func(a, b int64) (int64, error)) decoder {
+	return func(in *Instr) exec {
+		r, err := regs(in, 3)
+		if err != nil {
+			return fail(err)
+		}
+		rd, ra, rb := r[0], r[1], r[2]
+		return func(m *Machine) error {
+			m.ModeCounts[MReg] += 3
+			v, err := f(m.zx(ra, size), m.zx(rb, size))
+			if err != nil {
+				return err
+			}
+			m.setUint(rd, size, v)
+			return nil
+		}
+	}
+}
+
+func binFloat(round bool, f func(a, b float64) (float64, error)) decoder {
+	return func(in *Instr) exec {
+		r, err := regs(in, 3)
+		if err != nil {
+			return fail(err)
+		}
+		rd, ra, rb := r[0], r[1], r[2]
+		return func(m *Machine) error {
+			m.ModeCounts[MReg] += 3
+			v, err := f(m.fval(ra), m.fval(rb))
+			if err != nil {
+				return err
+			}
+			if round {
+				v = float64(float32(v))
+			}
+			m.setF(rd, v)
+			return nil
+		}
+	}
+}
+
+// unary decodes `op rD,rA` into the exec that sets rD to f(rA).
+func unary(f func(m *Machine, ra int) uint64) decoder {
+	return func(in *Instr) exec {
+		r, err := regs(in, 2)
+		if err != nil {
+			return fail(err)
+		}
+		rd, ra := r[0], r[1]
+		return func(m *Machine) error {
+			m.ModeCounts[MReg] += 2
+			m.R[rd] = f(m, ra)
+			return nil
+		}
+	}
+}
+
+func unSigned(size int, f func(a int64) int64) decoder {
+	return unary(func(m *Machine, ra int) uint64 {
+		return uint64(simcore.Extend(uint64(f(m.sx(ra, size))), size, false))
+	})
+}
+
+func unFloat(f func(a float64) float64) decoder {
+	return unary(func(m *Machine, ra int) uint64 { return math.Float64bits(f(m.fval(ra))) })
+}
+
+func cvtInt(from, to int, unsigned bool) decoder {
+	return unary(func(m *Machine, ra int) uint64 {
+		return uint64(simcore.Extend(uint64(simcore.Extend(m.R[ra], from, unsigned)), to, false))
+	})
+}
+
+func cvtIntFloat(from int, toF, unsigned bool) decoder {
+	return unary(func(m *Machine, ra int) uint64 {
 		v := float64(simcore.Extend(m.R[ra], from, unsigned))
 		if toF {
 			v = float64(float32(v))
 		}
-		m.setF(rd, v)
-		return nil
-	}
+		return math.Float64bits(v)
+	})
 }
 
-func cvtFloatInt(to int) handler {
-	return func(m *Machine, in *Instr) error {
-		rd, ra, err := twoRegs(m, in)
-		if err != nil {
-			return err
-		}
-		m.setInt(rd, to, int64(m.fval(ra))) // truncates toward zero
-		return nil
-	}
+func cvtFloatInt(to int) decoder {
+	return unary(func(m *Machine, ra int) uint64 {
+		return uint64(simcore.Extend(uint64(int64(m.fval(ra))), to, false)) // truncates toward zero
+	})
 }
 
-func cvtFF(round bool) handler {
-	return func(m *Machine, in *Instr) error {
-		rd, ra, err := twoRegs(m, in)
-		if err != nil {
-			return err
-		}
+func cvtFF(round bool) decoder {
+	return unary(func(m *Machine, ra int) uint64 {
 		v := m.fval(ra)
 		if round {
 			v = float64(float32(v))
 		}
-		m.setF(rd, v)
-		return nil
+		return math.Float64bits(v)
+	})
+}
+
+// compareBranch decodes `op rA,rB,target`.
+func compareBranch(in *Instr) (ra, rb, t int, err error) {
+	if err = in.WantOps(3); err != nil {
+		return
+	}
+	if ra, err = decodeReg(&in.Ops[0]); err != nil {
+		return
+	}
+	if rb, err = decodeReg(&in.Ops[1]); err != nil {
+		return
+	}
+	t, err = target(&in.Ops[2])
+	return
+}
+
+func branchInt(size int, unsigned bool, cmp func(a, b int64) bool) decoder {
+	return func(in *Instr) exec {
+		ra, rb, t, err := compareBranch(in)
+		if err != nil {
+			return fail(err)
+		}
+		return func(m *Machine) error {
+			m.ModeCounts[MReg] += 2
+			m.ModeCounts[MLabel]++
+			var a, b int64
+			if unsigned {
+				a, b = m.zx(ra, size), m.zx(rb, size)
+			} else {
+				a, b = m.sx(ra, size), m.sx(rb, size)
+			}
+			if cmp(a, b) {
+				m.Next = t
+			}
+			return nil
+		}
 	}
 }
 
-func branchInt(size int, unsigned bool, cmp func(a, b int64) bool) handler {
-	return func(m *Machine, in *Instr) error {
-		if err := in.WantOps(3); err != nil {
-			return err
-		}
-		ra, err := m.reg(&in.Ops[0])
+func branchFloat(cmp func(a, b float64) bool) decoder {
+	return func(in *Instr) exec {
+		ra, rb, t, err := compareBranch(in)
 		if err != nil {
-			return err
+			return fail(err)
 		}
-		rb, err := m.reg(&in.Ops[1])
-		if err != nil {
-			return err
+		return func(m *Machine) error {
+			m.ModeCounts[MReg] += 2
+			m.ModeCounts[MLabel]++
+			if cmp(m.fval(ra), m.fval(rb)) {
+				m.Next = t
+			}
+			return nil
 		}
-		t, err := target(m, &in.Ops[2])
-		if err != nil {
-			return err
-		}
-		var a, b int64
-		if unsigned {
-			a, b = m.zx(ra, size), m.zx(rb, size)
-		} else {
-			a, b = m.sx(ra, size), m.sx(rb, size)
-		}
-		if cmp(a, b) {
-			m.Next = t
-		}
-		return nil
 	}
 }
 
-func branchFloat(cmp func(a, b float64) bool) handler {
-	return func(m *Machine, in *Instr) error {
-		if err := in.WantOps(3); err != nil {
-			return err
-		}
-		ra, err := m.reg(&in.Ops[0])
-		if err != nil {
-			return err
-		}
-		rb, err := m.reg(&in.Ops[1])
-		if err != nil {
-			return err
-		}
-		t, err := target(m, &in.Ops[2])
-		if err != nil {
-			return err
-		}
-		if cmp(m.fval(ra), m.fval(rb)) {
-			m.Next = t
-		}
-		return nil
-	}
-}
-
-func jmp(m *Machine, in *Instr) error {
+func jmp(in *Instr) exec {
 	if err := in.WantOps(1); err != nil {
-		return err
+		return fail(err)
 	}
-	t, err := target(m, &in.Ops[0])
+	t, err := target(&in.Ops[0])
 	if err != nil {
-		return err
+		return fail(err)
 	}
-	m.Next = t
-	return nil
+	return func(m *Machine) error {
+		m.ModeCounts[MLabel]++
+		m.Next = t
+		return nil
+	}
 }
 
-func push(m *Machine, in *Instr) error {
+func push(in *Instr) exec {
 	if err := in.WantOps(1); err != nil {
-		return err
+		return fail(err)
 	}
 	o := &in.Ops[0]
 	if o.Mode == MImm {
 		if o.IsF {
-			return fmt.Errorf("push needs an integer operand")
+			return fail(fmt.Errorf("push needs an integer operand"))
 		}
-		m.ModeCounts[MImm]++
-		m.Push32(uint32(o.Imm))
+		v := uint32(o.Imm)
+		return func(m *Machine) error {
+			m.ModeCounts[MImm]++
+			m.Push32(v)
+			return nil
+		}
+	}
+	rs, err := decodeReg(o)
+	if err != nil {
+		return fail(err)
+	}
+	return func(m *Machine) error {
+		m.ModeCounts[MReg]++
+		m.Push32(uint32(m.R[rs]))
 		return nil
 	}
-	rs, err := m.reg(o)
-	if err != nil {
-		return err
-	}
-	m.Push32(uint32(m.R[rs]))
-	return nil
 }
 
 // pushd pushes an 8-byte floating value as two argument words, low word
 // at the lower address, matching the reference interpreter's argument
 // marshalling for doubles.
-func pushd(m *Machine, in *Instr) error {
+func pushd(in *Instr) exec {
 	if err := in.WantOps(1); err != nil {
-		return err
+		return fail(err)
 	}
 	o := &in.Ops[0]
-	var bits uint64
 	if o.Mode == MImm {
-		m.ModeCounts[MImm]++
 		v := float64(o.Imm)
 		if o.IsF {
 			v = o.FImm
 		}
-		bits = math.Float64bits(v)
-	} else {
-		rs, err := m.reg(o)
-		if err != nil {
-			return err
+		bits := math.Float64bits(v)
+		return func(m *Machine) error {
+			m.ModeCounts[MImm]++
+			m.push64(bits)
+			return nil
 		}
-		bits = m.R[rs]
 	}
+	rs, err := decodeReg(o)
+	if err != nil {
+		return fail(err)
+	}
+	return func(m *Machine) error {
+		m.ModeCounts[MReg]++
+		m.push64(m.R[rs])
+		return nil
+	}
+}
+
+func (m *Machine) push64(bits uint64) {
 	m.R[simcore.SP] = uint64(m.addr(simcore.SP) - 8)
 	m.Mem.Store(m.addr(simcore.SP), 8, bits)
-	return nil
 }
 
 // call $n,_sym transfers to a function, building the same stack frame
 // vaxsim's calls does: argument count, saved ap, fp and return pc, with
 // r6..r11 preserved across the call.
-func call(m *Machine, in *Instr) error {
+func call(in *Instr) exec {
 	if err := in.WantOps(2); err != nil {
-		return err
+		return fail(err)
 	}
 	if in.Ops[0].Mode != MImm {
-		return fmt.Errorf("call needs an immediate argument count")
+		return fail(fmt.Errorf("call needs an immediate argument count"))
 	}
-	m.ModeCounts[MImm]++
 	n := uint32(in.Ops[0].Imm)
-	entry, err := target(m, &in.Ops[1])
+	entry, err := target(&in.Ops[1])
 	if err != nil {
-		return err
+		return fail(err)
 	}
-	m.PushFrame(n, in.Ops[1].Sym, entry)
-	return nil
+	sym := in.Ops[1].Sym
+	return func(m *Machine) error {
+		m.ModeCounts[MImm]++
+		m.ModeCounts[MLabel]++
+		m.PushFrame(n, sym, entry)
+		return nil
+	}
 }
 
-func ret(m *Machine, in *Instr) error {
+func ret(in *Instr) exec {
 	if err := in.WantOps(0); err != nil {
-		return err
+		return fail(err)
 	}
-	return m.PopFrame()
+	return func(m *Machine) error { return m.PopFrame() }
 }
 
 // enter $n reserves n bytes of frame space for locals and spills.
-func enter(m *Machine, in *Instr) error {
+func enter(in *Instr) exec {
 	if err := in.WantOps(1); err != nil {
-		return err
+		return fail(err)
 	}
 	o := &in.Ops[0]
 	if o.Mode != MImm || o.IsF {
-		return fmt.Errorf("enter needs an integer immediate")
+		return fail(fmt.Errorf("enter needs an integer immediate"))
 	}
-	m.ModeCounts[MImm]++
-	m.R[simcore.SP] = uint64(m.addr(simcore.SP) - uint32(o.Imm))
-	return nil
+	n := uint32(o.Imm)
+	return func(m *Machine) error {
+		m.ModeCounts[MImm]++
+		m.R[simcore.SP] = uint64(m.addr(simcore.SP) - n)
+		return nil
+	}
 }

@@ -23,11 +23,14 @@ type ExecError = simcore.ExecError
 // isa is the RISC half of the simulator.
 var isa = simcore.ISA[Operand, *Machine]{
 	Name:      "riscsim",
-	Exec:      execTable,
+	Decode:    decoders,
 	Parse:     parseOperand,
 	Link:      func(o *Operand) *simcore.Ref { return &o.Ref },
 	ModeNames: []string{"rN", "d(rN)", "_abs", "$imm", "label"}, // AddrMode order
 }
+
+// Mnemonics returns the instruction mnemonics the machine accepts, sorted.
+func Mnemonics() []string { return isa.Mnemonics() }
 
 // New returns a machine for the program with default memory.
 func New(p *Program) *Machine {
@@ -39,27 +42,40 @@ func New(p *Program) *Machine {
 // addr reads a register as a 32-bit address.
 func (m *Machine) addr(r int) uint32 { return uint32(m.R[r]) }
 
-// memAddr resolves a memory operand (MDisp or MAbs) to an address.
-func (m *Machine) memAddr(o *Operand) (uint32, error) {
-	m.ModeCounts[o.Mode]++
-	switch o.Mode {
-	case MDisp:
-		return m.addr(o.Reg) + uint32(o.Disp), nil
-	case MAbs:
-		if !o.IsData {
-			return 0, fmt.Errorf("undefined symbol %q", o.Sym)
-		}
-		return o.Addr + uint32(o.Disp), nil
-	}
-	return 0, fmt.Errorf("operand %s is not a memory reference", o)
+// mem is a memory operand decoded: its address is R[base]&mask + off,
+// which covers d(rN) and, with a zero mask, _abs.
+type mem struct {
+	base int
+	mask uint32
+	off  uint32
+	mode AddrMode // its ModeCounts slot
 }
 
-// reg checks that the operand is a register and returns its number.
-func (m *Machine) reg(o *Operand) (int, error) {
+// at computes a memory operand's address.
+func (m *Machine) at(a mem) uint32 {
+	m.ModeCounts[a.mode]++
+	return m.addr(a.base)&a.mask + a.off
+}
+
+// decodeMem decodes a memory operand (MDisp or MAbs).
+func decodeMem(o *Operand) (mem, error) {
+	switch o.Mode {
+	case MDisp:
+		return mem{base: o.Reg, mask: ^uint32(0), off: uint32(o.Disp), mode: MDisp}, nil
+	case MAbs:
+		if !o.IsData {
+			return mem{}, fmt.Errorf("undefined symbol %q", o.Sym)
+		}
+		return mem{off: o.Addr + uint32(o.Disp), mode: MAbs}, nil
+	}
+	return mem{}, fmt.Errorf("operand %s is not a memory reference", o)
+}
+
+// decodeReg checks that the operand is a register and returns its number.
+func decodeReg(o *Operand) (int, error) {
 	if o.Mode != MReg {
 		return 0, fmt.Errorf("operand %s is not a register", o)
 	}
-	m.ModeCounts[MReg]++
 	return o.Reg, nil
 }
 

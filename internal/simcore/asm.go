@@ -7,9 +7,10 @@ import (
 	"strings"
 )
 
-// Instr is one assembled instruction. Op is its opcode, the index of its
-// mnemonic in the ISA's handler table, which the assembler stamps so the
-// step loop dispatches without looking the mnemonic up.
+// Instr is one assembled instruction, as written: its mnemonic, its
+// operands and its source line, with Op, the opcode of its mnemonic,
+// which the assembler stamps. What executes is the Exec its mnemonic's
+// decoder built from it, held in the Program beside it.
 type Instr[O Operand] struct {
 	Mn   string
 	Op   int
@@ -25,8 +26,8 @@ func (i Instr[O]) String() string {
 	return i.Mn + "\t" + strings.Join(parts, ",")
 }
 
-// WantOps checks that the instruction has n operands; the assembler
-// leaves operand counts to the handlers.
+// WantOps checks that the instruction has n operands, the first check of
+// every decoder.
 func (i *Instr[O]) WantOps(n int) error {
 	if len(i.Ops) != n {
 		return fmt.Errorf("want %d operands, have %d", n, len(i.Ops))
@@ -34,17 +35,25 @@ func (i *Instr[O]) WantOps(n int) error {
 	return nil
 }
 
-// Program is an assembled unit ready to execute. Machines only read it,
-// so any number may run one Program at once.
-type Program[O Operand] struct {
+// Program is an assembled unit ready to execute: the instructions, their
+// decoded form and the symbol tables. Machines only read it, so any
+// number may run one Program at once.
+type Program[O Operand, M any] struct {
 	Instrs  []Instr[O]
 	Labels  map[string]int    // code label -> instruction index
 	Globals map[string]uint32 // data symbol -> address
 	DataEnd uint32            // first address beyond static data
 	init    []dataInit
-	// decoded is set once every Instr carries its opcode and every
-	// operand its resolved symbol, as Assemble leaves them.
-	decoded bool
+	// code holds each instruction decoded, by index; nil until the
+	// Program is decoded, which Assemble does.
+	code []step[M]
+}
+
+// step is one decoded instruction: its Exec and its opcode, the slot of
+// the machine's execution counts it increments.
+type step[M any] struct {
+	exec Exec[M]
+	op   int
 }
 
 type dataInit struct {
@@ -59,9 +68,10 @@ const dataBase = 0x1000
 
 // Assemble parses assembly text into an executable program: label
 // definitions and directives here, mnemonics and operands through the
-// machine's execute table and operand parser.
-func Assemble[O Operand, M any](isa *ISA[O, M], src string) (*Program[O], error) {
-	p := &Program[O]{
+// machine's decoders and operand parser. It decodes every instruction
+// once, so executing one only calls its Exec.
+func Assemble[O Operand, M any](isa *ISA[O, M], src string) (*Program[O, M], error) {
+	p := &Program[O, M]{
 		Labels:  make(map[string]int),
 		Globals: make(map[string]uint32),
 	}
@@ -119,14 +129,14 @@ func Assemble[O Operand, M any](isa *ISA[O, M], src string) (*Program[O], error)
 			}
 		}
 	}
-	p.decoded = true
+	p.bind(isa.opcodes())
 	return p, nil
 }
 
 // Ref is what the assembler resolved of the symbol an operand names: the
 // code label's instruction index (Code, when IsCode) and the data
 // symbol's address (Addr, when IsData). A machine's operand embeds one
-// and ISA.Link returns it, so execution reads these fields instead of
+// and ISA.Link returns it, so a decoder reads these fields instead of
 // looking the symbol up.
 type Ref struct {
 	Code   int
@@ -139,7 +149,7 @@ type Ref struct {
 // (the ISA's Link). It reports false, with the symbol, for a code target
 // that is neither a label nor a global; any other symbol that does not
 // resolve is left to fail only if it is executed.
-func (p *Program[O]) link(ref func(*O) *Ref, o *O) (string, bool) {
+func (p *Program[O, M]) link(ref func(*O) *Ref, o *O) (string, bool) {
 	sym, label := (*o).Symbol()
 	if sym == "" {
 		return "", true
@@ -150,26 +160,35 @@ func (p *Program[O]) link(ref func(*O) *Ref, o *O) (string, bool) {
 	return sym, !label || r.IsCode || r.IsData
 }
 
-// decode returns a decoded copy of a Program built by hand: opcodes from
-// index, a mnemonic it lacks getting the unknown-instruction slot one past
-// the last, and operands linked. Unlike Assemble it accepts undefined
-// code targets and unknown mnemonics; they fail only when executed.
-func (p *Program[O]) decode(index map[string]int, ref func(*O) *Ref) *Program[O] {
+// bind decodes every linked instruction through its opcode's decoder.
+func (p *Program[O, M]) bind(t *opcodeTable[O, M]) {
+	p.code = make([]step[M], len(p.Instrs))
+	for i := range p.Instrs {
+		in := &p.Instrs[i]
+		p.code[i] = step[M]{t.decode[in.Op](in), in.Op}
+	}
+}
+
+// decode returns a decoded copy of a Program built by hand: opcodes
+// stamped and operands linked. Unlike Assemble it accepts undefined code
+// targets and unknown mnemonics; they fail only when executed.
+func (p *Program[O, M]) decode(isa *ISA[O, M]) *Program[O, M] {
+	t := isa.opcodes()
 	q := *p
 	q.Instrs = slices.Clone(p.Instrs)
 	for i := range q.Instrs {
 		in := &q.Instrs[i]
-		op, ok := index[in.Mn]
+		op, ok := t.index[in.Mn]
 		if !ok {
-			op = len(index)
+			op = len(t.names)
 		}
 		in.Op = op
 		in.Ops = slices.Clone(in.Ops)
 		for j := range in.Ops {
-			q.link(ref, &in.Ops[j])
+			q.link(isa.Link, &in.Ops[j])
 		}
 	}
-	q.decoded = true
+	q.bind(t)
 	return &q
 }
 
@@ -187,7 +206,7 @@ func isLabelDef(s string) bool {
 	return true
 }
 
-func (p *Program[O]) directive(line string, cursor uint32, inData bool) (uint32, bool, error) {
+func (p *Program[O, M]) directive(line string, cursor uint32, inData bool) (uint32, bool, error) {
 	fields := strings.Fields(line)
 	switch fields[0] {
 	case ".text":
@@ -271,12 +290,14 @@ func parseInstr[O Operand, M any](isa *ISA[O, M], line string, lineNo int) (Inst
 	}
 	if rest != "" {
 		in.Ops = make([]O, 0, strings.Count(rest, ",")+1)
-		for _, part := range strings.Split(rest, ",") {
-			op, err := isa.Parse(strings.TrimSpace(part))
+		for more := true; more; {
+			var part string
+			part, rest, more = strings.Cut(rest, ",")
+			o, err := isa.Parse(strings.TrimSpace(part))
 			if err != nil {
 				return in, err
 			}
-			in.Ops = append(in.Ops, op)
+			in.Ops = append(in.Ops, o)
 		}
 	}
 	return in, nil

@@ -4,19 +4,24 @@
 // register file, memory and calls/ret frame protocol, the step loop with
 // its step limit, counts and fault recovery, and the profile and global
 // accessors. A simulator supplies only what differs, as an ISA: its
-// operand syntax and its execute table.
+// operand syntax and a decoder per mnemonic.
 //
-// Names are resolved once, at assembly, the way the code generator
-// resolves its description into tables ahead of use: each instruction
-// carries its opcode, an index into a handler table built once from the
-// execute table, and each operand the code index and data address of the
-// symbol it names. The step loop only indexes.
+// Instructions are decoded once, at assembly, the way the code generator
+// resolves its description into tables ahead of use. Each operand is
+// linked to the code index or data address of the symbol it names; then
+// the mnemonic's decoder checks the operand count and each operand's
+// form and returns the instruction's Exec, a function with its register
+// numbers, displacements, immediates and targets bound. The Program
+// holds one Exec per instruction, so the step loop only indexes and
+// calls. An instruction whose operands are invalid decodes to an Exec
+// that returns the fault, so it fails when, and only if, it executes.
 package simcore
 
 import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -35,16 +40,27 @@ type Operand interface {
 	Symbol() (name string, label bool)
 }
 
+// Exec executes one decoded instruction on machine m. The step loop
+// advances control to Core.Next, which a control transfer overwrites. A
+// non-nil error faults the instruction.
+type Exec[M any] func(m M) error
+
+// Fail is the Exec of an instruction that faults with err whenever it
+// executes: what a decoder returns for operands it rejects.
+func Fail[M any](err error) Exec[M] {
+	return func(M) error { return err }
+}
+
 // ISA is the machine-specific half of a simulator, for machine type M
 // with operand type O.
 type ISA[O Operand, M any] struct {
 	// Name prefixes every error message ("vaxsim", "riscsim").
 	Name string
-	// Exec maps mnemonics to handlers; it is also the set of mnemonics the
-	// assembler accepts. It is the declaration: the assembler and the step
-	// loop use the opcode table built from it once. A handler advances
-	// control by setting Core.Next.
-	Exec map[string]func(M, *Instr[O]) error
+	// Decode maps mnemonics to decoders; it is also the set of mnemonics
+	// the assembler accepts. A decoder checks an instruction's operands,
+	// already linked, and returns its Exec with everything bound, or a
+	// Fail with the fault executing it must report.
+	Decode map[string]func(*Instr[O]) Exec[M]
 	// Parse parses one operand.
 	Parse func(string) (O, error)
 	// Link returns the Ref an operand embeds, where the assembler stores
@@ -60,35 +76,40 @@ type ISA[O Operand, M any] struct {
 	table opcodeTable[O, M]
 }
 
-// opcodeTable is an ISA's Exec indexed by opcode. Opcodes number the
-// mnemonics in sorted order.
+// opcodeTable is an ISA's Decode indexed by opcode. Opcodes number the
+// mnemonics in sorted order and index a machine's execution counts.
 type opcodeTable[O Operand, M any] struct {
 	names []string       // mnemonic of each opcode
 	index map[string]int // mnemonic -> opcode
-	// ops holds the handler of each opcode and, one past the last, the
-	// handler of a mnemonic the ISA lacks, which only a Program built by
+	// decode holds the decoder of each opcode and, one past the last,
+	// that of a mnemonic the ISA lacks, which only a Program built by
 	// hand can hold.
-	ops []func(M, *Instr[O]) error
+	decode []func(*Instr[O]) Exec[M]
 }
 
 // opcodes returns the opcode table, building it on first use.
 func (isa *ISA[O, M]) opcodes() *opcodeTable[O, M] {
 	isa.once.Do(func() {
 		t := &isa.table
-		for mn := range isa.Exec {
+		for mn := range isa.Decode {
 			t.names = append(t.names, mn)
 		}
 		sort.Strings(t.names)
 		t.index = make(map[string]int, len(t.names))
 		for op, mn := range t.names {
 			t.index[mn] = op
-			t.ops = append(t.ops, isa.Exec[mn])
+			t.decode = append(t.decode, isa.Decode[mn])
 		}
-		t.ops = append(t.ops, func(_ M, in *Instr[O]) error {
-			return fmt.Errorf("unknown instruction %q", in.Mn)
+		t.decode = append(t.decode, func(in *Instr[O]) Exec[M] {
+			return Fail[M](fmt.Errorf("unknown instruction %q", in.Mn))
 		})
 	})
 	return &isa.table
+}
+
+// Mnemonics returns the mnemonics the ISA accepts, sorted.
+func (isa *ISA[O, M]) Mnemonics() []string {
+	return slices.Clone(isa.opcodes().names)
 }
 
 // Dedicated register numbers.
@@ -113,7 +134,7 @@ const pageSize = 1 << pageBits
 // Core is the state and behaviour both simulators share. A machine embeds
 // it, so its fields and methods are the machine's.
 type Core[W Word, O Operand, M any] struct {
-	Prog *Program[O]
+	Prog *Program[O, M]
 	R    [16]W
 	Mem  Memory
 
@@ -133,36 +154,33 @@ type Core[W Word, O Operand, M any] struct {
 	ModeCounts [16]int64
 
 	isa    *ISA[O, M]
-	ops    []func(M, *Instr[O]) error // the ISA's handlers by opcode
 	self   M
 	pc     int
 	frames [][6]W  // r6..r11 of each active frame, the entry-mask save
 	counts []int64 // executions per opcode
 
 	// fnSteps attributes executed instructions to the function (call
-	// stack top) executing them; nil until EnableFuncProfile. fnRun
-	// counts the steps since the last call or return, charged to the top
-	// function at the next one.
+	// stack top) executing them; nil until EnableFuncProfile. fnMark is
+	// Steps at the last call or return: the steps since are charged to
+	// the top function at the next one.
 	fnSteps map[string]int64
 	fnStack []string
-	fnRun   int64
+	fnMark  int64
 }
 
 // NewCore returns the core of machine self for program p, with default
 // memory, already reset. A Program built by hand rather than by Assemble
 // is decoded into a private copy first.
-func NewCore[W Word, O Operand, M any](isa *ISA[O, M], self M, p *Program[O]) Core[W, O, M] {
-	t := isa.opcodes()
-	if !p.decoded {
-		p = p.decode(t.index, isa.Link)
+func NewCore[W Word, O Operand, M any](isa *ISA[O, M], self M, p *Program[O, M]) Core[W, O, M] {
+	if p.code == nil {
+		p = p.decode(isa)
 	}
 	c := Core[W, O, M]{
 		Prog:     p,
 		MaxSteps: 50_000_000,
 		isa:      isa,
-		ops:      t.ops,
 		self:     self,
-		counts:   make([]int64, len(t.ops)),
+		counts:   make([]int64, len(isa.opcodes().decode)),
 	}
 	c.load() // a new Memory reads zero everywhere
 	return c
@@ -236,7 +254,7 @@ func (c *Core[W, O, M]) CallPreservingState(name string, args ...int64) (int64, 
 }
 
 // run is the step loop: it executes from c.pc until the outermost frame
-// returns, dispatching on each instruction's opcode. A handler panic — an
+// returns, calling each instruction's decoded Exec. A panicking Exec — an
 // out-of-range register number in a hand-built Program, say — is
 // recovered here, once per call rather than once per step, and reported
 // with its instruction context like any other fault instead of unwinding
@@ -248,28 +266,27 @@ func (c *Core[W, O, M]) run() (r int64, err error) {
 		}
 		c.chargeFn()
 	}()
-	instrs, ops, counts := c.Prog.Instrs, c.ops, c.counts
-	start := c.Steps
-	for {
-		if c.pc == retSentinel {
+	code, counts, self := c.Prog.code, c.counts, c.self
+	limit := c.Steps + c.MaxSteps
+	for pc := c.pc; ; pc = c.Next {
+		if pc == retSentinel {
 			return int64(int32(uint32(c.R[0]))), nil
 		}
-		if c.pc < 0 || c.pc >= len(instrs) {
-			return 0, fmt.Errorf("%s: pc %d out of range", c.isa.Name, c.pc)
+		if uint(pc) >= uint(len(code)) {
+			return 0, fmt.Errorf("%s: pc %d out of range", c.isa.Name, pc)
 		}
-		if c.Steps++; c.Steps-start > c.MaxSteps {
+		if c.Steps++; c.Steps > limit {
+			// The step over the limit counts, but runs nothing, so no
+			// function is charged with it.
+			c.fnMark++
 			return 0, fmt.Errorf("%s: step limit %d exceeded", c.isa.Name, c.MaxSteps)
 		}
-		in := &instrs[c.pc]
-		counts[in.Op]++
-		if c.fnSteps != nil {
-			c.fnRun++
-		}
-		c.Next = c.pc + 1
-		if err := ops[in.Op](c.self, in); err != nil {
+		s := &code[pc]
+		counts[s.op]++
+		c.pc, c.Next = pc, pc+1
+		if err := s.exec(self); err != nil {
 			return 0, c.fault(err)
 		}
-		c.pc = c.Next
 	}
 }
 
@@ -282,10 +299,10 @@ func (c *Core[W, O, M]) fault(err error) *ExecError {
 // chargeFn charges the steps run since the last call or return to the
 // function on top of the call stack.
 func (c *Core[W, O, M]) chargeFn() {
-	if c.fnRun > 0 && len(c.fnStack) > 0 {
-		c.fnSteps[c.fnStack[len(c.fnStack)-1]] += c.fnRun
+	if n := c.Steps - c.fnMark; n > 0 && len(c.fnStack) > 0 {
+		c.fnSteps[c.fnStack[len(c.fnStack)-1]] += n
 	}
-	c.fnRun = 0
+	c.fnMark = c.Steps
 }
 
 // PushFrame is the call half of the frame protocol, after the caller has

@@ -23,6 +23,7 @@ type machine interface {
 	ReadGlobal(string, int) (int64, error)
 	ReadGlobalFloat(string, int) (float64, error)
 	Profile() obs.SimProfile
+	EnableFuncProfile()
 }
 
 // sim is one simulator under the shared behaviour table, with the
@@ -312,8 +313,7 @@ func TestCallPreservingState(t *testing.T) {
 
 // TestExecError: a runtime fault is one *simcore.ExecError, carrying the
 // pc, line and disassembly under the simulator's prefix, and unwrapping to
-// its cause; a panicking handler and an unknown mnemonic fault the same
-// way.
+// its cause; a panicking exec and an unknown mnemonic fault the same way.
 func TestExecError(t *testing.T) {
 	for _, s := range sims {
 		_, err := s.must(t, ".text\n"+s.div0).Call("_f")
@@ -344,10 +344,13 @@ func TestExecError(t *testing.T) {
 
 // TestStepLimit: MaxSteps bounds each call, not the machine's lifetime —
 // a reused machine runs calls whose sum exceeds it — while Steps keeps
-// counting across calls, and an infinite loop still fails.
+// counting across calls, and an infinite loop still fails. The step that
+// exceeds the limit counts in Steps but runs nothing, so no function is
+// charged with it.
 func TestStepLimit(t *testing.T) {
 	for _, s := range sims {
 		m := s.must(t, ".text\n"+s.countdown+"_f:\t.word 0\nL1:\t"+fmt.Sprintf(s.jump, "L1")+"\n")
+		m.EnableFuncProfile()
 		setMaxSteps(m, 100)
 		var per int64
 		for i := 0; i < 5; i++ {
@@ -368,8 +371,32 @@ func TestStepLimit(t *testing.T) {
 		if _, err := m.Call("_f"); err == nil || err.Error() != want {
 			t.Errorf("%s: infinite loop: err = %v, want %q", s.name, err, want)
 		}
+		p := m.Profile()
+		if p.Steps != 5*per+101 || p.FuncSteps["_g"] != 5*per || p.FuncSteps["_f"] != 100 {
+			t.Errorf("%s: after the limit, Steps = %d and func steps %v; want %d, _g %d and _f 100",
+				s.name, p.Steps, p.FuncSteps, 5*per+101, 5*per)
+		}
 		if _, err := m.Call("_g", 30); err != nil {
 			t.Errorf("%s: call after a step-limit failure: %v", s.name, err)
+		}
+	}
+}
+
+// TestNewAllocatesNothingPerInstruction: instructions are decoded at
+// assembly, so making a machine for a program costs the same whatever
+// the program's length.
+func TestNewAllocatesNothingPerInstruction(t *testing.T) {
+	for _, s := range sims {
+		allocs := func(n int) float64 {
+			newM, err := s.assemble(".text\n_f:\t.word 0\n" +
+				strings.Repeat("\t"+fmt.Sprintf(s.jump, "L1")+"\n", n) + "L1:\t" + s.ret + "\n")
+			if err != nil {
+				t.Fatalf("%s: assemble: %v", s.name, err)
+			}
+			return testing.AllocsPerRun(20, func() { newM() })
+		}
+		if one, many := allocs(1), allocs(1000); one != many {
+			t.Errorf("%s: a machine allocates %v times for 1 instruction, %v for 1000", s.name, one, many)
 		}
 	}
 }

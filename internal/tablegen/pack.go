@@ -25,8 +25,8 @@ func UnpackAction(code int32) Action {
 }
 
 // Packed is the comb-vector form of Tables: flat int32 arrays sized by the
-// useful entries rather than the full matrices, built once at Build or
-// Decode time and driven by the matcher's hot loop.
+// useful entries rather than the full matrices, built once at Build time
+// (or shipped) and driven by the matcher's hot loop.
 type Packed struct {
 	NumTerms    int32 // terminal count; the end marker's id is NumTerms
 	NumNonterms int32

@@ -1,9 +1,6 @@
 package tablegen
 
 import (
-	"bytes"
-	"encoding/gob"
-	"strings"
 	"testing"
 
 	"ggcg/internal/cgram"
@@ -32,10 +29,16 @@ func TestPackActionRoundTrip(t *testing.T) {
 // packed matcher loop rests on.
 func assertPackedEquivalent(t *testing.T, tb *Tables) {
 	t.Helper()
-	p := tb.Packed()
-	if p == nil {
+	if tb.Packed() == nil {
 		t.Fatal("Build left no packed tables")
 	}
+	assertPackedMatches(t, tb, tb.Packed())
+}
+
+// assertPackedMatches holds packed arrays p, built or shipped, to the
+// dense tables of build tb over every (state, symbol) pair.
+func assertPackedMatches(t *testing.T, tb *Tables, p *Packed) {
+	t.Helper()
 	nStates := len(tb.Action)
 	nTermsEnd := len(tb.Terms) + 1 // terminal ids plus the end marker
 	for s := 0; s < nStates; s++ {
@@ -88,28 +91,6 @@ func TestPackedSize(t *testing.T) {
 	}
 	if sz.Bytes <= 0 {
 		t.Fatalf("Bytes = %d", sz.Bytes)
-	}
-}
-
-// TestEncodeVersionRejected decodes a stream in the unversioned pre-comb
-// wire layout and expects the version error, not a garbled table set.
-func TestEncodeVersionRejected(t *testing.T) {
-	// The legacy layout shipped the dense matrices and no Version field;
-	// any subset of it decodes into wireTables with Version = 0.
-	legacy := struct {
-		GrammarText string
-		Start       string
-	}{GrammarText: addrGrammar, Start: "stmt"}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&legacy); err != nil {
-		t.Fatal(err)
-	}
-	_, err := Decode(&buf)
-	if err == nil {
-		t.Fatal("Decode accepted an unversioned legacy stream")
-	}
-	if !strings.Contains(err.Error(), "version") {
-		t.Errorf("error does not name the version mismatch: %v", err)
 	}
 }
 
@@ -171,15 +152,15 @@ func FuzzPackedEquivalence(f *testing.F) {
 		}
 		assertPackedEquivalent(t, tb)
 
-		// The packed form must also survive the wire format.
-		var buf bytes.Buffer
-		if err := tb.Encode(&buf); err != nil {
-			t.Fatal(err)
-		}
-		tb2, err := Decode(&buf)
+		// The packed form must also survive shipping.
+		s, err := Ship(tb)
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertPackedEquivalent(t, tb2)
+		loaded, err := Load(g, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertPackedMatches(t, tb, loaded.Packed())
 	})
 }

@@ -100,7 +100,7 @@ type BuildStats struct {
 // construction. Tables a target loads from its shipped form (Load) carry
 // only the grammar, the symbol numbering, the choice lists, the packed
 // form and the Summary; the dense matrices, diagnostics and Stats are
-// filled in by Build and Decode alone.
+// filled in by Build alone.
 type Tables struct {
 	Grammar  *cgram.Grammar
 	Terms    []string // terminal vocabulary; the end marker has id len(Terms)
@@ -117,9 +117,9 @@ type Tables struct {
 	termID map[string]int
 	ntID   map[string]int
 
-	// packed is the comb-vector form, built once by Build/Decode (or
-	// shipped, for Load) and immutable afterwards; the matcher's hot loop
-	// drives it.
+	// packed is the comb-vector form, built once by Build (or shipped,
+	// for Load) and immutable afterwards; the matcher's hot loop drives
+	// it.
 	packed  *Packed
 	summary Summary
 }

@@ -1,7 +1,6 @@
 package tablegen
 
 import (
-	"bytes"
 	"reflect"
 	"strings"
 	"testing"
@@ -376,40 +375,6 @@ func TestSymbolLookups(t *testing.T) {
 	}
 	if tb.End() != len(tb.Terms) {
 		t.Error("End() is not the last terminal id")
-	}
-}
-
-func TestEncodeDecodeRoundTrip(t *testing.T) {
-	tb := build(t, addrGrammar, Options{})
-	var buf bytes.Buffer
-	if err := tb.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	tb2, err := Decode(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(tb.Action, tb2.Action) || !reflect.DeepEqual(tb.Goto, tb2.Goto) {
-		t.Error("tables changed across encode/decode")
-	}
-	// The decoded tables still drive a parse.
-	reduces, ok := runParse(tb2, strings.Fields("Assign.l Name.l Const.l"))
-	if !ok || len(reduces) == 0 {
-		t.Error("decoded tables cannot parse")
-	}
-	// Symbol ids must agree.
-	for _, term := range tb.Terms {
-		a, _ := tb.TermID(term)
-		b, _ := tb2.TermID(term)
-		if a != b {
-			t.Errorf("terminal %q id changed: %d vs %d", term, a, b)
-		}
-	}
-}
-
-func TestDecodeGarbage(t *testing.T) {
-	if _, err := Decode(bytes.NewReader([]byte("not a gob"))); err == nil {
-		t.Error("Decode accepted garbage")
 	}
 }
 

@@ -12,7 +12,7 @@
 // but self-consistent calls/ret frame protocol.
 //
 // The package holds only what is VAX-specific — the operand syntax, the
-// execute table and the condition codes; the assembler front end, memory,
+// decoders and the condition codes; the assembler front end, memory,
 // frame protocol and step loop are internal/simcore's.
 package vaxsim
 
@@ -60,6 +60,9 @@ type Operand struct {
 	IsF      bool // immediate is floating
 	Deferred bool
 	simcore.Ref
+	// form is the operand decoded for its instruction's use, which the
+	// decoder fills in at assembly and the instruction's exec reads.
+	form opnd
 }
 
 func (o Operand) String() string {
@@ -112,7 +115,7 @@ func (o Operand) Symbol() (string, bool) {
 type Instr = simcore.Instr[Operand]
 
 // Program is an assembled unit ready to execute.
-type Program = simcore.Program[Operand]
+type Program = simcore.Program[Operand, *Machine]
 
 // Assemble parses assembly text into an executable program.
 func Assemble(src string) (*Program, error) { return simcore.Assemble(&isa, src) }

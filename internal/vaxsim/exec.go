@@ -1,33 +1,39 @@
 package vaxsim
 
 import (
+	"errors"
 	"fmt"
 
 	"ggcg/internal/simcore"
 )
 
-// handler executes one instruction. The step loop advances control to
-// m.Next, which control-transfer handlers overwrite.
-type handler = func(m *Machine, in *Instr) error
+// exec is a decoded instruction. The step loop advances control to
+// m.Next, which control transfers overwrite.
+type exec = simcore.Exec[*Machine]
 
-// execTable maps mnemonics to handlers; it also defines the accepted
+// decoder checks an instruction's operands and returns its exec with
+// them bound.
+type decoder = func(in *Instr) exec
+
+// decoders maps mnemonics to decoders; it also defines the accepted
 // instruction subset for the assembler.
-var execTable = map[string]handler{}
+var decoders = map[string]decoder{}
+
+var fail = simcore.Fail[*Machine]
 
 var intSuffix = map[string]int{"b": 1, "w": 2, "l": 4}
 var fltSuffix = map[string]int{"f": 4, "d": 8}
 
 func init() {
 	for s, size := range intSuffix {
-		size := size
-		execTable["mov"+s] = movInt(size)
-		execTable["clr"+s] = clrInt(size)
-		execTable["tst"+s] = tstInt(size)
-		execTable["cmp"+s] = cmpInt(size)
-		execTable["inc"+s] = incInt(size, 1)
-		execTable["dec"+s] = incInt(size, -1)
-		execTable["mneg"+s] = unaryInt(size, func(v int64) int64 { return -v })
-		execTable["mcom"+s] = unaryInt(size, func(v int64) int64 { return ^v })
+		decoders["mov"+s] = movInt(size)
+		decoders["clr"+s] = clrInt(size)
+		decoders["tst"+s] = tstInt(size)
+		decoders["cmp"+s] = cmpInt(size)
+		decoders["inc"+s] = incInt(size, 1)
+		decoders["dec"+s] = incInt(size, -1)
+		decoders["mneg"+s] = unaryInt(size, func(v int64) int64 { return -v })
+		decoders["mcom"+s] = unaryInt(size, func(v int64) int64 { return ^v })
 		for _, bin := range []struct {
 			name string
 			f    func(a, b int64) (int64, error)
@@ -40,17 +46,16 @@ func init() {
 			{"bis", func(a, b int64) (int64, error) { return b | a, nil }},
 			{"xor", func(a, b int64) (int64, error) { return b ^ a, nil }},
 		} {
-			execTable[bin.name+s+"2"] = binInt2(size, bin.f)
-			execTable[bin.name+s+"3"] = binInt3(size, bin.f)
+			decoders[bin.name+s+"2"] = binInt2(size, bin.f)
+			decoders[bin.name+s+"3"] = binInt3(size, bin.f)
 		}
 	}
 	for s, size := range fltSuffix {
-		size := size
-		execTable["mov"+s] = movFloat(size)
-		execTable["clr"+s] = clrFloat(size)
-		execTable["tst"+s] = tstFloat(size)
-		execTable["cmp"+s] = cmpFloat(size)
-		execTable["mneg"+s] = unaryFloat(size, func(v float64) float64 { return -v })
+		decoders["mov"+s] = movFloat(size)
+		decoders["clr"+s] = clrFloat(size)
+		decoders["tst"+s] = tstFloat(size)
+		decoders["cmp"+s] = cmpFloat(size)
+		decoders["mneg"+s] = unaryFloat(size, func(v float64) float64 { return -v })
 		for _, bin := range []struct {
 			name string
 			f    func(a, b float64) (float64, error)
@@ -60,14 +65,14 @@ func init() {
 			{"mul", func(a, b float64) (float64, error) { return b * a, nil }},
 			{"div", divFloat},
 		} {
-			execTable[bin.name+s+"2"] = binFloat2(size, bin.f)
-			execTable[bin.name+s+"3"] = binFloat3(size, bin.f)
+			decoders[bin.name+s+"2"] = binFloat2(size, bin.f)
+			decoders[bin.name+s+"3"] = binFloat3(size, bin.f)
 		}
 	}
 	// Unsigned widening moves.
-	execTable["movzbw"] = movz(1, 2)
-	execTable["movzbl"] = movz(1, 4)
-	execTable["movzwl"] = movz(2, 4)
+	decoders["movzbw"] = movz(1, 2)
+	decoders["movzbl"] = movz(1, 4)
+	decoders["movzwl"] = movz(2, 4)
 	// Conversions, including the cross products the grammar needs (§6.4).
 	suffixes := map[string]int{"b": 1, "w": 2, "l": 4, "f": 4, "d": 8}
 	isFloat := map[string]bool{"f": true, "d": true}
@@ -76,24 +81,115 @@ func init() {
 			if from == to {
 				continue
 			}
-			execTable["cvt"+from+to] = cvt(fs, ts, isFloat[from], isFloat[to])
+			decoders["cvt"+from+to] = cvt(fs, ts, isFloat[from], isFloat[to])
 		}
 	}
-	execTable["ashl"] = ashl
-	execTable["extzv"] = extzv
-	execTable["pushl"] = pushl
-	execTable["movab"] = mova(1)
-	execTable["movaw"] = mova(2)
-	execTable["moval"] = mova(4)
-	execTable["movaq"] = mova(8)
-	execTable["jbr"] = jbr
-	for name, cond := range branchConds {
-		execTable[name] = branch(cond)
+	decoders["ashl"] = ashl
+	decoders["extzv"] = extzv
+	decoders["pushl"] = pushl
+	decoders["movab"] = mova(1)
+	decoders["movaw"] = mova(2)
+	decoders["moval"] = mova(4)
+	decoders["movaq"] = mova(8)
+	decoders["jbr"] = branch(jump)
+	for name, taken := range branchConds {
+		decoders[name] = branch(taken)
 	}
-	execTable["calls"] = calls
-	execTable["ret"] = ret
-	execTable["aoblss"] = aob(func(index, limit int64) bool { return index < limit })
-	execTable["aobleq"] = aob(func(index, limit int64) bool { return index <= limit })
+	decoders["calls"] = calls
+	decoders["ret"] = ret
+	decoders["aoblss"] = aob(func(index, limit int64) bool { return index < limit })
+	decoders["aobleq"] = aob(func(index, limit int64) bool { return index <= limit })
+}
+
+// use is how an instruction uses an operand.
+type use uint8
+
+const (
+	read     use = iota
+	write        // written, not read
+	modify       // read, then written
+	address      // its address taken
+	evaluate     // evaluated only, its use checked apart (see cvt)
+)
+
+// spec is how an instruction uses one operand: the use, the data size,
+// and whether the data is floating or, read as an integer, unsigned.
+type spec struct {
+	use      use
+	size     int
+	float    bool
+	unsigned bool
+}
+
+func rd(size int) spec  { return spec{use: read, size: size} }
+func rdU(size int) spec { return spec{use: read, size: size, unsigned: true} }
+func wr(size int) spec  { return spec{use: write, size: size} }
+func md(size int) spec  { return spec{use: modify, size: size} }
+func rdF(size int) spec { return spec{use: read, size: size, float: true} }
+func wrF(size int) spec { return spec{use: write, size: size, float: true} }
+func mdF(size int) spec { return spec{use: modify, size: size, float: true} }
+
+var (
+	errImmWrite = errors.New("immediate operand is not writable")
+	errPair     = errors.New("double register pair out of range")
+	errNoAddr   = errors.New("mova source has no address")
+)
+
+// decodeOps checks that in has one operand per spec and decodes them.
+func decodeOps(in *Instr, specs ...spec) ([4]*opnd, error) {
+	if err := in.WantOps(len(specs)); err != nil {
+		return [4]*opnd{}, err
+	}
+	return decodeEach(in.Ops, specs...)
+}
+
+// decodeEach decodes each operand per its spec in turn, into the form the
+// operand keeps, and returns the forms. It fails with the first operand
+// fault in operand order, leaving the forms from there on nil; an
+// instruction that meets a run-time fault or evaluates its operands in
+// another order first handles that itself (faultAfter, cvt).
+func decodeEach(os []Operand, specs ...spec) (ops [4]*opnd, err error) {
+	for i, sp := range specs {
+		o := &os[i]
+		if err := o.decode(sp.size, sp.float); err != nil {
+			return ops, err
+		}
+		o.form.unsigned = sp.unsigned
+		if err := sp.check(&o.form); err != nil {
+			return ops, err
+		}
+		ops[i] = &o.form
+	}
+	return ops, nil
+}
+
+// check reports the fault of using the decoded operand d as sp says: a
+// D-float register pair must fit the register file, an immediate cannot
+// be written and only a memory operand has an address.
+func (sp spec) check(d *opnd) error {
+	pair := sp.float && sp.size == 8 && d.kind == okReg && d.reg >= 15
+	switch {
+	case pair && (sp.use == read || sp.use == write || sp.use == modify):
+		return errPair
+	case d.kind == okImm && (sp.use == write || sp.use == modify):
+		return errImmWrite
+	case sp.use == address && (d.kind == okReg || d.kind == okImm):
+		return errNoAddr
+	}
+	return nil
+}
+
+// faultAfter is the exec of an instruction whose destination is at
+// fault with err, where the instruction's own operation runs first and
+// may fault before it (a division by zero, an extzv field out of range):
+// pre evaluates the operands before the destination and does that part.
+func faultAfter(pre func(m *Machine) error, err error) exec {
+	return func(m *Machine) error {
+		if e := pre(m); e != nil {
+			return e
+		}
+		return err
+	}
 }
 
 func (m *Machine) setNZInt(v int64, size int) {
@@ -105,303 +201,251 @@ func (m *Machine) setNZFloat(v float64) {
 	m.N, m.Z, m.V, m.C = v < 0, v == 0, false, false
 }
 
-func movInt(size int) handler {
-	return func(m *Machine, in *Instr) error {
-		if err := in.WantOps(2); err != nil {
-			return err
-		}
-		src, err := m.resolve(&in.Ops[0], size)
+// getFloat and putFloat evaluate a floating operand and read or write it.
+func (m *Machine) getFloat(o *opnd) float64 { return m.loadFloat(o, m.at(o)) }
+
+func (m *Machine) putFloat(o *opnd, v float64) { m.storeFloat(o, m.at(o), v) }
+
+func movInt(size int) decoder {
+	return func(in *Instr) exec {
+		ops, err := decodeOps(in, rd(size), wr(size))
 		if err != nil {
-			return err
+			return fail(err)
 		}
-		v, err := m.readInt(src, size, false)
-		if err != nil {
-			return err
+		src, dst := ops[0], ops[1]
+		return func(m *Machine) error {
+			v := m.get(src)
+			m.setNZInt(v, size)
+			m.put(dst, v)
+			return nil
 		}
-		dst, err := m.resolve(&in.Ops[1], size)
-		if err != nil {
-			return err
-		}
-		m.setNZInt(v, size)
-		return m.writeInt(dst, size, v)
 	}
 }
 
-func movFloat(size int) handler {
-	return func(m *Machine, in *Instr) error {
-		if err := in.WantOps(2); err != nil {
-			return err
-		}
-		src, err := m.resolve(&in.Ops[0], size)
+func movFloat(size int) decoder {
+	return func(in *Instr) exec {
+		ops, err := decodeOps(in, rdF(size), wrF(size))
 		if err != nil {
-			return err
+			return fail(err)
 		}
-		v, err := m.readFloat(src, size)
-		if err != nil {
-			return err
+		src, dst := ops[0], ops[1]
+		return func(m *Machine) error {
+			v := m.getFloat(src)
+			m.setNZFloat(v)
+			m.putFloat(dst, v)
+			return nil
 		}
-		dst, err := m.resolve(&in.Ops[1], size)
-		if err != nil {
-			return err
-		}
-		m.setNZFloat(v)
-		return m.writeFloat(dst, size, v)
 	}
 }
 
-func movz(fromSize, toSize int) handler {
-	return func(m *Machine, in *Instr) error {
-		if err := in.WantOps(2); err != nil {
-			return err
-		}
-		src, err := m.resolve(&in.Ops[0], fromSize)
+func movz(fromSize, toSize int) decoder {
+	return func(in *Instr) exec {
+		ops, err := decodeOps(in, rdU(fromSize), wr(toSize))
 		if err != nil {
-			return err
+			return fail(err)
 		}
-		v, err := m.readInt(src, fromSize, true)
-		if err != nil {
-			return err
+		src, dst := ops[0], ops[1]
+		return func(m *Machine) error {
+			v := m.get(src)
+			m.setNZInt(v, toSize)
+			m.put(dst, v)
+			return nil
 		}
-		dst, err := m.resolve(&in.Ops[1], toSize)
-		if err != nil {
-			return err
-		}
-		m.setNZInt(v, toSize)
-		return m.writeInt(dst, toSize, v)
 	}
 }
 
-func cvt(fromSize, toSize int, fromF, toF bool) handler {
-	return func(m *Machine, in *Instr) error {
-		if err := in.WantOps(2); err != nil {
-			return err
+// cvt evaluates both operands before it reads the source, so a
+// destination's side effect on a source register shows in the value, and
+// a fault evaluating the destination comes before one reading the source.
+func cvt(fromSize, toSize int, fromF, toF bool) decoder {
+	from := spec{use: read, size: fromSize, float: fromF}
+	to := spec{use: write, size: toSize, float: toF}
+	return func(in *Instr) exec {
+		ops, err := decodeOps(in, spec{use: evaluate, size: fromSize, float: fromF},
+			spec{use: evaluate, size: toSize, float: toF})
+		if err == nil {
+			err = from.check(ops[0])
 		}
-		src, err := m.resolve(&in.Ops[0], fromSize)
+		if err == nil {
+			err = to.check(ops[1])
+		}
 		if err != nil {
-			return err
+			return fail(err)
 		}
-		dst, err := m.resolve(&in.Ops[1], toSize)
-		if err != nil {
-			return err
-		}
+		src, dst := ops[0], ops[1]
 		switch {
 		case fromF && toF:
-			v, err := m.readFloat(src, fromSize)
-			if err != nil {
-				return err
+			return func(m *Machine) error {
+				ls, ld := m.at(src), m.at(dst)
+				v := m.loadFloat(src, ls)
+				m.setNZFloat(v)
+				m.storeFloat(dst, ld, v)
+				return nil
 			}
-			m.setNZFloat(v)
-			return m.writeFloat(dst, toSize, v)
-		case fromF && !toF:
-			v, err := m.readFloat(src, fromSize)
-			if err != nil {
-				return err
+		case fromF:
+			return func(m *Machine) error {
+				ls, ld := m.at(src), m.at(dst)
+				v := int64(m.loadFloat(src, ls)) // CVTfL truncates toward zero
+				m.setNZInt(v, toSize)
+				m.store(dst, ld, v)
+				return nil
 			}
-			iv := int64(v) // CVTfL truncates toward zero
-			m.setNZInt(iv, toSize)
-			return m.writeInt(dst, toSize, iv)
-		case !fromF && toF:
-			v, err := m.readInt(src, fromSize, false)
-			if err != nil {
-				return err
+		case toF:
+			return func(m *Machine) error {
+				ls, ld := m.at(src), m.at(dst)
+				v := float64(m.load(src, ls))
+				m.setNZFloat(v)
+				m.storeFloat(dst, ld, v)
+				return nil
 			}
-			fv := float64(v)
-			m.setNZFloat(fv)
-			return m.writeFloat(dst, toSize, fv)
-		default:
-			v, err := m.readInt(src, fromSize, false)
-			if err != nil {
-				return err
-			}
+		}
+		return func(m *Machine) error {
+			ls, ld := m.at(src), m.at(dst)
+			v := m.load(src, ls)
 			m.setNZInt(v, toSize)
-			return m.writeInt(dst, toSize, v)
+			m.store(dst, ld, v)
+			return nil
 		}
 	}
 }
 
-func clrInt(size int) handler {
-	return func(m *Machine, in *Instr) error {
-		if err := in.WantOps(1); err != nil {
-			return err
-		}
-		dst, err := m.resolve(&in.Ops[0], size)
+func clrInt(size int) decoder {
+	return func(in *Instr) exec {
+		ops, err := decodeOps(in, wr(size))
 		if err != nil {
-			return err
+			return fail(err)
 		}
-		m.setNZInt(0, size)
-		return m.writeInt(dst, size, 0)
+		dst := ops[0]
+		return func(m *Machine) error {
+			m.setNZInt(0, size)
+			m.put(dst, 0)
+			return nil
+		}
 	}
 }
 
-func clrFloat(size int) handler {
-	return func(m *Machine, in *Instr) error {
-		if err := in.WantOps(1); err != nil {
-			return err
-		}
-		dst, err := m.resolve(&in.Ops[0], size)
+func clrFloat(size int) decoder {
+	return func(in *Instr) exec {
+		ops, err := decodeOps(in, wrF(size))
 		if err != nil {
-			return err
+			return fail(err)
 		}
-		m.setNZFloat(0)
-		return m.writeFloat(dst, size, 0)
+		dst := ops[0]
+		return func(m *Machine) error {
+			m.setNZFloat(0)
+			m.putFloat(dst, 0)
+			return nil
+		}
 	}
 }
 
-func tstInt(size int) handler {
-	return func(m *Machine, in *Instr) error {
-		if err := in.WantOps(1); err != nil {
-			return err
-		}
-		src, err := m.resolve(&in.Ops[0], size)
+func tstInt(size int) decoder {
+	return func(in *Instr) exec {
+		ops, err := decodeOps(in, rd(size))
 		if err != nil {
-			return err
+			return fail(err)
 		}
-		v, err := m.readInt(src, size, false)
-		if err != nil {
-			return err
+		src := ops[0]
+		return func(m *Machine) error {
+			m.setNZInt(m.get(src), size)
+			return nil
 		}
-		m.setNZInt(v, size)
-		return nil
 	}
 }
 
-func tstFloat(size int) handler {
-	return func(m *Machine, in *Instr) error {
-		if err := in.WantOps(1); err != nil {
-			return err
-		}
-		src, err := m.resolve(&in.Ops[0], size)
+func tstFloat(size int) decoder {
+	return func(in *Instr) exec {
+		ops, err := decodeOps(in, rdF(size))
 		if err != nil {
-			return err
+			return fail(err)
 		}
-		v, err := m.readFloat(src, size)
-		if err != nil {
-			return err
+		src := ops[0]
+		return func(m *Machine) error {
+			m.setNZFloat(m.getFloat(src))
+			return nil
 		}
-		m.setNZFloat(v)
-		return nil
 	}
 }
 
-func cmpInt(size int) handler {
-	return func(m *Machine, in *Instr) error {
-		if err := in.WantOps(2); err != nil {
-			return err
-		}
-		la, err := m.resolve(&in.Ops[0], size)
+func cmpInt(size int) decoder {
+	mask := uint64(1)<<(8*size) - 1
+	return func(in *Instr) exec {
+		ops, err := decodeOps(in, rd(size), rd(size))
 		if err != nil {
-			return err
+			return fail(err)
 		}
-		a, err := m.readInt(la, size, false)
-		if err != nil {
-			return err
+		x, y := ops[0], ops[1]
+		return func(m *Machine) error {
+			a := m.get(x)
+			b := m.get(y)
+			m.N, m.Z, m.V, m.C = a < b, a == b, false, uint64(a)&mask < uint64(b)&mask
+			return nil
 		}
-		lb, err := m.resolve(&in.Ops[1], size)
-		if err != nil {
-			return err
-		}
-		b, err := m.readInt(lb, size, false)
-		if err != nil {
-			return err
-		}
-		au, bu := uint64(a)&sizeMask(size), uint64(b)&sizeMask(size)
-		m.N, m.Z, m.V, m.C = a < b, a == b, false, au < bu
-		return nil
 	}
 }
 
-func cmpFloat(size int) handler {
-	return func(m *Machine, in *Instr) error {
-		if err := in.WantOps(2); err != nil {
-			return err
-		}
-		la, err := m.resolve(&in.Ops[0], size)
+func cmpFloat(size int) decoder {
+	return func(in *Instr) exec {
+		ops, err := decodeOps(in, rdF(size), rdF(size))
 		if err != nil {
-			return err
+			return fail(err)
 		}
-		a, err := m.readFloat(la, size)
-		if err != nil {
-			return err
+		x, y := ops[0], ops[1]
+		return func(m *Machine) error {
+			a := m.getFloat(x)
+			b := m.getFloat(y)
+			m.N, m.Z, m.V, m.C = a < b, a == b, false, a < b
+			return nil
 		}
-		lb, err := m.resolve(&in.Ops[1], size)
-		if err != nil {
-			return err
-		}
-		b, err := m.readFloat(lb, size)
-		if err != nil {
-			return err
-		}
-		m.N, m.Z, m.V, m.C = a < b, a == b, false, a < b
-		return nil
 	}
 }
 
-func sizeMask(size int) uint64 {
-	return 1<<(8*size) - 1
-}
-
-func incInt(size int, delta int64) handler {
-	return func(m *Machine, in *Instr) error {
-		if err := in.WantOps(1); err != nil {
-			return err
-		}
-		dst, err := m.resolve(&in.Ops[0], size)
+func incInt(size int, delta int64) decoder {
+	return func(in *Instr) exec {
+		ops, err := decodeOps(in, md(size))
 		if err != nil {
-			return err
+			return fail(err)
 		}
-		v, err := m.readInt(dst, size, false)
-		if err != nil {
-			return err
+		dst := ops[0]
+		return func(m *Machine) error {
+			l := m.at(dst)
+			v := m.load(dst, l) + delta
+			m.setNZInt(v, size)
+			m.store(dst, l, v)
+			return nil
 		}
-		v += delta
-		m.setNZInt(v, size)
-		return m.writeInt(dst, size, v)
 	}
 }
 
-func unaryInt(size int, f func(int64) int64) handler {
-	return func(m *Machine, in *Instr) error {
-		if err := in.WantOps(2); err != nil {
-			return err
-		}
-		src, err := m.resolve(&in.Ops[0], size)
+func unaryInt(size int, f func(int64) int64) decoder {
+	return func(in *Instr) exec {
+		ops, err := decodeOps(in, rd(size), wr(size))
 		if err != nil {
-			return err
+			return fail(err)
 		}
-		v, err := m.readInt(src, size, false)
-		if err != nil {
-			return err
+		src, dst := ops[0], ops[1]
+		return func(m *Machine) error {
+			r := f(m.get(src))
+			m.setNZInt(r, size)
+			m.put(dst, r)
+			return nil
 		}
-		dst, err := m.resolve(&in.Ops[1], size)
-		if err != nil {
-			return err
-		}
-		r := f(v)
-		m.setNZInt(r, size)
-		return m.writeInt(dst, size, r)
 	}
 }
 
-func unaryFloat(size int, f func(float64) float64) handler {
-	return func(m *Machine, in *Instr) error {
-		if err := in.WantOps(2); err != nil {
-			return err
-		}
-		src, err := m.resolve(&in.Ops[0], size)
+func unaryFloat(size int, f func(float64) float64) decoder {
+	return func(in *Instr) exec {
+		ops, err := decodeOps(in, rdF(size), wrF(size))
 		if err != nil {
-			return err
+			return fail(err)
 		}
-		v, err := m.readFloat(src, size)
-		if err != nil {
-			return err
+		src, dst := ops[0], ops[1]
+		return func(m *Machine) error {
+			r := f(m.getFloat(src))
+			m.setNZFloat(r)
+			m.putFloat(dst, r)
+			return nil
 		}
-		dst, err := m.resolve(&in.Ops[1], size)
-		if err != nil {
-			return err
-		}
-		r := f(v)
-		m.setNZFloat(r)
-		return m.writeFloat(dst, size, r)
 	}
 }
 
@@ -423,283 +467,246 @@ func divFloat(a, b float64) (float64, error) {
 }
 
 // binInt2 implements op2 src,dst: dst = dst OP src.
-func binInt2(size int, f func(a, b int64) (int64, error)) handler {
-	return func(m *Machine, in *Instr) error {
-		if err := in.WantOps(2); err != nil {
-			return err
+func binInt2(size int, f func(a, b int64) (int64, error)) decoder {
+	return func(in *Instr) exec {
+		ops, err := decodeOps(in, rd(size), md(size))
+		src, dst := ops[0], ops[1]
+		if err == errImmWrite {
+			// An immediate destination faults on the write, after f.
+			dst = &in.Ops[1].form
+			return faultAfter(func(m *Machine) error {
+				_, err := f(m.get(src), m.get(dst))
+				return err
+			}, err)
 		}
-		ls, err := m.resolve(&in.Ops[0], size)
 		if err != nil {
-			return err
+			return fail(err)
 		}
-		a, err := m.readInt(ls, size, false)
-		if err != nil {
-			return err
+		return func(m *Machine) error {
+			a := m.get(src)
+			l := m.at(dst)
+			r, err := f(a, m.load(dst, l))
+			if err != nil {
+				return err
+			}
+			m.setNZInt(r, size)
+			m.store(dst, l, r)
+			return nil
 		}
-		ld, err := m.resolve(&in.Ops[1], size)
-		if err != nil {
-			return err
-		}
-		b, err := m.readInt(ld, size, false)
-		if err != nil {
-			return err
-		}
-		r, err := f(a, b)
-		if err != nil {
-			return err
-		}
-		m.setNZInt(r, size)
-		return m.writeInt(ld, size, r)
 	}
 }
 
 // binInt3 implements op3 a,b,dst: dst = b OP a (the VAX operand order, in
 // which subl3 computes minuend-from-the-second-operand).
-func binInt3(size int, f func(a, b int64) (int64, error)) handler {
-	return func(m *Machine, in *Instr) error {
-		if err := in.WantOps(3); err != nil {
-			return err
+func binInt3(size int, f func(a, b int64) (int64, error)) decoder {
+	return func(in *Instr) exec {
+		ops, err := decodeOps(in, rd(size), rd(size), wr(size))
+		x, y, dst := ops[0], ops[1], ops[2]
+		if err != nil && y != nil {
+			return faultAfter(func(m *Machine) error {
+				_, err := f(m.get(x), m.get(y))
+				return err
+			}, err)
 		}
-		la, err := m.resolve(&in.Ops[0], size)
 		if err != nil {
-			return err
+			return fail(err)
 		}
-		a, err := m.readInt(la, size, false)
-		if err != nil {
-			return err
+		return func(m *Machine) error {
+			a := m.get(x)
+			r, err := f(a, m.get(y))
+			if err != nil {
+				return err
+			}
+			m.setNZInt(r, size)
+			m.put(dst, r)
+			return nil
 		}
-		lb, err := m.resolve(&in.Ops[1], size)
-		if err != nil {
-			return err
-		}
-		b, err := m.readInt(lb, size, false)
-		if err != nil {
-			return err
-		}
-		r, err := f(a, b)
-		if err != nil {
-			return err
-		}
-		ld, err := m.resolve(&in.Ops[2], size)
-		if err != nil {
-			return err
-		}
-		m.setNZInt(r, size)
-		return m.writeInt(ld, size, r)
 	}
 }
 
-func binFloat2(size int, f func(a, b float64) (float64, error)) handler {
-	return func(m *Machine, in *Instr) error {
-		if err := in.WantOps(2); err != nil {
-			return err
+func binFloat2(size int, f func(a, b float64) (float64, error)) decoder {
+	return func(in *Instr) exec {
+		ops, err := decodeOps(in, rdF(size), mdF(size))
+		src, dst := ops[0], ops[1]
+		if err == errImmWrite {
+			dst = &in.Ops[1].form
+			return faultAfter(func(m *Machine) error {
+				_, err := f(m.getFloat(src), m.getFloat(dst))
+				return err
+			}, err)
 		}
-		ls, err := m.resolve(&in.Ops[0], size)
 		if err != nil {
-			return err
+			return fail(err)
 		}
-		a, err := m.readFloat(ls, size)
-		if err != nil {
-			return err
+		return func(m *Machine) error {
+			a := m.getFloat(src)
+			l := m.at(dst)
+			r, err := f(a, m.loadFloat(dst, l))
+			if err != nil {
+				return err
+			}
+			m.setNZFloat(r)
+			m.storeFloat(dst, l, r)
+			return nil
 		}
-		ld, err := m.resolve(&in.Ops[1], size)
-		if err != nil {
-			return err
-		}
-		b, err := m.readFloat(ld, size)
-		if err != nil {
-			return err
-		}
-		r, err := f(a, b)
-		if err != nil {
-			return err
-		}
-		m.setNZFloat(r)
-		return m.writeFloat(ld, size, r)
 	}
 }
 
-func binFloat3(size int, f func(a, b float64) (float64, error)) handler {
-	return func(m *Machine, in *Instr) error {
-		if err := in.WantOps(3); err != nil {
-			return err
+func binFloat3(size int, f func(a, b float64) (float64, error)) decoder {
+	return func(in *Instr) exec {
+		ops, err := decodeOps(in, rdF(size), rdF(size), wrF(size))
+		x, y, dst := ops[0], ops[1], ops[2]
+		if err != nil && y != nil {
+			return faultAfter(func(m *Machine) error {
+				_, err := f(m.getFloat(x), m.getFloat(y))
+				return err
+			}, err)
 		}
-		la, err := m.resolve(&in.Ops[0], size)
 		if err != nil {
-			return err
+			return fail(err)
 		}
-		a, err := m.readFloat(la, size)
-		if err != nil {
-			return err
+		return func(m *Machine) error {
+			a := m.getFloat(x)
+			r, err := f(a, m.getFloat(y))
+			if err != nil {
+				return err
+			}
+			m.setNZFloat(r)
+			m.putFloat(dst, r)
+			return nil
 		}
-		lb, err := m.resolve(&in.Ops[1], size)
-		if err != nil {
-			return err
-		}
-		b, err := m.readFloat(lb, size)
-		if err != nil {
-			return err
-		}
-		r, err := f(a, b)
-		if err != nil {
-			return err
-		}
-		ld, err := m.resolve(&in.Ops[2], size)
-		if err != nil {
-			return err
-		}
-		m.setNZFloat(r)
-		return m.writeFloat(ld, size, r)
 	}
 }
 
 // ashl cnt,src,dst: arithmetic shift of a long; positive counts shift left,
 // negative right.
-func ashl(m *Machine, in *Instr) error {
-	if err := in.WantOps(3); err != nil {
-		return err
-	}
-	lc, err := m.resolve(&in.Ops[0], 1)
+func ashl(in *Instr) exec {
+	ops, err := decodeOps(in, rd(1), rd(4), wr(4))
 	if err != nil {
-		return err
+		return fail(err)
 	}
-	cnt, err := m.readInt(lc, 1, false)
-	if err != nil {
-		return err
+	c, s, dst := ops[0], ops[1], ops[2]
+	return func(m *Machine) error {
+		cnt := m.get(c)
+		v := m.get(s)
+		var r int64
+		switch {
+		case cnt >= 32:
+			r = 0
+		case cnt >= 0:
+			r = v << uint(cnt)
+		case cnt <= -32:
+			r = v >> 31
+		default:
+			r = v >> uint(-cnt)
+		}
+		m.setNZInt(r, 4)
+		m.put(dst, r)
+		return nil
 	}
-	ls, err := m.resolve(&in.Ops[1], 4)
-	if err != nil {
-		return err
-	}
-	v, err := m.readInt(ls, 4, false)
-	if err != nil {
-		return err
-	}
-	var r int64
-	switch {
-	case cnt >= 32:
-		r = 0
-	case cnt >= 0:
-		r = v << uint(cnt)
-	case cnt <= -32:
-		r = v >> 31
-	default:
-		r = v >> uint(-cnt)
-	}
-	ld, err := m.resolve(&in.Ops[2], 4)
-	if err != nil {
-		return err
-	}
-	m.setNZInt(r, 4)
-	return m.writeInt(ld, 4, r)
 }
 
 // extzv pos,size,base,dst: extract a zero-extended bit field. The code
 // generators use it for unsigned right shifts.
-func extzv(m *Machine, in *Instr) error {
-	if err := in.WantOps(4); err != nil {
-		return err
+func extzv(in *Instr) exec {
+	ops, err := decodeOps(in, rd(4), rd(4), rdU(4), wr(4))
+	p, sz, b, dst := ops[0], ops[1], ops[2], ops[3]
+	if err != nil && sz != nil {
+		return faultAfter(func(m *Machine) error {
+			_, _, err := m.field(p, sz)
+			return err
+		}, err)
 	}
-	lp, err := m.resolve(&in.Ops[0], 4)
 	if err != nil {
-		return err
+		return fail(err)
 	}
-	pos, err := m.readInt(lp, 4, false)
-	if err != nil {
-		return err
-	}
-	lsz, err := m.resolve(&in.Ops[1], 4)
-	if err != nil {
-		return err
-	}
-	size, err := m.readInt(lsz, 4, false)
-	if err != nil {
-		return err
-	}
-	if pos < 0 || size < 0 || size > 32 || pos+size > 32 {
-		return fmt.Errorf("extzv field [%d,%d) out of range", pos, pos+size)
-	}
-	lb, err := m.resolve(&in.Ops[2], 4)
-	if err != nil {
-		return err
-	}
-	base, err := m.readInt(lb, 4, true)
-	if err != nil {
-		return err
-	}
-	var r int64
-	if size > 0 {
-		r = int64(uint32(base) >> uint(pos))
-		if size < 32 {
-			r &= (1 << uint(size)) - 1
+	return func(m *Machine) error {
+		pos, size, err := m.field(p, sz)
+		if err != nil {
+			return err
 		}
+		base := m.get(b)
+		var r int64
+		if size > 0 {
+			r = int64(uint32(base) >> uint(pos))
+			if size < 32 {
+				r &= (1 << uint(size)) - 1
+			}
+		}
+		m.setNZInt(r, 4)
+		m.put(dst, r)
+		return nil
 	}
-	ld, err := m.resolve(&in.Ops[3], 4)
-	if err != nil {
-		return err
-	}
-	m.setNZInt(r, 4)
-	return m.writeInt(ld, 4, r)
 }
 
-func pushl(m *Machine, in *Instr) error {
-	if err := in.WantOps(1); err != nil {
-		return err
+// field reads extzv's position and size operands and checks the field
+// lies within a longword.
+func (m *Machine) field(p, sz *opnd) (pos, size int64, err error) {
+	pos, size = m.get(p), m.get(sz)
+	if pos < 0 || size < 0 || size > 32 || pos+size > 32 {
+		return 0, 0, fmt.Errorf("extzv field [%d,%d) out of range", pos, pos+size)
 	}
-	src, err := m.resolve(&in.Ops[0], 4)
+	return pos, size, nil
+}
+
+func pushl(in *Instr) exec {
+	ops, err := decodeOps(in, rd(4))
 	if err != nil {
-		return err
+		return fail(err)
 	}
-	v, err := m.readInt(src, 4, false)
-	if err != nil {
-		return err
+	src := ops[0]
+	return func(m *Machine) error {
+		v := m.get(src)
+		m.setNZInt(v, 4)
+		m.Push32(uint32(v))
+		return nil
 	}
-	m.setNZInt(v, 4)
-	m.Push32(uint32(v))
-	return nil
 }
 
 // mova src,dst: dst receives the address of src; the instruction's data
 // size scales an index in the source mode (movab by 1, movaw by 2, moval
 // by 4, movaq by 8). The destination is always a longword.
-func mova(size int) handler {
-	return func(m *Machine, in *Instr) error {
-		if err := in.WantOps(2); err != nil {
-			return err
-		}
-		src, err := m.resolve(&in.Ops[0], size)
+func mova(size int) decoder {
+	return func(in *Instr) exec {
+		ops, err := decodeOps(in, spec{use: address, size: size}, wr(4))
 		if err != nil {
-			return err
+			return fail(err)
 		}
-		if src.kind != locMem {
-			return fmt.Errorf("mova source has no address")
+		src, dst := ops[0], ops[1]
+		return func(m *Machine) error {
+			v := int64(int32(m.at(src).addr))
+			m.setNZInt(v, 4)
+			m.put(dst, v)
+			return nil
 		}
-		dst, err := m.resolve(&in.Ops[1], 4)
-		if err != nil {
-			return err
-		}
-		v := int64(int32(src.addr))
-		m.setNZInt(v, 4)
-		return m.writeInt(dst, 4, v)
 	}
 }
 
-// branchConds are the PCC-style jump pseudo-instructions and their
-// condition code tests. Signed tests follow a cmp or arithmetic result;
-// the unsigned forms test the carry (borrow) flag.
-var branchConds = map[string]func(m *Machine) bool{
-	"jeql":  func(m *Machine) bool { return m.Z },
-	"jneq":  func(m *Machine) bool { return !m.Z },
-	"jlss":  func(m *Machine) bool { return m.N },
-	"jleq":  func(m *Machine) bool { return m.N || m.Z },
-	"jgtr":  func(m *Machine) bool { return !m.N && !m.Z },
-	"jgeq":  func(m *Machine) bool { return !m.N },
-	"jlssu": func(m *Machine) bool { return m.C },
-	"jlequ": func(m *Machine) bool { return m.C || m.Z },
-	"jgtru": func(m *Machine) bool { return !m.C && !m.Z },
-	"jgequ": func(m *Machine) bool { return !m.C },
+// branchConds are the PCC-style jump pseudo-instructions, each as the
+// exec of its taken test for target t. Signed tests follow a cmp or
+// arithmetic result; the unsigned forms test the carry (borrow) flag.
+var branchConds = map[string]func(t int) exec{
+	"jeql":  func(t int) exec { return func(m *Machine) error { return m.jumpIf(m.Z, t) } },
+	"jneq":  func(t int) exec { return func(m *Machine) error { return m.jumpIf(!m.Z, t) } },
+	"jlss":  func(t int) exec { return func(m *Machine) error { return m.jumpIf(m.N, t) } },
+	"jleq":  func(t int) exec { return func(m *Machine) error { return m.jumpIf(m.N || m.Z, t) } },
+	"jgtr":  func(t int) exec { return func(m *Machine) error { return m.jumpIf(!m.N && !m.Z, t) } },
+	"jgeq":  func(t int) exec { return func(m *Machine) error { return m.jumpIf(!m.N, t) } },
+	"jlssu": func(t int) exec { return func(m *Machine) error { return m.jumpIf(m.C, t) } },
+	"jlequ": func(t int) exec { return func(m *Machine) error { return m.jumpIf(m.C || m.Z, t) } },
+	"jgtru": func(t int) exec { return func(m *Machine) error { return m.jumpIf(!m.C && !m.Z, t) } },
+	"jgequ": func(t int) exec { return func(m *Machine) error { return m.jumpIf(!m.C, t) } },
 }
 
+// jumpIf transfers control to t when taken.
+func (m *Machine) jumpIf(taken bool, t int) error {
+	if taken {
+		m.Next = t
+	}
+	return nil
+}
+
+// target decodes a code-transfer operand to its instruction index.
 func target(o *Operand) (int, error) {
 	if o.Mode != MLabel && o.Mode != MAbs {
 		return 0, fmt.Errorf("bad branch target %s", o)
@@ -710,31 +717,25 @@ func target(o *Operand) (int, error) {
 	return 0, fmt.Errorf("undefined code label %q", o.Sym)
 }
 
-func jbr(m *Machine, in *Instr) error {
-	if err := in.WantOps(1); err != nil {
-		return err
+// jump is the exec of jbr to target t.
+func jump(t int) exec {
+	return func(m *Machine) error {
+		m.Next = t
+		return nil
 	}
-	t, err := target(&in.Ops[0])
-	if err != nil {
-		return err
-	}
-	m.Next = t
-	return nil
 }
 
-func branch(cond func(*Machine) bool) handler {
-	return func(m *Machine, in *Instr) error {
+// branch decodes a one-operand jump whose exec for target t taken makes.
+func branch(taken func(t int) exec) decoder {
+	return func(in *Instr) exec {
 		if err := in.WantOps(1); err != nil {
-			return err
+			return fail(err)
 		}
 		t, err := target(&in.Ops[0])
 		if err != nil {
-			return err
+			return fail(err)
 		}
-		if cond(m) {
-			m.Next = t
-		}
-		return nil
+		return taken(t)
 	}
 }
 
@@ -743,40 +744,31 @@ func branch(cond func(*Machine) bool) handler {
 // condition codes are set from the (wrapped) sum, and control transfers
 // while the signed comparison against the limit still holds — aoblss
 // branches on index < limit, aobleq on index <= limit.
-func aob(cont func(index, limit int64) bool) handler {
-	return func(m *Machine, in *Instr) error {
+func aob(cont func(index, limit int64) bool) decoder {
+	return func(in *Instr) exec {
 		if err := in.WantOps(3); err != nil {
-			return err
+			return fail(err)
 		}
-		ll, err := m.resolve(&in.Ops[0], 4)
+		ops, err := decodeEach(in.Ops, rd(4), md(4))
 		if err != nil {
-			return err
-		}
-		limit, err := m.readInt(ll, 4, false)
-		if err != nil {
-			return err
-		}
-		li, err := m.resolve(&in.Ops[1], 4)
-		if err != nil {
-			return err
-		}
-		index, err := m.readInt(li, 4, false)
-		if err != nil {
-			return err
-		}
-		index = simcore.Extend(uint64(index+1), 4, false)
-		m.setNZInt(index, 4)
-		if err := m.writeInt(li, 4, index); err != nil {
-			return err
+			return fail(err)
 		}
 		t, err := target(&in.Ops[2])
 		if err != nil {
-			return err
+			return fail(err)
 		}
-		if cont(index, limit) {
-			m.Next = t
+		lim, idx := ops[0], ops[1]
+		return func(m *Machine) error {
+			limit := m.get(lim)
+			l := m.at(idx)
+			index := simcore.Extend(uint64(m.load(idx, l)+1), 4, false)
+			m.setNZInt(index, 4)
+			m.store(idx, l, index)
+			if cont(index, limit) {
+				m.Next = t
+			}
+			return nil
 		}
-		return nil
 	}
 }
 
@@ -799,37 +791,41 @@ var builtins = map[string]func(a, b uint32) (uint32, error){
 
 // calls $n,f: the simplified frame protocol described in DESIGN.md (see
 // simcore's PushFrame); the unsigned division builtins return at once.
-func calls(m *Machine, in *Instr) error {
+func calls(in *Instr) exec {
 	if err := in.WantOps(2); err != nil {
-		return err
+		return fail(err)
 	}
 	if in.Ops[0].Mode != MImm {
-		return fmt.Errorf("calls needs an immediate argument count")
+		return fail(fmt.Errorf("calls needs an immediate argument count"))
 	}
 	n := uint32(in.Ops[0].Imm)
 	sym := in.Ops[1].Sym
 	if f, ok := builtins[sym]; ok {
-		a := uint32(m.Mem.Load(m.R[simcore.SP], 4))
-		b := uint32(m.Mem.Load(m.R[simcore.SP]+4, 4))
-		r, err := f(a, b)
-		if err != nil {
-			return err
+		return func(m *Machine) error {
+			a := uint32(m.Mem.Load(m.R[simcore.SP], 4))
+			b := uint32(m.Mem.Load(m.R[simcore.SP]+4, 4))
+			r, err := f(a, b)
+			if err != nil {
+				return err
+			}
+			m.R[0] = r
+			m.R[simcore.SP] += 4 * n
+			return nil
 		}
-		m.R[0] = r
-		m.R[simcore.SP] += 4 * n
-		return nil
 	}
 	entry, err := target(&in.Ops[1])
 	if err != nil {
-		return err
+		return fail(err)
 	}
-	m.PushFrame(n, sym, entry)
-	return nil
+	return func(m *Machine) error {
+		m.PushFrame(n, sym, entry)
+		return nil
+	}
 }
 
-func ret(m *Machine, in *Instr) error {
+func ret(in *Instr) exec {
 	if err := in.WantOps(0); err != nil {
-		return err
+		return fail(err)
 	}
-	return m.PopFrame()
+	return func(m *Machine) error { return m.PopFrame() }
 }

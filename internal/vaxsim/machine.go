@@ -23,10 +23,10 @@ type ExecError = simcore.ExecError
 
 // isa is the VAX half of the simulator.
 var isa = simcore.ISA[Operand, *Machine]{
-	Name:  "vaxsim",
-	Exec:  execTable,
-	Parse: parseOperand,
-	Link:  func(o *Operand) *simcore.Ref { return &o.Ref },
+	Name:   "vaxsim",
+	Decode: decoders,
+	Parse:  parseOperand,
+	Link:   func(o *Operand) *simcore.Ref { return &o.Ref },
 	// The addressing modes in AddrMode order (the assembler's surface
 	// syntax), then the deferred and indexed variants, counted separately.
 	ModeNames: []string{"rN", "(rN)", "d(rN)", "_abs", "$imm", "(rN)+", "-(rN)", "label",
@@ -40,6 +40,9 @@ const (
 	modeIndexed  = 9
 )
 
+// Mnemonics returns the instruction mnemonics the machine accepts, sorted.
+func Mnemonics() []string { return isa.Mnemonics() }
+
 // New returns a machine for the program with default memory.
 func New(p *Program) *Machine {
 	m := new(Machine)
@@ -47,163 +50,247 @@ func New(p *Program) *Machine {
 	return m
 }
 
-// loc is a resolved operand location. It has at most four fields, so the
-// compiler keeps it in registers rather than in memory.
-type loc struct {
-	kind uint8 // 0 reg, 1 mem, 2 imm
-	reg  int
-	addr uint32
-	imm  *Operand // the immediate operand, for kind locImm
+// opnd is an operand decoded for access at one size, its addressing mode
+// folded into a kind and fixed fields: a register, an immediate's value,
+// or the address R[reg]&base + disp + R[index]*scale, which covers (rN),
+// d(rN), _abs and each of them indexed. Deferred, autoincrement and
+// autodecrement operands take the general path. No evaluation can fail:
+// the decoder has rejected every operand that would.
+type opnd struct {
+	kind     uint8
+	mode     AddrMode
+	extra    uint8 // xDeferred, xIndexed: counted in their own slots
+	size     uint8
+	unsigned bool // integer reads zero-extend
+	reg      int32
+	index    int32
+	base     uint32 // mask of R[reg] in the address: 0 for _abs
+	disp     uint32
+	scale    uint32 // the operand size when indexed, else 0
+	imm      int64  // an immediate's value, as a float64's bits if floating
 }
 
+// Operand kinds.
 const (
-	locReg = iota
-	locMem
-	locImm
+	okReg     = iota // rN
+	okImm            // $v
+	okMem            // (rN), d(rN), _abs, maybe indexed
+	okGeneral        // deferred, (rN)+, -(rN)
 )
 
-// resolve computes an operand's location, applying autoincrement and
-// autodecrement side effects (which must happen exactly once per operand
-// evaluation; cf. §6.1 on side-effect descriptors).
-func (m *Machine) resolve(o *Operand, size int) (loc, error) {
-	m.ModeCounts[o.Mode]++
+// opnd.extra bits.
+const (
+	xDeferred = 1 << iota
+	xIndexed
+)
+
+// decode decodes o, for an access of size bytes of integer or floating
+// data, into o.form. It fails where evaluating o would: an indexed
+// register, an absolute symbol that names no data, a code label.
+func (o *Operand) decode(size int, float bool) error {
+	d := &o.form
+	*d = opnd{mode: o.Mode, size: uint8(size), reg: int32(o.Reg)}
 	if o.Deferred {
-		m.ModeCounts[modeDeferred]++
+		d.extra |= xDeferred
 	}
 	if o.Index >= 0 {
-		m.ModeCounts[modeIndexed]++
+		d.extra |= xIndexed
+		d.index, d.scale = int32(o.Index), uint32(size)
 	}
-	var l loc
 	switch o.Mode {
 	case MReg:
-		l = loc{kind: locReg, reg: o.Reg}
 		if o.Index >= 0 {
-			return l, fmt.Errorf("register mode cannot be indexed")
+			return fmt.Errorf("register mode cannot be indexed")
 		}
-		return l, nil
-	case MRegDef:
-		l = loc{kind: locMem, addr: m.R[o.Reg]}
-	case MDisp:
-		l = loc{kind: locMem, addr: m.R[o.Reg] + uint32(o.Disp)}
+		d.kind = okReg
+		return nil
+	case MImm:
+		v, f := o.Imm, float64(o.Imm)
+		if o.IsF {
+			v, f = int64(o.FImm), o.FImm
+		}
+		d.kind, d.imm = okImm, v
+		if float {
+			d.imm = int64(math.Float64bits(f))
+		}
+		return nil
 	case MAbs:
 		if !o.IsData {
-			return l, fmt.Errorf("undefined symbol %q", o.Sym)
+			return fmt.Errorf("undefined symbol %q", o.Sym)
 		}
-		l = loc{kind: locMem, addr: o.Addr + uint32(o.Disp)}
-	case MImm:
-		return loc{kind: locImm, imm: o}, nil
-	case MAutoInc:
-		step := uint32(size)
-		if o.Deferred {
-			step = 4 // deferred autoincrement steps over the pointer
-		}
-		l = loc{kind: locMem, addr: m.R[o.Reg]}
-		m.R[o.Reg] += step
-	case MAutoDec:
-		step := uint32(size)
-		if o.Deferred {
-			step = 4
-		}
-		m.R[o.Reg] -= step
-		l = loc{kind: locMem, addr: m.R[o.Reg]}
+		d.reg, d.disp = 0, o.Addr+uint32(o.Disp)
+	case MRegDef:
+		d.base = ^uint32(0)
+	case MDisp:
+		d.base, d.disp = ^uint32(0), uint32(o.Disp)
+	case MAutoInc, MAutoDec:
 	default:
-		return l, fmt.Errorf("operand %s not addressable here", o)
+		return fmt.Errorf("operand %s not addressable here", o)
 	}
-	if o.Deferred {
-		// The addressed longword holds the operand's address.
-		l.addr = uint32(m.Mem.Load(l.addr, 4))
-	}
-	if o.Index >= 0 {
-		l.addr += m.R[o.Index] * uint32(size)
-	}
-	return l, nil
-}
-
-// readInt reads an integer operand of the given size, sign- or
-// zero-extending to 64 bits.
-func (m *Machine) readInt(l loc, size int, unsigned bool) (int64, error) {
-	switch l.kind {
-	case locImm:
-		if l.imm.IsF {
-			return int64(l.imm.FImm), nil
-		}
-		return l.imm.Imm, nil
-	case locReg:
-		return simcore.Extend(uint64(m.R[l.reg]), size, unsigned), nil
-	default:
-		return simcore.Extend(m.Mem.Load(l.addr, size), size, unsigned), nil
-	}
-}
-
-// writeInt writes the low `size` bytes of v to the operand. A byte or word
-// write to a register modifies only its low bits, as on the real machine.
-func (m *Machine) writeInt(l loc, size int, v int64) error {
-	switch l.kind {
-	case locImm:
-		return fmt.Errorf("immediate operand is not writable")
-	case locReg:
-		switch size {
-		case 1:
-			m.R[l.reg] = m.R[l.reg]&^0xff | uint32(uint8(v))
-		case 2:
-			m.R[l.reg] = m.R[l.reg]&^0xffff | uint32(uint16(v))
-		default:
-			m.R[l.reg] = uint32(v)
-		}
-	default:
-		m.Mem.Store(l.addr, size, uint64(v))
+	d.kind = okMem
+	if o.Deferred || o.Mode == MAutoInc || o.Mode == MAutoDec {
+		d.kind = okGeneral
 	}
 	return nil
 }
 
-// readFloat reads an F (4-byte) or D (8-byte) floating operand. A D operand
-// in a register occupies the register pair rN, rN+1.
-func (m *Machine) readFloat(l loc, size int) (float64, error) {
-	switch l.kind {
-	case locImm:
-		if l.imm.IsF {
-			return l.imm.FImm, nil
+// count tallies one evaluation of o in ModeCounts.
+func (m *Machine) count(o *opnd) {
+	m.ModeCounts[o.mode]++
+	if o.extra != 0 {
+		if o.extra&xDeferred != 0 {
+			m.ModeCounts[modeDeferred]++
 		}
-		return float64(l.imm.Imm), nil
-	case locReg:
-		if size == 4 {
-			return float64(math.Float32frombits(m.R[l.reg])), nil
+		if o.extra&xIndexed != 0 {
+			m.ModeCounts[modeIndexed]++
 		}
-		if l.reg >= 15 {
-			return 0, fmt.Errorf("double register pair out of range")
-		}
-		bits := uint64(m.R[l.reg]) | uint64(m.R[l.reg+1])<<32
-		return math.Float64frombits(bits), nil
-	default:
-		if size == 4 {
-			return float64(math.Float32frombits(uint32(m.Mem.Load(l.addr, 4)))), nil
-		}
-		return math.Float64frombits(m.Mem.Load(l.addr, 8)), nil
 	}
 }
 
-func (m *Machine) writeFloat(l loc, size int, v float64) error {
+// general computes the address of a deferred, autoincrement or
+// autodecrement operand, applying the register side effect, which must
+// happen exactly once per evaluation (cf. §6.1 on side-effect
+// descriptors).
+func (m *Machine) general(o *opnd) uint32 {
+	step := uint32(o.size)
+	if o.extra&xDeferred != 0 {
+		step = 4 // deferred autoincrement steps over the pointer
+	}
+	var a uint32
+	switch o.mode {
+	case MAutoInc:
+		a = m.R[o.reg]
+		m.R[o.reg] += step
+	case MAutoDec:
+		m.R[o.reg] -= step
+		a = m.R[o.reg]
+	default:
+		a = m.R[o.reg]&o.base + o.disp
+	}
+	if o.extra&xDeferred != 0 {
+		// The addressed longword holds the operand's address.
+		a = uint32(m.Mem.Load(a, 4))
+	}
+	return a + m.R[o.index]*o.scale
+}
+
+// get evaluates and reads an integer operand, extended to 64 bits. An
+// immediate reads as written, whatever the size.
+func (m *Machine) get(o *opnd) int64 {
+	m.count(o)
+	var v uint64
+	switch o.kind {
+	case okImm:
+		return o.imm
+	case okReg:
+		v = uint64(m.R[o.reg])
+	case okMem:
+		v = m.Mem.Load(m.R[o.reg]&o.base+o.disp+m.R[o.index]*o.scale, int(o.size))
+	default:
+		v = m.Mem.Load(m.general(o), int(o.size))
+	}
+	return simcore.Extend(v, int(o.size), o.unsigned)
+}
+
+// put evaluates an integer operand and writes the low bytes of v to it.
+func (m *Machine) put(o *opnd, v int64) {
+	m.count(o)
+	switch o.kind {
+	case okReg:
+		m.setReg(o.reg, o.size, v)
+	case okMem:
+		m.Mem.Store(m.R[o.reg]&o.base+o.disp+m.R[o.index]*o.scale, int(o.size), uint64(v))
+	default:
+		m.Mem.Store(m.general(o), int(o.size), uint64(v))
+	}
+}
+
+// setReg writes the low size bytes of v to register r. A byte or word
+// write modifies only the register's low bits, as on the real machine.
+func (m *Machine) setReg(r int32, size uint8, v int64) {
+	switch size {
+	case 1:
+		m.R[r] = m.R[r]&^0xff | uint32(uint8(v))
+	case 2:
+		m.R[r] = m.R[r]&^0xffff | uint32(uint16(v))
+	default:
+		m.R[r] = uint32(v)
+	}
+}
+
+// loc is an evaluated operand, for instructions that read and write it,
+// or evaluate several operands before they read any: a register, an
+// address or an immediate.
+type loc struct {
+	kind uint8 // okReg, okMem or okImm
+	reg  int32
+	addr uint32
+}
+
+// at evaluates an operand to its location.
+func (m *Machine) at(o *opnd) loc {
+	m.count(o)
+	switch o.kind {
+	case okImm:
+		return loc{kind: okImm}
+	case okReg:
+		return loc{kind: okReg, reg: o.reg}
+	case okMem:
+		return loc{kind: okMem, addr: m.R[o.reg]&o.base + o.disp + m.R[o.index]*o.scale}
+	}
+	return loc{kind: okMem, addr: m.general(o)}
+}
+
+// load reads the integer operand o, evaluated to l.
+func (m *Machine) load(o *opnd, l loc) int64 {
 	switch l.kind {
-	case locImm:
-		return fmt.Errorf("immediate operand is not writable")
-	case locReg:
-		if size == 4 {
-			m.R[l.reg] = math.Float32bits(float32(v))
-			return nil
+	case okImm:
+		return o.imm
+	case okReg:
+		return simcore.Extend(uint64(m.R[l.reg]), int(o.size), o.unsigned)
+	}
+	return simcore.Extend(m.Mem.Load(l.addr, int(o.size)), int(o.size), o.unsigned)
+}
+
+// store writes v to the integer operand o, evaluated to l.
+func (m *Machine) store(o *opnd, l loc, v int64) {
+	if l.kind == okReg {
+		m.setReg(l.reg, o.size, v)
+		return
+	}
+	m.Mem.Store(l.addr, int(o.size), uint64(v))
+}
+
+// loadFloat reads an F (4-byte) or D (8-byte) floating operand, evaluated
+// to l. A D operand in a register occupies the register pair rN, rN+1.
+func (m *Machine) loadFloat(o *opnd, l loc) float64 {
+	switch l.kind {
+	case okImm:
+		return math.Float64frombits(uint64(o.imm))
+	case okReg:
+		if o.size == 4 {
+			return float64(math.Float32frombits(m.R[l.reg]))
 		}
-		if l.reg >= 15 {
-			return fmt.Errorf("double register pair out of range")
-		}
+		return math.Float64frombits(uint64(m.R[l.reg]) | uint64(m.R[l.reg+1])<<32)
+	}
+	if o.size == 4 {
+		return float64(math.Float32frombits(uint32(m.Mem.Load(l.addr, 4))))
+	}
+	return math.Float64frombits(m.Mem.Load(l.addr, 8))
+}
+
+// storeFloat writes v to the floating operand o, evaluated to l.
+func (m *Machine) storeFloat(o *opnd, l loc, v float64) {
+	switch {
+	case l.kind == okReg && o.size == 4:
+		m.R[l.reg] = math.Float32bits(float32(v))
+	case l.kind == okReg:
 		bits := math.Float64bits(v)
 		m.R[l.reg] = uint32(bits)
 		m.R[l.reg+1] = uint32(bits >> 32)
-		return nil
+	case o.size == 4:
+		m.Mem.Store(l.addr, 4, uint64(math.Float32bits(float32(v))))
 	default:
-		if size == 4 {
-			m.Mem.Store(l.addr, 4, uint64(math.Float32bits(float32(v))))
-			return nil
-		}
 		m.Mem.Store(l.addr, 8, math.Float64bits(v))
-		return nil
 	}
 }

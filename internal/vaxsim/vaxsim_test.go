@@ -651,6 +651,33 @@ func TestExecErrorUnknownInstruction(t *testing.T) {
 	}
 }
 
+// TestFaultOrder: an instruction with a bad operand still meets the
+// faults its execution reaches first, in the order the machine evaluates
+// it: a division by zero or an out-of-range extzv field before a bad
+// destination, and cvt's destination before its source is read.
+func TestFaultOrder(t *testing.T) {
+	for _, c := range []struct{ instr, want string }{
+		{"divl3 $0,r1,$7", "integer divide by zero"},
+		{"divl3 $1,r1,$7", "immediate operand is not writable"},
+		{"divl3 $0,r1,_nope", "integer divide by zero"},
+		{"divl2 $0,$7", "integer divide by zero"},
+		{"addl2 $0,$7", "immediate operand is not writable"},
+		{"divf3 $0,r1,L1", "floating divide by zero"},
+		{"divd2 $0,$7", "floating divide by zero"},
+		{"extzv $40,r1,r1,$7", "extzv field [40,41) out of range"},
+		{"extzv $4,r1,_nope,r0", `undefined symbol "_nope"`},
+		{"cvtdl pc,_nope", `undefined symbol "_nope"`},
+		{"cvtdl pc,r0", "double register pair out of range"},
+		{"movd pc,_nope", "double register pair out of range"},
+	} {
+		_, err := New(assemble(t, header+"_f:\t.word 0\n\tmovl $1,r1\n\t"+c.instr+"\nL1:\tret\n")).Call("_f")
+		var ee *ExecError
+		if !errors.As(err, &ee) || ee.PC != 1 || ee.Unwrap().Error() != c.want {
+			t.Errorf("%s: err = %v, want %q at pc 1", c.instr, err, c.want)
+		}
+	}
+}
+
 func TestExecErrorUnwrap(t *testing.T) {
 	src := header + `
 _f:	.word 0
@@ -668,9 +695,9 @@ _f:	.word 0
 }
 
 func TestHandlerPanicBecomesExecError(t *testing.T) {
-	// A hand-built instruction naming an out-of-range register makes the
-	// handler index past the register file; the step loop must convert the
-	// panic into a structured fault, not unwind.
+	// A hand-built instruction naming an out-of-range register makes its
+	// decoded exec index past the register file; the step loop must
+	// convert the panic into a structured fault, not unwind.
 	p := &Program{
 		Instrs: []Instr{{
 			Mn:   "movl",
