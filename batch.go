@@ -1,7 +1,6 @@
 package ggcg
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -15,11 +14,12 @@ type BatchConfig struct {
 	Workers int
 
 	// Config is the per-unit compilation configuration, applied to every
-	// unit of the batch. Config.Trace must be nil — the shift/reduce
-	// listing is inherently per-unit and would interleave across workers;
-	// trace single units with Compile. Config.Observer, if set, receives
-	// the merged instrumentation of the whole batch: each worker records
-	// into a private shard, folded back once when the pool drains. Every
+	// unit of the batch. Config.Observer, if set, receives the merged
+	// instrumentation of the whole batch: each worker records into a
+	// private shard, folded back once when the pool drains. Shards never
+	// inherit a trace sink — the shift/reduce listing is inherently
+	// per-unit and would interleave across workers — so a batch writes no
+	// listing; trace single units with Compile. Every
 	// shard gets its own track id, so the observer's span events carry
 	// which worker did what — exported through internal/obs/traceexport
 	// (ggcc -tracefile), an 8-worker batch renders as eight parallel
@@ -80,9 +80,6 @@ func (e *BatchError) Unwrap() []error {
 // values never alias arena memory (see DESIGN.md, "Memory ownership and
 // arenas").
 func CompileBatch(srcs []string, cfg BatchConfig) ([]*Compiled, error) {
-	if cfg.Config.Trace != nil {
-		return nil, errors.New("ggcg: BatchConfig.Config.Trace is not supported; trace single units with Compile")
-	}
 	out := make([]*Compiled, len(srcs))
 	if len(srcs) == 0 {
 		return out, nil

@@ -198,13 +198,21 @@ func TestCompileBatchObserverMerged(t *testing.T) {
 	}
 }
 
-// Trace is per-unit by construction; the batch refuses it.
-func TestCompileBatchRejectsTrace(t *testing.T) {
+// The listing is per-unit by construction: batch workers record into
+// shards, which never inherit the parent's trace sink, so a traced
+// observer gets a batch's instrumentation but none of its actions.
+func TestCompileBatchIgnoresTraceSink(t *testing.T) {
 	var sb strings.Builder
-	_, err := CompileBatch([]string{`int main() { return 0; }`},
-		BatchConfig{Config: Config{Trace: &sb}})
-	if err == nil {
-		t.Fatal("expected an error for BatchConfig.Config.Trace")
+	o := tracing(&sb)
+	srcs := []string{`int main() { return 0; }`, `int main() { return 1 + 2; }`}
+	if _, err := CompileBatch(srcs, BatchConfig{Workers: 2, Config: Config{Observer: o}}); err != nil {
+		t.Fatal(err)
+	}
+	if sb.Len() != 0 {
+		t.Errorf("batch wrote a %d-byte listing:\n%s", sb.Len(), sb.String())
+	}
+	if got := o.Counter("codegen.trees"); got == 0 {
+		t.Error("batch instrumentation did not merge into the traced observer")
 	}
 }
 

@@ -16,10 +16,9 @@ import (
 type Cache = compcache.Cache
 
 // CacheConfig bounds a new Cache and optionally attaches a metrics sink;
-// both *Observer and *Registry satisfy the Metrics field, so cache
-// counters (cache.hits, cache.misses, cache.evictions,
-// cache.inflight_coalesced) flow into the same instrumentation
-// vocabulary as everything else.
+// *Observer satisfies the Metrics field, so cache counters (cache.hits,
+// cache.misses, cache.evictions, cache.inflight_coalesced) flow into the
+// same instrumentation vocabulary as everything else.
 type CacheConfig = compcache.Config
 
 // CacheStats is a point-in-time snapshot of a Cache's counters.

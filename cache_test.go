@@ -178,12 +178,49 @@ func TestCacheBatchFirstErrorParity(t *testing.T) {
 	if st := cache.Stats(); st.Entries != 1 {
 		t.Errorf("cache holds %d entries, want 1 (failures must not be stored)", st.Entries)
 	}
-	// Trace bypasses the cache entirely rather than replaying a listing.
+	// A traced observer bypasses the cache entirely rather than
+	// replaying a listing.
 	var sb strings.Builder
-	if _, err := Compile(good, Config{Cache: cache, Trace: &sb}); err != nil {
+	out, err := Compile(good, Config{Cache: cache, Observer: tracing(&sb)})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if sb.Len() == 0 {
-		t.Error("trace produced no listing under an attached cache")
+	if sb.Len() == 0 || out.Cached {
+		t.Errorf("traced compile under an attached cache: listing %d bytes, cached %v", sb.Len(), out.Cached)
+	}
+}
+
+// TestTracedCompileBypassesCache: an observer with a trace sink makes
+// Compile skip the cache, so every call writes the full listing and none
+// reports Cached, even for source the cache would serve.
+func TestTracedCompileBypassesCache(t *testing.T) {
+	const src = `int main() { int i = 1, s = 0; while (i <= 10) { s += i; i++; } return s; }`
+	cache := NewCache(CacheConfig{MaxEntries: 8})
+	if _, err := Compile(src, Config{Cache: cache}); err != nil {
+		t.Fatal(err)
+	}
+	var want string
+	for i := 0; i < 2; i++ {
+		var sb strings.Builder
+		out, err := Compile(src, Config{Cache: cache, Observer: tracing(&sb)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Cached {
+			t.Errorf("call %d: traced compile reported Cached", i)
+		}
+		lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
+		if lines[len(lines)-1] != "accept" || len(lines) != out.Stats.Shifts+out.Stats.Reduces+out.Stats.Trees {
+			t.Errorf("call %d: %d listing lines ending %q, want %d shifts + %d reduces + %d accepts",
+				i, len(lines), lines[len(lines)-1], out.Stats.Shifts, out.Stats.Reduces, out.Stats.Trees)
+		}
+		if i == 0 {
+			want = sb.String()
+		} else if sb.String() != want {
+			t.Error("second traced compile wrote a different listing")
+		}
+	}
+	if st := cache.Stats(); st.Hits != 0 || st.Misses != 1 {
+		t.Errorf("cache saw %d hits and %d misses, want 0 and 1 (the untraced compile)", st.Hits, st.Misses)
 	}
 }

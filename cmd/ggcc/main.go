@@ -131,7 +131,7 @@ func compile(opts options, files []string) (err error) {
 	var o *ggcg.Observer
 	var eventsFile *os.File
 	var traceBuf *bytes.Buffer
-	if opts.profile || opts.coverage || opts.events != "" || opts.traceFile != "" {
+	if opts.trace || opts.profile || opts.coverage || opts.events != "" || opts.traceFile != "" {
 		cfg := ggcg.ObserverConfig{
 			TrackAllocs: opts.allocs || (opts.profile && !batch && opts.jobs <= 1),
 		}
@@ -160,6 +160,9 @@ func compile(opts options, files []string) (err error) {
 			cfg.TraceEvents = opts.trace
 		}
 		o = ggcg.NewObserver(cfg)
+		if opts.trace {
+			o.SetTraceSink(func(e ggcg.TraceEvent) { fmt.Fprintln(os.Stderr, e.String()) })
+		}
 	}
 
 	// Whatever happens below — including a failed compile — the observer
@@ -180,9 +183,6 @@ func compile(opts options, files []string) (err error) {
 	}()
 
 	cfg := ggcg.Config{Target: opts.target, Baseline: opts.baseline, NoReverseOps: opts.noReverse, Peephole: opts.optimize, Observer: o}
-	if opts.trace {
-		cfg.Trace = os.Stderr
-	}
 	var cache *ggcg.Cache
 	if opts.cache {
 		// The observer (when any instrumentation flag is set) receives

@@ -105,5 +105,5 @@ func main() {
 		log.Printf("ggcd: drain incomplete: %v", err)
 		os.Exit(1)
 	}
-	log.Printf("ggcd: served %d compile requests", d.srv.reg.Counter("requests"))
+	log.Printf("ggcd: served %d compile requests", d.srv.metrics.Counter("requests"))
 }

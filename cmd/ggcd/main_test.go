@@ -40,10 +40,10 @@ func TestCompileEndpoint(t *testing.T) {
 	if ns, err := strconv.ParseInt(resp.Header.Get("X-Ggcd-Compile-Ns"), 10, 64); err != nil || ns <= 0 {
 		t.Errorf("X-Ggcd-Compile-Ns = %q", resp.Header.Get("X-Ggcd-Compile-Ns"))
 	}
-	if got := s.reg.Counter("requests"); got != 1 {
+	if got := s.metrics.Counter("requests"); got != 1 {
 		t.Errorf("requests counter = %d, want 1", got)
 	}
-	if got := s.reg.Counter("codegen.trees"); got <= 0 {
+	if got := s.metrics.Counter("codegen.trees"); got <= 0 {
 		t.Errorf("merged codegen.trees = %d, want > 0", got)
 	}
 }
@@ -105,7 +105,7 @@ func TestCompileErrors(t *testing.T) {
 			t.Errorf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.wantStatus)
 		}
 	}
-	if got := s.reg.Counter("errors"); got != 1 {
+	if got := s.metrics.Counter("errors"); got != 1 {
 		t.Errorf("errors counter = %d, want 1 (only the bad-source request compiles)", got)
 	}
 }
@@ -220,7 +220,7 @@ func TestCompileTimeout(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status %d, want 503", resp.StatusCode)
 	}
-	if got := s.reg.Counter("timeouts"); got != 1 {
+	if got := s.metrics.Counter("timeouts"); got != 1 {
 		t.Errorf("timeouts counter = %d, want 1", got)
 	}
 }
@@ -250,7 +250,7 @@ func postProg(t *testing.T, url, body string) (asm, cacheState string) {
 }
 
 // Sequential identical requests: first misses, the rest hit, responses
-// stay byte-identical, and the registry exports the cache series.
+// stay byte-identical, and /metrics exports the cache series.
 func TestCompileCacheHeader(t *testing.T) {
 	s, ts := newCachedTestServer(t)
 	first, state := postProg(t, ts.URL+"/compile", prog)
@@ -273,7 +273,7 @@ func TestCompileCacheHeader(t *testing.T) {
 	if _, state := postProg(t, ts.URL+"/compile?format=json", prog); state != "hit" {
 		t.Errorf("json variant X-GGCD-Cache = %q, want hit", state)
 	}
-	if hits, misses := s.reg.Counter("cache.hits"), s.reg.Counter("cache.misses"); hits != 2 || misses != 2 {
+	if hits, misses := s.metrics.Counter("cache.hits"), s.metrics.Counter("cache.misses"); hits != 2 || misses != 2 {
 		t.Errorf("cache.hits=%d cache.misses=%d, want 2 and 2", hits, misses)
 	}
 
@@ -414,7 +414,7 @@ func TestCompileTargetParam(t *testing.T) {
 		"codegen.target.risc":  1,
 		"codegen.target.vax":   1,
 	} {
-		if got := s.reg.Counter(counter); got != want {
+		if got := s.metrics.Counter(counter); got != want {
 			t.Errorf("%s = %d, want %d", counter, got, want)
 		}
 	}

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"ggcg"
+	"ggcg/internal/obs"
 )
 
 // serverConfig bounds one daemon instance.
@@ -40,14 +41,44 @@ type serverConfig struct {
 	compileGate    <-chan struct{}
 }
 
-// server is the daemon's handler set plus its cumulative registry and
-// (when enabled) the shared compile-result cache.
+// server is the daemon's handler set plus its cumulative metrics store
+// and (when enabled) the shared compile-result cache.
 type server struct {
-	cfg   serverConfig
-	reg   *ggcg.Registry
+	cfg serverConfig
+
+	// metrics is the cumulative store behind /metrics: request-level
+	// counters and histograms recorded directly, plus every request's
+	// own observer folded in with Merge, so one scrape shows both the
+	// service's metrics and the pipeline's instrumentation vocabulary
+	// (codegen.trees, peep.* and friends) accumulated since startup.
+	metrics *obs.Observer
+
 	cache *ggcg.Cache
 	mux   *http.ServeMux
 }
+
+// metricHelp is the HELP text of every metric the daemon names itself;
+// the pipeline counters merged in from request observers export without
+// one.
+var metricHelp = func() map[string]string {
+	help := map[string]string{
+		"requests":                 "compile requests accepted",
+		"errors":                   "compile requests that failed (bad source)",
+		"timeouts":                 "compile requests that exceeded the deadline",
+		"compile.ns":               "wall time per compile request, ns",
+		"source.bytes":             "request source size, bytes",
+		"asm.lines":                "assembly lines per successful request",
+		"cache.hits":               "requests served from the compile cache (stored or coalesced)",
+		"cache.misses":             "requests that compiled fresh",
+		"cache.evictions":          "cache entries dropped by the LRU bounds",
+		"cache.inflight_coalesced": "requests that waited on an identical in-flight compile",
+	}
+	for _, name := range ggcg.Targets() {
+		help["requests.target."+name] = "compile requests for target " + name
+		help["codegen.target."+name] = "units generated for target " + name
+	}
+	return help
+}()
 
 // compileResponse is the format=json response body. Cached reports a
 // compile-cache hit: nothing was compiled for this request, so Events
@@ -67,38 +98,26 @@ func newServer(cfg serverConfig) *server {
 	if cfg.MaxSource <= 0 {
 		cfg.MaxSource = 1 << 20
 	}
-	s := &server{cfg: cfg, reg: ggcg.NewRegistry("ggcd"), mux: http.NewServeMux()}
-	s.reg.Help("requests", "compile requests accepted")
-	s.reg.Help("errors", "compile requests that failed (bad source)")
-	s.reg.Help("timeouts", "compile requests that exceeded the deadline")
-	s.reg.Help("compile.ns", "wall time per compile request, ns")
-	s.reg.Help("source.bytes", "request source size, bytes")
-	s.reg.Help("asm.lines", "assembly lines per successful request")
+	s := &server{cfg: cfg, metrics: obs.New(obs.Config{}), mux: http.NewServeMux()}
 	// One series per registered backend, counted twice: requests.target.*
 	// at admission (every accepted request, including failures) and
 	// codegen.target.* from the merged per-request observers (units the
 	// table-driven generator actually compiled). Pre-registered at zero so
 	// a scrape shows every target's series before its first request.
 	for _, name := range ggcg.Targets() {
-		s.reg.Help("requests.target."+name, "compile requests for target "+name)
-		s.reg.Count("requests.target."+name, 0)
-		s.reg.Help("codegen.target."+name, "units generated for target "+name)
-		s.reg.Count("codegen.target."+name, 0)
+		s.metrics.Count("requests.target."+name, 0)
+		s.metrics.Count("codegen.target."+name, 0)
 	}
 	if cfg.CacheEntries > 0 {
 		s.cache = ggcg.NewCache(ggcg.CacheConfig{
 			MaxEntries: cfg.CacheEntries,
 			MaxBytes:   cfg.CacheBytes,
-			Metrics:    s.reg,
+			Metrics:    s.metrics,
 		})
-		s.reg.Help("cache.hits", "requests served from the compile cache (stored or coalesced)")
-		s.reg.Help("cache.misses", "requests that compiled fresh")
-		s.reg.Help("cache.evictions", "cache entries dropped by the LRU bounds")
-		s.reg.Help("cache.inflight_coalesced", "requests that waited on an identical in-flight compile")
 		// Pre-register the series at zero so a scrape shows them before
 		// the first request, and a smoke test can grep them reliably.
 		for _, name := range []string{"cache.hits", "cache.misses", "cache.evictions", "cache.inflight_coalesced"} {
-			s.reg.Count(name, 0)
+			s.metrics.Count(name, 0)
 		}
 	}
 
@@ -166,13 +185,13 @@ func (s *server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	// observer, never from the cache entry.
 	cfg.Cache = s.cache
 
-	s.reg.Count("requests", 1)
-	s.reg.Count("requests.target."+targetName, 1)
-	s.reg.Observe("source.bytes", int64(len(src)))
+	s.metrics.Count("requests", 1)
+	s.metrics.Count("requests.target."+targetName, 1)
+	s.metrics.Observe("source.bytes", int64(len(src)))
 
 	// Every request records into its own observer — span events included
-	// when the client asked for them — folded into the cumulative
-	// registry afterwards, exactly like a batch worker shard.
+	// when the client asked for them — folded into the cumulative store
+	// afterwards, exactly like a batch worker shard.
 	var events bytes.Buffer
 	o := ggcg.NewObserver(ggcg.ObserverConfig{Events: &events})
 	cfg.Observer = o
@@ -198,23 +217,23 @@ func (s *server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	select {
 	case res = <-done:
 	case <-timer.C:
-		s.reg.Count("timeouts", 1)
+		s.metrics.Count("timeouts", 1)
 		http.Error(w, "ggcd: compile deadline exceeded", http.StatusServiceUnavailable)
 		return
 	case <-ctx.Done():
-		s.reg.Count("canceled", 1)
+		s.metrics.Count("canceled", 1)
 		return
 	}
 	elapsed := time.Since(start)
 
-	s.reg.Observe("compile.ns", elapsed.Nanoseconds())
-	s.reg.Merge(res.o)
+	s.metrics.Observe("compile.ns", elapsed.Nanoseconds())
+	s.metrics.Merge(res.o)
 	if res.err != nil {
-		s.reg.Count("errors", 1)
+		s.metrics.Count("errors", 1)
 		http.Error(w, "ggcd: "+res.err.Error(), http.StatusUnprocessableEntity)
 		return
 	}
-	s.reg.Observe("asm.lines", int64(res.out.Stats.AsmLines))
+	s.metrics.Observe("asm.lines", int64(res.out.Stats.AsmLines))
 
 	w.Header().Set("X-Ggcd-Compile-Ns", strconv.FormatInt(elapsed.Nanoseconds(), 10))
 	if s.cache != nil {
@@ -244,7 +263,7 @@ func (s *server) handleCompile(w http.ResponseWriter, r *http.Request) {
 
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.reg.WritePrometheus(w)
+	obs.WritePrometheus(w, s.metrics, "ggcd", metricHelp)
 }
 
 func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -18,7 +18,6 @@ package ggcg
 
 import (
 	"fmt"
-	"io"
 
 	"ggcg/internal/cfront"
 	"ggcg/internal/codegen"
@@ -47,27 +46,20 @@ type ObserverConfig = obs.Config
 // round-trips through encoding/json.
 type ObsEvent = obs.Event
 
+// TraceEvent is one pattern-matcher action (shift, reduce or accept).
+// An Observer's trace sink (SetTraceSink) receives them; String renders
+// one line of the paper's appendix-style listing.
+type TraceEvent = obs.TraceEvent
+
 // SimProfile is the dynamic execution profile of the simulator.
 type SimProfile = obs.SimProfile
 
-// Hist is a snapshot of an Observer or Registry histogram: power-of-two
+// Hist is a snapshot of an Observer histogram: power-of-two
 // buckets plus p50/p90/p99 quantile estimates.
 type Hist = obs.Hist
 
-// Registry is the long-lived metrics store behind a scrape endpoint:
-// cumulative counters, histograms with quantile estimates and per-phase
-// span aggregates, exported in the Prometheus text format via
-// WritePrometheus. Services record request metrics directly and fold
-// each request's Observer in with Merge; see cmd/ggcd for the daemon
-// built on it.
-type Registry = obs.Registry
-
 // NewObserver returns an enabled instrumentation observer.
 func NewObserver(cfg ObserverConfig) *Observer { return obs.New(cfg) }
-
-// NewRegistry returns an empty metrics registry whose exported metric
-// names are prefixed with namespace.
-func NewRegistry(namespace string) *Registry { return obs.NewRegistry(namespace) }
 
 // Config selects how a program is compiled.
 type Config struct {
@@ -91,26 +83,23 @@ type Config struct {
 	// It applies to both generators.
 	Peephole bool
 
-	// Trace receives the pattern matcher's shift/reduce actions, one per
-	// line — the listing style of the paper's appendix. It is a thin
-	// adapter over the Observer's trace event stream: the listing and the
-	// JSONL trace events render from the same events. The listing covers
-	// this compilation only; the Observer keeps no trace sink afterwards.
-	// Ignored by the baseline generator.
-	Trace io.Writer
-
 	// Observer, if non-nil, instruments the whole compilation: phase
 	// spans, counters, histograms and table coverage accumulate into it.
 	// Observers are safe for concurrent use; CompileBatch and the
 	// per-function parallel path record through per-worker shards so hot
-	// paths never contend.
+	// paths never contend. An observer with a trace sink (SetTraceSink)
+	// receives the pattern matcher's shift/reduce actions — the listing
+	// style of the paper's appendix — and with TraceEvents the JSONL
+	// stream carries the same actions. The baseline generator has no
+	// matcher and traces nothing.
 	Observer *Observer
 
 	// Workers sets the number of goroutines compiling independent
 	// functions of the unit concurrently over the shared read-only
 	// tables; 0 or 1 compiles sequentially. The output is byte-identical
 	// to the sequential output. Ignored by the baseline generator and
-	// when Trace is set (the shift/reduce listing is per-action ordered).
+	// when the Observer wants trace actions (the shift/reduce listing is
+	// per-action ordered).
 	Workers int
 
 	// Cache, if non-nil, serves repeated compilations of identical
@@ -119,9 +108,9 @@ type Config struct {
 	// requests onto a single compile (singleflight). Cached output is
 	// byte-identical to a fresh compile by construction: the key covers
 	// every output-affecting knob plus the identity of the tables (see
-	// internal/compcache). Ignored when Trace is set — the shift/reduce
-	// listing is a per-compilation side effect a cache hit could not
-	// replay.
+	// internal/compcache). Ignored when the Observer wants trace
+	// actions — the shift/reduce listing is a per-compilation side
+	// effect a cache hit could not replay.
 	Cache *Cache
 }
 
@@ -152,7 +141,7 @@ type Compiled struct {
 // Config.Cache set, repeated compilations of the same source and
 // configuration are served from the cache, byte-identically.
 func Compile(src string, cfg Config) (*Compiled, error) {
-	if cfg.Cache != nil && cfg.Trace == nil {
+	if cfg.Cache != nil && !cfg.Observer.WantsTrace() {
 		return compileCached(src, cfg)
 	}
 	return compile(src, cfg)
@@ -172,23 +161,6 @@ func compile(src string, cfg Config) (*Compiled, error) {
 	a := ir.AcquireArena()
 	defer a.Release()
 	o := cfg.Observer
-	if cfg.Trace != nil {
-		// The appendix-style listing is a sink over the observer's trace
-		// event stream, so the listing and the JSONL trace events cannot
-		// drift apart. The sink sits on a shard merged back on return, so
-		// it never outlives this compile on the caller's observer. A trace
-		// with no explicit observer gets a private adapter-only one.
-		var tr *obs.Observer
-		if o == nil {
-			tr = obs.New(obs.Config{})
-		} else {
-			tr = o.Shard()
-			defer o.Merge(tr)
-		}
-		w := cfg.Trace
-		tr.SetTraceSink(func(e obs.TraceEvent) { fmt.Fprintln(w, e.String()) })
-		o = tr
-	}
 	sp := o.Start("compile")
 	defer sp.End()
 	unit, err := cfront.CompileArena(src, a, o)

@@ -2,6 +2,8 @@ package ggcg
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 )
@@ -106,14 +108,24 @@ func TestCompileErrors(t *testing.T) {
 	}
 }
 
+// tracing returns an observer whose trace sink writes the appendix-style
+// shift/reduce listing to w, one action per line, as ggcc -trace does.
+func tracing(w io.Writer) *Observer {
+	o := NewObserver(ObserverConfig{})
+	o.SetTraceSink(func(e TraceEvent) { fmt.Fprintln(w, e.String()) })
+	return o
+}
+
 func TestTraceOutput(t *testing.T) {
 	var buf bytes.Buffer
-	_, err := Compile(`int main() { return 1; }`, Config{Trace: &buf})
+	_, err := Compile(`int main() { return 1; }`, Config{Observer: tracing(&buf)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "shift") || !strings.Contains(buf.String(), "accept") {
-		t.Errorf("trace output missing actions:\n%s", buf.String())
+	for _, action := range []string{"shift", "reduce", "accept"} {
+		if !strings.Contains(buf.String(), action) {
+			t.Errorf("trace output missing %s actions:\n%s", action, buf.String())
+		}
 	}
 }
 

@@ -142,7 +142,7 @@ func Compile(u *ir.Unit, opt Options) (*Result, error) {
 	if o.Enabled() {
 		s := res.Stats
 		// One series per backend: reports show which machine a run drove,
-		// and a registry that merges request observers (ggcd /metrics)
+		// and a store that merges request observers (ggcd /metrics)
 		// accumulates per-target compile counts.
 		o.Count("codegen.target."+mach.Name(), 1)
 		o.Count("codegen.trees", int64(s.Matcher.Trees))
@@ -260,11 +260,6 @@ func generateFunc(out *target.Emitter, mach target.Machine, t *tablegen.Tables, 
 	defer matcherPool.Put(m)
 	m.Reset(t, gen)
 	m.Obs = o
-	// Route every matcher action to the observer's trace stream (listing
-	// sink + JSONL) only when something consumes it.
-	if o.WantsTrace() {
-		m.Trace = func(e matcher.TraceEvent) { o.Trace(e.Obs()) }
-	}
 
 	// Phases 2–4: the span covers pattern matching, instruction generation
 	// and output generation, which interleave per tree (Figure 2).

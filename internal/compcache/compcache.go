@@ -23,9 +23,9 @@ import (
 )
 
 // Metrics receives the cache's counters: cache.hits, cache.misses,
-// cache.evictions and cache.inflight_coalesced. Both *obs.Observer and
-// *obs.Registry satisfy it, so the same cache reports into a CLI
-// instrumentation run or a daemon's scrape endpoint.
+// cache.evictions and cache.inflight_coalesced. *obs.Observer satisfies
+// it, so the same cache reports into a CLI instrumentation run or the
+// observer behind a daemon's scrape endpoint.
 type Metrics interface {
 	Count(name string, delta int64)
 }

@@ -51,41 +51,6 @@ type Semantics interface {
 	Predicate(name string, p *cgram.Prod, args []Value) bool
 }
 
-// TraceKind discriminates trace events.
-type TraceKind uint8
-
-// Trace event kinds.
-const (
-	TraceShift TraceKind = iota
-	TraceReduce
-	TraceAccept
-)
-
-// TraceEvent describes one parser action, in the style of the action table
-// in the paper's appendix.
-type TraceEvent struct {
-	Kind TraceKind
-	Term string      // shifted terminal, for TraceShift
-	Prod *cgram.Prod // reduced production, for TraceReduce
-}
-
-// Obs converts the event to the observability layer's trace vocabulary.
-// Both the appendix-style listing (String) and the JSONL trace events are
-// rendered from the converted form, so the two cannot drift apart.
-func (e TraceEvent) Obs() obs.TraceEvent {
-	switch e.Kind {
-	case TraceShift:
-		return obs.TraceEvent{Kind: "shift", Term: e.Term}
-	case TraceReduce:
-		return obs.TraceEvent{Kind: "reduce", Prod: e.Prod.Index, Rule: e.Prod.String()}
-	case TraceAccept:
-		return obs.TraceEvent{Kind: "accept"}
-	}
-	return obs.TraceEvent{}
-}
-
-func (e TraceEvent) String() string { return e.Obs().String() }
-
 // Stats counts parser work, used by the phase-time experiments (§5, §8:
 // "our code generator spends most of its time parsing").
 type Stats struct {
@@ -107,12 +72,11 @@ type Matcher struct {
 	interner *ir.TermInterner
 	sem      Semantics
 
-	// Trace, if non-nil, receives every parser action.
-	Trace func(TraceEvent)
-
 	// Obs, if non-nil, receives table coverage (productions reduced,
-	// states visited) and a parse-stack-depth histogram. Hot-path calls
-	// are guarded by nil checks so a disabled observer costs one branch.
+	// states visited), a parse-stack-depth histogram and, when it wants
+	// them, every parser action as an obs.TraceEvent — the listing of the
+	// paper's appendix. Hot-path calls are guarded by nil checks so a
+	// disabled observer costs one branch.
 	Obs *obs.Observer
 
 	stats Stats
@@ -142,7 +106,7 @@ func New(t *tablegen.Tables, sem Semantics) *Matcher {
 }
 
 // Reset re-targets the matcher to new tables and semantics and clears its
-// observation hooks and counters, keeping the grown stacks and token
+// observer and counters, keeping the grown stacks and token
 // buffer. The code generator pools matchers across functions so the
 // per-function parse costs no allocation in steady state.
 func (m *Matcher) Reset(t *tablegen.Tables, sem Semantics) {
@@ -152,7 +116,6 @@ func (m *Matcher) Reset(t *tablegen.Tables, sem Semantics) {
 		m.interner = internerFor(t)
 	}
 	m.sem = sem
-	m.Trace = nil
 	m.Obs = nil
 	m.stats = Stats{}
 }
@@ -222,6 +185,9 @@ func (m *Matcher) Match(toks []ir.Token) (Value, error) {
 	if m.Obs != nil {
 		m.Obs.StateVisited(0)
 	}
+	// Whether anything consumes trace actions is decided once per tree;
+	// the loop below branches on this local only.
+	trace := m.Obs.WantsTrace()
 
 	pos := 0
 	maxDepth := 1
@@ -259,8 +225,8 @@ func (m *Matcher) Match(toks []ir.Token) (Value, error) {
 			if m.Obs != nil {
 				m.Obs.StateVisited(int(arg))
 			}
-			if m.Trace != nil {
-				m.Trace(TraceEvent{Kind: TraceShift, Term: tok.TermName()})
+			if trace {
+				m.Obs.Trace(obs.TraceEvent{Kind: "shift", Term: tok.TermName()})
 			}
 			pos++
 
@@ -298,8 +264,8 @@ func (m *Matcher) Match(toks []ir.Token) (Value, error) {
 				m.Obs.ProdReduced(prod.Index)
 				m.Obs.StateVisited(int(to))
 			}
-			if m.Trace != nil {
-				m.Trace(TraceEvent{Kind: TraceReduce, Prod: prod})
+			if trace {
+				m.Obs.Trace(obs.TraceEvent{Kind: "reduce", Prod: prod.Index, Rule: prod.String()})
 			}
 
 		case tablegen.ActAccept:
@@ -309,8 +275,8 @@ func (m *Matcher) Match(toks []ir.Token) (Value, error) {
 			if m.Obs != nil {
 				m.Obs.Observe("matcher.stack_depth", int64(maxDepth))
 			}
-			if m.Trace != nil {
-				m.Trace(TraceEvent{Kind: TraceAccept})
+			if trace {
+				m.Obs.Trace(obs.TraceEvent{Kind: "accept"})
 			}
 			res := vals[len(vals)-1]
 			m.states, m.vals = states[:0], vals[:0]

@@ -1,11 +1,13 @@
 package matcher
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"ggcg/internal/cgram"
 	"ggcg/internal/ir"
+	"ggcg/internal/obs"
 	"ggcg/internal/tablegen"
 )
 
@@ -88,11 +90,23 @@ func TestMatchEvaluates(t *testing.T) {
 	}
 }
 
+// traced attaches an observer whose trace sink collects every action.
+func traced(m *Matcher) *[]obs.TraceEvent {
+	var events []obs.TraceEvent
+	m.Obs = obs.New(obs.Config{})
+	m.Obs.SetTraceSink(func(e obs.TraceEvent) { events = append(events, e) })
+	return &events
+}
+
 func TestTraceEvents(t *testing.T) {
-	m := New(buildTables(t, calcGrammar), &calcSem{})
-	var lines []string
-	m.Trace = func(e TraceEvent) { lines = append(lines, e.String()) }
+	tb := buildTables(t, calcGrammar)
+	m := New(tb, &calcSem{})
+	events := traced(m)
 	matchTree(t, m, `(Assign.l (Name.l a) (Const.l 300000))`)
+	var lines []string
+	for _, e := range *events {
+		lines = append(lines, e.String())
+	}
 	joined := strings.Join(lines, "\n")
 	for _, want := range []string{"shift  Assign.l", "shift  Name.l", "lval.l -> Name.l", "shift  Const.l", "accept"} {
 		if !strings.Contains(joined, want) {
@@ -101,6 +115,15 @@ func TestTraceEvents(t *testing.T) {
 	}
 	if lines[len(lines)-1] != "accept" {
 		t.Errorf("last event = %q", lines[len(lines)-1])
+	}
+
+	// Reset detaches the observer: a pooled matcher traces nothing for
+	// its next user.
+	n := len(*events)
+	m.Reset(tb, &calcSem{})
+	matchTree(t, m, `(Assign.l (Name.l a) (Const.l 300000))`)
+	if len(*events) != n {
+		t.Errorf("%d actions traced after Reset", len(*events)-n)
 	}
 }
 
@@ -225,12 +248,39 @@ rval.l -> Const.l ; action=imm
 	}
 }
 
+// TestTraceKindStrings: the matcher emits one event per action in the
+// obs vocabulary — "shift" with its terminal, "reduce" with the
+// production's index and text, a final "accept" — matching its own
+// counters.
 func TestTraceKindStrings(t *testing.T) {
-	if (TraceEvent{Kind: TraceShift, Term: "X"}).String() != "shift  X" {
-		t.Error("shift trace format changed")
+	tb := buildTables(t, calcGrammar)
+	m := New(tb, &calcSem{})
+	events := traced(m)
+	matchTree(t, m, `(Assign.l (Name.l a) (Plus.l (Const.b 3) (Const.b 5)))`)
+	kinds := map[string]int{}
+	for _, e := range *events {
+		kinds[e.Kind]++
+		switch e.Kind {
+		case "shift":
+			if e.Term == "" || e.String() != "shift  "+e.Term {
+				t.Errorf("shift event %+v renders %q", e, e.String())
+			}
+		case "reduce":
+			p := tb.Grammar.Prods[e.Prod-1]
+			if want := fmt.Sprintf("reduce %d: %s", p.Index, p); e.Rule != p.String() || e.String() != want {
+				t.Errorf("reduce event %+v renders %q, want %q", e, e.String(), want)
+			}
+		case "accept":
+			if e.String() != "accept" {
+				t.Errorf("accept event renders %q", e.String())
+			}
+		default:
+			t.Errorf("unknown trace kind %q", e.Kind)
+		}
 	}
-	if (TraceEvent{Kind: TraceAccept}).String() != "accept" {
-		t.Error("accept trace format changed")
+	st := m.Stats()
+	if kinds["shift"] != st.Shifts || kinds["reduce"] != st.Reduces || kinds["accept"] != 1 {
+		t.Errorf("traced kinds %v, stats %+v", kinds, st)
 	}
 }
 

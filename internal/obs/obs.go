@@ -145,9 +145,11 @@ type Observer struct {
 	hists        map[string]*hist
 	histOrder    []string
 
-	cov       coverage
-	sim       SimProfile
-	traceSink func(TraceEvent)
+	cov coverage
+	sim SimProfile
+
+	// traceSink is read once per matcher action, so it sits outside mu.
+	traceSink atomic.Pointer[func(TraceEvent)]
 
 	// Shards prefix their top-level span paths with the parent's open
 	// span path at Shard time, so merged phase tables nest naturally.
@@ -437,10 +439,10 @@ func (o *Observer) Histogram(name string) *Hist {
 	return h.snapshot()
 }
 
-// TraceEvent is one pattern-matcher action in the obs event vocabulary.
-// The matcher's own trace type converts to this; the appendix-style
-// listing and the JSONL trace events are both rendered from it, so the
-// two cannot drift apart.
+// TraceEvent is one pattern-matcher action, in the style of the action
+// table in the paper's appendix. The matcher emits these straight into
+// Trace; the appendix-style listing (String) and the JSONL trace events
+// both render from them, so the two cannot drift apart.
 type TraceEvent struct {
 	Kind string // "shift", "reduce" or "accept"
 	Term string // shifted terminal, for shifts
@@ -462,29 +464,29 @@ func (e TraceEvent) String() string {
 }
 
 // SetTraceSink installs a callback invoked for every matcher trace action
-// routed through Trace. The legacy appendix-style listing is such a sink.
-// Sinks are not inherited by shards: a sink typically writes to one
-// io.Writer, which concurrent workers would interleave.
+// routed through Trace, or removes it (fn == nil). The appendix-style
+// listing is such a sink. Sinks are not inherited by shards: a sink
+// typically writes to one io.Writer, which concurrent workers would
+// interleave.
 func (o *Observer) SetTraceSink(fn func(TraceEvent)) {
 	if o == nil {
 		return
 	}
-	o.mu.Lock()
-	o.traceSink = fn
-	o.mu.Unlock()
+	if fn == nil {
+		o.traceSink.Store(nil)
+		return
+	}
+	o.traceSink.Store(&fn)
 }
 
 // WantsTrace reports whether routing matcher trace actions to this
-// observer would have any effect, so callers can skip wiring the matcher
-// callback entirely.
+// observer would have any effect, so callers can skip building them
+// entirely.
 func (o *Observer) WantsTrace() bool {
 	if o == nil {
 		return false
 	}
-	o.mu.RLock()
-	sink := o.traceSink
-	o.mu.RUnlock()
-	return sink != nil || (o.enc != nil && o.cfg.TraceEvents)
+	return o.traceSink.Load() != nil || (o.enc != nil && o.cfg.TraceEvents)
 }
 
 // Trace records one matcher action: it is fanned to the trace sink (the
@@ -493,11 +495,8 @@ func (o *Observer) Trace(e TraceEvent) {
 	if o == nil {
 		return
 	}
-	o.mu.RLock()
-	sink := o.traceSink
-	o.mu.RUnlock()
-	if sink != nil {
-		sink(e)
+	if sink := o.traceSink.Load(); sink != nil {
+		(*sink)(e)
 	}
 	if o.cfg.TraceEvents {
 		o.emit(&Event{Kind: "trace", Name: e.Kind, Term: e.Term, Prod: e.Prod, Rule: e.Rule})

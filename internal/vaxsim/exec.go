@@ -773,7 +773,10 @@ func aob(cont func(index, limit int64) bool) decoder {
 }
 
 // builtins are library routines known not to modify any register except the
-// result (§5.3.2): unsigned division and remainder.
+// result (§5.3.2): unsigned division and remainder. A call binds one only
+// when the program defines no code of that name, so a program's own
+// function of the same name is called instead, as a linker would resolve
+// it.
 var builtins = map[string]func(a, b uint32) (uint32, error){
 	"_udiv": func(a, b uint32) (uint32, error) {
 		if b == 0 {
@@ -790,7 +793,8 @@ var builtins = map[string]func(a, b uint32) (uint32, error){
 }
 
 // calls $n,f: the simplified frame protocol described in DESIGN.md (see
-// simcore's PushFrame); the unsigned division builtins return at once.
+// simcore's PushFrame); the unsigned division builtins, when the program
+// does not define f itself, return at once.
 func calls(in *Instr) exec {
 	if err := in.WantOps(2); err != nil {
 		return fail(err)
@@ -800,7 +804,7 @@ func calls(in *Instr) exec {
 	}
 	n := uint32(in.Ops[0].Imm)
 	sym := in.Ops[1].Sym
-	if f, ok := builtins[sym]; ok {
+	if f, ok := builtins[sym]; ok && !in.Ops[1].IsCode {
 		return func(m *Machine) error {
 			a := uint32(m.Mem.Load(m.R[simcore.SP], 4))
 			b := uint32(m.Mem.Load(m.R[simcore.SP]+4, 4))

@@ -8,6 +8,7 @@ package ggcg
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -150,13 +151,14 @@ func testObserverEndToEnd(t *testing.T, target string) {
 	}
 }
 
-// Config.Trace is an adapter over the observer's trace stream: the
+// The listing is a sink over the observer's trace stream: the
 // appendix-style listing and the JSONL trace events must describe the
 // exact same action sequence.
 func TestTraceAdapterCannotDrift(t *testing.T) {
 	var listing, events bytes.Buffer
 	o := NewObserver(ObserverConfig{Events: &events, TraceEvents: true})
-	if _, err := Compile(`int main() { return 6 * 7; }`, Config{Trace: &listing, Observer: o}); err != nil {
+	o.SetTraceSink(func(e TraceEvent) { fmt.Fprintln(&listing, e.String()) })
+	if _, err := Compile(`int main() { return 6 * 7; }`, Config{Observer: o}); err != nil {
 		t.Fatal(err)
 	}
 	listed := strings.Split(strings.TrimSpace(listing.String()), "\n")
@@ -183,35 +185,24 @@ func TestTraceAdapterCannotDrift(t *testing.T) {
 	}
 }
 
-// A trace without an explicit observer still produces the classic listing.
-func TestTraceWithoutObserver(t *testing.T) {
-	var listing bytes.Buffer
-	if _, err := Compile(`int main() { return 1 + 2; }`, Config{Trace: &listing}); err != nil {
-		t.Fatal(err)
-	}
-	out := listing.String()
-	if !strings.Contains(out, "shift") || !strings.Contains(out, "reduce") || !strings.Contains(out, "accept") {
-		t.Errorf("listing incomplete:\n%s", out)
-	}
-}
-
-// A Config.Trace listing covers its own compile only: a later compile on
-// the same observer without Trace appends nothing to the first writer,
-// and the observer keeps no trace sink, while the traced compile's spans
-// still reach it.
+// A listing covers the compiles made while its sink is installed: once
+// the sink is removed, a later compile on the same observer appends
+// nothing to the writer — no pooled matcher keeps tracing into it — while
+// both compiles' spans reach the observer.
 func TestTraceSinkDoesNotOutliveCompile(t *testing.T) {
 	const src = `int main() { return 1 + 2; }`
 	var listing bytes.Buffer
-	o := NewObserver(ObserverConfig{})
-	if _, err := Compile(src, Config{Trace: &listing, Observer: o}); err != nil {
+	o := tracing(&listing)
+	if _, err := Compile(src, Config{Observer: o}); err != nil {
 		t.Fatal(err)
 	}
 	n := listing.Len()
 	if n == 0 {
 		t.Fatal("traced compile wrote no listing")
 	}
+	o.SetTraceSink(nil)
 	if o.WantsTrace() {
-		t.Error("observer still wants trace actions after the traced compile")
+		t.Error("observer still wants trace actions after its sink was removed")
 	}
 	if _, err := Compile(src, Config{Observer: o}); err != nil {
 		t.Fatal(err)
@@ -221,7 +212,7 @@ func TestTraceSinkDoesNotOutliveCompile(t *testing.T) {
 	}
 	for _, p := range o.Phases() {
 		if p.Path == "compile" && p.Count != 2 {
-			t.Errorf("compile span count %d, want 2 (the traced compile must merge back)", p.Count)
+			t.Errorf("compile span count %d, want 2 (both compiles record into the observer)", p.Count)
 		}
 	}
 }
