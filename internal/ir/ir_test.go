@@ -342,7 +342,8 @@ func TestRegName(t *testing.T) {
 	for _, c := range []struct {
 		r    int
 		want string
-	}{{0, "r0"}, {5, "r5"}, {11, "r11"}, {RegAP, "ap"}, {RegFP, "fp"}, {RegSP, "sp"}, {RegPC, "pc"}} {
+	}{{0, "r0"}, {5, "r5"}, {11, "r11"}, {RegAP, "ap"}, {RegFP, "fp"}, {RegSP, "sp"}, {RegPC, "pc"},
+		{16, "r16"}, {-1, "r-1"}} {
 		if got := RegName(c.r); got != c.want {
 			t.Errorf("RegName(%d) = %q, want %q", c.r, got, c.want)
 		}

@@ -146,17 +146,14 @@ const (
 // NAllocatable is the number of allocatable registers (r0–r5).
 const NAllocatable = 6
 
+// regNames are the assembler names of the sixteen registers.
+var regNames = [...]string{"r0", "r1", "r2", "r3", "r4", "r5", "r6", "r7",
+	"r8", "r9", "r10", "r11", RegAP: "ap", RegFP: "fp", RegSP: "sp", RegPC: "pc"}
+
 // RegName returns the assembler name of register r.
 func RegName(r int) string {
-	switch r {
-	case RegAP:
-		return "ap"
-	case RegFP:
-		return "fp"
-	case RegSP:
-		return "sp"
-	case RegPC:
-		return "pc"
+	if r >= 0 && r < len(regNames) {
+		return regNames[r]
 	}
 	return fmt.Sprintf("r%d", r)
 }

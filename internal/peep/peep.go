@@ -9,10 +9,12 @@
 // it once into a flat array of records — label definitions, directives and
 // instructions whose mnemonic and operands are substrings of the text —
 // resolving every label an operand names to a dense index and every
-// mnemonic to its class (jump, conditional branch, move) as it goes. The
-// rules read and edit those records, within basic blocks (label
-// definitions and control transfers are boundaries), to a fixed point, and
-// the result is rendered once:
+// mnemonic to its class and data size as it goes. The classes come from
+// the target simulator's instruction table (simcore.Info), which is the
+// one declaration of each machine's instruction set. The rules read and
+// edit those records, within basic blocks (label definitions and control
+// transfers are boundaries), to a fixed point, and the result is rendered
+// once:
 //
 //   - redundant move elimination (mov x,x; store/reload pairs)
 //   - condition-code awareness: a tst of a location the previous
@@ -32,6 +34,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"ggcg/internal/simcore"
 )
 
 // Stats counts rule applications.
@@ -51,7 +55,7 @@ type Stats struct {
 }
 
 // Optimize applies the peephole rules to VAX assembly to a fixed point —
-// the rule-driven passes with the VAX vocabulary, then the VAX-only
+// the rule-driven passes with the VAX classes, then the VAX-only
 // condition-code, autoincrement, range-idiom and loop rewrites — and
 // returns the improved assembly and the applications performed.
 func Optimize(src string) (string, Stats) {
@@ -61,71 +65,6 @@ func Optimize(src string) (string, Stats) {
 // vaxPasses are the VAX-only rewrites Optimize runs after the rule-driven
 // passes of each round.
 var vaxPasses = []pass{removeRedundantTst, introduceAutoStep, rangeIdioms, introduceAOB}
-
-// isBranch reports whether the mnemonic transfers control.
-func isBranch(mn string) bool {
-	switch mn {
-	case "jbr", "jeql", "jneq", "jlss", "jleq", "jgtr", "jgeq",
-		"jlssu", "jlequ", "jgtru", "jgequ", "aoblss", "aobleq",
-		"calls", "ret":
-		return true
-	}
-	return false
-}
-
-// invert maps each conditional jump to its complement.
-var invert = map[string]string{
-	"jeql": "jneq", "jneq": "jeql",
-	"jlss": "jgeq", "jgeq": "jlss",
-	"jleq": "jgtr", "jgtr": "jleq",
-	"jlssu": "jgequ", "jgequ": "jlssu",
-	"jlequ": "jgtru", "jgtru": "jlequ",
-}
-
-// writesResult reports whether the instruction's last operand is a
-// destination whose value the condition codes describe afterwards.
-func writesResult(mn string) bool {
-	switch {
-	case strings.HasPrefix(mn, "mov") && !strings.HasPrefix(mn, "mova"),
-		strings.HasPrefix(mn, "cvt"),
-		strings.HasPrefix(mn, "add"), strings.HasPrefix(mn, "sub"),
-		strings.HasPrefix(mn, "mul"), strings.HasPrefix(mn, "div"),
-		strings.HasPrefix(mn, "bis"), strings.HasPrefix(mn, "bic"),
-		strings.HasPrefix(mn, "xor"), strings.HasPrefix(mn, "mneg"),
-		strings.HasPrefix(mn, "mcom"), strings.HasPrefix(mn, "inc"),
-		strings.HasPrefix(mn, "dec"), strings.HasPrefix(mn, "clr"),
-		mn == "ashl", mn == "extzv":
-		return true
-	}
-	return false
-}
-
-// suffixSize maps a type-suffix letter to its operand size.
-func suffixSize(c byte) int {
-	switch c {
-	case 'b':
-		return 1
-	case 'w':
-		return 2
-	case 'l', 'f':
-		return 4
-	case 'd':
-		return 8
-	}
-	return 0
-}
-
-// opSize extracts the operand size of a typed mnemonic ("movb" -> 1).
-func opSize(mn string) int {
-	for i := len(mn) - 1; i >= 0; i-- {
-		c := mn[i]
-		if c >= '0' && c <= '9' {
-			continue
-		}
-		return suffixSize(c)
-	}
-	return 0
-}
 
 // hasSideEffect reports whether formatting the operand again would change
 // machine state (autoincrement modes) or depends on the stack pointer.
@@ -149,8 +88,8 @@ func removeRedundantTst(u *unit, st *Stats) bool {
 		if l.nops == 1 && prev >= 0 && strings.HasPrefix(l.s, "tst") {
 			p := &u.recs[prev]
 			op := u.ops[l.op0].s
-			if writesResult(p.s) && p.nops > 0 && u.ops[p.last()].s == op &&
-				opSize(p.s) == opSize(l.s) && !hasSideEffect(op) {
+			if p.cls&simcore.SetsResult != 0 && p.nops > 0 && u.ops[p.last()].s == op &&
+				p.size == l.size && !hasSideEffect(op) {
 				u.kill(i)
 				st.RedundantTst++
 				changed = true
@@ -182,8 +121,8 @@ func introduceAutoStep(u *unit, st *Stats) bool {
 		}
 		m := &u.recs[j]
 		// Post-increment: l uses (rN), m is addl2 $size,rN.
-		if m.s == "addl2" && m.nops == 2 && !isBranch(l.s) {
-			if reg, size, ok := u.stepOf(m); ok && size == opSize(l.s) {
+		if m.s == "addl2" && m.nops == 2 && l.cls&simcore.Transfer == 0 {
+			if reg, size, ok := u.stepOf(m); ok && size == int(l.size) {
 				if k, ok := u.soleRegDefUse(l, reg); ok {
 					u.setOp(l, k, u.resolve("("+reg+")+"))
 					u.kill(j)
@@ -194,8 +133,8 @@ func introduceAutoStep(u *unit, st *Stats) bool {
 			}
 		}
 		// Pre-decrement: l is subl2 $size,rN, m uses (rN).
-		if l.s == "subl2" && l.nops == 2 && !isBranch(m.s) {
-			if reg, size, ok := u.stepOf(l); ok && size == opSize(m.s) {
+		if l.s == "subl2" && l.nops == 2 && m.cls&simcore.Transfer == 0 {
+			if reg, size, ok := u.stepOf(l); ok && size == int(m.size) {
 				if k, ok := u.soleRegDefUse(m, reg); ok {
 					u.setOp(m, k, u.resolve("-("+reg+")"))
 					u.kill(i)
@@ -379,7 +318,7 @@ func introduceAOB(u *unit, st *Stats) bool {
 // condition codes set before k.
 func (u *unit) condConsumerFollows(k int) bool {
 	if j := u.nextInstrFromLabel(k); j >= 0 {
-		return u.recs[j].cls&cCond != 0
+		return u.recs[j].cls&simcore.CondBranch != 0
 	}
 	return false
 }

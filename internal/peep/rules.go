@@ -1,148 +1,50 @@
 package peep
 
 import (
-	"reflect"
 	"strings"
-	"sync"
-	"unsafe"
+
+	"ggcg/internal/riscsim"
+	"ggcg/internal/simcore"
+	"ggcg/internal/vaxsim"
 )
 
-// Rules parameterize the target-neutral half of the peephole optimizer —
-// the control-flow cleanups and redundant-move removal that only need to
-// know a backend's branch vocabulary, not its addressing modes. Optimize
-// runs them with the VAX vocabulary plus the VAX-only rewrites; other
-// backends describe their mnemonics here and run OptimizeWith.
-type Rules struct {
-	// Jump is the unconditional jump mnemonic; its sole operand is the
-	// target label.
-	Jump string
+// rules are one target's vocabulary for the peephole passes: its
+// simulator's instruction table, which gives each mnemonic its class and
+// data size (a mnemonic the table lacks has neither), and its operand
+// syntax.
+type rules struct {
+	instrs map[string]simcore.Info
 
-	// Invert maps each conditional branch to its complement. A branch's
-	// target label is its last operand (compare-and-branch forms carry
-	// the compared registers first).
-	Invert map[string]string
-
-	// Move reports a pure two-operand register move; `move x,x` is
-	// removable and `move a,b ; move b,a` drops its second half
-	// regardless of which operand the backend writes first.
-	Move func(mn string) bool
-
-	// SideEffect reports an operand whose formatting carries machine
+	// sideEffect reports an operand whose formatting carries machine
 	// state (autostep modes, stack references); such operands are never
 	// touched. Nil means no operand has side effects.
-	SideEffect func(op string) bool
+	sideEffect func(op string) bool
 }
 
-func (r *Rules) sideEffect(op string) bool {
-	return r.SideEffect != nil && r.SideEffect(op)
+func (r *rules) carriesState(op string) bool {
+	return r.sideEffect != nil && r.sideEffect(op)
 }
 
-// vaxRules is the VAX vocabulary of the rule-driven passes.
-var vaxRules = Rules{
-	Jump:   "jbr",
-	Invert: invert,
-	Move: func(mn string) bool {
-		return strings.HasPrefix(mn, "mov") && !strings.HasPrefix(mn, "mova") && !strings.HasPrefix(mn, "movz")
-	},
-	SideEffect: hasSideEffect,
-}
-
-// classTable resolves the branch vocabulary of one Rules — the jump and
-// every mnemonic Invert names — to class bits and, for a conditional
-// branch, the table index of its inverse. Mnemonics it does not list are
-// neither jumps nor conditional branches.
-type classTable struct {
-	index map[string]int32
-	names []string
-	cls   []uint8
-	inv   []int32 // -1 unless cls has cCond
-	first [256]bool
-}
-
-func newClassTable(r *Rules) *classTable {
-	t := &classTable{index: make(map[string]int32)}
-	add := func(mn string) int32 {
-		if i, ok := t.index[mn]; ok {
-			return i
-		}
-		i := int32(len(t.names))
-		t.index[mn] = i
-		t.names = append(t.names, mn)
-		t.cls = append(t.cls, 0)
-		t.inv = append(t.inv, -1)
-		if mn != "" {
-			t.first[mn[0]] = true
-		}
-		return i
-	}
-	for mn, inv := range r.Invert {
-		i := add(mn)
-		t.cls[i] |= cCond
-		t.inv[i] = add(inv)
-	}
-	t.cls[add(r.Jump)] |= cJump
-	return t
-}
-
-// classify returns the class bits and table index of a mnemonic.
-func (t *classTable) classify(mn string) (uint8, int32) {
-	if mn == "" || !t.first[mn[0]] {
-		return 0, -1
-	}
-	if i, ok := t.index[mn]; ok {
-		return t.cls[i], i
-	}
-	return 0, -1
-}
-
-// tableKey identifies a Rules' branch vocabulary: its Invert map, by
-// identity, and its jump.
-type tableKey struct {
-	invert unsafe.Pointer
-	jump   string
-}
-
-// tables caches one classTable per vocabulary, built on first use.
-// Backends pass the same Invert map on every call; a caller that builds a
-// fresh map per call gets a fresh table once the cache is full rather than
-// growing it without bound.
-var tables struct {
-	sync.Mutex
-	m map[tableKey]*classTable
-}
-
-const maxTables = 32
-
-func tableFor(r *Rules) *classTable {
-	key := tableKey{reflect.ValueOf(r.Invert).UnsafePointer(), r.Jump}
-	tables.Lock()
-	defer tables.Unlock()
-	if t, ok := tables.m[key]; ok {
-		return t
-	}
-	t := newClassTable(r)
-	if tables.m == nil {
-		tables.m = make(map[tableKey]*classTable)
-	}
-	if len(tables.m) < maxTables {
-		tables.m[key] = t
-	}
-	return t
-}
+// The two targets' rules, read from their simulators once, when the
+// package loads.
+var (
+	vaxRules  = rules{instrs: vaxsim.Instrs(), sideEffect: hasSideEffect}
+	riscRules = rules{instrs: riscsim.Instrs()}
+)
 
 // pass is one machine-specific rewrite over a unit's records; it reports
 // whether it changed anything.
 type pass func(u *unit, st *Stats) bool
 
-// OptimizeWith applies the rule-driven passes to a fixed point, the
-// backend-parameterized counterpart of Optimize.
-func OptimizeWith(src string, r Rules) (string, Stats) { return runPasses(src, &r, nil) }
+// OptimizeRISC applies the rule-driven passes to RISC assembly to a fixed
+// point, the RISC counterpart of Optimize.
+func OptimizeRISC(src string) (string, Stats) { return runPasses(src, &riscRules, nil) }
 
 // runPasses scans src once, runs the rule-driven passes, then the
 // machine's own passes, then dead-label removal over the records until
 // nothing changes (at most eight rounds), and renders the result once.
-func runPasses(src string, r *Rules, own []pass) (string, Stats) {
-	u := newUnit(src, tableFor(r), r.Move)
+func runPasses(src string, r *rules, own []pass) (string, Stats) {
+	u := newUnit(src, r.instrs)
 	defer u.free()
 	st := &u.st
 	before := u.instrs()
@@ -169,7 +71,7 @@ func removeJumpToNext(u *unit, st *Stats) bool {
 	changed := false
 	for i := range u.recs {
 		l := &u.recs[i]
-		if l.kind != kInstr || l.cls&cJump == 0 || l.nops != 1 {
+		if l.kind != kInstr || l.cls&simcore.Jump == 0 || l.nops != 1 {
 			continue
 		}
 		// Every following record until the first instruction must be a
@@ -189,7 +91,7 @@ func collapseJumpChains(u *unit, st *Stats) bool {
 	changed := false
 	for i := range u.recs {
 		l := &u.recs[i]
-		if l.kind != kInstr || l.nops == 0 || l.cls&(cJump|cCond) == 0 {
+		if l.kind != kInstr || l.nops == 0 || l.cls&(simcore.Jump|simcore.CondBranch) == 0 {
 			continue
 		}
 		target := u.ops[l.last()]
@@ -198,7 +100,7 @@ func collapseJumpChains(u *unit, st *Stats) bool {
 				break
 			}
 			ni := u.nextInstrFromLabel(int(u.defs[target.lab]))
-			if ni < 0 || u.recs[ni].cls&cJump == 0 || u.recs[ni].nops != 1 {
+			if ni < 0 || u.recs[ni].cls&simcore.Jump == 0 || u.recs[ni].nops != 1 {
 				break
 			}
 			nt := u.ops[u.recs[ni].op0]
@@ -222,18 +124,18 @@ func invertBranchOverJump(u *unit, st *Stats) bool {
 	changed := false
 	for i := range u.recs {
 		l := &u.recs[i]
-		if l.kind != kInstr || l.cls&cCond == 0 || l.nops == 0 {
+		if l.kind != kInstr || l.cls&simcore.CondBranch == 0 || l.nops == 0 {
 			continue
 		}
 		j := u.nextInstrSameBlock(i)
-		if j < 0 || u.recs[j].cls&cJump == 0 || u.recs[j].nops != 1 {
+		if j < 0 || u.recs[j].cls&simcore.Jump == 0 || u.recs[j].nops != 1 {
 			continue
 		}
 		// The conditional's target must be the line right after the jump.
 		if !u.labelFollows(j, u.ops[l.last()].lab) {
 			continue
 		}
-		u.setMn(l, u.tab.names[u.tab.inv[l.mi]])
+		u.setMn(l, u.table[l.s].Inverse)
 		u.setOp(l, l.last(), u.ops[u.recs[j].op0])
 		u.kill(j)
 		st.InvertedOver++
@@ -245,15 +147,15 @@ func invertBranchOverJump(u *unit, st *Stats) bool {
 // removeRedundantMoves drops `move x,x` and the second half of a
 // `move a,b ; move b,a` pair; both rules hold whichever operand the
 // backend's move writes.
-func removeRedundantMoves(u *unit, r *Rules, st *Stats) bool {
+func removeRedundantMoves(u *unit, r *rules, st *Stats) bool {
 	changed := false
 	for i := range u.recs {
 		l := &u.recs[i]
-		if l.kind != kInstr || l.cls&cMove == 0 || l.nops != 2 {
+		if l.kind != kInstr || l.cls&simcore.Move == 0 || l.nops != 2 {
 			continue
 		}
 		a, b := u.ops[l.op0].s, u.ops[l.op0+1].s
-		if a == b && !r.sideEffect(a) {
+		if a == b && !r.carriesState(a) {
 			u.kill(i)
 			st.RedundantMoves++
 			changed = true
@@ -266,7 +168,7 @@ func removeRedundantMoves(u *unit, r *Rules, st *Stats) bool {
 		m := &u.recs[j]
 		if m.s == l.s && m.nops == 2 &&
 			u.ops[m.op0].s == b && u.ops[m.op0+1].s == a &&
-			!r.sideEffect(a) && !r.sideEffect(b) {
+			!r.carriesState(a) && !r.carriesState(b) {
 			u.kill(j)
 			st.RedundantMoves++
 			changed = true

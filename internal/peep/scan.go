@@ -5,6 +5,8 @@ import (
 	"strings"
 	"sync"
 	"unsafe"
+
+	"ggcg/internal/simcore"
 )
 
 // recKind says what one record of a unit is.
@@ -15,14 +17,6 @@ const (
 	kDirective
 	kLabel
 	kInstr
-)
-
-// Mnemonic class bits of an instruction record, resolved when the
-// mnemonic is scanned or rewritten.
-const (
-	cJump uint8 = 1 << iota // the Rules' unconditional jump
-	cCond                   // a conditional branch with an inverse
-	cMove                   // a pure register move (Rules.Move)
 )
 
 // operand is one instruction operand: a substring of the source (or of a
@@ -40,11 +34,11 @@ type operand struct {
 // verbatim: render copies runs of those straight from the source.
 type rec struct {
 	kind       recKind
-	cls        uint8 // instruction: mnemonic class bits
-	tab        bool  // directive: rendered as a tab and s (it shared a label's line)
-	verbatim   bool  // renders as src[start:end]
-	mi         int32 // instruction: the mnemonic's class-table index, -1 if unlisted
-	lab        int32 // label: the name's index
+	cls        simcore.Class // instruction: the mnemonic's class
+	size       uint8         // instruction: the mnemonic's data size
+	tab        bool          // directive: rendered as a tab and s (it shared a label's line)
+	verbatim   bool          // renders as src[start:end]
+	lab        int32         // label: the name's index
 	op0, nops  int32
 	start, end int32  // source span of a verbatim record
 	s          string // mnemonic, label name or directive text
@@ -57,22 +51,21 @@ type unit struct {
 	src   string
 	recs  []rec
 	ops   []operand
-	names map[string]int32 // label name -> index
-	defs  []int32          // label index -> its last defining record
-	uses  []int32          // label index -> live operands naming it
-	first [256]bool        // first bytes of label names
-	tab   *classTable
-	move  func(string) bool
-	st    Stats // here, not on the stack: passes called through func values would move it to the heap
+	names map[string]int32        // label name -> index
+	defs  []int32                 // label index -> its last defining record
+	uses  []int32                 // label index -> live operands naming it
+	first [256]bool               // first bytes of label names
+	table map[string]simcore.Info // the target's instruction table
+	st    Stats                   // here, not on the stack: passes called through func values would move it to the heap
 }
 
 var unitPool = sync.Pool{New: func() any { return &unit{names: make(map[string]int32)} }}
 
-// newUnit scans src into a pooled unit classified by tab and move; the
-// caller returns it with free.
-func newUnit(src string, tab *classTable, move func(string) bool) *unit {
+// newUnit scans src into a pooled unit classified by an instruction
+// table; the caller returns it with free.
+func newUnit(src string, table map[string]simcore.Info) *unit {
 	u := unitPool.Get().(*unit)
-	u.src, u.tab, u.move, u.st = src, tab, move, Stats{}
+	u.src, u.table, u.st = src, table, Stats{}
 	u.scan()
 	return u
 }
@@ -87,7 +80,7 @@ func (u *unit) free() {
 		clear(u.names)
 	}
 	u.first = [256]bool{}
-	u.src, u.tab, u.move = "", nil, nil
+	u.src, u.table = "", nil
 	unitPool.Put(u)
 }
 
@@ -367,10 +360,8 @@ func (u *unit) ref(o operand, d int32) {
 // setMn gives an instruction record a mnemonic and classifies it.
 func (u *unit) setMn(r *rec, mn string) {
 	r.s, r.verbatim = mn, false
-	r.cls, r.mi = u.tab.classify(mn)
-	if u.move != nil && u.move(mn) {
-		r.cls |= cMove
-	}
+	in := u.table[mn]
+	r.cls, r.size = in.Class, uint8(in.Size)
 }
 
 // last returns the index in the operand backing of r's last operand.

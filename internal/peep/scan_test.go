@@ -10,7 +10,7 @@ import (
 	"ggcg/internal/corpus"
 	"ggcg/internal/pcc"
 	"ggcg/internal/peep"
-	"ggcg/internal/risc"
+	_ "ggcg/internal/risc" // registers the RISC target
 	"ggcg/internal/target"
 )
 
@@ -102,13 +102,12 @@ func FuzzScanRender(f *testing.F) {
 	} {
 		f.Add(src)
 	}
-	rules := risc.Rules()
 	f.Fuzz(func(t *testing.T, src string) {
 		if got, want := peep.ScanRender(src), refRender(refParse(src)); got != want {
 			t.Fatalf("scan+render of %q:\n got %q\nwant %q", src, got, want)
 		}
 		peep.Optimize(src)
-		peep.OptimizeWith(src, rules)
+		peep.OptimizeRISC(src)
 	})
 }
 
@@ -143,17 +142,16 @@ func corpusOutputs(tb testing.TB) []string {
 }
 
 // TestConcurrentCalls: calls from several goroutines share the unit pool
-// and the class-table cache, and each returns what a lone call returns.
+// and the class tables, and each returns what a lone call returns.
 func TestConcurrentCalls(t *testing.T) {
 	srcs := corpusOutputs(t)
-	rules := risc.Rules()
 	type result struct {
 		vax, risc string
 	}
 	want := make([]result, len(srcs))
 	for i, src := range srcs {
 		want[i].vax, _ = peep.Optimize(src)
-		want[i].risc, _ = peep.OptimizeWith(src, rules)
+		want[i].risc, _ = peep.OptimizeRISC(src)
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -165,8 +163,8 @@ func TestConcurrentCalls(t *testing.T) {
 				if got, _ := peep.Optimize(srcs[i]); got != want[i].vax {
 					t.Errorf("goroutine %d: Optimize of source %d differs from a lone call", g, i)
 				}
-				if got, _ := peep.OptimizeWith(srcs[i], risc.Rules()); got != want[i].risc {
-					t.Errorf("goroutine %d: OptimizeWith of source %d differs from a lone call", g, i)
+				if got, _ := peep.OptimizeRISC(srcs[i]); got != want[i].risc {
+					t.Errorf("goroutine %d: OptimizeRISC of source %d differs from a lone call", g, i)
 				}
 			}
 		}(g)

@@ -6,6 +6,8 @@ import (
 	"strconv"
 
 	"ggcg/internal/ir"
+	"ggcg/internal/riscsim"
+	"ggcg/internal/simcore"
 )
 
 // Gen is the instruction-generation phase for the RISC target: the
@@ -461,22 +463,35 @@ func (g *Gen) convert(to ir.Type, src *Operand) (*Operand, error) {
 	return dst, nil
 }
 
-// relName maps comparison relations to the branch mnemonic stem.
-var relName = map[ir.Rel]string{
-	ir.REQ: "beq", ir.RNE: "bne",
-	ir.RLT: "blt", ir.RLE: "ble",
-	ir.RGT: "bgt", ir.RGE: "bge",
-}
-
-// branchMn builds the compare-and-branch mnemonic for a relation over
-// values of type t.
-func branchMn(rel ir.Rel, t ir.Type) string {
-	mn := relName[rel]
-	if t.IsUnsigned() && rel != ir.REQ && rel != ir.RNE {
-		mn += "u"
+// branchMns holds the compare-and-branch mnemonic for each relation over
+// values of each type, resolved when the package loads. It panics unless
+// each is a conditional branch of the simulator's instruction table whose
+// inverse is the branch of the negated relation.
+var branchMns = func() (b [ir.RGE + 1][ir.ULong + 1]string) {
+	stems := [...]string{ir.REQ: "beq", ir.RNE: "bne", ir.RLT: "blt", ir.RLE: "ble", ir.RGT: "bgt", ir.RGE: "bge"}
+	name := func(rel ir.Rel, t ir.Type) string {
+		mn := stems[rel]
+		if t.IsUnsigned() && rel != ir.REQ && rel != ir.RNE {
+			mn += "u"
+		}
+		return mn + suffix(t)
 	}
-	return mn + suffix(t)
-}
+	instrs := riscsim.Instrs()
+	for rel := range b {
+		for _, t := range append([]ir.Type{ir.UByte, ir.UWord, ir.ULong}, ir.MachineTypes...) {
+			mn, inv := name(ir.Rel(rel), t), name(ir.Rel(rel).Negate(), t)
+			if in := instrs[mn]; in.Class&simcore.CondBranch == 0 || in.Inverse != inv {
+				panic(fmt.Sprintf("risc: %s is not a conditional branch with inverse %s in the instruction table", mn, inv))
+			}
+			b[rel][t] = mn
+		}
+	}
+	return b
+}()
+
+// branchMn returns the compare-and-branch mnemonic for a relation over
+// values of type t.
+func branchMn(rel ir.Rel, t ir.Type) string { return branchMns[rel][t] }
 
 // cmpbr generates the compare-and-branch statement.
 func (g *Gen) cmpbr(cmp *ir.Node, a, b *Operand, target string) error {

@@ -47,9 +47,7 @@ func (machine) FuncHeader(e *target.Emitter, name string, frameBytes int) {
 	FuncHeader(e, name, frameBytes)
 }
 
-func (machine) Peephole(asm string) (string, peep.Stats) {
-	return peep.OptimizeWith(asm, Rules())
-}
+func (machine) Peephole(asm string) (string, peep.Stats) { return peep.OptimizeRISC(asm) }
 
 func (machine) NewSim(asm string) (target.Sim, error) {
 	p, err := riscsim.Assemble(asm)
@@ -58,40 +56,6 @@ func (machine) NewSim(asm string) (target.Sim, error) {
 	}
 	return simcore.AsSim(&riscsim.New(p).Core), nil
 }
-
-// Rules describes the RISC branch and move vocabulary for the
-// rule-driven peephole passes. Branch targets are last operands
-// (compare-and-branch carries its registers first), matching the
-// contract of peep.Rules.
-func Rules() peep.Rules {
-	return peep.Rules{
-		Jump:   "jmp",
-		Invert: invertMap,
-		Move:   func(mn string) bool { return mn == "mv" },
-	}
-}
-
-// invertMap pairs every conditional branch with its complement. The
-// floating comparisons are inverted the same NaN-unaware way the VAX
-// backend's are: the simulated machines produce no NaNs, and keeping the
-// rule set symmetric keeps the two targets' peephole behavior aligned.
-var invertMap = func() map[string]string {
-	m := make(map[string]string)
-	add := func(a, b, s string) {
-		m[a+s] = b + s
-		m[b+s] = a + s
-	}
-	for _, s := range []string{"b", "w", "l", "f", "d"} {
-		add("beq", "bne", s)
-		add("blt", "bge", s)
-		add("ble", "bgt", s)
-	}
-	for _, s := range []string{"b", "w", "l"} {
-		add("bltu", "bgeu", s)
-		add("bleu", "bgtu", s)
-	}
-	return m
-}()
 
 // The methods below complete *Gen's target.Gen surface.
 

@@ -3,7 +3,8 @@
 // target.Machine seam. It shares its core (internal/simcore) with vaxsim
 // — the same directive set, label syntax, frame protocol and memory
 // layout — so generated code for either target executes against the same
-// differential oracles, and holds only its operand syntax and decoders.
+// differential oracles, and holds only its operand syntax and instruction
+// table.
 // The instruction set is a deliberately minimal three-register design:
 // sixteen 64-bit registers, loads and stores as the only memory accesses,
 // no condition codes (compare-and-branch instead), and immediates only in

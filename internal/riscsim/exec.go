@@ -16,93 +16,101 @@ type exec = simcore.Exec[*Machine]
 // them bound.
 type decoder = func(in *Instr) exec
 
-// decoders maps mnemonics to decoders. The assembler also consults it to
-// reject unknown instructions at parse time.
-var decoders = map[string]decoder{}
+// table is the instruction table (simcore.ISA.Ops): each mnemonic's
+// decoder, class and data size. The assembler also consults it to reject
+// unknown instructions at parse time.
+var table = make(map[string]simcore.Op[Operand, *Machine], 160) // room for every entry
+
+// def enters mn in the table.
+func def(mn string, cls simcore.Class, size int, d decoder) {
+	table[mn] = simcore.Op[Operand, *Machine]{Info: simcore.Info{Class: cls, Size: size}, Decode: d}
+}
 
 var fail = simcore.Fail[*Machine]
 
 // sizes maps the integer size suffixes to byte widths.
 var sizes = map[byte]int{'b': 1, 'w': 2, 'l': 4}
 
+// fsizes maps the floating suffixes to byte widths.
+var fsizes = map[byte]int{'f': 4, 'd': 8}
+
 func init() {
 	// Data movement.
-	decoders["li"] = li
-	decoders["lfi"] = lfi
-	decoders["la"] = la
-	decoders["mv"] = mv
+	def("li", 0, 0, li)
+	def("lfi", 0, 0, lfi)
+	def("la", 0, 0, la)
+	def("mv", simcore.Move, 0, mv)
 	for s, n := range sizes {
-		decoders["ld"+string(s)] = loadInt(n)
-		decoders["st"+string(s)] = storeInt(n)
+		def("ld"+string(s), 0, n, loadInt(n))
+		def("st"+string(s), 0, n, storeInt(n))
 	}
-	decoders["ldf"] = ldf
-	decoders["ldd"] = ldd
-	decoders["stf"] = stf
-	decoders["std"] = std
+	def("ldf", 0, 4, ldf)
+	def("ldd", 0, 8, ldd)
+	def("stf", 0, 4, stf)
+	def("std", 0, 8, std)
 
 	// Integer arithmetic: three-register, destination first. Producers
 	// write per-size extended results; consumers re-extend, so only the
 	// low bits carry meaning between instructions.
 	for s, n := range sizes {
-		decoders["add"+string(s)] = binSigned(n, func(a, b int64) (int64, error) { return a + b, nil })
-		decoders["sub"+string(s)] = binSigned(n, func(a, b int64) (int64, error) { return a - b, nil })
-		decoders["mul"+string(s)] = binSigned(n, func(a, b int64) (int64, error) { return a * b, nil })
-		decoders["div"+string(s)] = binSigned(n, func(a, b int64) (int64, error) {
+		def("add"+string(s), 0, n, binSigned(n, func(a, b int64) (int64, error) { return a + b, nil }))
+		def("sub"+string(s), 0, n, binSigned(n, func(a, b int64) (int64, error) { return a - b, nil }))
+		def("mul"+string(s), 0, n, binSigned(n, func(a, b int64) (int64, error) { return a * b, nil }))
+		def("div"+string(s), 0, n, binSigned(n, func(a, b int64) (int64, error) {
 			if b == 0 {
 				return 0, fmt.Errorf("divide by zero")
 			}
 			return a / b, nil
-		})
-		decoders["rem"+string(s)] = binSigned(n, func(a, b int64) (int64, error) {
+		}))
+		def("rem"+string(s), 0, n, binSigned(n, func(a, b int64) (int64, error) {
 			if b == 0 {
 				return 0, fmt.Errorf("modulus by zero")
 			}
 			return a % b, nil
-		})
-		decoders["divu"+string(s)] = binUnsigned(n, func(a, b int64) (int64, error) {
+		}))
+		def("divu"+string(s), 0, n, binUnsigned(n, func(a, b int64) (int64, error) {
 			if b == 0 {
 				return 0, fmt.Errorf("divide by zero")
 			}
 			return a / b, nil
-		})
-		decoders["remu"+string(s)] = binUnsigned(n, func(a, b int64) (int64, error) {
+		}))
+		def("remu"+string(s), 0, n, binUnsigned(n, func(a, b int64) (int64, error) {
 			if b == 0 {
 				return 0, fmt.Errorf("modulus by zero")
 			}
 			return a % b, nil
-		})
-		decoders["and"+string(s)] = binSigned(n, func(a, b int64) (int64, error) { return a & b, nil })
-		decoders["or"+string(s)] = binSigned(n, func(a, b int64) (int64, error) { return a | b, nil })
-		decoders["xor"+string(s)] = binSigned(n, func(a, b int64) (int64, error) { return a ^ b, nil })
-		decoders["sll"+string(s)] = binSigned(n, func(a, b int64) (int64, error) { return shiftLeft(a, b), nil })
-		decoders["sllu"+string(s)] = binUnsigned(n, func(a, b int64) (int64, error) { return shiftLeft(a, b), nil })
-		decoders["sra"+string(s)] = binSigned(n, func(a, b int64) (int64, error) { return shiftLeft(a, -b), nil })
-		decoders["srl"+string(s)] = binUnsigned(n, func(a, b int64) (int64, error) {
+		}))
+		def("and"+string(s), 0, n, binSigned(n, func(a, b int64) (int64, error) { return a & b, nil }))
+		def("or"+string(s), 0, n, binSigned(n, func(a, b int64) (int64, error) { return a | b, nil }))
+		def("xor"+string(s), 0, n, binSigned(n, func(a, b int64) (int64, error) { return a ^ b, nil }))
+		def("sll"+string(s), 0, n, binSigned(n, func(a, b int64) (int64, error) { return shiftLeft(a, b), nil }))
+		def("sllu"+string(s), 0, n, binUnsigned(n, func(a, b int64) (int64, error) { return shiftLeft(a, b), nil }))
+		def("sra"+string(s), 0, n, binSigned(n, func(a, b int64) (int64, error) { return shiftLeft(a, -b), nil }))
+		def("srl"+string(s), 0, n, binUnsigned(n, func(a, b int64) (int64, error) {
 			if b >= 32 || b < 0 {
 				return 0, nil
 			}
 			return int64(uint32(a) >> uint(b)), nil
-		})
-		decoders["neg"+string(s)] = unSigned(n, func(a int64) int64 { return -a })
-		decoders["not"+string(s)] = unSigned(n, func(a int64) int64 { return ^a })
+		}))
+		def("neg"+string(s), 0, n, unSigned(n, func(a int64) int64 { return -a }))
+		def("not"+string(s), 0, n, unSigned(n, func(a int64) int64 { return ^a }))
 	}
-	decoders["addi"] = addi
+	def("addi", 0, 0, addi)
 
 	// Floating arithmetic; f-forms round through float32.
-	for _, s := range []byte{'f', 'd'} {
+	for s, n := range fsizes {
 		f := s == 'f'
-		decoders["add"+string(s)] = binFloat(f, func(a, b float64) (float64, error) { return a + b, nil })
-		decoders["sub"+string(s)] = binFloat(f, func(a, b float64) (float64, error) { return a - b, nil })
-		decoders["mul"+string(s)] = binFloat(f, func(a, b float64) (float64, error) { return a * b, nil })
-		decoders["div"+string(s)] = binFloat(f, func(a, b float64) (float64, error) {
+		def("add"+string(s), 0, n, binFloat(f, func(a, b float64) (float64, error) { return a + b, nil }))
+		def("sub"+string(s), 0, n, binFloat(f, func(a, b float64) (float64, error) { return a - b, nil }))
+		def("mul"+string(s), 0, n, binFloat(f, func(a, b float64) (float64, error) { return a * b, nil }))
+		def("div"+string(s), 0, n, binFloat(f, func(a, b float64) (float64, error) {
 			if b == 0 {
 				return 0, fmt.Errorf("floating divide by zero")
 			}
 			return a / b, nil
-		})
+		}))
+		def("neg"+string(s), 0, n, unFloat(func(a float64) float64 { return -a }))
 	}
-	decoders["negf"] = unFloat(func(a float64) float64 { return -a })
-	decoders["negd"] = unFloat(func(a float64) float64 { return -a })
 
 	// Conversions. Integer pairs read the source size signed (or, in the
 	// u-forms, unsigned) and write per the destination size.
@@ -112,59 +120,63 @@ func init() {
 			if from == to {
 				continue
 			}
-			decoders["cvt"+string(from)+string(to)] = cvtInt(sizes[from], sizes[to], false)
+			def("cvt"+string(from)+string(to), 0, sizes[to], cvtInt(sizes[from], sizes[to], false))
 			if sizes[from] < sizes[to] {
-				decoders["cvtu"+string(from)+string(to)] = cvtInt(sizes[from], sizes[to], true)
+				def("cvtu"+string(from)+string(to), 0, sizes[to], cvtInt(sizes[from], sizes[to], true))
 			}
 		}
-		for _, to := range []byte{'f', 'd'} {
-			decoders["cvt"+string(from)+string(to)] = cvtIntFloat(sizes[from], to == 'f', false)
-			decoders["cvtu"+string(from)+string(to)] = cvtIntFloat(sizes[from], to == 'f', true)
+		for to, n := range fsizes {
+			def("cvt"+string(from)+string(to), 0, n, cvtIntFloat(sizes[from], to == 'f', false))
+			def("cvtu"+string(from)+string(to), 0, n, cvtIntFloat(sizes[from], to == 'f', true))
 		}
-		decoders["cvtf"+string(from)] = cvtFloatInt(sizes[from])
-		decoders["cvtd"+string(from)] = cvtFloatInt(sizes[from])
+		def("cvtf"+string(from), 0, sizes[from], cvtFloatInt(sizes[from]))
+		def("cvtd"+string(from), 0, sizes[from], cvtFloatInt(sizes[from]))
 	}
-	decoders["cvtfd"] = cvtFF(false)
-	decoders["cvtdf"] = cvtFF(true)
+	def("cvtfd", 0, 8, cvtFF(false))
+	def("cvtdf", 0, 4, cvtFF(true))
 
-	// Compare-and-branch. eq/ne need no unsigned variant: equality of the
-	// low bits is equality under either extension.
-	conds := map[string]func(a, b int64) bool{
-		"eq": func(a, b int64) bool { return a == b },
-		"ne": func(a, b int64) bool { return a != b },
-		"lt": func(a, b int64) bool { return a < b },
-		"le": func(a, b int64) bool { return a <= b },
-		"gt": func(a, b int64) bool { return a > b },
-		"ge": func(a, b int64) bool { return a >= b },
-	}
-	fconds := map[string]func(a, b float64) bool{
-		"eq": func(a, b float64) bool { return a == b },
-		"ne": func(a, b float64) bool { return a != b },
-		"lt": func(a, b float64) bool { return a < b },
-		"le": func(a, b float64) bool { return a <= b },
-		"gt": func(a, b float64) bool { return a > b },
-		"ge": func(a, b float64) bool { return a >= b },
-	}
-	for cond, cmp := range conds {
+	// Compare-and-branch, each with the branch taken exactly when it is
+	// not (the floating pairs assume no NaN, which the machine never
+	// produces). eq/ne need no unsigned variant: equality of the low bits
+	// is equality under either extension.
+	for _, c := range []struct {
+		cond, inverse string
+		cmp           func(a, b int64) bool
+		fcmp          func(a, b float64) bool
+	}{
+		{"eq", "ne", func(a, b int64) bool { return a == b }, func(a, b float64) bool { return a == b }},
+		{"ne", "eq", func(a, b int64) bool { return a != b }, func(a, b float64) bool { return a != b }},
+		{"lt", "ge", func(a, b int64) bool { return a < b }, func(a, b float64) bool { return a < b }},
+		{"le", "gt", func(a, b int64) bool { return a <= b }, func(a, b float64) bool { return a <= b }},
+		{"gt", "le", func(a, b int64) bool { return a > b }, func(a, b float64) bool { return a > b }},
+		{"ge", "lt", func(a, b int64) bool { return a >= b }, func(a, b float64) bool { return a >= b }},
+	} {
 		for s, n := range sizes {
-			decoders["b"+cond+string(s)] = branchInt(n, false, cmp)
-			if cond != "eq" && cond != "ne" {
-				decoders["b"+cond+"u"+string(s)] = branchInt(n, true, cmp)
+			branch("b"+c.cond+string(s), "b"+c.inverse+string(s), n, branchInt(n, false, c.cmp))
+			if c.cond != "eq" && c.cond != "ne" {
+				branch("b"+c.cond+"u"+string(s), "b"+c.inverse+"u"+string(s), n, branchInt(n, true, c.cmp))
 			}
 		}
+		for s, n := range fsizes {
+			branch("b"+c.cond+string(s), "b"+c.inverse+string(s), n, branchFloat(c.fcmp))
+		}
 	}
-	for cond, cmp := range fconds {
-		decoders["b"+cond+"f"] = branchFloat(cmp)
-		decoders["b"+cond+"d"] = branchFloat(cmp)
-	}
-	decoders["jmp"] = jmp
+	def("jmp", simcore.Jump|simcore.Transfer, 0, jmp)
 
 	// Calls and the stack.
-	decoders["push"] = push
-	decoders["pushd"] = pushd
-	decoders["call"] = call
-	decoders["ret"] = ret
-	decoders["enter"] = enter
+	def("push", 0, 0, push)
+	def("pushd", 0, 8, pushd)
+	def("call", simcore.Transfer, 0, call)
+	def("ret", simcore.Transfer, 0, ret)
+	def("enter", 0, 0, enter)
+}
+
+// branch enters a conditional branch and its inverse in the table.
+func branch(mn, inverse string, size int, d decoder) {
+	table[mn] = simcore.Op[Operand, *Machine]{
+		Info:   simcore.Info{Class: simcore.CondBranch | simcore.Transfer, Inverse: inverse, Size: size},
+		Decode: d,
+	}
 }
 
 // shiftLeft mirrors the reference interpreter's shift semantics (which in

@@ -23,14 +23,15 @@ type ExecError = simcore.ExecError
 // isa is the RISC half of the simulator.
 var isa = simcore.ISA[Operand, *Machine]{
 	Name:      "riscsim",
-	Decode:    decoders,
+	Ops:       table,
 	Parse:     parseOperand,
 	Link:      func(o *Operand) *simcore.Ref { return &o.Ref },
 	ModeNames: []string{"rN", "d(rN)", "_abs", "$imm", "label"}, // AddrMode order
 }
 
-// Mnemonics returns the instruction mnemonics the machine accepts, sorted.
-func Mnemonics() []string { return isa.Mnemonics() }
+// Instrs returns the machine's instruction table without its decoders,
+// shared: callers must not modify it.
+func Instrs() map[string]simcore.Info { return isa.Instrs() }
 
 // New returns a machine for the program with default memory.
 func New(p *Program) *Machine {

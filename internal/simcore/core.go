@@ -4,7 +4,10 @@
 // register file, memory and calls/ret frame protocol, the step loop with
 // its step limit, counts and fault recovery, and the profile and global
 // accessors. A simulator supplies only what differs, as an ISA: its
-// operand syntax and a decoder per mnemonic.
+// operand syntax and its instruction table, which gives each mnemonic a
+// decoder, a class and a data size. That table is the one declaration of
+// the machine's instruction set; the code generator and the peephole
+// optimizer read theirs from it.
 //
 // Instructions are decoded once, at assembly, the way the code generator
 // resolves its description into tables ahead of use. Each operand is
@@ -21,7 +24,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"sync"
 
@@ -51,16 +53,45 @@ func Fail[M any](err error) Exec[M] {
 	return func(M) error { return err }
 }
 
+// Class is the role an instruction table gives a mnemonic, for the layers
+// that emit or rewrite code: the code generators and the peephole.
+type Class uint8
+
+// Class bits.
+const (
+	Jump       Class = 1 << iota // unconditional jump to its sole operand
+	CondBranch                   // branch to its last operand, taken exactly when Info.Inverse is not
+	Move                         // copies its first operand to its second; else sets only the codes
+	Transfer                     // may transfer control: jumps, branches, calls and returns
+	SetsResult                   // writes its last operand and sets the condition codes from it
+)
+
+// Info is one mnemonic's entry in an instruction table, less its decoder.
+// Size is the data size in bytes its type suffix names (b, w, l, f or d;
+// the last where there are two, as in cvtbl), or 0 where it names none.
+type Info struct {
+	Class   Class
+	Inverse string // of a CondBranch
+	Size    int
+}
+
+// Op is one entry of an instruction table: a mnemonic's Info and its
+// decoder, which checks an instruction's operands, already linked, and
+// returns its Exec with everything bound, or a Fail with the fault
+// executing it must report.
+type Op[O Operand, M any] struct {
+	Info
+	Decode func(*Instr[O]) Exec[M]
+}
+
 // ISA is the machine-specific half of a simulator, for machine type M
 // with operand type O.
 type ISA[O Operand, M any] struct {
 	// Name prefixes every error message ("vaxsim", "riscsim").
 	Name string
-	// Decode maps mnemonics to decoders; it is also the set of mnemonics
-	// the assembler accepts. A decoder checks an instruction's operands,
-	// already linked, and returns its Exec with everything bound, or a
-	// Fail with the fault executing it must report.
-	Decode map[string]func(*Instr[O]) Exec[M]
+	// Ops is the instruction table: the set of mnemonics the assembler
+	// accepts, and the one declaration of the machine's instruction set.
+	Ops map[string]Op[O, M]
 	// Parse parses one operand.
 	Parse func(string) (O, error)
 	// Link returns the Ref an operand embeds, where the assembler stores
@@ -74,9 +105,12 @@ type ISA[O Operand, M any] struct {
 
 	once  sync.Once
 	table opcodeTable[O, M]
+
+	infoOnce sync.Once
+	infos    map[string]Info
 }
 
-// opcodeTable is an ISA's Decode indexed by opcode. Opcodes number the
+// opcodeTable is an ISA's decoders indexed by opcode. Opcodes number the
 // mnemonics in sorted order and index a machine's execution counts.
 type opcodeTable[O Operand, M any] struct {
 	names []string       // mnemonic of each opcode
@@ -91,14 +125,14 @@ type opcodeTable[O Operand, M any] struct {
 func (isa *ISA[O, M]) opcodes() *opcodeTable[O, M] {
 	isa.once.Do(func() {
 		t := &isa.table
-		for mn := range isa.Decode {
+		for mn := range isa.Ops {
 			t.names = append(t.names, mn)
 		}
 		sort.Strings(t.names)
 		t.index = make(map[string]int, len(t.names))
 		for op, mn := range t.names {
 			t.index[mn] = op
-			t.decode = append(t.decode, isa.Decode[mn])
+			t.decode = append(t.decode, isa.Ops[mn].Decode)
 		}
 		t.decode = append(t.decode, func(in *Instr[O]) Exec[M] {
 			return Fail[M](fmt.Errorf("unknown instruction %q", in.Mn))
@@ -107,9 +141,16 @@ func (isa *ISA[O, M]) opcodes() *opcodeTable[O, M] {
 	return &isa.table
 }
 
-// Mnemonics returns the mnemonics the ISA accepts, sorted.
-func (isa *ISA[O, M]) Mnemonics() []string {
-	return slices.Clone(isa.opcodes().names)
+// Instrs returns the ISA's instruction table without its decoders, built
+// on first use and shared: callers must not modify it.
+func (isa *ISA[O, M]) Instrs() map[string]Info {
+	isa.infoOnce.Do(func() {
+		isa.infos = make(map[string]Info, len(isa.Ops))
+		for mn, op := range isa.Ops {
+			isa.infos[mn] = op.Info
+		}
+	})
+	return isa.infos
 }
 
 // Dedicated register numbers.

@@ -2,8 +2,53 @@ package vax
 
 import (
 	"fmt"
+	"strings"
 
 	"ggcg/internal/ir"
+	"ggcg/internal/simcore"
+	"ggcg/internal/vaxsim"
+)
+
+// instrs is the simulator's instruction table, the one declaration of the
+// machine's instruction set: every mnemonic below is checked against it
+// when the package loads.
+var instrs = vaxsim.Instrs()
+
+// mnem is a print template resolved for each machine type: the
+// mnemonic of type t is m[t.Machine()].
+type mnem [ir.Double + 1]string
+
+// tmpl resolves a print template, '$' standing for the type suffix. It
+// panics unless the instruction table has the template's form for every
+// integer type; a float form the table lacks (bis, mcom, inc, ...) is
+// left empty, as the description selects those operators for integer
+// types only.
+func tmpl(template string) *mnem {
+	m := new(mnem)
+	for _, t := range ir.MachineTypes {
+		name := strings.Replace(template, "$", t.Suffix(), 1)
+		if _, ok := instrs[name]; ok {
+			m[t] = name
+		} else if t.IsInteger() {
+			panic(fmt.Sprintf("vax: %s, the %s form of %q, is not in the instruction table", name, t, template))
+		}
+	}
+	return m
+}
+
+// mn returns a resolved template's mnemonic for a machine type.
+func mn(m *mnem, t ir.Type) string { return m[t.Machine()] }
+
+// The templates the semantic routines use outside instrTable.
+var (
+	movT  = tmpl("mov$")
+	clrT  = tmpl("clr$")
+	tstT  = tmpl("tst$")
+	cmpT  = tmpl("cmp$")
+	incT  = tmpl("inc$")
+	decT  = tmpl("dec$")
+	mnegT = tmpl("mneg$")
+	mcomT = tmpl("mcom$")
 )
 
 // instrDesc is one line of the hand-written instruction table (the paper's
@@ -13,7 +58,7 @@ import (
 // single-operand form reached through a range idiom.
 type instrDesc struct {
 	nops    int    // operand count: 3, 2 or 1
-	print   string // mnemonic with '$' standing for the type suffix
+	print   *mnem  // mnemonic per machine type
 	binding bool   // a binding idiom can reduce this to the next entry
 	revOK   bool   // the source operands may be swapped when binding
 	rng     string // range idiom name checked on the 2-operand form
@@ -25,66 +70,62 @@ type instrDesc struct {
 // the generic operator and the types of its operands").
 var instrTable = map[string][]instrDesc{
 	"add": {
-		{nops: 3, print: "add$3", binding: true, revOK: true},
-		{nops: 2, print: "add$2", rng: "unit"},
-		{nops: 1, print: "inc$"},
+		{nops: 3, print: tmpl("add$3"), binding: true, revOK: true},
+		{nops: 2, print: tmpl("add$2"), rng: "unit"},
+		{nops: 1, print: incT},
 	},
 	"sub": {
-		{nops: 3, print: "sub$3", binding: true, flip3: true},
-		{nops: 2, print: "sub$2", rng: "unit"},
-		{nops: 1, print: "dec$"},
+		{nops: 3, print: tmpl("sub$3"), binding: true, flip3: true},
+		{nops: 2, print: tmpl("sub$2"), rng: "unit"},
+		{nops: 1, print: decT},
 	},
 	"mul": {
-		{nops: 3, print: "mul$3", binding: true, revOK: true},
-		{nops: 2, print: "mul$2", rng: "one"},
+		{nops: 3, print: tmpl("mul$3"), binding: true, revOK: true},
+		{nops: 2, print: tmpl("mul$2"), rng: "one"},
 		{nops: 0}, // multiplying by one emits nothing
 	},
 	"div": {
-		{nops: 3, print: "div$3", binding: true, flip3: true},
-		{nops: 2, print: "div$2", rng: "one"},
+		{nops: 3, print: tmpl("div$3"), binding: true, flip3: true},
+		{nops: 2, print: tmpl("div$2"), rng: "one"},
 		{nops: 0},
 	},
 	"bis": {
-		{nops: 3, print: "bis$3", binding: true, revOK: true},
-		{nops: 2, print: "bis$2", rng: "zero"},
+		{nops: 3, print: tmpl("bis$3"), binding: true, revOK: true},
+		{nops: 2, print: tmpl("bis$2"), rng: "zero"},
 		{nops: 0}, // or with zero emits nothing
 	},
 	"xor": {
-		{nops: 3, print: "xor$3", binding: true, revOK: true},
-		{nops: 2, print: "xor$2", rng: "zero"},
+		{nops: 3, print: tmpl("xor$3"), binding: true, revOK: true},
+		{nops: 2, print: tmpl("xor$2"), rng: "zero"},
 		{nops: 0},
 	},
 	"bic": {
 		// binary("bic", t, src, mask) computes src &^ mask.
-		{nops: 3, print: "bic$3", binding: true, flip3: true},
-		{nops: 2, print: "bic$2", rng: "zero"},
+		{nops: 3, print: tmpl("bic$3"), binding: true, flip3: true},
+		{nops: 2, print: tmpl("bic$2"), rng: "zero"},
 		{nops: 0},
 	},
 }
 
-// unsignedBranch maps relations to the unsigned jump pseudo-instructions.
-var unsignedBranch = map[ir.Rel]string{
-	ir.REQ: "jeql", ir.RNE: "jneq",
-	ir.RLT: "jlssu", ir.RLE: "jlequ", ir.RGT: "jgtru", ir.RGE: "jgequ",
-}
+// signedBranch and unsignedBranch map relations to the signed and
+// unsigned jump pseudo-instructions.
+var (
+	signedBranch   = branches("jeql", "jneq", "jlss", "jleq", "jgtr", "jgeq")
+	unsignedBranch = branches("jeql", "jneq", "jlssu", "jlequ", "jgtru", "jgequ")
+)
 
-// signedBranch maps relations to the signed jump pseudo-instructions.
-var signedBranch = map[ir.Rel]string{
-	ir.REQ: "jeql", ir.RNE: "jneq",
-	ir.RLT: "jlss", ir.RLE: "jleq", ir.RGT: "jgtr", ir.RGE: "jgeq",
-}
-
-// mn expands a print template for a machine type.
-func mn(print string, t ir.Type) string {
-	out := make([]byte, 0, len(print)+1)
-	for i := 0; i < len(print); i++ {
-		if print[i] == '$' {
-			out = append(out, t.Machine().Suffix()...)
-		} else {
-			out = append(out, print[i])
+// branches returns the jumps of the relations REQ through RGE, in that
+// order. It panics unless each is a conditional branch of the instruction
+// table whose inverse is the jump of the negated relation.
+func branches(mns ...string) (b [ir.RGE + 1]string) {
+	copy(b[:], mns)
+	for rel, name := range b {
+		inv := b[ir.Rel(rel).Negate()]
+		if in := instrs[name]; in.Class&simcore.CondBranch == 0 || in.Inverse != inv {
+			panic(fmt.Sprintf("vax: %s is not a conditional branch with inverse %s in the instruction table", name, inv))
 		}
 	}
-	return string(out)
+	return b
 }
 
 // Gen is the instruction generation phase (§5.3): the semantic routines the
@@ -239,9 +280,9 @@ func (g *Gen) emitTwoOp(cluster []instrDesc, t ir.Type, src, dst *Operand) {
 			}
 			if src.ImmIs(-1) {
 				g.RangeIdioms++
-				opposite := "inc$"
-				if one.print == "inc$" {
-					opposite = "dec$"
+				opposite := incT
+				if one.print == incT {
+					opposite = decT
 				}
 				g.E.EmitResult(mn(opposite, t), dst)
 				return
@@ -270,10 +311,10 @@ func (g *Gen) move(t ir.Type, src, dst *Operand) {
 	}
 	if t.IsInteger() && src.ImmIs(0) || t.IsFloat() && (src.ImmIs(0) || src.Mode == OFImm && src.FVal == 0) {
 		g.RangeIdioms++
-		g.E.EmitResult("clr"+t.Machine().Suffix(), dst)
+		g.E.EmitResult(mn(clrT, t), dst)
 		return
 	}
-	g.E.EmitResult("mov"+t.Machine().Suffix(), dst, src.Asm())
+	g.E.EmitResult(mn(movT, t), dst, src.Asm())
 }
 
 // materialize loads an operand into a fresh register of type t (used when
@@ -294,7 +335,7 @@ func (g *Gen) materialize(t ir.Type, o *Operand) (*Operand, error) {
 	}
 	dst.Reg = r
 	dst.Owned = ownedRegs(r, t)
-	g.E.EmitResult("mov"+o.Type.Machine().Suffix(), dst, o.Asm())
+	g.E.EmitResult(mn(movT, o.Type), dst, o.Asm())
 	g.RM.Consume(o)
 	return dst, nil
 }

@@ -51,7 +51,7 @@ func spillReg(e *Emitter, f *ir.Func, o *Operand, r int) target.Freed {
 	case o.Mode == OReg && o.Reg == r:
 		t := o.Type.Machine()
 		off := f.AllocTemp(t)
-		e.Emit("mov"+t.Suffix(), o.Asm(), fmt.Sprintf("%d(fp)", off))
+		e.Emit(mn(movT, t), o.Asm(), fmt.Sprintf("%d(fp)", off))
 		// The operand now names the virtual register; all later uses
 		// reload from it.
 		o.Mode, o.Reg, o.Off, o.Xreg = ODisp, ir.RegFP, int64(off), -1
@@ -98,7 +98,7 @@ func spillReg(e *Emitter, f *ir.Func, o *Operand, r int) target.Freed {
 func moveReg(e *Emitter, o *Operand, r, nr int) bool {
 	switch {
 	case o.Mode == OReg:
-		e.Emit("mov"+o.Type.Machine().Suffix(), o.Asm(), ir.RegName(nr))
+		e.Emit(mn(movT, o.Type), o.Asm(), ir.RegName(nr))
 		o.Reg = nr
 		return true
 	case o.Xreg == r:

@@ -155,12 +155,12 @@ func (g *Gen) action(base string, t ir.Type, p *cgram.Prod, args []matcher.Value
 		if err != nil {
 			return nil, err
 		}
-		tmpl := "mneg$"
+		op := mnegT
 		if base == "asgcompl" {
-			tmpl = "mcom$"
+			op = mcomT
 		}
 		g.RM.Pin(dst)
-		g.E.EmitResult(mn(tmpl, t), dst, src.Asm())
+		g.E.EmitResult(mn(op, t), dst, src.Asm())
 		g.RM.Unpin()
 		g.RM.Consume(src)
 		g.RM.Consume(dst)
@@ -309,7 +309,7 @@ func (g *Gen) action(base string, t ir.Type, p *cgram.Prod, args []matcher.Value
 		if err != nil {
 			return nil, err
 		}
-		g.E.Emit("cmp"+t.Machine().Suffix(), a.Asm(), b.Asm())
+		g.E.Emit(mn(cmpT, t), a.Asm(), b.Asm())
 		g.RM.Consume(a)
 		g.RM.Consume(b)
 		g.branch(node(args[1]), g.label(args[4]))
@@ -320,7 +320,7 @@ func (g *Gen) action(base string, t ir.Type, p *cgram.Prod, args []matcher.Value
 		if err != nil {
 			return nil, err
 		}
-		g.E.Emit("tst"+t.Machine().Suffix(), a.Asm())
+		g.E.Emit(mn(tstT, t), a.Asm())
 		g.RM.Consume(a)
 		g.branch(node(args[1]), g.label(args[4]))
 		return nil, nil
@@ -335,7 +335,7 @@ func (g *Gen) action(base string, t ir.Type, p *cgram.Prod, args []matcher.Value
 		// a quiet register slip through, fall back to an explicit test.
 		if a.Mode != OReg || !g.E.LastSet(a.Reg) {
 			g.E.TstBackstops++
-			g.E.Emit("tst"+t.Machine().Suffix(), a.Asm())
+			g.E.Emit(mn(tstT, t), a.Asm())
 		}
 		g.RM.Consume(a)
 		g.branch(node(args[1]), g.label(args[4]))
@@ -345,7 +345,7 @@ func (g *Gen) action(base string, t ir.Type, p *cgram.Prod, args []matcher.Value
 		// Dedicated and phase-1 registers arrive without code having been
 		// emitted, so the condition codes do not describe them (§6.2.1).
 		n := node(args[2])
-		g.E.Emit("tst"+t.Machine().Suffix(), ir.RegName(int(n.Val)))
+		g.E.Emit(mn(tstT, t), ir.RegName(int(n.Val)))
 		g.branch(node(args[1]), g.label(args[4]))
 		return nil, nil
 	}
@@ -478,7 +478,7 @@ func (g *Gen) andOp(t ir.Type, a, b *Operand) (*Operand, error) {
 		return g.binary("bic", t, b, a)
 	}
 	g.RM.Pin(a)
-	mask, err := g.unary("mcom$", t, b)
+	mask, err := g.unary(mcomT, t, b)
 	if err != nil {
 		return nil, err
 	}
@@ -547,8 +547,6 @@ func (g *Gen) shiftAction(base string, args []matcher.Value) (any, error) {
 func (g *Gen) shift(t ir.Type, val, cnt *Operand, left bool) (*Operand, error) {
 	g.RM.Pin(val)
 	g.RM.Pin(cnt)
-	s := t.Machine().Suffix()
-	_ = s
 	dst := &Operand{Mode: OReg, Type: t, Xreg: -1}
 	if !left && t.IsUnsigned() {
 		// Unsigned right shift: extract a zero-extended field.
@@ -586,7 +584,7 @@ func (g *Gen) shift(t ir.Type, val, cnt *Operand, left bool) (*Operand, error) {
 		cntAsm = cnt.Asm()
 	default:
 		// Negate a variable count through a register.
-		neg, err := g.unary("mneg$", ir.Long, cnt)
+		neg, err := g.unary(mnegT, ir.Long, cnt)
 		if err != nil {
 			return nil, err
 		}
@@ -620,16 +618,16 @@ func (g *Gen) unaryAction(base string, args []matcher.Value) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	tmpl := "mneg$"
+	op := mnegT
 	if base == "compl" {
-		tmpl = "mcom$"
+		op = mcomT
 	}
-	return g.unary(tmpl, n.Type, src)
+	return g.unary(op, n.Type, src)
 }
 
 // unary emits a one-source instruction into a (possibly reclaimed)
 // register.
-func (g *Gen) unary(tmpl string, t ir.Type, src *Operand) (*Operand, error) {
+func (g *Gen) unary(op *mnem, t ir.Type, src *Operand) (*Operand, error) {
 	g.RM.Pin(src)
 	defer g.RM.Unpin()
 	dst := &Operand{Mode: OReg, Type: t, Xreg: -1}
@@ -643,7 +641,7 @@ func (g *Gen) unary(tmpl string, t ir.Type, src *Operand) (*Operand, error) {
 		dst.Reg = r
 	}
 	dst.Owned = ownedRegs(dst.Reg, t)
-	g.E.EmitResult(mn(tmpl, t), dst, src.Asm())
+	g.E.EmitResult(mn(op, t), dst, src.Asm())
 	g.RM.Consume(src)
 	return dst, nil
 }

@@ -12,7 +12,7 @@
 // but self-consistent calls/ret frame protocol.
 //
 // The package holds only what is VAX-specific — the operand syntax, the
-// decoders and the condition codes; the assembler front end, memory,
+// instruction table and the condition codes; the assembler front end, memory,
 // frame protocol and step loop are internal/simcore's.
 package vaxsim
 

@@ -15,25 +15,38 @@ type exec = simcore.Exec[*Machine]
 // them bound.
 type decoder = func(in *Instr) exec
 
-// decoders maps mnemonics to decoders; it also defines the accepted
-// instruction subset for the assembler.
-var decoders = map[string]decoder{}
+// table is the instruction table (simcore.ISA.Ops): each mnemonic's
+// decoder, class and data size. It also defines the accepted instruction
+// subset for the assembler.
+var table = make(map[string]simcore.Op[Operand, *Machine], 160) // room for every entry
+
+// def enters mn in the table.
+func def(mn string, cls simcore.Class, size int, d decoder) {
+	table[mn] = simcore.Op[Operand, *Machine]{Info: simcore.Info{Class: cls, Size: size}, Decode: d}
+}
 
 var fail = simcore.Fail[*Machine]
 
 var intSuffix = map[string]int{"b": 1, "w": 2, "l": 4}
 var fltSuffix = map[string]int{"f": 4, "d": 8}
 
+// Classes of the table.
+const (
+	sets     = simcore.SetsResult
+	move     = simcore.Move | simcore.SetsResult
+	transfer = simcore.Transfer
+)
+
 func init() {
 	for s, size := range intSuffix {
-		decoders["mov"+s] = movInt(size)
-		decoders["clr"+s] = clrInt(size)
-		decoders["tst"+s] = tstInt(size)
-		decoders["cmp"+s] = cmpInt(size)
-		decoders["inc"+s] = incInt(size, 1)
-		decoders["dec"+s] = incInt(size, -1)
-		decoders["mneg"+s] = unaryInt(size, func(v int64) int64 { return -v })
-		decoders["mcom"+s] = unaryInt(size, func(v int64) int64 { return ^v })
+		def("mov"+s, move, size, movInt(size))
+		def("clr"+s, sets, size, clrInt(size))
+		def("tst"+s, 0, size, tstInt(size))
+		def("cmp"+s, 0, size, cmpInt(size))
+		def("inc"+s, sets, size, incInt(size, 1))
+		def("dec"+s, sets, size, incInt(size, -1))
+		def("mneg"+s, sets, size, unaryInt(size, func(v int64) int64 { return -v }))
+		def("mcom"+s, sets, size, unaryInt(size, func(v int64) int64 { return ^v }))
 		for _, bin := range []struct {
 			name string
 			f    func(a, b int64) (int64, error)
@@ -46,16 +59,16 @@ func init() {
 			{"bis", func(a, b int64) (int64, error) { return b | a, nil }},
 			{"xor", func(a, b int64) (int64, error) { return b ^ a, nil }},
 		} {
-			decoders[bin.name+s+"2"] = binInt2(size, bin.f)
-			decoders[bin.name+s+"3"] = binInt3(size, bin.f)
+			def(bin.name+s+"2", sets, size, binInt2(size, bin.f))
+			def(bin.name+s+"3", sets, size, binInt3(size, bin.f))
 		}
 	}
 	for s, size := range fltSuffix {
-		decoders["mov"+s] = movFloat(size)
-		decoders["clr"+s] = clrFloat(size)
-		decoders["tst"+s] = tstFloat(size)
-		decoders["cmp"+s] = cmpFloat(size)
-		decoders["mneg"+s] = unaryFloat(size, func(v float64) float64 { return -v })
+		def("mov"+s, move, size, movFloat(size))
+		def("clr"+s, sets, size, clrFloat(size))
+		def("tst"+s, 0, size, tstFloat(size))
+		def("cmp"+s, 0, size, cmpFloat(size))
+		def("mneg"+s, sets, size, unaryFloat(size, func(v float64) float64 { return -v }))
 		for _, bin := range []struct {
 			name string
 			f    func(a, b float64) (float64, error)
@@ -65,14 +78,14 @@ func init() {
 			{"mul", func(a, b float64) (float64, error) { return b * a, nil }},
 			{"div", divFloat},
 		} {
-			decoders[bin.name+s+"2"] = binFloat2(size, bin.f)
-			decoders[bin.name+s+"3"] = binFloat3(size, bin.f)
+			def(bin.name+s+"2", sets, size, binFloat2(size, bin.f))
+			def(bin.name+s+"3", sets, size, binFloat3(size, bin.f))
 		}
 	}
 	// Unsigned widening moves.
-	decoders["movzbw"] = movz(1, 2)
-	decoders["movzbl"] = movz(1, 4)
-	decoders["movzwl"] = movz(2, 4)
+	def("movzbw", sets, 2, movz(1, 2))
+	def("movzbl", sets, 4, movz(1, 4))
+	def("movzwl", sets, 4, movz(2, 4))
 	// Conversions, including the cross products the grammar needs (§6.4).
 	suffixes := map[string]int{"b": 1, "w": 2, "l": 4, "f": 4, "d": 8}
 	isFloat := map[string]bool{"f": true, "d": true}
@@ -81,24 +94,45 @@ func init() {
 			if from == to {
 				continue
 			}
-			decoders["cvt"+from+to] = cvt(fs, ts, isFloat[from], isFloat[to])
+			def("cvt"+from+to, sets, ts, cvt(fs, ts, isFloat[from], isFloat[to]))
 		}
 	}
-	decoders["ashl"] = ashl
-	decoders["extzv"] = extzv
-	decoders["pushl"] = pushl
-	decoders["movab"] = mova(1)
-	decoders["movaw"] = mova(2)
-	decoders["moval"] = mova(4)
-	decoders["movaq"] = mova(8)
-	decoders["jbr"] = branch(jump)
-	for name, taken := range branchConds {
-		decoders[name] = branch(taken)
+	def("ashl", sets, 4, ashl)
+	def("extzv", sets, 0, extzv) // v: a bit field, whose size is an operand
+	def("pushl", 0, 4, pushl)
+	def("movab", 0, 1, mova(1))
+	def("movaw", 0, 2, mova(2))
+	def("moval", 0, 4, mova(4))
+	def("movaq", 0, 0, mova(8)) // q: a quadword, none of the b, w, l, f, d types
+	def("jbr", simcore.Jump|transfer, 0, branch(jump))
+	// The PCC-style jump pseudo-instructions, each with the exec of its
+	// taken test for target t and the jump taken exactly when it is not.
+	// Signed tests follow a cmp or arithmetic result; the unsigned forms
+	// test the carry (borrow) flag.
+	for _, b := range []struct {
+		mn, inverse string
+		taken       func(t int) exec
+	}{
+		{"jeql", "jneq", func(t int) exec { return func(m *Machine) error { return m.jumpIf(m.Z, t) } }},
+		{"jneq", "jeql", func(t int) exec { return func(m *Machine) error { return m.jumpIf(!m.Z, t) } }},
+		{"jlss", "jgeq", func(t int) exec { return func(m *Machine) error { return m.jumpIf(m.N, t) } }},
+		{"jleq", "jgtr", func(t int) exec { return func(m *Machine) error { return m.jumpIf(m.N || m.Z, t) } }},
+		{"jgtr", "jleq", func(t int) exec { return func(m *Machine) error { return m.jumpIf(!m.N && !m.Z, t) } }},
+		{"jgeq", "jlss", func(t int) exec { return func(m *Machine) error { return m.jumpIf(!m.N, t) } }},
+		{"jlssu", "jgequ", func(t int) exec { return func(m *Machine) error { return m.jumpIf(m.C, t) } }},
+		{"jlequ", "jgtru", func(t int) exec { return func(m *Machine) error { return m.jumpIf(m.C || m.Z, t) } }},
+		{"jgtru", "jlequ", func(t int) exec { return func(m *Machine) error { return m.jumpIf(!m.C && !m.Z, t) } }},
+		{"jgequ", "jlssu", func(t int) exec { return func(m *Machine) error { return m.jumpIf(!m.C, t) } }},
+	} {
+		table[b.mn] = simcore.Op[Operand, *Machine]{
+			Info:   simcore.Info{Class: simcore.CondBranch | transfer, Inverse: b.inverse},
+			Decode: branch(b.taken),
+		}
 	}
-	decoders["calls"] = calls
-	decoders["ret"] = ret
-	decoders["aoblss"] = aob(func(index, limit int64) bool { return index < limit })
-	decoders["aobleq"] = aob(func(index, limit int64) bool { return index <= limit })
+	def("calls", transfer, 0, calls)
+	def("ret", transfer, 0, ret)
+	def("aoblss", transfer, 0, aob(func(index, limit int64) bool { return index < limit }))
+	def("aobleq", transfer, 0, aob(func(index, limit int64) bool { return index <= limit }))
 }
 
 // use is how an instruction uses an operand.
@@ -680,22 +714,6 @@ func mova(size int) decoder {
 			return nil
 		}
 	}
-}
-
-// branchConds are the PCC-style jump pseudo-instructions, each as the
-// exec of its taken test for target t. Signed tests follow a cmp or
-// arithmetic result; the unsigned forms test the carry (borrow) flag.
-var branchConds = map[string]func(t int) exec{
-	"jeql":  func(t int) exec { return func(m *Machine) error { return m.jumpIf(m.Z, t) } },
-	"jneq":  func(t int) exec { return func(m *Machine) error { return m.jumpIf(!m.Z, t) } },
-	"jlss":  func(t int) exec { return func(m *Machine) error { return m.jumpIf(m.N, t) } },
-	"jleq":  func(t int) exec { return func(m *Machine) error { return m.jumpIf(m.N || m.Z, t) } },
-	"jgtr":  func(t int) exec { return func(m *Machine) error { return m.jumpIf(!m.N && !m.Z, t) } },
-	"jgeq":  func(t int) exec { return func(m *Machine) error { return m.jumpIf(!m.N, t) } },
-	"jlssu": func(t int) exec { return func(m *Machine) error { return m.jumpIf(m.C, t) } },
-	"jlequ": func(t int) exec { return func(m *Machine) error { return m.jumpIf(m.C || m.Z, t) } },
-	"jgtru": func(t int) exec { return func(m *Machine) error { return m.jumpIf(!m.C && !m.Z, t) } },
-	"jgequ": func(t int) exec { return func(m *Machine) error { return m.jumpIf(!m.C, t) } },
 }
 
 // jumpIf transfers control to t when taken.

@@ -23,10 +23,10 @@ type ExecError = simcore.ExecError
 
 // isa is the VAX half of the simulator.
 var isa = simcore.ISA[Operand, *Machine]{
-	Name:   "vaxsim",
-	Decode: decoders,
-	Parse:  parseOperand,
-	Link:   func(o *Operand) *simcore.Ref { return &o.Ref },
+	Name:  "vaxsim",
+	Ops:   table,
+	Parse: parseOperand,
+	Link:  func(o *Operand) *simcore.Ref { return &o.Ref },
 	// The addressing modes in AddrMode order (the assembler's surface
 	// syntax), then the deferred and indexed variants, counted separately.
 	ModeNames: []string{"rN", "(rN)", "d(rN)", "_abs", "$imm", "(rN)+", "-(rN)", "label",
@@ -40,8 +40,9 @@ const (
 	modeIndexed  = 9
 )
 
-// Mnemonics returns the instruction mnemonics the machine accepts, sorted.
-func Mnemonics() []string { return isa.Mnemonics() }
+// Instrs returns the machine's instruction table without its decoders,
+// shared: callers must not modify it.
+func Instrs() map[string]simcore.Info { return isa.Instrs() }
 
 // New returns a machine for the program with default memory.
 func New(p *Program) *Machine {

@@ -59,10 +59,20 @@ type faultSim struct {
 // past the register file, and an undefined code label.
 var faultHand = []string{"r99", "L99"}
 
+// sortedMnemonics returns the mnemonics of an instruction table, sorted.
+func sortedMnemonics(instrs map[string]simcore.Info) []string {
+	var mns []string
+	for mn := range instrs {
+		mns = append(mns, mn)
+	}
+	sort.Strings(mns)
+	return mns
+}
+
 var faultSims = []faultSim{
 	{
 		name:      "vax",
-		mnemonics: vaxsim.Mnemonics(),
+		mnemonics: sortedMnemonics(vaxsim.Instrs()),
 		move:      "movl $%d,%s",
 		jump:      "jbr %s",
 		result:    "movl r1,r0",
@@ -87,7 +97,7 @@ var faultSims = []faultSim{
 	},
 	{
 		name:      "risc",
-		mnemonics: riscsim.Mnemonics(),
+		mnemonics: sortedMnemonics(riscsim.Instrs()),
 		move:      "li %[2]s,$%[1]d",
 		jump:      "jmp %s",
 		result:    "mv r0,r1",
