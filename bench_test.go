@@ -43,8 +43,8 @@ func BenchmarkE1_TableConstruction(b *testing.B) {
 
 // E1 companion: what a process pays for its tables now that they ship
 // with the backend — expand, parse and validate the description, then
-// wrap the shipped arrays over it (a fresh target.Desc per op, loading
-// tables identical to the shipped ones).
+// wrap the shipped arrays over it (a fresh target.Desc per op, binding
+// no semantic routines, loading tables identical to the shipped ones).
 func BenchmarkE1_TableLoad(b *testing.B) {
 	for _, c := range []struct {
 		mach    target.Machine
@@ -65,7 +65,7 @@ func BenchmarkE1_TableLoad(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := target.NewDesc(c.mach.Name(), c.generic, shipped).Tables(); err != nil {
+				if _, err := target.NewDesc(c.mach.Name(), c.generic, shipped, nil).Tables(); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -645,7 +645,7 @@ func BenchmarkCompileCached(b *testing.B) {
 	if _, err := vax.Tables(); err != nil { // exclude the one-time table load
 		b.Fatal(err)
 	}
-	if _, err := vax.TableID(); err != nil { // and the one-time identity hash
+	if _, err := vax.Target.TableID(); err != nil { // and the one-time identity hash
 		b.Fatal(err)
 	}
 	b.Run("cold", func(b *testing.B) {

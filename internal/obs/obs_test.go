@@ -243,3 +243,23 @@ func TestWriteReport(t *testing.T) {
 		}
 	}
 }
+
+// TestSpanLineMatchesEncoder: the hand-written span line is byte for byte
+// what encoding/json writes for the same event, escapes and omitted zero
+// fields included.
+func TestSpanLineMatchesEncoder(t *testing.T) {
+	for _, ev := range []Event{
+		{Kind: "span", Name: "cfront", Path: "unit/cfront", Ts: 12, Ns: 3456, Depth: 1},
+		{Kind: "span", Name: "compile", Path: "compile", Track: 3, Bytes: -7},
+		{Kind: "span"},
+		{Kind: "span", Name: `a"b\c`, Path: "x<y>&z/ /é/\x01"},
+	} {
+		var want, got bytes.Buffer
+		json.NewEncoder(&want).Encode(&ev)
+		e := &encoder{enc: json.NewEncoder(&got), w: &got}
+		e.span(ev)
+		if got.String() != want.String() {
+			t.Errorf("span line %q, encoding/json %q", got.String(), want.String())
+		}
+	}
+}

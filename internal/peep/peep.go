@@ -89,7 +89,7 @@ func removeRedundantTst(u *unit, st *Stats) bool {
 			p := &u.recs[prev]
 			op := u.ops[l.op0].s
 			if p.cls&simcore.SetsResult != 0 && p.nops > 0 && u.ops[p.last()].s == op &&
-				p.size == l.size && !hasSideEffect(op) {
+				typeLetter(p.s) == typeLetter(l.s) && !hasSideEffect(op) {
 				u.kill(i)
 				st.RedundantTst++
 				changed = true
@@ -101,13 +101,46 @@ func removeRedundantTst(u *unit, st *Stats) bool {
 	return changed
 }
 
+// typeLetter returns the type letter of a VAX mnemonic: its last, before
+// an operand count (addl3, cvtbl, movzwl, tstf). The codes an instruction
+// sets describe its result as that type, so a tst of another type with
+// the same size (tstf after movl) reads them differently.
+func typeLetter(mn string) byte {
+	if c := mn[len(mn)-1]; c == '2' || c == '3' {
+		mn = mn[:len(mn)-1]
+	}
+	return mn[len(mn)-1]
+}
+
+// operandSize returns the data size of operand k (a backing index) of VAX
+// instruction l: the mnemonic's size (simcore.Info.Size, which is its
+// destination's), except for the operands sized otherwise — a
+// conversion's source (cvtbl, movzbl), ashl's count and a mova's
+// destination.
+func operandSize(l *rec, k int32) int {
+	mn, first := l.s, k == l.op0
+	switch {
+	case first && (len(mn) == 5 && mn[:3] == "cvt" || len(mn) == 6 && mn[:4] == "movz"):
+		return typeSize[mn[len(mn)-2]]
+	case first && mn == "ashl":
+		return 1
+	case !first && strings.HasPrefix(mn, "mova"):
+		return 4
+	}
+	return int(l.size)
+}
+
+// typeSize is the data size of each VAX type letter.
+var typeSize = [256]int{'b': 1, 'w': 2, 'l': 4, 'f': 4, 'd': 8}
+
 // introduceAutoStep rewrites
 //
 //	op ... (rN) ... ; addl2 $size,rN   =>   op ... (rN)+ ...
 //	subl2 $size,rN ; op ... (rN) ...   =>   op ... -(rN) ...
 //
-// when rN appears exactly once in the operation — §6.1's autoincrement
-// improvement by post analysis of a basic block.
+// when rN appears exactly once in the operation and the step is the size
+// of the operand (rN) was — §6.1's autoincrement improvement by post
+// analysis of a basic block.
 func introduceAutoStep(u *unit, st *Stats) bool {
 	changed := false
 	for i := range u.recs {
@@ -123,7 +156,7 @@ func introduceAutoStep(u *unit, st *Stats) bool {
 		// Post-increment: l uses (rN), m is addl2 $size,rN.
 		if m.s == "addl2" && m.nops == 2 && l.cls&simcore.Transfer == 0 {
 			if reg, size, ok := u.stepOf(m); ok && size == int(l.size) {
-				if k, ok := u.soleRegDefUse(l, reg); ok {
+				if k, ok := u.soleRegDefUse(l, reg); ok && operandSize(l, k) == size {
 					u.setOp(l, k, u.resolve("("+reg+")+"))
 					u.kill(j)
 					st.AutoInc++
@@ -135,7 +168,7 @@ func introduceAutoStep(u *unit, st *Stats) bool {
 		// Pre-decrement: l is subl2 $size,rN, m uses (rN).
 		if l.s == "subl2" && l.nops == 2 && m.cls&simcore.Transfer == 0 {
 			if reg, size, ok := u.stepOf(l); ok && size == int(m.size) {
-				if k, ok := u.soleRegDefUse(m, reg); ok {
+				if k, ok := u.soleRegDefUse(m, reg); ok && operandSize(m, k) == size {
 					u.setOp(m, k, u.resolve("-("+reg+")"))
 					u.kill(i)
 					st.AutoDec++

@@ -1,8 +1,11 @@
 package peep
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+
+	"ggcg/internal/vaxsim"
 )
 
 func optimize(t *testing.T, src string) (string, Stats) {
@@ -341,5 +344,54 @@ func TestFixpointTerminates(t *testing.T) {
 	out, _ := optimize(t, src)
 	if out == "" {
 		t.Error("optimizer deleted a live loop")
+	}
+}
+
+// runVAX assembles src on vaxsim and returns what _main returns.
+func runVAX(t *testing.T, src string) int64 {
+	t.Helper()
+	p, err := vaxsim.Assemble(src)
+	if err != nil {
+		t.Fatalf("%v\n%s", err, src)
+	}
+	r, err := vaxsim.New(p).Call("_main")
+	if err != nil {
+		t.Fatalf("%v\n%s", err, src)
+	}
+	return r
+}
+
+// TestRewritesKeepVAXResults runs rewrite windows on vaxsim before and
+// after Optimize: each must return the same. The first three are windows
+// the rules rewrite; the others are windows they must leave alone, an
+// autoincrement whose step is the instruction's size but not the size of
+// the operand it would replace, and a tst whose type reads the codes the
+// previous result set differently from how it set them.
+func TestRewritesKeepVAXResults(t *testing.T) {
+	const (
+		step = ".data\n.comm _buf,16\n.text\n_main:\t.word 0\n\tmoval\t_buf,r6\n\tmoval\t_buf,r1\n%s\taddl2\t$%d,r6\n\tsubl3\tr1,r6,r0\n\tret\n"
+		tst  = ".data\n_x:\t.long 0x80000000\n.text\n_main:\t.word 0\n\tmovl\t_x,r0\n%s\tjeql\tL1\n\tmovl\t$1,r0\n\tret\nL1:\tmovl\t$2,r0\n\tret\n"
+	)
+	for _, c := range []struct {
+		src     string
+		rewrite bool
+	}{
+		{fmt.Sprintf(step, "\tmovl\t(r6),r0\n", 4), true},
+		{fmt.Sprintf(step, "\tcvtbl\tr0,(r6)\n", 4), true},
+		{fmt.Sprintf(tst, "\ttstl\tr0\n"), true},
+		{fmt.Sprintf(step, "\tcvtbl\t(r6),r0\n", 4), false},
+		{fmt.Sprintf(step, "\tcvtlb\t(r6),r0\n", 1), false},
+		{fmt.Sprintf(step, "\tmovzbl\t(r6),r0\n", 4), false},
+		{fmt.Sprintf(step, "\tashl\t(r6),$1,r0\n", 4), false},
+		{fmt.Sprintf(step, "\tmovab\t_buf,(r6)\n", 1), false},
+		{fmt.Sprintf(tst, "\ttstf\tr0\n"), false},
+	} {
+		out, st := Optimize(c.src)
+		if rewritten := st.AutoInc+st.RedundantTst > 0; rewritten != c.rewrite {
+			t.Errorf("rewritten %v, want %v:\n%s=>\n%s", rewritten, c.rewrite, c.src, out)
+		}
+		if before, after := runVAX(t, c.src), runVAX(t, out); before != after {
+			t.Errorf("main() = %d before the peephole, %d after:\n%s=>\n%s", before, after, c.src, out)
+		}
 	}
 }

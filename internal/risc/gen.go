@@ -8,6 +8,7 @@ import (
 	"ggcg/internal/ir"
 	"ggcg/internal/riscsim"
 	"ggcg/internal/simcore"
+	"ggcg/internal/target"
 )
 
 // Gen is the instruction-generation phase for the RISC target: the
@@ -15,10 +16,7 @@ import (
 // tree-transformation phase and the emitter with the VAX backend through
 // the target seam.
 type Gen struct {
-	E         *Emitter
-	RM        *RegMan
-	F         *ir.Func
-	LabelBase int
+	target.GenBase[*Operand]
 
 	// ImmFolds counts address/operand computations folded into an addi
 	// immediate instead of materializing the constant — the RISC
@@ -28,7 +26,7 @@ type Gen struct {
 
 // NewGen returns a generator writing f's body through e.
 func NewGen(e *Emitter, f *ir.Func) *Gen {
-	return &Gen{E: e, RM: NewRegMan(e, f), F: f}
+	return &Gen{GenBase: target.GenBase[*Operand]{E: e, RM: NewRegMan(e, f), F: f}}
 }
 
 // suffix is the sized-instruction suffix for values of type t.
@@ -151,43 +149,41 @@ func imm32(o *Operand) bool {
 	return o.Mode == OImm && o.Val >= math.MinInt32 && o.Val <= math.MaxInt32
 }
 
-// mnFor maps an operator key and type to the instruction mnemonic,
-// choosing the unsigned forms where the machine distinguishes them.
-func mnFor(key string, t ir.Type) string {
-	switch key {
-	case "div":
-		if t.IsUnsigned() {
-			key = "divu"
-		}
-	case "mod":
-		key = "rem"
-		if t.IsUnsigned() {
-			key = "remu"
-		}
-	case "lsh":
-		key = "sll"
-		if t.IsUnsigned() {
-			key = "sllu"
-		}
-	case "rsh":
-		key = "sra"
-		if t.IsUnsigned() {
-			key = "srl"
-		}
+// operator is a three-register operator: its instruction stems for
+// signed and for unsigned values, before the type suffix.
+type operator struct{ signed, unsigned string }
+
+var (
+	addOp = &operator{"add", "add"}
+	subOp = &operator{"sub", "sub"}
+	mulOp = &operator{"mul", "mul"}
+	divOp = &operator{"div", "divu"}
+	modOp = &operator{"rem", "remu"}
+	andOp = &operator{"and", "and"}
+	orOp  = &operator{"or", "or"}
+	xorOp = &operator{"xor", "xor"}
+	lshOp = &operator{"sll", "sllu"}
+	rshOp = &operator{"sra", "srl"}
+)
+
+// mn returns the operator's mnemonic for values of type t.
+func (op *operator) mn(t ir.Type) string {
+	if t.IsUnsigned() {
+		return op.unsigned + suffix(t)
 	}
-	return key + suffix(t)
+	return op.signed + suffix(t)
 }
 
 // op3 generates a three-register operator, folding small integer
 // constants of add/sub into addi.
-func (g *Gen) op3(key string, t ir.Type, a, b *Operand) (*Operand, error) {
+func (g *Gen) op3(op *operator, t ir.Type, a, b *Operand) (*Operand, error) {
 	if t.IsInteger() {
 		switch {
-		case key == "add" && imm32(b):
+		case op == addOp && imm32(b):
 			return g.foldAddi(t, a, b.Val)
-		case key == "add" && imm32(a):
+		case op == addOp && imm32(a):
 			return g.foldAddi(t, b, a.Val)
-		case key == "sub" && imm32(b) && b.Val != math.MinInt32:
+		case op == subOp && imm32(b) && b.Val != math.MinInt32:
 			return g.foldAddi(t, a, -b.Val)
 		}
 	}
@@ -218,7 +214,7 @@ func (g *Gen) op3(key string, t ir.Type, a, b *Operand) (*Operand, error) {
 		dst.Reg = r
 	}
 	dst.Owned = []int{dst.Reg}
-	g.E.EmitResultFirst(mnFor(key, t), dst, av.Asm(), bv.Asm())
+	g.E.EmitResultFirst(op.mn(t), dst, av.Asm(), bv.Asm())
 	g.RM.Unpin()
 	g.RM.Consume(av)
 	g.RM.Consume(bv)
@@ -244,8 +240,9 @@ func (g *Gen) foldAddi(t ir.Type, a *Operand, k int64) (*Operand, error) {
 	return dst, nil
 }
 
-// op2 generates a one-source operator (neg, not).
-func (g *Gen) op2(key string, t ir.Type, a *Operand) (*Operand, error) {
+// op2 generates a one-source operator, the instruction stem mn (neg,
+// not).
+func (g *Gen) op2(mn string, t ir.Type, a *Operand) (*Operand, error) {
 	g.RM.Pin(a)
 	av, err := g.valueReg(a)
 	if err != nil {
@@ -256,7 +253,7 @@ func (g *Gen) op2(key string, t ir.Type, a *Operand) (*Operand, error) {
 	if err != nil {
 		return nil, err
 	}
-	g.E.EmitResultFirst(key+suffix(t), dst, av.Asm())
+	g.E.EmitResultFirst(mn+suffix(t), dst, av.Asm())
 	g.RM.Unpin()
 	g.RM.Consume(av)
 	return dst, nil
@@ -382,32 +379,16 @@ func (g *Gen) retypeSource(t ir.Type, src *Operand) (*Operand, error) {
 		if t.IsFloat() {
 			return fimmOp(t, floatVal(t, float64(src.Val))), nil
 		}
-		return intOp(t, truncImm(src.Val, t)), nil
+		return intOp(t, target.TruncImm(src.Val, t)), nil
 	case OFImm:
 		if t.IsFloat() {
 			return fimmOp(t, floatVal(t, src.FVal)), nil
 		}
 		return intOp(t, int64(src.FVal)), nil
 	case OReg:
-		out := &Operand{}
-		*out = *src
-		out.Type = t
-		out.Owned = nil
-		out.Owned = g.RM.Transfer(src, out)
-		return out, nil
+		return g.retyped(src, t), nil
 	}
 	return nil, fmt.Errorf("risc: cannot retype assignment source mode %d", src.Mode)
-}
-
-// truncImm truncates an integer immediate to the assignment type.
-func truncImm(v int64, t ir.Type) int64 {
-	switch t.Size() {
-	case 1:
-		return int64(int8(v))
-	case 2:
-		return int64(int16(v))
-	}
-	return v
 }
 
 // convert produces src's value as type `to`. Immediates convert at
@@ -441,12 +422,7 @@ func (g *Gen) convert(to ir.Type, src *Operand) (*Operand, error) {
 
 	fs, ts := suffix(src.Type), suffix(to)
 	if fs == ts {
-		out := &Operand{}
-		*out = *src
-		out.Type = to
-		out.Owned = nil
-		out.Owned = g.RM.Transfer(src, out)
-		return out, nil
+		return g.retyped(src, to), nil
 	}
 	mn := "cvt"
 	if src.Type.IsUnsigned() && (to.IsFloat() || to.Size() > src.Type.Size()) {
@@ -488,32 +464,6 @@ var branchMns = func() (b [ir.RGE + 1][ir.ULong + 1]string) {
 	}
 	return b
 }()
-
-// branchMn returns the compare-and-branch mnemonic for a relation over
-// values of type t.
-func branchMn(rel ir.Rel, t ir.Type) string { return branchMns[rel][t] }
-
-// cmpbr generates the compare-and-branch statement.
-func (g *Gen) cmpbr(cmp *ir.Node, a, b *Operand, target string) error {
-	g.RM.Pin(a)
-	g.RM.Pin(b)
-	av, err := g.valueReg(a)
-	if err != nil {
-		return err
-	}
-	g.RM.Pin(av)
-	g.RM.Pin(b)
-	bv, err := g.valueReg(b)
-	if err != nil {
-		return err
-	}
-	g.RM.Unpin()
-	g.E.Emit(branchMn(ir.Rel(cmp.Val), cmp.Type),
-		ir.RegName(av.Reg), ir.RegName(bv.Reg), target)
-	g.RM.Consume(av)
-	g.RM.Consume(bv)
-	return nil
-}
 
 // emitCall emits the call pseudo-instruction (same frame protocol as the
 // VAX calls).

@@ -1,31 +1,18 @@
 package risc
 
 import (
-	"ggcg/internal/cgram"
 	"ggcg/internal/ir"
 	"ggcg/internal/peep"
 	"ggcg/internal/riscsim"
 	"ggcg/internal/simcore"
-	"ggcg/internal/tablegen"
 	"ggcg/internal/target"
 )
 
-// desc is the RISC description with its shipped tables (target.Desc).
+// desc is the RISC description with its shipped tables and its semantic
+// routines (target.Desc).
 //
 //go:generate go run ggcg/cmd/ggtables -target risc -gen tables_gen.go
-var desc = target.NewDesc("risc", GenericGrammar, shipped)
-
-// Grammar returns the type-replicated RISC machine description.
-func Grammar() (*cgram.Grammar, error) { return desc.Grammar() }
-
-// GenericStats sizes the generic (pre-replication) RISC description.
-func GenericStats() (cgram.Stats, error) { return desc.GenericStats() }
-
-// Tables returns the shared instruction-selection tables for the RISC.
-func Tables() (*tablegen.Tables, error) { return desc.Tables() }
-
-// TableID returns the content hash of the RISC tables.
-func TableID() (string, error) { return desc.TableID() }
+var desc = target.NewDesc("risc", GenericGrammar, shipped, routines.Bind)
 
 // machine adapts this package to the target.Machine seam; the embedded
 // description supplies Name through TableID.
@@ -57,18 +44,10 @@ func (machine) NewSim(asm string) (target.Sim, error) {
 	return simcore.AsSim(&riscsim.New(p).Core), nil
 }
 
-// The methods below complete *Gen's target.Gen surface.
-
-// Phase1Busy marks r as owned by the tree-transformation phase.
-func (g *Gen) Phase1Busy(r int, busy bool) { g.RM.Phase1Busy(r, busy) }
-
-// CheckStatementEnd verifies the register stack discipline at a
-// statement boundary.
-func (g *Gen) CheckStatementEnd() error { return g.RM.CheckStatementEnd() }
-
-// Stats reports the generator's per-function work counters. The machine
-// has no binding idioms (no operand can both read and step a pointer);
-// the immediate folds play the range-idiom role.
+// Stats reports the generator's per-function work counters, completing
+// *Gen's target.Gen surface. The machine has no binding idioms (no
+// operand can both read and step a pointer); the immediate folds play the
+// range-idiom role.
 func (g *Gen) Stats() target.GenStats {
 	return target.GenStats{
 		Spills:      g.RM.Spills,

@@ -18,7 +18,7 @@ import (
 // binary: the dense matrices and diagnostics only a build has, and the
 // reference the shipped tables are held to.
 var builtRISC = sync.OnceValues(func() (*tablegen.Tables, error) {
-	g, err := risc.Grammar()
+	g, err := risc.Target.Grammar()
 	if err != nil {
 		return nil, err
 	}
@@ -31,11 +31,11 @@ var builtRISC = sync.OnceValues(func() (*tablegen.Tables, error) {
 // constructor resolves every conflict, and the packed encoding is
 // smaller than the dense one.
 func TestTablesBuild(t *testing.T) {
-	g, err := risc.Grammar()
+	g, err := risc.Target.Grammar()
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen, err := risc.GenericStats()
+	gen, err := risc.Target.GenericStats()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,11 +70,11 @@ func TestTablesBuild(t *testing.T) {
 // TestTableIDDistinctFromVAX: the cache fingerprints of the two targets
 // must differ at the table-identity layer too, not only by name.
 func TestTableIDDistinctFromVAX(t *testing.T) {
-	rid, err := risc.TableID()
+	rid, err := risc.Target.TableID()
 	if err != nil {
 		t.Fatal(err)
 	}
-	vid, err := vax.TableID()
+	vid, err := vax.Target.TableID()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,8 +15,9 @@ import (
 // (`ggtables -gen` writes them into the backend's package as program
 // source, §3.2's static table constructor), and what the static half of
 // the system (§3) derives from those at run time — the type-replicated
-// grammar, the generic statistics, and the tables wrapped over the
-// grammar — each made once per process on first use. The objects are
+// grammar with every production bound to its semantic routine, the
+// generic statistics, and the tables wrapped over the grammar — each made
+// once per process on first use. The objects are
 // immutable and shared read-only by every concurrent compilation. A
 // backend's Machine embeds a *Desc, which supplies its Name, Grammar,
 // GenericStats, Tables and TableID methods.
@@ -31,8 +32,11 @@ type Desc struct {
 // NewDesc returns the description of the machine called name (the
 // registry key, which also prefixes its errors) from its generic
 // description text and the tables shipped with it (nil before the first
-// `ggtables -gen`, when only Grammar and GenericStats work).
-func NewDesc(name, generic string, shipped *tablegen.Shipped) *Desc {
+// `ggtables -gen`, when only Grammar and GenericStats work). bind, the
+// Bind of the backend's Routines, binds each production to its semantic
+// routine as the grammar loads, so a production no routine implements
+// fails Grammar and Tables; nil binds nothing.
+func NewDesc(name, generic string, shipped *tablegen.Shipped, bind func(*cgram.Grammar) error) *Desc {
 	d := &Desc{name: name, shipped: shipped}
 	d.grammar = sync.OnceValues(func() (*cgram.Grammar, error) {
 		expanded, err := mdgen.Expand(generic)
@@ -43,7 +47,11 @@ func NewDesc(name, generic string, shipped *tablegen.Shipped) *Desc {
 		if err != nil {
 			return nil, err
 		}
-		if err := g.Validate(ir.TermArity); err != nil {
+		err = g.Validate(ir.TermArity)
+		if err == nil && bind != nil {
+			err = bind(g)
+		}
+		if err != nil {
 			return nil, fmt.Errorf("%s: %v", name, err)
 		}
 		return g, nil
@@ -75,8 +83,8 @@ func NewDesc(name, generic string, shipped *tablegen.Shipped) *Desc {
 // Name is the machine's registry key.
 func (d *Desc) Name() string { return d.name }
 
-// Grammar returns the type-replicated description, expanded, parsed and
-// validated once per process.
+// Grammar returns the type-replicated description, expanded, parsed,
+// validated and bound once per process.
 func (d *Desc) Grammar() (*cgram.Grammar, error) { return d.grammar() }
 
 // GenericStats sizes the generic (pre-replication) description — the

@@ -9,11 +9,13 @@
 // callers select one by name (ggcg.Config.Target, ggcc -target).
 //
 // The package also holds the backend skeleton every machine shares: the
-// description loader (Desc), the emitter and data directives (Emitter,
-// EmitGlobals), and the §5.3.3 register manager (RegMan), which a machine
-// instantiates over its operand type with a few spill and move hooks. A
-// backend keeps only what differs: its description text, operand algebra,
-// semantic routines, function header and peephole rules.
+// description loader (Desc), which binds each production to its semantic
+// routine (Routines) as the description loads, the per-function generator
+// state (GenBase), the emitter and data directives (Emitter, EmitGlobals),
+// and the §5.3.3 register manager (RegMan), which a machine instantiates
+// over its operand type with a few spill and move hooks. A backend keeps
+// only what differs: its description text, operand algebra, routine
+// table, function header and peephole rules.
 package target
 
 import (

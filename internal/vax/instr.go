@@ -6,6 +6,7 @@ import (
 
 	"ggcg/internal/ir"
 	"ggcg/internal/simcore"
+	"ggcg/internal/target"
 	"ggcg/internal/vaxsim"
 )
 
@@ -39,7 +40,7 @@ func tmpl(template string) *mnem {
 // mn returns a resolved template's mnemonic for a machine type.
 func mn(m *mnem, t ir.Type) string { return m[t.Machine()] }
 
-// The templates the semantic routines use outside instrTable.
+// The templates the semantic routines use outside the clusters.
 var (
 	movT  = tmpl("mov$")
 	clrT  = tmpl("clr$")
@@ -65,47 +66,52 @@ type instrDesc struct {
 	flip3   bool   // 3-operand form takes (src2, src1, dst), like subl3
 }
 
-// instrTable maps a generic operator to its instruction cluster, ordered
-// three-address first (§5.3.1: "an entry in this table is chosen based on
-// the generic operator and the types of its operands").
-var instrTable = map[string][]instrDesc{
-	"add": {
+// cluster is the instruction table's entries for one generic operator,
+// three-address form first.
+type cluster [3]instrDesc
+
+// The instruction table, one cluster per generic operator (§5.3.1: "an
+// entry in this table is chosen based on the generic operator and the
+// types of its operands"). Each routine binds its cluster when the
+// package loads.
+var (
+	addOps = &cluster{
 		{nops: 3, print: tmpl("add$3"), binding: true, revOK: true},
 		{nops: 2, print: tmpl("add$2"), rng: "unit"},
 		{nops: 1, print: incT},
-	},
-	"sub": {
+	}
+	subOps = &cluster{
 		{nops: 3, print: tmpl("sub$3"), binding: true, flip3: true},
 		{nops: 2, print: tmpl("sub$2"), rng: "unit"},
 		{nops: 1, print: decT},
-	},
-	"mul": {
+	}
+	mulOps = &cluster{
 		{nops: 3, print: tmpl("mul$3"), binding: true, revOK: true},
 		{nops: 2, print: tmpl("mul$2"), rng: "one"},
 		{nops: 0}, // multiplying by one emits nothing
-	},
-	"div": {
+	}
+	divOps = &cluster{
 		{nops: 3, print: tmpl("div$3"), binding: true, flip3: true},
 		{nops: 2, print: tmpl("div$2"), rng: "one"},
 		{nops: 0},
-	},
-	"bis": {
+	}
+	bisOps = &cluster{
 		{nops: 3, print: tmpl("bis$3"), binding: true, revOK: true},
 		{nops: 2, print: tmpl("bis$2"), rng: "zero"},
 		{nops: 0}, // or with zero emits nothing
-	},
-	"xor": {
+	}
+	xorOps = &cluster{
 		{nops: 3, print: tmpl("xor$3"), binding: true, revOK: true},
 		{nops: 2, print: tmpl("xor$2"), rng: "zero"},
 		{nops: 0},
-	},
-	"bic": {
-		// binary("bic", t, src, mask) computes src &^ mask.
+	}
+	// binary(bicOps, t, src, mask) computes src &^ mask.
+	bicOps = &cluster{
 		{nops: 3, print: tmpl("bic$3"), binding: true, flip3: true},
 		{nops: 2, print: tmpl("bic$2"), rng: "zero"},
 		{nops: 0},
-	},
-}
+	}
+)
 
 // signedBranch and unsignedBranch map relations to the signed and
 // unsigned jump pseudo-instructions.
@@ -132,13 +138,7 @@ func branches(mns ...string) (b [ir.RGE + 1]string) {
 // pattern matcher's reductions invoke, hand-coded for the VAX as in the
 // paper's experiment.
 type Gen struct {
-	E  *Emitter
-	RM *RegMan
-	F  *ir.Func
-
-	// LabelBase offsets this function's label numbers so labels are
-	// unique across the output file, as PCC numbered them.
-	LabelBase int
+	target.GenBase[*Operand]
 
 	// Idioms counts the binding and range idioms applied, for the F3
 	// experiment and ablations.
@@ -148,18 +148,14 @@ type Gen struct {
 
 // NewGen returns a generator emitting into e for function f.
 func NewGen(e *Emitter, f *ir.Func) *Gen {
-	return &Gen{E: e, RM: NewRegMan(e, f), F: f}
+	return &Gen{GenBase: target.GenBase[*Operand]{E: e, RM: NewRegMan(e, f), F: f}}
 }
 
 // binary generates code for `a OP b` of type t using the instruction table
-// cluster for key, applying the binding and range idioms (§5.3.1, §5.3.2).
-// It returns the result operand (a register).
-func (g *Gen) binary(key string, t ir.Type, a, b *Operand) (*Operand, error) {
-	cluster, ok := instrTable[key]
-	if !ok {
-		return nil, fmt.Errorf("vax: no instruction cluster %q", key)
-	}
-	three := cluster[0]
+// cluster c, applying the binding and range idioms (§5.3.1, §5.3.2). It
+// returns the result operand (a register).
+func (g *Gen) binary(c *cluster, t ir.Type, a, b *Operand) (*Operand, error) {
+	three := c[0]
 	g.pin(a)
 	g.pin(b)
 	defer g.RM.Unpin()
@@ -182,7 +178,7 @@ func (g *Gen) binary(key string, t ir.Type, a, b *Operand) (*Operand, error) {
 	}
 	if other != nil {
 		g.BindingIdioms++
-		g.emitTwoOp(cluster, t, other, dst)
+		g.emitTwoOp(c, t, other, dst)
 		g.consume(a)
 		g.consume(b)
 		dst.Owned = ownedRegs(dst.Reg, t)
@@ -229,12 +225,8 @@ func (g *Gen) consume(o *Operand) { g.RM.ConsumeRegs(&o.Owned) }
 // the assignment target. The binding idiom checks whether a source matches
 // the destination, turning the three-address form into a two-address form,
 // and the range idiom may simplify further (Figure 3's walkthrough).
-func (g *Gen) binaryInto(key string, t ir.Type, a, b, dst *Operand) error {
-	cluster, ok := instrTable[key]
-	if !ok {
-		return fmt.Errorf("vax: no instruction cluster %q", key)
-	}
-	three := cluster[0]
+func (g *Gen) binaryInto(c *cluster, t ir.Type, a, b, dst *Operand) {
+	three := c[0]
 	g.RM.Pin(a)
 	g.RM.Pin(b)
 	g.RM.Pin(dst)
@@ -242,10 +234,10 @@ func (g *Gen) binaryInto(key string, t ir.Type, a, b, dst *Operand) error {
 	switch {
 	case three.binding && a.Same(dst):
 		g.BindingIdioms++
-		g.emitTwoOp(cluster, t, b, dst)
+		g.emitTwoOp(c, t, b, dst)
 	case three.binding && three.revOK && b.Same(dst):
 		g.BindingIdioms++
-		g.emitTwoOp(cluster, t, a, dst)
+		g.emitTwoOp(c, t, a, dst)
 	case three.flip3:
 		g.E.EmitResult(mn(three.print, t), dst, b.Asm(), a.Asm())
 	default:
@@ -253,7 +245,6 @@ func (g *Gen) binaryInto(key string, t ir.Type, a, b, dst *Operand) error {
 	}
 	g.RM.Consume(a)
 	g.RM.Consume(b)
-	return nil
 }
 
 func ownedRegs(r int, t ir.Type) []int {
@@ -265,9 +256,8 @@ func ownedRegs(r int, t ir.Type) []int {
 
 // emitTwoOp emits the two-address form, first trying the range idiom that
 // may simplify it further (§5.3.2).
-func (g *Gen) emitTwoOp(cluster []instrDesc, t ir.Type, src, dst *Operand) {
-	two := cluster[1]
-	one := cluster[2]
+func (g *Gen) emitTwoOp(c *cluster, t ir.Type, src, dst *Operand) {
+	two, one := c[1], c[2]
 	if t.IsInteger() {
 		switch two.rng {
 		case "unit":

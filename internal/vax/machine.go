@@ -10,22 +10,17 @@ import (
 	"ggcg/internal/vaxsim"
 )
 
-// desc is the VAX description with its shipped tables (target.Desc).
+// desc is the VAX description with its shipped tables and its semantic
+// routines (target.Desc).
 //
 //go:generate go run ggcg/cmd/ggtables -target vax -gen tables_gen.go
-var desc = target.NewDesc("vax", GenericGrammar, shipped)
+var desc = target.NewDesc("vax", GenericGrammar, shipped, routines.Bind)
 
 // Grammar returns the type-replicated VAX machine description.
 func Grammar() (*cgram.Grammar, error) { return desc.Grammar() }
 
-// GenericStats sizes the generic (pre-replication) VAX description.
-func GenericStats() (cgram.Stats, error) { return desc.GenericStats() }
-
 // Tables returns the shared instruction-selection tables for the VAX.
 func Tables() (*tablegen.Tables, error) { return desc.Tables() }
-
-// TableID returns the content hash of the VAX tables.
-func TableID() (string, error) { return desc.TableID() }
 
 // machine adapts this package to the target.Machine seam: the embedded
 // description supplies Name through TableID, and the methods below front
@@ -58,18 +53,10 @@ func (machine) NewSim(asm string) (target.Sim, error) {
 	return simcore.AsSim(&vaxsim.New(p).Core), nil
 }
 
-// The methods below complete *Gen's target.Gen surface; the concrete
-// fields they front (RM, idiom counters) remain exported for the tests
-// and ablations that poke at VAX specifics directly.
-
-// Phase1Busy marks r as owned by the tree-transformation phase.
-func (g *Gen) Phase1Busy(r int, busy bool) { g.RM.Phase1Busy(r, busy) }
-
-// CheckStatementEnd verifies the register stack discipline at a
-// statement boundary.
-func (g *Gen) CheckStatementEnd() error { return g.RM.CheckStatementEnd() }
-
-// Stats reports the generator's per-function work counters.
+// Stats reports the generator's per-function work counters, completing
+// *Gen's target.Gen surface. The fields it fronts (RM, idiom counters)
+// remain exported for the tests and ablations that poke at VAX specifics
+// directly.
 func (g *Gen) Stats() target.GenStats {
 	return target.GenStats{
 		Spills:        g.RM.Spills,

@@ -2,162 +2,508 @@ package vax
 
 import (
 	"fmt"
-	"strings"
 
 	"ggcg/internal/cgram"
 	"ggcg/internal/ir"
 	"ggcg/internal/matcher"
+	"ggcg/internal/target"
 )
 
-// Reduce dispatches a production's semantic action (§5.2, §5.3). The VAX
-// description has no semantically qualified productions, so Predicate is
-// never consulted.
+// routine is a VAX semantic routine (§5.2, §5.3).
+type routine = target.Routine[*Gen]
+
+// routineTable holds the VAX semantic routines, keyed by the action names
+// of the description (grammar.go). A family of actions shares one
+// constructor with its parameters bound; the positions given are indices
+// into the production's right-hand side.
+var routineTable = map[string]routine{
+	"con":    (*Gen).con,
+	"imm":    (*Gen).imm,
+	"fcon":   (*Gen).fcon,
+	"dreg":   (*Gen).dreg,
+	"reguse": (*Gen).dreg,
+	"abs":    (*Gen).abs,
+	"addr":   (*Gen).addr,
+	"lea":    (*Gen).lea,
+	"load":   (*Gen).load,
+	"cvt":    (*Gen).cvt,
+	"retype": (*Gen).retype,
+
+	// Addressing modes: the encapsulating reductions of §5.2.
+	"mabs":     mem(memMode{mode: OAbs, sym: 1}),
+	"mabsoff":  mem(memMode{mode: OAbs, off: 2, sym: 3}),
+	"mregdef":  mem(memMode{mode: ORegDef, base: 1}),
+	"mregdefd": mem(memMode{mode: ORegDef, dreg: 1}),
+	"mdisp":    mem(memMode{mode: ODisp, off: 2, base: 3}),
+	"mdispd":   mem(memMode{mode: ODisp, off: 2, dreg: 3}),
+	"mdispd2":  mem(memMode{mode: ODisp, off: 2, off2: 4, dreg: 5}),
+	"mnx":      mem(memMode{mode: OAbs, sym: 2, index: 5}),
+	"mdx":      mem(memMode{mode: ODisp, off: 3, base: 4, index: 7}),
+	"mdxd":     mem(memMode{mode: ODisp, off: 3, dreg: 4, index: 7}),
+	"mrx":      mem(memMode{mode: ORegDef, base: 2, index: 5}),
+	"mrxd":     mem(memMode{mode: ORegDef, dreg: 2, index: 5}),
+	"mautoinc": mem(memMode{mode: OAutoInc, dreg: 2}),
+	"mautodec": mem(memMode{mode: OAutoDec, dreg: 2}),
+	"mdef":     (*Gen).mdef,
+
+	// Bridge productions (§6.2.2).
+	"mbrdxd":     bridge(bridgeMode{off: 3, dreg: 4, scaled: 6}),
+	"mbrdx":      bridge(bridgeMode{off: 3, base: 4, scaled: 6}),
+	"mbrrxd":     bridge(bridgeMode{dreg: 2, scaled: 4}),
+	"mbrrx":      bridge(bridgeMode{base: 2, scaled: 4}),
+	"mbrnx":      bridge(bridgeMode{sym: 2, scaled: 4}),
+	"mbraddrd":   bridge(bridgeMode{off: 3, dreg: 4, value: 5}),
+	"mbraddr":    bridge(bridgeMode{off: 3, base: 4, value: 5}),
+	"mbrnameadd": bridge(bridgeMode{sym: 2, value: 3}),
+
+	// Operators over the operator node's type; the reverse forms take
+	// their first attribute as the right operand (§5.1.3).
+	"add":   arith(addOps.op, false),
+	"sub":   arith(subOps.op, false),
+	"rsub":  arith(subOps.op, true),
+	"mul":   arith(mulOps.op, false),
+	"div":   arith((*Gen).div, false),
+	"rdiv":  arith((*Gen).div, true),
+	"mod":   arith((*Gen).mod, false),
+	"rmod":  arith((*Gen).mod, true),
+	"and":   arith((*Gen).andOp, false),
+	"or":    arith(bisOps.op, false),
+	"xor":   arith(xorOps.op, false),
+	"lsh":   arith(shiftBy(true), false),
+	"rlsh":  arith(shiftBy(true), true),
+	"rsh":   arith(shiftBy(false), false),
+	"rrsh":  arith(shiftBy(false), true),
+	"neg":   unaryOp(mnegT),
+	"compl": unaryOp(mcomT),
+
+	// Assignments: to a destination, as a value, and of an operator
+	// straight into the destination (Figure 3's three-address scheme).
+	"asg":      assignTo(1, 2),
+	"asgn":     assignTo(1, 2),
+	"rasg":     assignTo(2, 1),
+	"rasgn":    assignTo(2, 1),
+	"asgv":     assignValue(1, 2),
+	"asgnv":    assignValue(1, 2),
+	"rasgv":    assignValue(2, 1),
+	"rasgnv":   assignValue(2, 1),
+	"asgc":     (*Gen).asgc,
+	"asgadd":   assignOp(addOps, ""),
+	"asgsub":   assignOp(subOps, ""),
+	"asgmul":   assignOp(mulOps, ""),
+	"asgdiv":   assignOp(divOps, "_udiv"),
+	"asgor":    assignOp(bisOps, ""),
+	"asgxor":   assignOp(xorOps, ""),
+	"asgneg":   assignUnary(mnegT),
+	"asgcompl": assignUnary(mcomT),
+
+	// Calls, returns and jumps.
+	"call":     (*Gen).call,
+	"callstmt": (*Gen).callStmt,
+	"callv":    (*Gen).callStmt,
+	"arg":      (*Gen).arg,
+	"ret":      (*Gen).ret,
+	"retv":     (*Gen).retv,
+	"jump":     (*Gen).jump,
+
+	// Conditional branches (§6.1, §6.2.1).
+	"cmpbr":    (*Gen).cmpbr,
+	"tstbr":    (*Gen).tstbr,
+	"ccbr":     (*Gen).ccbr,
+	"dregbr":   (*Gen).dregbr,
+	"regusebr": (*Gen).dregbr,
+}
+
+// routines binds each production of the VAX description to its routine
+// when the description loads (desc).
+var routines = target.NewRoutines(routineTable)
+
+// Reduce runs the semantic routine bound to p (§5.2, §5.3).
 func (g *Gen) Reduce(p *cgram.Prod, args []matcher.Value) (any, error) {
-	if p.Action == "" {
-		// Glue: condense the single right-hand-side attribute.
-		return args[0].Sem, nil
-	}
-	base, suffix, _ := strings.Cut(p.Action, ".")
-	t := ir.Void
-	if s, ok := ir.TypeBySuffix(suffix); ok {
-		t = s
-	}
-	return g.action(base, t, p, args)
+	return routines.Reduce(g, p, args)
 }
 
-// Predicate implements matcher.Semantics; the VAX description has no
-// semantic qualifications (§6.3 converted the candidates to syntax).
-func (g *Gen) Predicate(string, *cgram.Prod, []matcher.Value) bool { return false }
+func opnd(v matcher.Value) (*Operand, error) { return target.Attr[*Operand](v) }
 
-func node(v matcher.Value) *ir.Node { return v.Tok.N }
-
-func opnd(v matcher.Value) (*Operand, error) {
-	o, ok := v.Sem.(*Operand)
-	if !ok {
-		return nil, fmt.Errorf("vax: expected operand attribute, have %T", v.Sem)
-	}
-	return o, nil
+func opnds(args []matcher.Value, i, j int) (*Operand, *Operand, error) {
+	return target.Attrs[*Operand](args, i, j)
 }
 
-func conval(v matcher.Value) (int64, error) {
-	c, ok := v.Sem.(int64)
-	if !ok {
-		return 0, fmt.Errorf("vax: expected constant attribute, have %T", v.Sem)
+func (g *Gen) con(_ ir.Type, args []matcher.Value) (any, error) { return target.Node(args[0]).Val, nil }
+
+func (g *Gen) imm(t ir.Type, args []matcher.Value) (any, error) {
+	v, err := target.Const(args[0])
+	if err != nil {
+		return nil, err
 	}
-	return c, nil
+	return intOp(t, v), nil
 }
 
-func (g *Gen) action(base string, t ir.Type, p *cgram.Prod, args []matcher.Value) (any, error) {
-	switch base {
-	case "con":
-		return node(args[0]).Val, nil
+func (g *Gen) fcon(t ir.Type, args []matcher.Value) (any, error) {
+	return fimmOp(t, target.Node(args[0]).F), nil
+}
 
-	case "imm":
-		v, err := conval(args[0])
-		if err != nil {
-			return nil, err
+func (g *Gen) dreg(_ ir.Type, args []matcher.Value) (any, error) {
+	n := target.Node(args[0])
+	return regOp(n.Type, int(n.Val)), nil
+}
+
+func (g *Gen) abs(_ ir.Type, args []matcher.Value) (any, error) {
+	n := target.Node(args[0])
+	return &Operand{Mode: OAbs, Type: n.Type, Sym: n.Sym, Xreg: -1}, nil
+}
+
+func (g *Gen) addr(_ ir.Type, args []matcher.Value) (any, error) {
+	return g.addrOf(ir.ULong, "_"+target.Node(args[0]).Sym)
+}
+
+func (g *Gen) lea(_ ir.Type, args []matcher.Value) (any, error) {
+	off, err := target.Const(args[1])
+	if err != nil {
+		return nil, err
+	}
+	return g.addrOf(ir.ULong, fmt.Sprintf("%d(%s)", off, ir.RegName(int(target.Node(args[2]).Val))))
+}
+
+// addrOf computes the address src names into a fresh register of type t.
+func (g *Gen) addrOf(t ir.Type, src string) (*Operand, error) {
+	dst := &Operand{Mode: OReg, Type: t, Xreg: -1}
+	r, err := g.RM.Alloc(ir.Long, dst)
+	if err != nil {
+		return nil, err
+	}
+	dst.Reg, dst.Owned = r, []int{r}
+	g.E.EmitResult("moval", dst, src)
+	return dst, nil
+}
+
+func (g *Gen) load(_ ir.Type, args []matcher.Value) (any, error) {
+	o, err := opnd(args[0])
+	if err != nil {
+		return nil, err
+	}
+	return g.materialize(o.Type, o)
+}
+
+func (g *Gen) cvt(t ir.Type, args []matcher.Value) (any, error) {
+	src, err := opnd(args[len(args)-1])
+	if err != nil {
+		return nil, err
+	}
+	return g.convert(t, src)
+}
+
+func (g *Gen) retype(_ ir.Type, args []matcher.Value) (any, error) {
+	src, err := opnd(args[1])
+	if err != nil {
+		return nil, err
+	}
+	return g.retyped(src, target.Node(args[0]).Type), nil
+}
+
+// retyped returns a copy of o typed t that takes over o's registers.
+func (g *Gen) retyped(o *Operand, t ir.Type) *Operand {
+	out := new(Operand)
+	*out = *o
+	out.Type, out.Owned = t, nil
+	out.Owned = g.RM.Transfer(o, out)
+	return out
+}
+
+// memMode is an addressing-mode pattern: its mode, and the positions of
+// its parts (0 where it has none; position 0 is the Indir). off and off2
+// are constants summed into the displacement, sym the Name of an absolute
+// form, base a computed address register, dreg a dedicated one and index
+// the index register.
+type memMode struct {
+	mode                              OperMode
+	off, off2, sym, base, dreg, index int
+}
+
+// mem returns the routine of an addressing-mode pattern: the operand
+// descriptor it condenses into, typed by its Indir.
+func mem(m memMode) routine {
+	return func(g *Gen, _ ir.Type, args []matcher.Value) (any, error) {
+		out := &Operand{Mode: m.mode, Type: target.Node(args[0]).Type, Xreg: -1}
+		for _, k := range [...]int{m.off, m.off2} {
+			if k > 0 {
+				off, err := target.Const(args[k])
+				if err != nil {
+					return nil, err
+				}
+				out.Off += off
+			}
 		}
-		return intOp(t, v), nil
-
-	case "fcon":
-		return fimmOp(t, node(args[0]).F), nil
-
-	case "dreg", "reguse":
-		n := node(args[0])
-		return regOp(n.Type, int(n.Val)), nil
-
-	case "abs":
-		n := node(args[0])
-		return &Operand{Mode: OAbs, Type: n.Type, Sym: n.Sym, Xreg: -1}, nil
-
-	case "addr":
-		n := node(args[0])
-		dst := &Operand{Mode: OReg, Type: ir.ULong, Xreg: -1}
-		r, err := g.RM.Alloc(ir.Long, dst)
-		if err != nil {
-			return nil, err
+		if m.sym > 0 {
+			out.Sym = target.Node(args[m.sym]).Sym
 		}
-		dst.Reg, dst.Owned = r, []int{r}
-		g.E.EmitResult("moval", dst, "_"+n.Sym)
-		return dst, nil
-
-	case "lea":
-		off, err := conval(args[1])
-		if err != nil {
-			return nil, err
+		if m.dreg > 0 {
+			out.Reg = int(target.Node(args[m.dreg]).Val)
 		}
-		base := int(node(args[2]).Val)
-		dst := &Operand{Mode: OReg, Type: ir.ULong, Xreg: -1}
-		r, err := g.RM.Alloc(ir.Long, dst)
-		if err != nil {
-			return nil, err
-		}
-		dst.Reg, dst.Owned = r, []int{r}
-		g.E.EmitResult("moval", dst, fmt.Sprintf("%d(%s)", off, ir.RegName(base)))
-		return dst, nil
-
-	case "load":
-		o, err := opnd(args[0])
-		if err != nil {
-			return nil, err
-		}
-		return g.materialize(o.Type, o)
-
-	case "mabs", "mabsoff", "mregdef", "mregdefd", "mdisp", "mdispd", "mdispd2",
-		"mnx", "mdx", "mdxd", "mrx", "mrxd", "mautoinc", "mautodec":
-		return g.memAction(base, t, args)
-
-	case "mbrdxd", "mbrdx", "mbrrxd", "mbrrx", "mbrnx":
-		return g.bridgeAction(base, args)
-
-	case "mbraddrd", "mbraddr", "mbrnameadd":
-		return g.bridgeAddAction(base, args)
-
-	case "mdef":
-		// A pointer fetched from memory addresses the operand: the VAX
-		// deferred modes. Already-deferred or indexed inner operands are
-		// loaded into a register instead (the hardware has one level).
-		inner, err := opnd(args[1])
-		if err != nil {
-			return nil, err
-		}
-		indirT := node(args[0]).Type
-		switch {
-		case !inner.Deferred && inner.Xreg < 0 &&
-			(inner.Mode == OAbs || inner.Mode == ODisp || inner.Mode == ORegDef ||
-				inner.Mode == OAutoInc || inner.Mode == OAutoDec):
-			out := &Operand{}
-			*out = *inner
-			out.Deferred = true
-			out.Type = indirT
-			out.Owned = nil
-			out.Owned = g.RM.Transfer(inner, out)
-			return out, nil
-		default:
-			r, err := g.materialize(ir.Long, inner)
+		if m.index > 0 {
+			idx, err := g.ensureReg(args[m.index])
 			if err != nil {
 				return nil, err
 			}
-			out := &Operand{Mode: ORegDef, Type: indirT, Reg: r.Reg, Xreg: -1}
-			out.Owned = g.RM.Transfer(r, out)
-			return out, nil
+			out.Xreg = idx.Reg
+			out.Owned = g.RM.Transfer(idx, out)
 		}
+		if m.base > 0 {
+			b, err := g.ensureReg(args[m.base])
+			if err != nil {
+				return nil, err
+			}
+			out.Reg = b.Reg
+			if owned := g.RM.Transfer(b, out); out.Owned == nil {
+				out.Owned = owned
+			} else {
+				out.Owned = append(out.Owned, owned...)
+			}
+		}
+		return out, nil
+	}
+}
 
-	case "asgadd", "asgsub", "asgmul", "asgdiv", "asgor", "asgxor":
-		return nil, g.asgOpAction(base, args)
+// ensureReg forces a reg.l attribute to actually be a register: the
+// conversion chains can deliver a retyped immediate where an address base
+// or index register is required.
+func (g *Gen) ensureReg(v matcher.Value) (*Operand, error) {
+	o, err := opnd(v)
+	if err != nil {
+		return nil, err
+	}
+	if o.Mode == OReg {
+		return o, nil
+	}
+	return g.materialize(ir.Long, o)
+}
 
-	case "asgneg", "asgcompl":
+// mdef: a pointer fetched from memory addresses the operand, the VAX
+// deferred modes. Already-deferred or indexed inner operands are loaded
+// into a register instead (the hardware has one level).
+func (g *Gen) mdef(_ ir.Type, args []matcher.Value) (any, error) {
+	inner, err := opnd(args[1])
+	if err != nil {
+		return nil, err
+	}
+	indirT := target.Node(args[0]).Type
+	if !inner.Deferred && inner.Xreg < 0 &&
+		(inner.Mode == OAbs || inner.Mode == ODisp || inner.Mode == ORegDef ||
+			inner.Mode == OAutoInc || inner.Mode == OAutoDec) {
+		out := g.retyped(inner, indirT)
+		out.Deferred = true
+		return out, nil
+	}
+	r, err := g.materialize(ir.Long, inner)
+	if err != nil {
+		return nil, err
+	}
+	out := &Operand{Mode: ORegDef, Type: indirT, Reg: r.Reg, Xreg: -1}
+	out.Owned = g.RM.Transfer(r, out)
+	return out, nil
+}
+
+// bridgeMode is a bridge production (§6.2.2): the indexing prefix was
+// committed to but the scale is general, so the scaled index is computed
+// with an explicit multiply and folded into the base by an add. scaled is
+// the position of the two values multiplied, or value that of an unscaled
+// index subtree; off, base, dreg and sym place the prefix's displacement
+// and base as in memMode.
+type bridgeMode struct {
+	off, base, dreg, sym, scaled, value int
+}
+
+// bridge returns the routine of a bridge production: d(r) over the sum
+// when the prefix has a displacement, (r) otherwise.
+func bridge(m bridgeMode) routine {
+	return func(g *Gen, _ ir.Type, args []matcher.Value) (any, error) { return g.bridge(&m, args) }
+}
+
+// bridge generates a bridge production. It is a method, not the body of
+// the routine's closure, so the dedicated base's descriptor stays on the
+// stack (TestBridgeDedicatedBaseAllocs).
+func (g *Gen) bridge(m *bridgeMode, args []matcher.Value) (*Operand, error) {
+	var off int64
+	var val *Operand
+	var err error
+	if m.off > 0 {
+		if off, err = target.Const(args[m.off]); err != nil {
+			return nil, err
+		}
+	}
+	if m.scaled > 0 {
+		rv1, rv2, err := opnds(args, m.scaled, m.scaled+1)
+		if err != nil {
+			return nil, err
+		}
+		if val, err = g.binary(mulOps, ir.Long, rv1, rv2); err != nil {
+			return nil, err
+		}
+	}
+	// The base: a dedicated register, a computed register, or a
+	// symbol's address.
+	var base *Operand
+	switch {
+	case m.dreg > 0:
+		base = regOp(ir.Long, int(target.Node(args[m.dreg]).Val))
+	case m.base > 0:
+		if base, err = opnd(args[m.base]); err != nil {
+			return nil, err
+		}
+	default:
+		if val != nil {
+			g.RM.Pin(val)
+		}
+		addr, err := g.addrOf(ir.Long, "_"+target.Node(args[m.sym]).Sym)
+		if err != nil {
+			return nil, err
+		}
+		if val != nil {
+			g.RM.Unpin()
+		}
+		base = addr
+	}
+	if m.value > 0 {
+		if val, err = opnd(args[m.value]); err != nil {
+			return nil, err
+		}
+	}
+	sum, err := g.binary(addOps, ir.Long, val, base)
+	if err != nil {
+		return nil, err
+	}
+	out := &Operand{Mode: ORegDef, Type: target.Node(args[0]).Type, Reg: sum.Reg, Xreg: -1}
+	out.Owned = g.RM.Transfer(sum, out)
+	if m.off > 0 {
+		out.Mode, out.Off = ODisp, off
+	}
+	return out, nil
+}
+
+// binOp generates a two-source operator of type t.
+type binOp func(g *Gen, t ir.Type, a, b *Operand) (*Operand, error)
+
+// arith returns the routine of a two-source operator over the operator
+// node's type, with its sources swapped for a reverse operator.
+func arith(op binOp, reverse bool) routine {
+	return func(g *Gen, _ ir.Type, args []matcher.Value) (any, error) {
+		a, b, err := opnds(args, 1, 2)
+		if err != nil {
+			return nil, err
+		}
+		if reverse {
+			a, b = b, a
+		}
+		return op(g, target.Node(args[0]).Type, a, b)
+	}
+}
+
+// op generates the cluster's operator (a binOp).
+func (c *cluster) op(g *Gen, t ir.Type, a, b *Operand) (*Operand, error) { return g.binary(c, t, a, b) }
+
+// shiftBy returns the left or right shift of a value by a count.
+func shiftBy(left bool) binOp {
+	return func(g *Gen, t ir.Type, val, cnt *Operand) (*Operand, error) { return g.shift(t, val, cnt, left) }
+}
+
+// div and mod: unsigned division and modulus are calls on library
+// functions known not to modify any register, and signed modulus is a
+// pseudo-instruction needing a register for an intermediate result
+// (§5.3.2).
+func (g *Gen) div(t ir.Type, a, b *Operand) (*Operand, error) {
+	if t.IsUnsigned() {
+		return g.callBuiltin("_udiv", t, a, b)
+	}
+	return g.binary(divOps, t, a, b)
+}
+
+func (g *Gen) mod(t ir.Type, a, b *Operand) (*Operand, error) {
+	if t.IsUnsigned() {
+		return g.callBuiltin("_urem", t, a, b)
+	}
+	return g.signedMod(t, a, b)
+}
+
+// unaryOp returns the routine of a one-source operator over the operator
+// node's type.
+func unaryOp(op *mnem) routine {
+	return func(g *Gen, _ ir.Type, args []matcher.Value) (any, error) {
+		src, err := opnd(args[1])
+		if err != nil {
+			return nil, err
+		}
+		return g.unary(op, target.Node(args[0]).Type, src)
+	}
+}
+
+// assignTo returns the routine of an assignment statement whose
+// destination and source are at positions dst and src.
+func assignTo(dst, src int) routine {
+	return func(g *Gen, t ir.Type, args []matcher.Value) (any, error) {
+		d, s, err := opnds(args, dst, src)
+		if err != nil {
+			return nil, err
+		}
+		return nil, g.assign(t, s, d)
+	}
+}
+
+// assignValue returns the routine of an assignment used as a value: the
+// destination descriptor is reused once as the source of the surrounding
+// computation. The narrowing forms type the result at the destination's
+// width, so a wider context widens it back via a conversion chain.
+func assignValue(dst, src int) routine {
+	return func(g *Gen, t ir.Type, args []matcher.Value) (any, error) {
+		d, s, err := opnds(args, dst, src)
+		if err != nil {
+			return nil, err
+		}
+		if s, err = g.stepAtSize(t, s); err != nil {
+			return nil, err
+		}
+		g.move(t, s, d)
+		g.RM.Consume(s)
+		return g.retyped(d, t), nil
+	}
+}
+
+// assignOp returns the routine of the assignment-destination form of
+// cluster c: stmt -> Assign lval OP rval rval,
+// Figure 3's three-address scheme with the assignment target as the
+// destination. An unsigned operation calls the library function named
+// unsigned instead, where there is one, and stores its result.
+func assignOp(c *cluster, unsigned string) routine {
+	return func(g *Gen, _ ir.Type, args []matcher.Value) (any, error) {
 		dst, err := opnd(args[1])
 		if err != nil {
 			return nil, err
 		}
-		src, err := opnd(args[3])
+		t := target.Node(args[2]).Type
+		a, b, err := opnds(args, 3, 4)
 		if err != nil {
 			return nil, err
 		}
-		op := mnegT
-		if base == "asgcompl" {
-			op = mcomT
+		if unsigned != "" && t.IsUnsigned() {
+			r, err := g.callBuiltin(unsigned, t, a, b)
+			if err != nil {
+				return nil, err
+			}
+			g.move(t, r, dst)
+			g.RM.Consume(r)
+		} else {
+			g.binaryInto(c, t, a, b, dst)
+		}
+		g.RM.Consume(dst)
+		return nil, nil
+	}
+}
+
+// assignUnary returns the routine of a one-source operator assigned
+// straight into its destination.
+func assignUnary(op *mnem) routine {
+	return func(g *Gen, t ir.Type, args []matcher.Value) (any, error) {
+		dst, src, err := opnds(args, 1, 3)
+		if err != nil {
+			return nil, err
 		}
 		g.RM.Pin(dst)
 		g.E.EmitResult(mn(op, t), dst, src.Asm())
@@ -165,195 +511,115 @@ func (g *Gen) action(base string, t ir.Type, p *cgram.Prod, args []matcher.Value
 		g.RM.Consume(src)
 		g.RM.Consume(dst)
 		return nil, nil
-
-	case "add", "mul", "or", "xor", "sub", "rsub", "div", "rdiv", "mod", "rmod", "and":
-		return g.binAction(base, args)
-
-	case "lsh", "rlsh", "rsh", "rrsh":
-		return g.shiftAction(base, args)
-
-	case "neg", "compl":
-		return g.unaryAction(base, args)
-
-	case "cvt":
-		src, err := opnd(args[len(args)-1])
-		if err != nil {
-			return nil, err
-		}
-		return g.convert(t, src)
-
-	case "retype":
-		src, err := opnd(args[1])
-		if err != nil {
-			return nil, err
-		}
-		out := &Operand{}
-		*out = *src
-		out.Type = node(args[0]).Type
-		out.Owned = nil
-		out.Owned = g.RM.Transfer(src, out)
-		return out, nil
-
-	case "call":
-		n := node(args[0])
-		g.emitCall(n)
-		return g.callResult(n.Type)
-
-	case "callstmt", "callv":
-		g.emitCall(node(args[0]))
-		return nil, nil
-
-	case "asg", "asgn":
-		dst, err := opnd(args[1])
-		if err != nil {
-			return nil, err
-		}
-		src, err := opnd(args[2])
-		if err != nil {
-			return nil, err
-		}
-		return nil, g.assign(t, src, dst)
-
-	case "rasg", "rasgn":
-		src, err := opnd(args[1])
-		if err != nil {
-			return nil, err
-		}
-		dst, err := opnd(args[2])
-		if err != nil {
-			return nil, err
-		}
-		return nil, g.assign(t, src, dst)
-
-	case "asgv", "rasgv", "asgnv", "rasgnv":
-		// Assignment as a value: the destination descriptor is reused
-		// once as the source of the surrounding computation. The
-		// narrowing forms type the result at the destination's width,
-		// so a wider context widens it back via a conversion chain.
-		di, si := 1, 2
-		if base == "rasgv" || base == "rasgnv" {
-			di, si = 2, 1
-		}
-		dst, err := opnd(args[di])
-		if err != nil {
-			return nil, err
-		}
-		src, err := opnd(args[si])
-		if err != nil {
-			return nil, err
-		}
-		if (src.Mode == OAutoInc || src.Mode == OAutoDec) && src.Type.Size() != t.Size() {
-			m, merr := g.materialize(src.Type, src)
-			if merr != nil {
-				return nil, merr
-			}
-			src = m
-		}
-		g.move(t, src, dst)
-		g.RM.Consume(src)
-		out := &Operand{}
-		*out = *dst
-		out.Type = t
-		out.Owned = nil
-		out.Owned = g.RM.Transfer(dst, out)
-		return out, nil
-
-	case "asgc":
-		dst, err := opnd(args[1])
-		if err != nil {
-			return nil, err
-		}
-		n := node(args[2])
-		g.emitCall(n)
-		g.move(t, regOp(t, 0), dst)
-		g.RM.Consume(dst)
-		return nil, nil
-
-	case "arg":
-		src, err := opnd(args[1])
-		if err != nil {
-			return nil, err
-		}
-		if t == ir.Double {
-			g.E.Emit("movd", src.Asm(), "-(sp)")
-		} else {
-			g.E.Emit("pushl", src.Asm())
-		}
-		g.RM.Consume(src)
-		return nil, nil
-
-	case "ret":
-		src, err := opnd(args[1])
-		if err != nil {
-			return nil, err
-		}
-		g.move(t, src, regOp(t, 0))
-		g.RM.Consume(src)
-		g.E.Emit("ret")
-		return nil, nil
-
-	case "retv":
-		g.E.Emit("ret")
-		return nil, nil
-
-	case "jump":
-		g.E.Emit("jbr", g.label(args[1]))
-		return nil, nil
-
-	case "cmpbr":
-		a, err := opnd(args[2])
-		if err != nil {
-			return nil, err
-		}
-		b, err := opnd(args[3])
-		if err != nil {
-			return nil, err
-		}
-		g.E.Emit(mn(cmpT, t), a.Asm(), b.Asm())
-		g.RM.Consume(a)
-		g.RM.Consume(b)
-		g.branch(node(args[1]), g.label(args[4]))
-		return nil, nil
-
-	case "tstbr":
-		a, err := opnd(args[2])
-		if err != nil {
-			return nil, err
-		}
-		g.E.Emit(mn(tstT, t), a.Asm())
-		g.RM.Consume(a)
-		g.branch(node(args[1]), g.label(args[4]))
-		return nil, nil
-
-	case "ccbr":
-		a, err := opnd(args[2])
-		if err != nil {
-			return nil, err
-		}
-		// The register was set by the immediately preceding instruction,
-		// which also set the condition codes (§6.1). If overfactoring let
-		// a quiet register slip through, fall back to an explicit test.
-		if a.Mode != OReg || !g.E.LastSet(a.Reg) {
-			g.E.TstBackstops++
-			g.E.Emit(mn(tstT, t), a.Asm())
-		}
-		g.RM.Consume(a)
-		g.branch(node(args[1]), g.label(args[4]))
-		return nil, nil
-
-	case "dregbr", "regusebr":
-		// Dedicated and phase-1 registers arrive without code having been
-		// emitted, so the condition codes do not describe them (§6.2.1).
-		n := node(args[2])
-		g.E.Emit(mn(tstT, t), ir.RegName(int(n.Val)))
-		g.branch(node(args[1]), g.label(args[4]))
-		return nil, nil
 	}
-	return nil, fmt.Errorf("vax: unknown action %q (production %d: %s)", p.Action, p.Index, p)
 }
 
-func (g *Gen) label(v matcher.Value) string {
-	return fmt.Sprintf("L%d", g.LabelBase+int(node(v).Val))
+// asgc assigns a call's result directly, keeping it out of a temporary
+// when the destination needs no address registers.
+func (g *Gen) asgc(t ir.Type, args []matcher.Value) (any, error) {
+	dst, err := opnd(args[1])
+	if err != nil {
+		return nil, err
+	}
+	g.emitCall(target.Node(args[2]))
+	g.move(t, regOp(t, 0), dst)
+	g.RM.Consume(dst)
+	return nil, nil
+}
+
+func (g *Gen) call(_ ir.Type, args []matcher.Value) (any, error) {
+	n := target.Node(args[0])
+	g.emitCall(n)
+	return g.callResult(n.Type)
+}
+
+func (g *Gen) callStmt(_ ir.Type, args []matcher.Value) (any, error) {
+	g.emitCall(target.Node(args[0]))
+	return nil, nil
+}
+
+func (g *Gen) arg(t ir.Type, args []matcher.Value) (any, error) {
+	src, err := opnd(args[1])
+	if err != nil {
+		return nil, err
+	}
+	if t == ir.Double {
+		g.E.Emit("movd", src.Asm(), "-(sp)")
+	} else {
+		g.E.Emit("pushl", src.Asm())
+	}
+	g.RM.Consume(src)
+	return nil, nil
+}
+
+func (g *Gen) ret(t ir.Type, args []matcher.Value) (any, error) {
+	src, err := opnd(args[1])
+	if err != nil {
+		return nil, err
+	}
+	g.move(t, src, regOp(t, 0))
+	g.RM.Consume(src)
+	g.E.Emit("ret")
+	return nil, nil
+}
+
+func (g *Gen) retv(ir.Type, []matcher.Value) (any, error) {
+	g.E.Emit("ret")
+	return nil, nil
+}
+
+func (g *Gen) jump(_ ir.Type, args []matcher.Value) (any, error) {
+	g.E.Emit("jbr", g.Label(args[1]))
+	return nil, nil
+}
+
+func (g *Gen) cmpbr(t ir.Type, args []matcher.Value) (any, error) {
+	a, b, err := opnds(args, 2, 3)
+	if err != nil {
+		return nil, err
+	}
+	g.E.Emit(mn(cmpT, t), a.Asm(), b.Asm())
+	g.RM.Consume(a)
+	g.RM.Consume(b)
+	g.branch(target.Node(args[1]), g.Label(args[4]))
+	return nil, nil
+}
+
+func (g *Gen) tstbr(t ir.Type, args []matcher.Value) (any, error) {
+	a, err := opnd(args[2])
+	if err != nil {
+		return nil, err
+	}
+	g.E.Emit(mn(tstT, t), a.Asm())
+	g.RM.Consume(a)
+	g.branch(target.Node(args[1]), g.Label(args[4]))
+	return nil, nil
+}
+
+// ccbr branches on the codes the instruction that set the register also
+// set (§6.1). If overfactoring let a quiet register slip through, it
+// falls back to an explicit test.
+func (g *Gen) ccbr(t ir.Type, args []matcher.Value) (any, error) {
+	a, err := opnd(args[2])
+	if err != nil {
+		return nil, err
+	}
+	if a.Mode != OReg || !g.E.LastSet(a.Reg) {
+		g.E.TstBackstops++
+		g.E.Emit(mn(tstT, t), a.Asm())
+	}
+	g.RM.Consume(a)
+	g.branch(target.Node(args[1]), g.Label(args[4]))
+	return nil, nil
+}
+
+// dregbr tests a dedicated or phase-1 register: those arrive without code
+// having been emitted, so the condition codes do not describe them
+// (§6.2.1).
+func (g *Gen) dregbr(t ir.Type, args []matcher.Value) (any, error) {
+	g.E.Emit(mn(tstT, t), ir.RegName(int(target.Node(args[2]).Val)))
+	g.branch(target.Node(args[1]), g.Label(args[4]))
+	return nil, nil
 }
 
 // branch emits the conditional jump for a Cmp node's relation, using the
@@ -367,37 +633,32 @@ func (g *Gen) branch(cmp *ir.Node, target string) {
 	g.E.Emit(table[rel], target)
 }
 
-// assign stores src into dst, materializing side-effecting sources whose
-// operand size disagrees with the destination (a narrowing assignment must
-// not step an autoincrement pointer by the wrong amount).
-func (g *Gen) assign(t ir.Type, src, dst *Operand) error {
+// stepAtSize materializes a side-effecting source whose operand size
+// disagrees with an assignment of type t: a narrowing assignment must not
+// step an autoincrement pointer by the wrong amount.
+func (g *Gen) stepAtSize(t ir.Type, src *Operand) (*Operand, error) {
 	if (src.Mode == OAutoInc || src.Mode == OAutoDec) && src.Type.Size() != t.Size() {
-		m, err := g.materialize(src.Type, src)
-		if err != nil {
-			return err
-		}
-		src = m
+		return g.materialize(src.Type, src)
+	}
+	return src, nil
+}
+
+// assign stores src into dst (stepAtSize).
+func (g *Gen) assign(t ir.Type, src, dst *Operand) error {
+	src, err := g.stepAtSize(t, src)
+	if err != nil {
+		return err
 	}
 	val := src
 	if src.Mode == OImm {
 		narrowed := *src
-		narrowed.Val = truncImm(src.Val, t)
+		narrowed.Val = target.TruncImm(src.Val, t)
 		val = &narrowed
 	}
 	g.move(t, val, dst)
 	g.RM.Consume(src)
 	g.RM.Consume(dst)
 	return nil
-}
-
-func truncImm(v int64, t ir.Type) int64 {
-	switch t.Size() {
-	case 1:
-		return int64(int8(v))
-	case 2:
-		return int64(int16(v))
-	}
-	return v
 }
 
 func (g *Gen) emitCall(n *ir.Node) {
@@ -414,54 +675,6 @@ func (g *Gen) callResult(t ir.Type) (*Operand, error) {
 	return res, nil
 }
 
-// binAction generates the two-source arithmetic operators. Unsigned
-// division and modulus become calls on library functions known not to
-// modify any register, and signed modulus is a pseudo-instruction needing
-// a register for an intermediate result (§5.3.2).
-func (g *Gen) binAction(base string, args []matcher.Value) (any, error) {
-	n := node(args[0])
-	t := n.Type
-	a, err := opnd(args[1])
-	if err != nil {
-		return nil, err
-	}
-	b, err := opnd(args[2])
-	if err != nil {
-		return nil, err
-	}
-	switch base {
-	case "rsub", "rdiv", "rmod":
-		// Reverse operators: the first attribute is the right operand.
-		a, b = b, a
-		base = base[1:]
-	}
-	switch base {
-	case "add":
-		return g.binary("add", t, a, b)
-	case "sub":
-		return g.binary("sub", t, a, b)
-	case "mul":
-		return g.binary("mul", t, a, b)
-	case "or":
-		return g.binary("bis", t, a, b)
-	case "xor":
-		return g.binary("xor", t, a, b)
-	case "and":
-		return g.andOp(t, a, b)
-	case "div":
-		if t.IsUnsigned() {
-			return g.callBuiltin("_udiv", t, a, b)
-		}
-		return g.binary("div", t, a, b)
-	case "mod":
-		if t.IsUnsigned() {
-			return g.callBuiltin("_urem", t, a, b)
-		}
-		return g.signedMod(t, a, b)
-	}
-	return nil, fmt.Errorf("vax: bad binary action %q", base)
-}
-
 // andOp implements AND with the bit-clear instruction: the VAX has no and,
 // so one operand is complemented — at table-construction time for
 // constants, with an mcom instruction otherwise. A constant mask is
@@ -471,11 +684,11 @@ func (g *Gen) binAction(base string, args []matcher.Value) (any, error) {
 func (g *Gen) andOp(t ir.Type, a, b *Operand) (*Operand, error) {
 	if b.Mode == OImm {
 		*b = Operand{Mode: OImm, Type: t, Val: ^b.Val}
-		return g.binary("bic", t, a, b)
+		return g.binary(bicOps, t, a, b)
 	}
 	if a.Mode == OImm {
 		*a = Operand{Mode: OImm, Type: t, Val: ^a.Val}
-		return g.binary("bic", t, b, a)
+		return g.binary(bicOps, t, b, a)
 	}
 	g.RM.Pin(a)
 	mask, err := g.unary(mcomT, t, b)
@@ -483,7 +696,7 @@ func (g *Gen) andOp(t ir.Type, a, b *Operand) (*Operand, error) {
 		return nil, err
 	}
 	g.RM.Unpin()
-	return g.binary("bic", t, a, mask)
+	return g.binary(bicOps, t, a, mask)
 }
 
 // signedMod computes a%b as a-(a/b)*b through an intermediate register.
@@ -522,24 +735,6 @@ func (g *Gen) callBuiltin(sym string, t ir.Type, a, b *Operand) (*Operand, error
 	g.RM.Consume(a)
 	g.RM.Consume(b)
 	return res, nil
-}
-
-func (g *Gen) shiftAction(base string, args []matcher.Value) (any, error) {
-	n := node(args[0])
-	t := n.Type
-	val, err := opnd(args[1])
-	if err != nil {
-		return nil, err
-	}
-	cnt, err := opnd(args[2])
-	if err != nil {
-		return nil, err
-	}
-	left := base == "lsh" || base == "rlsh"
-	if base == "rlsh" || base == "rrsh" {
-		val, cnt = cnt, val
-	}
-	return g.shift(t, val, cnt, left)
 }
 
 // shift emits ashl for left and signed right shifts and extzv for unsigned
@@ -612,19 +807,6 @@ func (g *Gen) shift(t ir.Type, val, cnt *Operand, left bool) (*Operand, error) {
 	return dst, nil
 }
 
-func (g *Gen) unaryAction(base string, args []matcher.Value) (any, error) {
-	n := node(args[0])
-	src, err := opnd(args[1])
-	if err != nil {
-		return nil, err
-	}
-	op := mnegT
-	if base == "compl" {
-		op = mcomT
-	}
-	return g.unary(op, n.Type, src)
-}
-
 // unary emits a one-source instruction into a (possibly reclaimed)
 // register.
 func (g *Gen) unary(op *mnem, t ir.Type, src *Operand) (*Operand, error) {
@@ -644,281 +826,4 @@ func (g *Gen) unary(op *mnem, t ir.Type, src *Operand) (*Operand, error) {
 	g.E.EmitResult(mn(op, t), dst, src.Asm())
 	g.RM.Consume(src)
 	return dst, nil
-}
-
-// asgOpAction generates the assignment-destination instruction forms:
-// stmt -> Assign lval OP rval rval (Figure 3's three-address instruction
-// scheme with the assignment target as destination).
-func (g *Gen) asgOpAction(base string, args []matcher.Value) error {
-	dst, err := opnd(args[1])
-	if err != nil {
-		return err
-	}
-	nt := node(args[2]).Type
-	a, err := opnd(args[3])
-	if err != nil {
-		return err
-	}
-	b, err := opnd(args[4])
-	if err != nil {
-		return err
-	}
-	key := map[string]string{
-		"asgadd": "add", "asgsub": "sub", "asgmul": "mul",
-		"asgdiv": "div", "asgor": "bis", "asgxor": "xor",
-	}[base]
-	if key == "div" && nt.IsUnsigned() {
-		// Unsigned division is a library-call pseudo-instruction; compute
-		// into r0 and store.
-		r, err := g.callBuiltin("_udiv", nt, a, b)
-		if err != nil {
-			return err
-		}
-		g.move(nt, r, dst)
-		g.RM.Consume(r)
-		g.RM.Consume(dst)
-		return nil
-	}
-	if err := g.binaryInto(key, nt, a, b, dst); err != nil {
-		return err
-	}
-	g.RM.Consume(dst)
-	return nil
-}
-
-// bridgeAction implements the bridge productions of §6.2.2: the indexing
-// prefix was committed to but the scale is general, so the scaled index is
-// computed with an explicit multiply and folded into the base by an add.
-func (g *Gen) bridgeAction(base string, args []matcher.Value) (any, error) {
-	indir := node(args[0])
-	var conIdx, baseIdx, rvIdx int
-	switch base {
-	case "mbrdxd", "mbrdx":
-		conIdx, baseIdx, rvIdx = 3, 4, 6
-	default: // mbrrxd, mbrrx, mbrnx
-		conIdx, baseIdx, rvIdx = -1, 2, 4
-	}
-	rv1, err := opnd(args[rvIdx])
-	if err != nil {
-		return nil, err
-	}
-	rv2, err := opnd(args[rvIdx+1])
-	if err != nil {
-		return nil, err
-	}
-	product, err := g.binary("mul", ir.Long, rv1, rv2)
-	if err != nil {
-		return nil, err
-	}
-	// The base: a dedicated register, a computed register, or a symbol.
-	var baseOp *Operand
-	switch base {
-	case "mbrdxd", "mbrrxd":
-		baseOp = regOp(ir.Long, int(node(args[baseIdx]).Val))
-	case "mbrnx":
-		g.RM.Pin(product)
-		addr := &Operand{Mode: OReg, Type: ir.Long, Xreg: -1}
-		r, err := g.RM.Alloc(ir.Long, addr)
-		if err != nil {
-			return nil, err
-		}
-		addr.Reg, addr.Owned = r, []int{r}
-		g.E.EmitResult("moval", addr, "_"+node(args[baseIdx]).Sym)
-		g.RM.Unpin()
-		baseOp = addr
-	default:
-		baseOp, err = opnd(args[baseIdx])
-		if err != nil {
-			return nil, err
-		}
-	}
-	sum, err := g.binary("add", ir.Long, product, baseOp)
-	if err != nil {
-		return nil, err
-	}
-	out := &Operand{Type: indir.Type, Reg: sum.Reg, Xreg: -1}
-	out.Owned = g.RM.Transfer(sum, out)
-	if conIdx >= 0 {
-		off, err := conval(args[conIdx])
-		if err != nil {
-			return nil, err
-		}
-		out.Mode, out.Off = ODisp, off
-	} else {
-		out.Mode = ORegDef
-	}
-	return out, nil
-}
-
-// ensureReg forces a reg.l attribute to actually be a register: the
-// conversion chains can deliver a retyped immediate where an address base
-// or index register is required.
-func (g *Gen) ensureReg(v matcher.Value) (*Operand, error) {
-	o, err := opnd(v)
-	if err != nil {
-		return nil, err
-	}
-	if o.Mode == OReg {
-		return o, nil
-	}
-	return g.materialize(ir.Long, o)
-}
-
-// bridgeAddAction handles the committed indexing prefix followed by a
-// general (unscaled) subtree: the base and the index value are added and
-// the displacement survives as d(r).
-func (g *Gen) bridgeAddAction(base string, args []matcher.Value) (any, error) {
-	indir := node(args[0])
-	var off int64
-	var baseOp *Operand
-	var rvIdx int
-	var err error
-	switch base {
-	case "mbraddrd":
-		if off, err = conval(args[3]); err != nil {
-			return nil, err
-		}
-		baseOp = regOp(ir.Long, int(node(args[4]).Val))
-		rvIdx = 5
-	case "mbraddr":
-		if off, err = conval(args[3]); err != nil {
-			return nil, err
-		}
-		if baseOp, err = opnd(args[4]); err != nil {
-			return nil, err
-		}
-		rvIdx = 5
-	default: // mbrnameadd: _sym + subtree
-		addr := &Operand{Mode: OReg, Type: ir.Long, Xreg: -1}
-		r, aerr := g.RM.Alloc(ir.Long, addr)
-		if aerr != nil {
-			return nil, aerr
-		}
-		addr.Reg, addr.Owned = r, []int{r}
-		g.E.EmitResult("moval", addr, "_"+node(args[2]).Sym)
-		baseOp = addr
-		rvIdx = 3
-	}
-	rv, err := opnd(args[rvIdx])
-	if err != nil {
-		return nil, err
-	}
-	sum, err := g.binary("add", ir.Long, rv, baseOp)
-	if err != nil {
-		return nil, err
-	}
-	out := &Operand{Type: indir.Type, Reg: sum.Reg, Xreg: -1}
-	out.Owned = g.RM.Transfer(sum, out)
-	if off != 0 || base != "mbrnameadd" {
-		out.Mode, out.Off = ODisp, off
-	} else {
-		out.Mode = ORegDef
-	}
-	return out, nil
-}
-
-// memAction builds the operand descriptor for an addressing-mode pattern:
-// the encapsulating reductions of §5.2.
-func (g *Gen) memAction(base string, t ir.Type, args []matcher.Value) (any, error) {
-	indir := node(args[0])
-	out := &Operand{Type: indir.Type, Xreg: -1}
-	switch base {
-	case "mabs":
-		out.Mode, out.Sym = OAbs, node(args[1]).Sym
-	case "mabsoff":
-		off, err := conval(args[2])
-		if err != nil {
-			return nil, err
-		}
-		out.Mode, out.Off, out.Sym = OAbs, off, node(args[3]).Sym
-	case "mregdef":
-		r, err := g.ensureReg(args[1])
-		if err != nil {
-			return nil, err
-		}
-		out.Mode, out.Reg = ORegDef, r.Reg
-		out.Owned = g.RM.Transfer(r, out)
-	case "mregdefd":
-		out.Mode, out.Reg = ORegDef, int(node(args[1]).Val)
-	case "mdisp":
-		off, err := conval(args[2])
-		if err != nil {
-			return nil, err
-		}
-		r, err := g.ensureReg(args[3])
-		if err != nil {
-			return nil, err
-		}
-		out.Mode, out.Off, out.Reg = ODisp, off, r.Reg
-		out.Owned = g.RM.Transfer(r, out)
-	case "mdispd":
-		off, err := conval(args[2])
-		if err != nil {
-			return nil, err
-		}
-		out.Mode, out.Off, out.Reg = ODisp, off, int(node(args[3]).Val)
-	case "mdispd2":
-		o1, err := conval(args[2])
-		if err != nil {
-			return nil, err
-		}
-		o2, err := conval(args[4])
-		if err != nil {
-			return nil, err
-		}
-		out.Mode, out.Off, out.Reg = ODisp, o1+o2, int(node(args[5]).Val)
-	case "mnx":
-		idx, err := g.ensureReg(args[5])
-		if err != nil {
-			return nil, err
-		}
-		out.Mode, out.Sym, out.Xreg = OAbs, node(args[2]).Sym, idx.Reg
-		out.Owned = g.RM.Transfer(idx, out)
-	case "mdx", "mdxd":
-		off, err := conval(args[3])
-		if err != nil {
-			return nil, err
-		}
-		idx, err := g.ensureReg(args[7])
-		if err != nil {
-			return nil, err
-		}
-		out.Mode, out.Off, out.Xreg = ODisp, off, idx.Reg
-		out.Owned = g.RM.Transfer(idx, out)
-		if base == "mdx" {
-			b, err := g.ensureReg(args[4])
-			if err != nil {
-				return nil, err
-			}
-			out.Reg = b.Reg
-			out.Owned = append(out.Owned, g.RM.Transfer(b, out)...)
-		} else {
-			out.Reg = int(node(args[4]).Val)
-		}
-	case "mrx", "mrxd":
-		idx, err := g.ensureReg(args[5])
-		if err != nil {
-			return nil, err
-		}
-		out.Mode, out.Xreg = ORegDef, idx.Reg
-		out.Owned = g.RM.Transfer(idx, out)
-		if base == "mrx" {
-			b, err := g.ensureReg(args[2])
-			if err != nil {
-				return nil, err
-			}
-			out.Reg = b.Reg
-			out.Owned = append(out.Owned, g.RM.Transfer(b, out)...)
-		} else {
-			out.Reg = int(node(args[2]).Val)
-		}
-	case "mautoinc":
-		out.Mode, out.Reg = OAutoInc, int(node(args[2]).Val)
-	case "mautodec":
-		out.Mode, out.Reg = OAutoDec, int(node(args[2]).Val)
-	default:
-		return nil, fmt.Errorf("vax: bad mem action %q", base)
-	}
-	_ = t
-	return out, nil
 }

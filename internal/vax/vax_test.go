@@ -110,7 +110,7 @@ func testGen() *Gen {
 // generating a = 17 + a selects addl3, then the binding idiom turns it
 // into addl2, and adding one selects incl.
 func TestF3_InstructionTable(t *testing.T) {
-	cluster := instrTable["add"]
+	cluster := addOps
 	if len(cluster) != 3 || cluster[0].nops != 3 || cluster[1].nops != 2 || cluster[2].nops != 1 {
 		t.Fatalf("add cluster malformed: %+v", cluster)
 	}
@@ -128,7 +128,7 @@ func TestF3_BindingIdiom(t *testing.T) {
 	a := &Operand{Mode: OReg, Type: ir.Long, Reg: 0, Xreg: -1}
 	r, _ := g.RM.Alloc(ir.Long, a)
 	a.Reg, a.Owned = r, []int{r}
-	res, err := g.binary("add", ir.Long, a, intOp(ir.Long, 17))
+	res, err := g.binary(addOps, ir.Long, a, intOp(ir.Long, 17))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestF3_RangeIdiomIncDec(t *testing.T) {
 	a := &Operand{Mode: OReg, Type: ir.Long, Xreg: -1}
 	r, _ := g.RM.Alloc(ir.Long, a)
 	a.Reg, a.Owned = r, []int{r}
-	res, err := g.binary("add", ir.Long, a, intOp(ir.Long, 1))
+	res, err := g.binary(addOps, ir.Long, a, intOp(ir.Long, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestF3_RangeIdiomIncDec(t *testing.T) {
 	b := &Operand{Mode: OReg, Type: ir.Long, Xreg: -1}
 	r2, _ := g2.RM.Alloc(ir.Long, b)
 	b.Reg, b.Owned = r2, []int{r2}
-	res2, err := g2.binary("sub", ir.Long, b, intOp(ir.Long, 1))
+	res2, err := g2.binary(subOps, ir.Long, b, intOp(ir.Long, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestF3_AddMinusOneBecomesDec(t *testing.T) {
 	a := &Operand{Mode: OReg, Type: ir.Long, Xreg: -1}
 	r, _ := g.RM.Alloc(ir.Long, a)
 	a.Reg, a.Owned = r, []int{r}
-	res, _ := g.binary("add", ir.Long, a, intOp(ir.Long, -1))
+	res, _ := g.binary(addOps, ir.Long, a, intOp(ir.Long, -1))
 	if !strings.Contains(g.E.String(), "decl\tr0") {
 		t.Errorf("add of minus one did not become decl:\n%s", g.E.String())
 	}
@@ -188,7 +188,7 @@ func TestF3_AddMinusOneBecomesDec(t *testing.T) {
 func TestF3_NoBindingEmitsThreeAddress(t *testing.T) {
 	g := testGen()
 	// Neither source is an owned register: the three-address form is used.
-	res, err := g.binary("add", ir.Long, intOp(ir.Long, 5),
+	res, err := g.binary(addOps, ir.Long, intOp(ir.Long, 5),
 		&Operand{Mode: OAbs, Type: ir.Long, Sym: "x", Xreg: -1})
 	if err != nil {
 		t.Fatal(err)
@@ -215,7 +215,7 @@ func TestMoveClearIdiom(t *testing.T) {
 
 func TestSubUsesVAXOperandOrder(t *testing.T) {
 	g := testGen()
-	res, err := g.binary("sub", ir.Long,
+	res, err := g.binary(subOps, ir.Long,
 		&Operand{Mode: OAbs, Type: ir.Long, Sym: "a", Xreg: -1},
 		&Operand{Mode: OAbs, Type: ir.Long, Sym: "b", Xreg: -1})
 	if err != nil {
@@ -558,7 +558,7 @@ func TestBridgeDedicatedBaseAllocs(t *testing.T) {
 			var asm string
 			allocs := testing.AllocsPerRun(20, func() {
 				g := testGen()
-				if _, err := g.action(action, ir.Long, nil, args); err != nil {
+				if _, err := routineTable[action](g, ir.Long, args); err != nil {
 					t.Fatalf("%s: %v", action, err)
 				}
 				asm = g.E.String()
