@@ -537,6 +537,22 @@ func BenchmarkCompile(b *testing.B) {
 	}
 }
 
+// BenchmarkCompile's compile for the RISC target: the shared layers over
+// the other tables and register manager.
+func BenchmarkCompileRISC(b *testing.B) {
+	src := corpus.Large(40)
+	cfg := Config{Target: "risc"}
+	if _, err := Compile(src, cfg); err != nil { // exclude the one-time table load
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Compile(src, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // The same compile with a full observer attached (spans, counters,
 // histograms, coverage) but no event stream — the in-memory recording cost.
 func BenchmarkCompileObserved(b *testing.B) {

@@ -64,6 +64,29 @@ func TestEmittedMnemonicsInTable(t *testing.T) {
 	}
 }
 
+// TestUnsignedNarrowingRuns: an unsigned value narrowed to a smaller
+// integer converts with an instruction the simulator has (cvtwb on the
+// VAX; movz only widens), so the program assembles and computes the
+// truncated value on both targets.
+func TestUnsignedNarrowingRuns(t *testing.T) {
+	src := `unsigned short us = 300; unsigned int ui = 70000; char c; short s;
+int main() { c = (char)us + 1; s = (short)(ui + 1); return c + s; }`
+	for _, tg := range []string{"vax", "risc"} {
+		out, err := Compile(src, Config{Target: tg})
+		if err != nil {
+			t.Fatalf("%s: %v", tg, err)
+		}
+		m, err := NewSim(tg, out.Asm)
+		if err != nil {
+			t.Fatalf("%s: %v\n%s", tg, err, out.Asm)
+		}
+		// (char)300 + 1 = 45; (short)70001 = 4465.
+		if got, err := m.Call("_main"); err != nil || got != 45+4465 {
+			t.Errorf("%s: main() = %d, %v; want %d", tg, got, err, 45+4465)
+		}
+	}
+}
+
 // TestBranchInverses: every conditional branch's inverse is a conditional
 // branch whose inverse is the branch itself, and on the simulator exactly
 // one of the two is taken from every state: all sixteen N/Z/V/C settings

@@ -256,6 +256,9 @@ func generateFunc(out *target.Emitter, mach target.Machine, t *tablegen.Tables, 
 	body := getEmitter()
 	defer emitterPool.Put(body)
 	gen := mach.NewGen(body, tf, labelBase)
+	// The generator's descriptors go back to their pool however the
+	// function ends; the attributes on the matcher's stack die with it.
+	defer gen.Release()
 	m := matcherPool.Get().(*matcher.Matcher)
 	defer matcherPool.Put(m)
 	m.Reset(t, gen)
@@ -265,11 +268,9 @@ func generateFunc(out *target.Emitter, mach target.Machine, t *tablegen.Tables, 
 	// and output generation, which interleave per tree (Figure 2).
 	ssp := o.Start("select")
 	defer ssp.End()
-	first, last := phase1Spans(tf)
+	marks := phase1Spans(tf)
 	for i, it := range tf.Items {
-		for _, r := range first[i] {
-			gen.Phase1Busy(r, true)
-		}
+		setPhase1(gen, marks[i].first, true)
 		if it.Kind == ir.ItemLabel {
 			body.Label(labelBase + it.Label)
 			continue
@@ -283,9 +284,7 @@ func generateFunc(out *target.Emitter, mach target.Machine, t *tablegen.Tables, 
 		if err := gen.CheckStatementEnd(); err != nil {
 			return fmt.Errorf("codegen: %s: %v (tree %s)", name, err, it.Tree)
 		}
-		for _, r := range last[i] {
-			gen.Phase1Busy(r, false)
-		}
+		setPhase1(gen, marks[i].last, false)
 	}
 
 	mach.FuncHeader(out, name, tf.TotalFrame())
@@ -433,39 +432,66 @@ func addMatcherStats(a, b matcher.Stats) matcher.Stats {
 	return a
 }
 
+// p1Marks are the phase-1 registers that become busy before an item
+// (first) and free after it (last).
+type p1Marks struct{ first, last target.RegSet }
+
 // phase1Spans returns, per item index, which registers become busy or free
 // there: the spans the transformation phase recorded — the paper's
 // "special trees specifying which registers it assigned, as well as a use
 // count" (§5.3.3). Registers mentioned by RegUse or allocatable-Dreg trees
 // without a recorded span (hand-built input) get a conservative
 // whole-mention span instead.
-func phase1Spans(f *ir.Func) (first, last map[int][]int) {
-	first, last = make(map[int][]int), make(map[int][]int)
-	recorded := make(map[int]bool)
-	for _, sp := range f.P1Spans {
-		recorded[sp.Reg] = true
-		first[sp.First] = append(first[sp.First], sp.Reg)
-		last[sp.Last] = append(last[sp.Last], sp.Reg)
+func phase1Spans(f *ir.Func) []p1Marks {
+	marks := make([]p1Marks, len(f.Items))
+	mark := func(i int, r target.RegSet, last bool) {
+		switch {
+		case i < 0 || i >= len(marks):
+		case last:
+			marks[i].last |= r
+		default:
+			marks[i].first |= r
+		}
 	}
-	lo, hi := make(map[int]int), make(map[int]int)
+	var recorded target.RegSet
+	for _, sp := range f.P1Spans {
+		r := target.RegRange(sp.Reg, 1)
+		recorded |= r
+		mark(sp.First, r, false)
+		mark(sp.Last, r, true)
+	}
+	// lo and hi are the first and last items mentioning an unrecorded
+	// register, plus one (zero: none).
+	var lo, hi [ir.NAllocatable]int
 	for i, it := range f.Items {
 		if it.Kind != ir.ItemTree {
 			continue
 		}
 		it.Tree.Walk(func(n *ir.Node) bool {
-			if (n.Op == ir.Dreg || n.Op == ir.RegUse) && n.Val < ir.NAllocatable && !recorded[int(n.Val)] {
+			if (n.Op == ir.Dreg || n.Op == ir.RegUse) && n.Val >= 0 && n.Val < ir.NAllocatable && !recorded.Has(int(n.Val)) {
 				r := int(n.Val)
-				if _, ok := lo[r]; !ok {
-					lo[r] = i
+				if lo[r] == 0 {
+					lo[r] = i + 1
 				}
-				hi[r] = i
+				hi[r] = i + 1
 			}
 			return true
 		})
 	}
-	for r, i := range lo {
-		first[i] = append(first[i], r)
-		last[hi[r]] = append(last[hi[r]], r)
+	for r := range lo {
+		if lo[r] > 0 {
+			mark(lo[r]-1, target.RegRange(r, 1), false)
+			mark(hi[r]-1, target.RegRange(r, 1), true)
+		}
 	}
-	return first, last
+	return marks
+}
+
+// setPhase1 marks every register of s busy or free for phase 3.
+func setPhase1(gen target.Gen, s target.RegSet, busy bool) {
+	for r := 0; r < ir.NAllocatable; r++ {
+		if s.Has(r) {
+			gen.Phase1Busy(r, busy)
+		}
+	}
 }

@@ -8,34 +8,79 @@ import (
 	"ggcg/internal/corpus"
 	"ggcg/internal/ir"
 	"ggcg/internal/obs"
+	"ggcg/internal/risc"
+	"ggcg/internal/target"
+	"ggcg/internal/vax"
 )
 
 // The parallel unit body must be byte-identical to the sequential one:
-// same assembly, same statistics, for every worker count.
+// same assembly, same statistics, for every worker count, on every
+// target. The workers draw their operand slabs from one pool per target.
 func TestParallelMatchesSequential(t *testing.T) {
 	srcs := map[string]string{"large": corpus.Large(40)}
 	for _, p := range corpus.Programs() {
 		srcs[p.Name] = p.Src
 	}
-	for name, src := range srcs {
-		u, err := cfront.Compile(src)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		want, err := Compile(u, Options{})
-		if err != nil {
-			t.Fatalf("%s: sequential: %v", name, err)
-		}
-		for _, workers := range []int{2, 4, 8} {
-			got, err := Compile(u, Options{Workers: workers})
+	for _, mach := range []target.Machine{vax.Target, risc.Target} {
+		for name, src := range srcs {
+			u, err := cfront.Compile(src)
 			if err != nil {
-				t.Fatalf("%s: workers=%d: %v", name, workers, err)
+				t.Fatalf("%s: %v", name, err)
 			}
-			if got.Asm != want.Asm {
-				t.Errorf("%s: workers=%d assembly differs from sequential", name, workers)
+			want, err := Compile(u, Options{Target: mach})
+			if err != nil {
+				t.Fatalf("%s/%s: sequential: %v", mach.Name(), name, err)
 			}
-			if *got != *want {
-				t.Errorf("%s: workers=%d stats = %+v, want %+v", name, workers, got.Stats, want.Stats)
+			for _, workers := range []int{2, 4, 8} {
+				got, err := Compile(u, Options{Target: mach, Workers: workers})
+				if err != nil {
+					t.Fatalf("%s/%s: workers=%d: %v", mach.Name(), name, workers, err)
+				}
+				if got.Asm != want.Asm {
+					t.Errorf("%s/%s: workers=%d assembly differs from sequential", mach.Name(), name, workers)
+				}
+				if *got != *want {
+					t.Errorf("%s/%s: workers=%d stats = %+v, want %+v", mach.Name(), name, workers, got.Stats, want.Stats)
+				}
+			}
+		}
+	}
+}
+
+// A compile that fails in phase 3, with descriptors drawn and registers
+// held, leaves nothing behind: the next compile's output is byte-identical
+// to one made before it, sequentially and in parallel, on every target.
+// The failing function mentions all six allocatable registers as
+// dedicated registers, so each is a phase-1 register for the statement
+// and the first register the semantic routines ask for cannot be had.
+func TestPhase3FailureLeavesNoState(t *testing.T) {
+	good, err := cfront.Compile(corpus.Large(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	starve := ir.MustParse(`(Assign.l (Name.l x) (Plus.l (Plus.l (Plus.l (Dreg.l r0) (Dreg.l r1)) (Plus.l (Dreg.l r2) (Dreg.l r3))) (Plus.l (Dreg.l r4) (Dreg.l r5))))`)
+	for _, mach := range []target.Machine{vax.Target, risc.Target} {
+		for _, workers := range []int{0, 4} {
+			opt := Options{Target: mach, Workers: workers}
+			want, err := Compile(good, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bad, err := cfront.Compile(corpus.Large(8))
+			if err != nil {
+				t.Fatal(err)
+			}
+			bad.Funcs[3].Items = append(bad.Funcs[3].Items[:len(bad.Funcs[3].Items):len(bad.Funcs[3].Items)], ir.Item{Kind: ir.ItemTree, Tree: starve})
+			_, err = Compile(bad, opt)
+			if err == nil || !strings.Contains(err.Error(), "no spillable register") {
+				t.Fatalf("%s workers=%d: compile of the starved unit = %v, want a register manager error", mach.Name(), workers, err)
+			}
+			got, err := Compile(good, opt)
+			if err != nil {
+				t.Fatalf("%s workers=%d: compile after the failure: %v", mach.Name(), workers, err)
+			}
+			if got.Asm != want.Asm || *got != *want {
+				t.Errorf("%s workers=%d: output after a phase-3 failure differs from before it", mach.Name(), workers)
 			}
 		}
 	}

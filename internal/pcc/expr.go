@@ -4,31 +4,38 @@ import (
 	"fmt"
 
 	"ggcg/internal/ir"
+	"ggcg/internal/target"
 	"ggcg/internal/vax"
 )
 
-func immOp(t ir.Type, v int64) *vax.Operand {
-	return &vax.Operand{Mode: vax.OImm, Type: t, Val: v, Xreg: -1}
+// regsFor returns how many registers a value of type t occupies: a
+// double takes a pair.
+func regsFor(t ir.Type) int {
+	if t == ir.Double {
+		return 2
+	}
+	return 1
+}
+
+func (g *gen) immOp(t ir.Type, v int64) *vax.Operand {
+	return g.op(vax.Operand{Mode: vax.OImm, Type: t, Val: v, Xreg: -1})
 }
 
 // allocReg allocates an owned register operand of type t.
 func (g *gen) allocReg(t ir.Type) (*vax.Operand, error) {
-	o := &vax.Operand{Mode: vax.OReg, Type: t, Xreg: -1}
+	o := g.op(vax.Operand{Mode: vax.OReg, Type: t, Xreg: -1})
 	r, err := g.rm.Alloc(t, o)
 	if err != nil {
 		return nil, err
 	}
 	o.Reg = r
-	o.Owned = []int{r}
-	if t == ir.Double {
-		o.Owned = []int{r, r + 1}
-	}
+	o.Owned = target.RegRange(r, regsFor(t))
 	return o, nil
 }
 
 // toReg forces an operand into a register of (machine) type t.
 func (g *gen) toReg(o *vax.Operand, t ir.Type) (*vax.Operand, error) {
-	if o.Mode == vax.OReg && o.Type.Machine() == t.Machine() && len(o.Owned) > 0 {
+	if o.Mode == vax.OReg && o.Type.Machine() == t.Machine() && o.Owned != 0 {
 		return o, nil
 	}
 	dst, err := g.allocReg(t)
@@ -44,12 +51,12 @@ func (g *gen) toReg(o *vax.Operand, t ir.Type) (*vax.Operand, error) {
 // sources.
 func (g *gen) widen(o *vax.Operand, t ir.Type) (*vax.Operand, error) {
 	if o.Mode == vax.OImm || o.Mode == vax.OFImm {
-		out := *o
+		out := g.op(*o)
 		out.Type = t
 		if t.IsInteger() && o.Mode == vax.OFImm {
 			out.Mode, out.Val = vax.OImm, int64(o.FVal)
 		}
-		return &out, nil
+		return out, nil
 	}
 	fs, ts := o.Type.Machine().Suffix(), t.Machine().Suffix()
 	if fs == ts {
@@ -89,7 +96,7 @@ func (g *gen) address(a *ir.Node, t ir.Type) (*vax.Operand, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &vax.Operand{Mode: vax.ORegDef, Type: t, Reg: r.Reg, Xreg: -1}
+	out := g.op(vax.Operand{Mode: vax.ORegDef, Type: t, Reg: r.Reg, Xreg: -1})
 	out.Owned = g.rm.Transfer(r, out)
 	return out, nil
 }
@@ -111,19 +118,19 @@ func (g *gen) simpleAddr(a *ir.Node, t ir.Type) (*vax.Operand, bool) {
 	}
 	switch a.Op {
 	case ir.Name:
-		return &vax.Operand{Mode: vax.OAbs, Type: t, Sym: a.Sym, Xreg: -1}, true
+		return g.op(vax.Operand{Mode: vax.OAbs, Type: t, Sym: a.Sym, Xreg: -1}), true
 	case ir.Dreg:
-		return &vax.Operand{Mode: vax.ORegDef, Type: t, Reg: int(a.Val), Xreg: -1}, true
+		return g.op(vax.Operand{Mode: vax.ORegDef, Type: t, Reg: int(a.Val), Xreg: -1}), true
 	}
 	if off, base, ok := constAndBase(a); ok {
 		switch base.Op {
 		case ir.Dreg:
-			return &vax.Operand{Mode: vax.ODisp, Type: t, Off: off, Reg: int(base.Val), Xreg: -1}, true
+			return g.op(vax.Operand{Mode: vax.ODisp, Type: t, Off: off, Reg: int(base.Val), Xreg: -1}), true
 		case ir.Name:
-			return &vax.Operand{Mode: vax.OAbs, Type: t, Off: off, Sym: base.Sym, Xreg: -1}, true
+			return g.op(vax.Operand{Mode: vax.OAbs, Type: t, Off: off, Sym: base.Sym, Xreg: -1}), true
 		}
 		if off2, base2, ok2 := constAndBase(base); ok2 && base2.Op == ir.Dreg {
-			return &vax.Operand{Mode: vax.ODisp, Type: t, Off: off + off2, Reg: int(base2.Val), Xreg: -1}, true
+			return g.op(vax.Operand{Mode: vax.ODisp, Type: t, Off: off + off2, Reg: int(base2.Val), Xreg: -1}), true
 		}
 	}
 	return nil, false
@@ -133,9 +140,9 @@ func (g *gen) simpleAddr(a *ir.Node, t ir.Type) (*vax.Operand, bool) {
 func (g *gen) lvalue(n *ir.Node) (*vax.Operand, error) {
 	switch n.Op {
 	case ir.Name:
-		return &vax.Operand{Mode: vax.OAbs, Type: n.Type, Sym: n.Sym, Xreg: -1}, nil
+		return g.op(vax.Operand{Mode: vax.OAbs, Type: n.Type, Sym: n.Sym, Xreg: -1}), nil
 	case ir.Dreg:
-		return &vax.Operand{Mode: vax.OReg, Type: n.Type, Reg: int(n.Val), Xreg: -1}, nil
+		return g.op(vax.Operand{Mode: vax.OReg, Type: n.Type, Reg: int(n.Val), Xreg: -1}), nil
 	case ir.Indir:
 		return g.address(n.Kids[0], n.Type)
 	}
@@ -146,9 +153,9 @@ func (g *gen) lvalue(n *ir.Node) (*vax.Operand, error) {
 func (g *gen) expr(n *ir.Node) (*vax.Operand, error) {
 	switch n.Op {
 	case ir.Const:
-		return immOp(n.Type, n.Val), nil
+		return g.immOp(n.Type, n.Val), nil
 	case ir.FConst:
-		return &vax.Operand{Mode: vax.OFImm, Type: n.Type, FVal: n.F, Xreg: -1}, nil
+		return g.op(vax.Operand{Mode: vax.OFImm, Type: n.Type, FVal: n.F, Xreg: -1}), nil
 	case ir.Name:
 		dst, err := g.allocReg(ir.Long)
 		if err != nil {
@@ -157,7 +164,7 @@ func (g *gen) expr(n *ir.Node) (*vax.Operand, error) {
 		g.e.Emit("moval", "_"+n.Sym, dst.Asm())
 		return dst, nil
 	case ir.Dreg, ir.RegUse:
-		return &vax.Operand{Mode: vax.OReg, Type: n.Type, Reg: int(n.Val), Xreg: -1}, nil
+		return g.op(vax.Operand{Mode: vax.OReg, Type: n.Type, Reg: int(n.Val), Xreg: -1}), nil
 	case ir.Indir:
 		return g.address(n.Kids[0], n.Type)
 	case ir.Conv:
@@ -244,12 +251,11 @@ func (g *gen) applyBin(op ir.Op, t ir.Type, a, b *vax.Operand) (*vax.Operand, er
 	case ir.Lsh, ir.Rsh:
 		return g.shiftOp(op, t, a, b)
 	case ir.And:
-		// A constant mask is complemented in its own descriptor; a fresh
-		// one would escape to the heap through the register manager.
+		// A constant mask is complemented in its own descriptor.
 		if b.Mode == vax.OImm {
-			*b = *immOp(t, ^b.Val)
+			*b = vax.Operand{Mode: vax.OImm, Type: t, Val: ^b.Val, Xreg: -1}
 		} else if a.Mode == vax.OImm {
-			*a = *immOp(t, ^a.Val)
+			*a = vax.Operand{Mode: vax.OImm, Type: t, Val: ^a.Val, Xreg: -1}
 			a, b = b, a
 		} else {
 			m, err := g.allocReg(t)
@@ -375,7 +381,7 @@ func (g *gen) convExpr(n *ir.Node) (*vax.Operand, error) {
 	}
 	to := n.Type
 	if src.Mode == vax.OImm || src.Mode == vax.OFImm {
-		out := *src
+		out := g.op(*src)
 		out.Type = to
 		if to.IsInteger() && src.Mode == vax.OFImm {
 			out.Mode, out.Val = vax.OImm, int64(src.FVal)
@@ -383,13 +389,13 @@ func (g *gen) convExpr(n *ir.Node) (*vax.Operand, error) {
 		if to.IsInteger() && src.Mode == vax.OImm {
 			out.Val = truncConst(src.Val, to)
 		}
-		return &out, nil
+		return out, nil
 	}
 	fs, ts := src.Type.Machine().Suffix(), to.Machine().Suffix()
 	if fs == ts {
-		out := *src
+		out := g.op(*src)
 		out.Type = to
-		return &out, nil
+		return out, nil
 	}
 	if src.Type.IsUnsigned() && src.Type.Size() < to.Size() && to.IsInteger() {
 		return g.widen(src, to)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"ggcg/internal/ir"
+	"ggcg/internal/target"
 	"ggcg/internal/vax"
 )
 
@@ -28,7 +29,7 @@ func (g *gen) assignExpr(n *ir.Node) (*vax.Operand, error) {
 	}
 	val := src
 	if src.Mode == vax.OImm {
-		val = immOp(t, truncConst(src.Val, t))
+		val = g.immOp(t, truncConst(src.Val, t))
 	}
 	if val.ImmIs(0) || val.Mode == vax.OFImm && val.FVal == 0 {
 		g.e.Emit("clr"+t.Machine().Suffix(), dst.Asm())
@@ -87,7 +88,7 @@ func (g *gen) incDecExpr(n *ir.Node) (*vax.Operand, error) {
 // other arm's already-emitted code still wrote the old register.
 func (g *gen) frameTemp(t ir.Type) *vax.Operand {
 	off := g.f.AllocTemp(t.Machine())
-	return &vax.Operand{Mode: vax.ODisp, Type: t, Off: int64(off), Reg: ir.RegFP, Xreg: -1}
+	return g.op(vax.Operand{Mode: vax.ODisp, Type: t, Off: int64(off), Reg: ir.RegFP, Xreg: -1})
 }
 
 func (g *gen) boolExpr(n *ir.Node) (*vax.Operand, error) {
@@ -182,14 +183,11 @@ func (g *gen) callExpr(n *ir.Node) (*vax.Operand, error) {
 }
 
 func (g *gen) claimR0(t ir.Type) (*vax.Operand, error) {
-	res := &vax.Operand{Mode: vax.OReg, Type: t, Reg: 0, Xreg: -1}
+	res := g.op(vax.Operand{Mode: vax.OReg, Type: t, Reg: 0, Xreg: -1})
 	if err := g.rm.AllocSpecific(0, t, res); err != nil {
 		return nil, err
 	}
-	res.Owned = []int{0}
-	if t == ir.Double {
-		res.Owned = []int{0, 1}
-	}
+	res.Owned = target.RegRange(0, regsFor(t))
 	return res, nil
 }
 

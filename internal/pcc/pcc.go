@@ -52,13 +52,26 @@ type gen struct {
 	e         *vax.Emitter
 	rm        *vax.RegMan
 	f         *ir.Func
+	ops       target.Slab[vax.Operand] // the function's operand descriptors
 	labelBase int
 	nextLabel int
+}
+
+// operands recycles the chunks of every function's operand slab.
+var operands target.SlabPool[vax.Operand]
+
+// op returns a descriptor from the function's slab holding v.
+func (g *gen) op(v vax.Operand) *vax.Operand {
+	p := g.ops.New()
+	*p = v
+	return p
 }
 
 func (g *gen) function(out *vax.Emitter, f *ir.Func, labelBase int) (int, error) {
 	g.e = vax.NewEmitter()
 	g.rm = vax.NewRegMan(g.e, f)
+	g.ops = target.NewSlab(&operands)
+	defer g.ops.Release()
 	g.f = f
 	g.labelBase = labelBase
 	g.nextLabel = 0

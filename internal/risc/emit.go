@@ -18,10 +18,9 @@ func FuncHeader(e *Emitter, name string, frameBytes int) {
 	e.AppendString(name)
 	e.AppendString(":\n")
 	if frameBytes > 0 {
-		e.AppendString("\tenter\t$")
-		e.AppendInt(int64(frameBytes))
-		e.AppendString("\n")
-		e.AddLines(1)
+		e.Begin("enter")
+		e.ArgImm(int64(frameBytes))
+		e.End()
 	}
 	e.InvalidateResult()
 }

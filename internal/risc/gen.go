@@ -3,7 +3,6 @@ package risc
 import (
 	"fmt"
 	"math"
-	"strconv"
 
 	"ggcg/internal/ir"
 	"ggcg/internal/riscsim"
@@ -16,7 +15,7 @@ import (
 // tree-transformation phase and the emitter with the VAX backend through
 // the target seam.
 type Gen struct {
-	target.GenBase[*Operand]
+	target.GenBase[Operand, *Operand]
 
 	// ImmFolds counts address/operand computations folded into an addi
 	// immediate instead of materializing the constant — the RISC
@@ -24,13 +23,62 @@ type Gen struct {
 	ImmFolds int
 }
 
+// operands recycles the chunks of every generator's operand slab.
+var operands target.SlabPool[Operand]
+
 // NewGen returns a generator writing f's body through e.
 func NewGen(e *Emitter, f *ir.Func) *Gen {
-	return &Gen{GenBase: target.GenBase[*Operand]{E: e, RM: NewRegMan(e, f), F: f}}
+	return &Gen{GenBase: target.GenBase[Operand, *Operand]{
+		E: e, RM: NewRegMan(e, f), F: f, Ops: target.NewSlab(&operands),
+	}}
+}
+
+// instrs is the simulator's instruction table, the one declaration of the
+// machine's instruction set: every mnemonic the generator emits is
+// resolved against it when the package loads.
+var instrs = riscsim.Instrs()
+
+// checked returns name, panicking unless the instruction table has it.
+func checked(name string) string {
+	if _, ok := instrs[name]; !ok {
+		panic(fmt.Sprintf("risc: %s is not in the instruction table", name))
+	}
+	return name
 }
 
 // suffix is the sized-instruction suffix for values of type t.
 func suffix(t ir.Type) string { return t.Machine().Suffix() }
+
+// sized resolves an instruction stem's sized form for each machine type.
+func sized(stem string) (m [ir.Double + 1]string) {
+	for _, t := range ir.MachineTypes {
+		m[t] = checked(stem + suffix(t))
+	}
+	return m
+}
+
+// ldMns and stMns are the sized loads and stores.
+var ldMns, stMns = sized("ld"), sized("st")
+
+// cvtMns holds the conversion instruction per source type (unsignedness
+// included) and destination machine type where the sizes differ: the
+// unsigned source forms (cvtu..) where zero-extension matters.
+var cvtMns = func() (m [ir.ULong + 1][ir.Double + 1]string) {
+	for from := ir.Byte; from <= ir.ULong; from++ {
+		for _, to := range ir.MachineTypes {
+			fs, ts := suffix(from), suffix(to)
+			if fs == ts {
+				continue
+			}
+			stem := "cvt"
+			if from.IsUnsigned() && (to.IsFloat() || to.Size() > from.Size()) {
+				stem = "cvtu"
+			}
+			m[from][to] = checked(stem + fs + ts)
+		}
+	}
+	return m
+}()
 
 // floatVal rounds v the way a value of type t holds it: Float values
 // live rounded through float32, exactly as the IR interpreter keeps them.
@@ -43,29 +91,38 @@ func floatVal(t ir.Type, v float64) float64 {
 
 // allocReg allocates a fresh register for a value of type t.
 func (g *Gen) allocReg(t ir.Type) (*Operand, error) {
-	dst := regOp(t, 0)
+	dst := g.regOp(t, 0)
 	r, err := g.RM.Alloc(t, dst)
 	if err != nil {
 		return nil, err
 	}
-	dst.Reg, dst.Owned = r, []int{r}
+	dst.Reg, dst.Owned = r, target.RegRange(r, 1)
 	return dst, nil
 }
 
 // reclaimOrAlloc produces a destination register of type t, reusing src's
 // register when the manager allows it.
 func (g *Gen) reclaimOrAlloc(src *Operand, t ir.Type) (*Operand, error) {
-	dst := regOp(t, 0)
+	dst := g.regOp(t, 0)
 	if r, ok := g.RM.ReclaimAsDest(src, t, dst); ok {
-		dst.Reg, dst.Owned = r, []int{r}
+		dst.Reg, dst.Owned = r, target.RegRange(r, 1)
 		return dst, nil
 	}
 	r, err := g.RM.Alloc(t, dst)
 	if err != nil {
 		return nil, err
 	}
-	dst.Reg, dst.Owned = r, []int{r}
+	dst.Reg, dst.Owned = r, target.RegRange(r, 1)
 	return dst, nil
+}
+
+// emitAddi adds the constant k to register r in place.
+func emitAddi(e *Emitter, r int, k int64) {
+	e.Begin("addi")
+	e.ArgString(ir.RegName(r))
+	e.ArgString(ir.RegName(r))
+	e.ArgImm(k)
+	e.End()
 }
 
 // preAccess and postAccess emit the explicit pointer adjustment of the
@@ -74,19 +131,34 @@ func (g *Gen) reclaimOrAlloc(src *Operand, t ir.Type) (*Operand, error) {
 // with the already-stepped location re-read at -Step(base).
 func (g *Gen) preAccess(o *Operand) {
 	if o.Mode == OLoc && o.Auto < 0 && !o.stepped {
-		g.E.Emit("addi", ir.RegName(o.Base), ir.RegName(o.Base),
-			"$"+strconv.FormatInt(-o.Step, 10))
+		emitAddi(g.E, o.Base, -o.Step)
 		o.stepped = true
 	}
 }
 
 func (g *Gen) postAccess(o *Operand) {
 	if o.Mode == OLoc && o.Auto > 0 && !o.stepped {
-		g.E.Emit("addi", ir.RegName(o.Base), ir.RegName(o.Base),
-			"$"+strconv.FormatInt(o.Step, 10))
+		emitAddi(g.E, o.Base, o.Step)
 		o.stepped = true
 		o.Off = -o.Step
 	}
+}
+
+// loadLoc reads location o into register dst with the sized load of o's
+// type.
+func (g *Gen) loadLoc(dst, o *Operand) {
+	ld := ldMns[o.Type.Machine()]
+	if o.Deferred {
+		// The frame slot holds the address: reload it, then load through
+		// it (the simulator resolves operands before writing the
+		// destination, so dst can serve as its own base).
+		g.E.EmitResultFirst(ldMns[ir.Long], dst, o)
+		g.E.EmitResultFirst(ld, dst, g.locOp(o.Type, 0, dst.Reg))
+		return
+	}
+	g.preAccess(o)
+	g.E.EmitResultFirst(ld, dst, o)
+	g.postAccess(o)
 }
 
 // valueReg forces an attribute into a register holding its value,
@@ -102,13 +174,13 @@ func (g *Gen) valueReg(o *Operand) (*Operand, error) {
 
 	case OImm:
 		if o.Type.IsFloat() {
-			return g.valueReg(fimmOp(o.Type, floatVal(o.Type, float64(o.Val))))
+			return g.valueReg(g.fimmOp(o.Type, floatVal(o.Type, float64(o.Val))))
 		}
 		dst, err := g.allocReg(o.Type)
 		if err != nil {
 			return nil, err
 		}
-		g.E.EmitResultFirst("li", dst, o.Asm())
+		g.E.EmitResultFirst("li", dst, o)
 		return dst, nil
 
 	case OFImm:
@@ -116,7 +188,7 @@ func (g *Gen) valueReg(o *Operand) (*Operand, error) {
 		if err != nil {
 			return nil, err
 		}
-		g.E.EmitResultFirst("lfi", dst, o.Asm())
+		g.E.EmitResultFirst("lfi", dst, o)
 		return dst, nil
 
 	case OLoc:
@@ -125,18 +197,7 @@ func (g *Gen) valueReg(o *Operand) (*Operand, error) {
 		if err != nil {
 			return nil, err
 		}
-		s := suffix(o.Type)
-		if o.Deferred {
-			// The frame slot holds the address: reload it, then load
-			// through it (the simulator resolves operands before writing
-			// the destination, so dst can serve as its own base).
-			g.E.EmitResultFirst("ldl", dst, fmt.Sprintf("%d(fp)", o.Off))
-			g.E.EmitResultFirst("ld"+s, dst, "("+ir.RegName(dst.Reg)+")")
-		} else {
-			g.preAccess(o)
-			g.E.EmitResultFirst("ld"+s, dst, o.Asm())
-			g.postAccess(o)
-		}
+		g.loadLoc(dst, o)
 		g.RM.Unpin()
 		g.RM.Consume(o)
 		return dst, nil
@@ -149,30 +210,45 @@ func imm32(o *Operand) bool {
 	return o.Mode == OImm && o.Val >= math.MinInt32 && o.Val <= math.MaxInt32
 }
 
-// operator is a three-register operator: its instruction stems for
-// signed and for unsigned values, before the type suffix.
-type operator struct{ signed, unsigned string }
+// operator is a register operator: its mnemonic for values of each type,
+// resolved when the package loads.
+type operator [ir.ULong + 1]string
+
+// newOperator resolves an operator from its instruction stems for signed
+// and for unsigned values, before the type suffix. It panics unless the
+// instruction table has every integer form; a floating form the table
+// lacks (and, rem, the shifts, not) is left empty, as the description
+// selects those operators for integer types only.
+func newOperator(signed, unsigned string) *operator {
+	op := new(operator)
+	for t := ir.Byte; t <= ir.ULong; t++ {
+		name := signed + suffix(t)
+		if t.IsUnsigned() {
+			name = unsigned + suffix(t)
+		}
+		if _, ok := instrs[name]; ok {
+			op[t] = name
+		} else if t.IsInteger() {
+			panic(fmt.Sprintf("risc: %s, the %s form of %s, is not in the instruction table", name, t, signed))
+		}
+	}
+	return op
+}
 
 var (
-	addOp = &operator{"add", "add"}
-	subOp = &operator{"sub", "sub"}
-	mulOp = &operator{"mul", "mul"}
-	divOp = &operator{"div", "divu"}
-	modOp = &operator{"rem", "remu"}
-	andOp = &operator{"and", "and"}
-	orOp  = &operator{"or", "or"}
-	xorOp = &operator{"xor", "xor"}
-	lshOp = &operator{"sll", "sllu"}
-	rshOp = &operator{"sra", "srl"}
+	addOp = newOperator("add", "add")
+	subOp = newOperator("sub", "sub")
+	mulOp = newOperator("mul", "mul")
+	divOp = newOperator("div", "divu")
+	modOp = newOperator("rem", "remu")
+	andOp = newOperator("and", "and")
+	orOp  = newOperator("or", "or")
+	xorOp = newOperator("xor", "xor")
+	lshOp = newOperator("sll", "sllu")
+	rshOp = newOperator("sra", "srl")
+	negOp = newOperator("neg", "neg")
+	notOp = newOperator("not", "not")
 )
-
-// mn returns the operator's mnemonic for values of type t.
-func (op *operator) mn(t ir.Type) string {
-	if t.IsUnsigned() {
-		return op.unsigned + suffix(t)
-	}
-	return op.signed + suffix(t)
-}
 
 // op3 generates a three-register operator, folding small integer
 // constants of add/sub into addi.
@@ -201,7 +277,7 @@ func (g *Gen) op3(op *operator, t ir.Type, a, b *Operand) (*Operand, error) {
 	}
 	g.RM.Pin(av)
 	g.RM.Pin(bv)
-	dst := regOp(t, 0)
+	dst := g.regOp(t, 0)
 	if r, ok := g.RM.ReclaimAsDest(av, t, dst); ok {
 		dst.Reg = r
 	} else if r, ok := g.RM.ReclaimAsDest(bv, t, dst); ok {
@@ -213,8 +289,8 @@ func (g *Gen) op3(op *operator, t ir.Type, a, b *Operand) (*Operand, error) {
 		}
 		dst.Reg = r
 	}
-	dst.Owned = []int{dst.Reg}
-	g.E.EmitResultFirst(op.mn(t), dst, av.Asm(), bv.Asm())
+	dst.Owned = target.RegRange(dst.Reg, 1)
+	g.E.EmitResultFirst(op[t], dst, av, bv)
 	g.RM.Unpin()
 	g.RM.Consume(av)
 	g.RM.Consume(bv)
@@ -233,16 +309,15 @@ func (g *Gen) foldAddi(t ir.Type, a *Operand, k int64) (*Operand, error) {
 	if err != nil {
 		return nil, err
 	}
-	g.E.EmitResultFirst("addi", dst, av.Asm(), "$"+strconv.FormatInt(k, 10))
+	g.E.EmitResultFirst("addi", dst, av, g.intOp(ir.Long, k))
 	g.RM.Unpin()
 	g.RM.Consume(av)
 	g.ImmFolds++
 	return dst, nil
 }
 
-// op2 generates a one-source operator, the instruction stem mn (neg,
-// not).
-func (g *Gen) op2(mn string, t ir.Type, a *Operand) (*Operand, error) {
+// op2 generates a one-source operator (neg, not).
+func (g *Gen) op2(op *operator, t ir.Type, a *Operand) (*Operand, error) {
 	g.RM.Pin(a)
 	av, err := g.valueReg(a)
 	if err != nil {
@@ -253,7 +328,7 @@ func (g *Gen) op2(mn string, t ir.Type, a *Operand) (*Operand, error) {
 	if err != nil {
 		return nil, err
 	}
-	g.E.EmitResultFirst(mn+suffix(t), dst, av.Asm())
+	g.E.EmitResultFirst(op[t], dst, av)
 	g.RM.Unpin()
 	g.RM.Consume(av)
 	return dst, nil
@@ -265,26 +340,18 @@ func (g *Gen) move(t ir.Type, src, dst *Operand) error {
 	switch src.Mode {
 	case OImm:
 		if t.IsFloat() {
-			g.E.EmitResultFirst("lfi", dst, fimmOp(t, floatVal(t, float64(src.Val))).Asm())
+			g.E.EmitResultFirst("lfi", dst, g.fimmOp(t, floatVal(t, float64(src.Val))))
 		} else {
-			g.E.EmitResultFirst("li", dst, src.Asm())
+			g.E.EmitResultFirst("li", dst, src)
 		}
 	case OFImm:
-		g.E.EmitResultFirst("lfi", dst, src.Asm())
+		g.E.EmitResultFirst("lfi", dst, src)
 	case OReg:
 		if src.Reg != dst.Reg {
-			g.E.EmitResultFirst("mv", dst, ir.RegName(src.Reg))
+			g.E.EmitResultFirst("mv", dst, src)
 		}
 	case OLoc:
-		s := suffix(src.Type)
-		if src.Deferred {
-			g.E.EmitResultFirst("ldl", dst, fmt.Sprintf("%d(fp)", src.Off))
-			g.E.EmitResultFirst("ld"+s, dst, "("+ir.RegName(dst.Reg)+")")
-		} else {
-			g.preAccess(src)
-			g.E.EmitResultFirst("ld"+s, dst, src.Asm())
-			g.postAccess(src)
-		}
+		g.loadLoc(dst, src)
 	default:
 		return fmt.Errorf("risc: cannot move operand mode %d", src.Mode)
 	}
@@ -294,19 +361,19 @@ func (g *Gen) move(t ir.Type, src, dst *Operand) error {
 // store writes register src into location dst with the sized store of
 // the assignment type t (which truncates for the narrowing assignments).
 func (g *Gen) store(t ir.Type, src, dst *Operand) error {
-	s := suffix(t)
+	st := stMns[t.Machine()]
 	if dst.Deferred {
 		addr, err := g.allocReg(ir.Long)
 		if err != nil {
 			return err
 		}
-		g.E.EmitResultFirst("ldl", addr, fmt.Sprintf("%d(fp)", dst.Off))
-		g.E.Emit("st"+s, ir.RegName(src.Reg), "("+ir.RegName(addr.Reg)+")")
+		g.E.EmitResultFirst(ldMns[ir.Long], addr, dst)
+		g.E.EmitOps(st, src, g.locOp(t, 0, addr.Reg))
 		g.RM.Consume(addr)
 		return nil
 	}
 	g.preAccess(dst)
-	g.E.Emit("st"+s, ir.RegName(src.Reg), dst.Asm())
+	g.E.EmitOps(st, src, dst)
 	g.postAccess(dst)
 	return nil
 }
@@ -377,14 +444,14 @@ func (g *Gen) retypeSource(t ir.Type, src *Operand) (*Operand, error) {
 	switch src.Mode {
 	case OImm:
 		if t.IsFloat() {
-			return fimmOp(t, floatVal(t, float64(src.Val))), nil
+			return g.fimmOp(t, floatVal(t, float64(src.Val))), nil
 		}
-		return intOp(t, target.TruncImm(src.Val, t)), nil
+		return g.intOp(t, target.TruncImm(src.Val, t)), nil
 	case OFImm:
 		if t.IsFloat() {
-			return fimmOp(t, floatVal(t, src.FVal)), nil
+			return g.fimmOp(t, floatVal(t, src.FVal)), nil
 		}
-		return intOp(t, int64(src.FVal)), nil
+		return g.intOp(t, int64(src.FVal)), nil
 	case OReg:
 		return g.retyped(src, t), nil
 	}
@@ -402,15 +469,15 @@ func (g *Gen) convert(to ir.Type, src *Operand) (*Operand, error) {
 			if src.Type.IsFloat() {
 				v = floatVal(src.Type, v)
 			}
-			return fimmOp(to, floatVal(to, v)), nil
+			return g.fimmOp(to, floatVal(to, v)), nil
 		}
-		return intOp(to, src.Val), nil
+		return g.intOp(to, src.Val), nil
 
 	case OFImm:
 		if to.IsFloat() {
-			return fimmOp(to, floatVal(to, src.FVal)), nil
+			return g.fimmOp(to, floatVal(to, src.FVal)), nil
 		}
-		return intOp(to, int64(src.FVal)), nil
+		return g.intOp(to, int64(src.FVal)), nil
 
 	case OLoc:
 		r, err := g.valueReg(src)
@@ -420,20 +487,16 @@ func (g *Gen) convert(to ir.Type, src *Operand) (*Operand, error) {
 		return g.convert(to, r)
 	}
 
-	fs, ts := suffix(src.Type), suffix(to)
-	if fs == ts {
+	if suffix(src.Type) == suffix(to) {
 		return g.retyped(src, to), nil
 	}
-	mn := "cvt"
-	if src.Type.IsUnsigned() && (to.IsFloat() || to.Size() > src.Type.Size()) {
-		mn = "cvtu"
-	}
+	cvt := cvtMns[src.Type][to]
 	g.RM.Pin(src)
 	dst, err := g.reclaimOrAlloc(src, to)
 	if err != nil {
 		return nil, err
 	}
-	g.E.EmitResultFirst(mn+fs+ts, dst, ir.RegName(src.Reg))
+	g.E.EmitResultFirst(cvt, dst, src)
 	g.RM.Unpin()
 	g.RM.Consume(src)
 	return dst, nil
@@ -452,7 +515,6 @@ var branchMns = func() (b [ir.RGE + 1][ir.ULong + 1]string) {
 		}
 		return mn + suffix(t)
 	}
-	instrs := riscsim.Instrs()
 	for rel := range b {
 		for _, t := range append([]ir.Type{ir.UByte, ir.UWord, ir.ULong}, ir.MachineTypes...) {
 			mn, inv := name(ir.Rel(rel), t), name(ir.Rel(rel).Negate(), t)
@@ -468,15 +530,15 @@ var branchMns = func() (b [ir.RGE + 1][ir.ULong + 1]string) {
 // emitCall emits the call pseudo-instruction (same frame protocol as the
 // VAX calls).
 func (g *Gen) emitCall(n *ir.Node) {
-	g.E.Emit("call", fmt.Sprintf("$%d", n.Val), "_"+n.Sym)
+	g.E.EmitOps("call", g.intOp(ir.Long, n.Val), g.symOp(n.Sym))
 }
 
 // callResult claims the r0 result of a call.
 func (g *Gen) callResult(t ir.Type) (*Operand, error) {
-	res := regOp(t, 0)
+	res := g.regOp(t, 0)
 	if err := g.RM.AllocSpecific(0, t, res); err != nil {
 		return nil, err
 	}
-	res.Owned = []int{0}
+	res.Owned = target.RegRange(0, 1)
 	return res, nil
 }

@@ -19,6 +19,7 @@ import (
 	"strconv"
 
 	"ggcg/internal/ir"
+	"ggcg/internal/target"
 )
 
 // OpMode distinguishes the operand shapes the generator tracks.
@@ -62,46 +63,58 @@ type Operand struct {
 	Val  int64   // OImm
 	FVal float64 // OFImm
 
-	// Owned lists allocatable registers this operand holds busy.
-	Owned []int
+	// Owned is the set of allocatable registers this operand holds busy.
+	Owned target.RegSet
 }
 
-func intOp(t ir.Type, v int64) *Operand { return &Operand{Mode: OImm, Type: t, Val: v, Base: -1} }
-func fimmOp(t ir.Type, f float64) *Operand {
-	return &Operand{Mode: OFImm, Type: t, FVal: f, Base: -1}
+func (g *Gen) intOp(t ir.Type, v int64) *Operand {
+	return g.Op(Operand{Mode: OImm, Type: t, Val: v, Base: -1})
 }
 
-func regOp(t ir.Type, r int) *Operand { return &Operand{Mode: OReg, Type: t, Reg: r, Base: -1} }
+func (g *Gen) fimmOp(t ir.Type, f float64) *Operand {
+	return g.Op(Operand{Mode: OFImm, Type: t, FVal: f, Base: -1})
+}
 
-// Asm renders the operand in riscsim assembly syntax. Unlike the VAX
-// operand it is pure: autostep side effects are emitted as explicit addi
-// instructions by the generator, never folded into operand syntax.
-func (o *Operand) Asm() string {
+func (g *Gen) regOp(t ir.Type, r int) *Operand {
+	return g.Op(Operand{Mode: OReg, Type: t, Reg: r, Base: -1})
+}
+
+// locOp returns the location off(base).
+func (g *Gen) locOp(t ir.Type, off int64, base int) *Operand {
+	return g.Op(Operand{Mode: OLoc, Type: t, Base: base, Off: off})
+}
+
+// AppendAsm appends the operand in riscsim assembly syntax to b. Unlike
+// the VAX operand it is pure: autostep side effects are emitted as
+// explicit addi instructions by the generator, never folded into operand
+// syntax. A deferred location formats as the frame slot holding its
+// address.
+func (o *Operand) AppendAsm(b []byte) []byte {
 	switch o.Mode {
 	case OReg:
-		return ir.RegName(o.Reg)
+		return append(b, ir.RegName(o.Reg)...)
 	case OImm:
-		return "$" + strconv.FormatInt(o.Val, 10)
+		return strconv.AppendInt(append(b, '$'), o.Val, 10)
 	case OFImm:
-		s := fmt.Sprintf("$%g", o.FVal)
-		if s == fmt.Sprintf("$%d", int64(o.FVal)) {
-			s += ".0" // keep floating immediates visibly floating
-		}
-		return s
+		return target.AppendFloatImm(b, o.FVal)
 	case OLoc:
 		if o.Sym != "" {
+			b = append(append(b, '_'), o.Sym...)
 			if o.Off != 0 {
-				return "_" + o.Sym + "+" + strconv.FormatInt(o.Off, 10)
+				b = strconv.AppendInt(append(b, '+'), o.Off, 10)
 			}
-			return "_" + o.Sym
+			return b
 		}
-		if o.Off == 0 {
-			return "(" + ir.RegName(o.Base) + ")"
+		if o.Off != 0 {
+			b = strconv.AppendInt(b, o.Off, 10)
 		}
-		return strconv.FormatInt(o.Off, 10) + "(" + ir.RegName(o.Base) + ")"
+		return append(append(append(b, '('), ir.RegName(o.Base)...), ')')
 	}
-	return "?"
+	return append(b, '?')
 }
+
+// Asm returns the operand's assembler syntax (AppendAsm).
+func (o *Operand) Asm() string { return string(o.AppendAsm(nil)) }
 
 // ResultReg implements target.Operand for redundant-load suppression.
 func (o *Operand) ResultReg() int {

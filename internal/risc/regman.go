@@ -1,8 +1,6 @@
 package risc
 
 import (
-	"fmt"
-
 	"ggcg/internal/ir"
 	"ggcg/internal/target"
 )
@@ -27,8 +25,8 @@ func NewRegMan(e *Emitter, f *ir.Func) *RegMan { return target.NewRegMan(&regHoo
 // MachineType returns the machine type of the operand's value.
 func (o *Operand) MachineType() ir.Type { return o.Type.Machine() }
 
-// Regs returns the operand's owned-register list for the register manager.
-func (o *Operand) Regs() *[]int { return &o.Owned }
+// Regs returns the operand's owned-register set for the register manager.
+func (o *Operand) Regs() *target.RegSet { return &o.Owned }
 
 // spillReg spills register r out of o. A register holding a value is
 // stored (with the sized store of its type) and the descriptor redirected
@@ -40,7 +38,10 @@ func spillReg(e *Emitter, f *ir.Func, o *Operand, r int) target.Freed {
 	case o.Mode == OReg && o.Reg == r:
 		t := o.Type.Machine()
 		off := f.AllocTemp(t)
-		e.Emit("st"+t.Suffix(), ir.RegName(r), fmt.Sprintf("%d(fp)", off))
+		e.Begin(stMns[t])
+		e.ArgString(ir.RegName(r))
+		e.ArgDisp(int64(off), ir.RegFP)
+		e.End()
 		// The operand now names the virtual register; all later uses
 		// reload from it.
 		o.Mode, o.Base, o.Off, o.Sym = OLoc, ir.RegFP, int64(off), ""
@@ -49,9 +50,12 @@ func spillReg(e *Emitter, f *ir.Func, o *Operand, r int) target.Freed {
 	case o.Mode == OLoc && !o.Deferred && o.Auto == 0 && o.Base == r:
 		off := f.AllocTemp(ir.Long)
 		if o.Off != 0 {
-			e.Emit("addi", ir.RegName(r), ir.RegName(r), fmt.Sprintf("$%d", o.Off))
+			emitAddi(e, r, o.Off)
 		}
-		e.Emit("stl", ir.RegName(r), fmt.Sprintf("%d(fp)", off))
+		e.Begin(stMns[ir.Long])
+		e.ArgString(ir.RegName(r))
+		e.ArgDisp(int64(off), ir.RegFP)
+		e.End()
 		o.Deferred = true
 		o.Base, o.Off = ir.RegFP, int64(off)
 		return target.FreedBase

@@ -11,6 +11,7 @@ import (
 	"ggcg/internal/risc"
 	"ggcg/internal/riscsim"
 	"ggcg/internal/tablegen"
+	"ggcg/internal/target"
 	"ggcg/internal/vax"
 )
 
@@ -163,7 +164,7 @@ func value(t *testing.T, rm *risc.RegMan, typ ir.Type) *risc.Operand {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o.Reg, o.Owned = r, []int{r}
+	o.Reg, o.Owned = r, target.RegRange(r, 1)
 	return o
 }
 
@@ -188,7 +189,7 @@ func TestRegManSpillsValueWithSizedStore(t *testing.T) {
 	if want := "\tstw\tr0,-2(fp)\n"; e.String() != want {
 		t.Errorf("spill emitted %q, want %q", e.String(), want)
 	}
-	if w.Mode != risc.OLoc || w.Base != ir.RegFP || w.Off != -2 || len(w.Owned) != 0 {
+	if w.Mode != risc.OLoc || w.Base != ir.RegFP || w.Off != -2 || w.Owned != 0 {
 		t.Errorf("spilled value not redirected to its slot: %+v", w)
 	}
 	if rm.Spills != 1 {
@@ -208,7 +209,7 @@ func TestRegManSpillsBaseToDeferred(t *testing.T) {
 	if want := "\taddi\tr0,r0,$8\n\tstl\tr0,-4(fp)\n"; e.String() != want {
 		t.Errorf("spill emitted %q, want %q", e.String(), want)
 	}
-	if !loc.Deferred || loc.Base != ir.RegFP || loc.Off != -4 || len(loc.Owned) != 0 {
+	if !loc.Deferred || loc.Base != ir.RegFP || loc.Off != -4 || loc.Owned != 0 {
 		t.Errorf("location not deferred through its slot: %+v", loc)
 	}
 }
@@ -227,7 +228,7 @@ func TestRegManAllocSpecificRelocatesBase(t *testing.T) {
 	if want := "\tmv\tr1,r0\n"; e.String() != want {
 		t.Errorf("evacuation emitted %q, want %q", e.String(), want)
 	}
-	if loc.Base != 1 || len(loc.Owned) != 1 || loc.Owned[0] != 1 || loc.Asm() != "(r1)" {
+	if loc.Base != 1 || loc.Owned != target.RegRange(1, 1) || loc.Asm() != "(r1)" {
 		t.Errorf("base not relocated to r1: %+v", loc)
 	}
 }

@@ -1,8 +1,6 @@
 package risc
 
 import (
-	"fmt"
-
 	"ggcg/internal/cgram"
 	"ggcg/internal/ir"
 	"ggcg/internal/matcher"
@@ -57,8 +55,8 @@ var routineTable = map[string]routine{
 	"rlsh":  arith(lshOp, true),
 	"rsh":   arith(rshOp, false),
 	"rrsh":  arith(rshOp, true),
-	"neg":   unaryOp("neg"),
-	"compl": unaryOp("not"),
+	"neg":   unaryOp(negOp),
+	"compl": unaryOp(notOp),
 
 	// Assignments: to a destination and as a value.
 	"asg":    assignTo(1, 2),
@@ -96,49 +94,61 @@ func opnds(args []matcher.Value, i, j int) (*Operand, *Operand, error) {
 	return target.Attrs[*Operand](args, i, j)
 }
 
-func (g *Gen) con(_ ir.Type, args []matcher.Value) (any, error) { return target.Node(args[0]).Val, nil }
+// con passes the constant terminal's node up as the attribute, which
+// target.Const reads.
+func (g *Gen) con(_ ir.Type, args []matcher.Value) (any, error) { return target.Node(args[0]), nil }
 
 func (g *Gen) imm(t ir.Type, args []matcher.Value) (any, error) {
 	v, err := target.Const(args[0])
 	if err != nil {
 		return nil, err
 	}
-	return intOp(t, v), nil
+	return g.intOp(t, v), nil
 }
 
 func (g *Gen) fcon(t ir.Type, args []matcher.Value) (any, error) {
-	return fimmOp(t, target.Node(args[0]).F), nil
+	return g.fimmOp(t, target.Node(args[0]).F), nil
 }
 
 func (g *Gen) dreg(_ ir.Type, args []matcher.Value) (any, error) {
 	n := target.Node(args[0])
-	return regOp(n.Type, int(n.Val)), nil
+	return g.regOp(n.Type, int(n.Val)), nil
 }
 
 func (g *Gen) abs(_ ir.Type, args []matcher.Value) (any, error) {
 	n := target.Node(args[0])
-	return &Operand{Mode: OLoc, Type: n.Type, Sym: n.Sym, Base: -1}, nil
+	return g.Op(Operand{Mode: OLoc, Type: n.Type, Sym: n.Sym, Base: -1}), nil
+}
+
+// symOp returns the absolute location _sym.
+func (g *Gen) symOp(sym string) *Operand {
+	return g.Op(Operand{Mode: OLoc, Type: ir.Long, Sym: sym, Base: -1})
 }
 
 func (g *Gen) addr(_ ir.Type, args []matcher.Value) (any, error) {
-	return g.addrOf("_" + target.Node(args[0]).Sym)
+	dst, err := g.allocReg(ir.ULong)
+	if err != nil {
+		return nil, err
+	}
+	g.E.EmitResultFirst("la", dst, g.symOp(target.Node(args[0]).Sym))
+	return dst, nil
 }
 
+// lea takes the address off(r) with la, the displacement written out even
+// when it is zero.
 func (g *Gen) lea(_ ir.Type, args []matcher.Value) (any, error) {
 	off, err := target.Const(args[1])
 	if err != nil {
 		return nil, err
 	}
-	return g.addrOf(fmt.Sprintf("%d(%s)", off, ir.RegName(int(target.Node(args[2]).Val))))
-}
-
-// addrOf computes the address src names into a fresh register.
-func (g *Gen) addrOf(src string) (*Operand, error) {
 	dst, err := g.allocReg(ir.ULong)
 	if err != nil {
 		return nil, err
 	}
-	g.E.EmitResultFirst("la", dst, src)
+	g.E.Begin("la")
+	g.E.Arg(dst)
+	g.E.ArgDisp(off, int(target.Node(args[2]).Val))
+	g.E.EndResult(dst)
 	return dst, nil
 }
 
@@ -168,9 +178,8 @@ func (g *Gen) retype(_ ir.Type, args []matcher.Value) (any, error) {
 
 // retyped returns a copy of o typed t that takes over o's registers.
 func (g *Gen) retyped(o *Operand, t ir.Type) *Operand {
-	out := new(Operand)
-	*out = *o
-	out.Type, out.Owned = t, nil
+	out := g.Op(*o)
+	out.Type, out.Owned = t, 0
 	out.Owned = g.RM.Transfer(o, out)
 	return out
 }
@@ -189,7 +198,7 @@ type memMode struct {
 func mem(m memMode) routine {
 	return func(g *Gen, _ ir.Type, args []matcher.Value) (any, error) {
 		indir := target.Node(args[0])
-		out := &Operand{Mode: OLoc, Type: indir.Type, Base: -1}
+		out := g.Op(Operand{Mode: OLoc, Type: indir.Type, Base: -1})
 		if m.off > 0 {
 			off, err := target.Const(args[m.off])
 			if err != nil {
@@ -247,15 +256,15 @@ func arith(op *operator, reverse bool) routine {
 	}
 }
 
-// unaryOp returns the routine of a one-source operator, the instruction
-// stem mn, over the operator node's type.
-func unaryOp(mn string) routine {
+// unaryOp returns the routine of a one-source operator over the operator
+// node's type.
+func unaryOp(op *operator) routine {
 	return func(g *Gen, _ ir.Type, args []matcher.Value) (any, error) {
 		src, err := opnd(args[1])
 		if err != nil {
 			return nil, err
 		}
-		return g.op2(mn, target.Node(args[0]).Type, src)
+		return g.op2(op, target.Node(args[0]).Type, src)
 	}
 }
 
@@ -302,7 +311,7 @@ func (g *Gen) arg(t ir.Type, args []matcher.Value) (any, error) {
 	if t == ir.Double {
 		push = "pushd"
 	}
-	g.E.Emit(push, src.Asm())
+	g.E.EmitOps(push, src)
 	g.RM.Consume(src)
 	return nil, nil
 }
@@ -312,7 +321,7 @@ func (g *Gen) ret(t ir.Type, args []matcher.Value) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := g.move(t, src, regOp(t, 0)); err != nil {
+	if err := g.move(t, src, g.regOp(t, 0)); err != nil {
 		return nil, err
 	}
 	g.RM.Consume(src)
@@ -326,7 +335,7 @@ func (g *Gen) retv(ir.Type, []matcher.Value) (any, error) {
 }
 
 func (g *Gen) jump(_ ir.Type, args []matcher.Value) (any, error) {
-	g.E.Emit("jmp", g.Label(args[1]))
+	g.E.EmitJump("jmp", g.LabelID(args[1]))
 	return nil, nil
 }
 
@@ -350,7 +359,7 @@ func (g *Gen) cmpbr(_ ir.Type, args []matcher.Value) (any, error) {
 	}
 	g.RM.Unpin()
 	cmp := target.Node(args[1])
-	g.E.Emit(branchMns[cmp.Val][cmp.Type], ir.RegName(av.Reg), ir.RegName(bv.Reg), g.Label(args[4]))
+	g.E.EmitJump(branchMns[cmp.Val][cmp.Type], g.LabelID(args[4]), ir.RegName(av.Reg), ir.RegName(bv.Reg))
 	g.RM.Consume(av)
 	g.RM.Consume(bv)
 	return nil, nil

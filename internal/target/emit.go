@@ -14,12 +14,26 @@ import (
 // register is still described by the codes (§6.1). Each backend's operand
 // descriptor implements it.
 type Operand interface {
-	// Asm formats the operand in assembler syntax (phase 4, §5.4).
-	Asm() string
+	// AppendAsm appends the operand in assembler syntax to b (phase 4,
+	// §5.4).
+	AppendAsm(b []byte) []byte
 
 	// ResultReg returns the register the operand names when it is exactly
 	// a register, or -1.
 	ResultReg() int
+}
+
+// AppendFloatImm appends the floating immediate $f, with a ".0" where the
+// shortest form would read as an integer, so it stays visibly floating.
+func AppendFloatImm(b []byte, f float64) []byte {
+	b = append(b, '$')
+	start := len(b)
+	b = strconv.AppendFloat(b, f, 'g', -1, 64)
+	var whole [24]byte
+	if string(b[start:]) == string(strconv.AppendInt(whole[:0], int64(f), 10)) {
+		b = append(b, ".0"...)
+	}
+	return b
 }
 
 // Emitter accumulates assembly output (phase 4, §5.4) and tracks the
@@ -37,6 +51,7 @@ type Operand interface {
 type Emitter struct {
 	buf   []byte
 	lines int
+	sep   byte // what precedes the next operand of the open instruction
 
 	lastResultReg int // register the last emitted instruction targeted, or -1
 
@@ -60,56 +75,120 @@ func (e *Emitter) Reset() {
 	e.TstBackstops = 0
 }
 
-// Emit appends one instruction. Operands are written straight into the
-// output buffer — phase 4 runs once per instruction, so the formatting
-// path builds no intermediate joined strings.
-func (e *Emitter) Emit(mn string, ops ...string) {
+// Every operand is written straight into the output buffer: phase 4 runs
+// once per instruction, and the formatting path builds no intermediate
+// strings. Begin opens an instruction; the Arg forms write its operands
+// in syntax order; End or EndResult closes it. The Emit forms below are
+// built from these; a backend uses them directly for a line whose
+// operands mix descriptors with other syntax.
+
+// Begin opens an instruction with mnemonic mn.
+func (e *Emitter) Begin(mn string) {
 	e.buf = append(e.buf, '\t')
 	e.buf = append(e.buf, mn...)
-	for i, op := range ops {
-		if i == 0 {
-			e.buf = append(e.buf, '\t')
-		} else {
-			e.buf = append(e.buf, ',')
-		}
-		e.buf = append(e.buf, op...)
-	}
+	e.sep = '\t'
+}
+
+// Arg formats operand o as the open instruction's next operand.
+func (e *Emitter) Arg(o Operand) {
+	e.buf = append(e.buf, e.sep)
+	e.sep = ','
+	e.buf = o.AppendAsm(e.buf)
+}
+
+// ArgString writes s as the open instruction's next operand.
+func (e *Emitter) ArgString(s string) {
+	e.buf = append(e.buf, e.sep)
+	e.sep = ','
+	e.buf = append(e.buf, s...)
+}
+
+// ArgImm writes the immediate $v as the open instruction's next operand.
+func (e *Emitter) ArgImm(v int64) {
+	e.buf = append(e.buf, e.sep, '$')
+	e.sep = ','
+	e.buf = strconv.AppendInt(e.buf, v, 10)
+}
+
+// ArgDisp writes the displacement form off(rN) as the open instruction's
+// next operand.
+func (e *Emitter) ArgDisp(off int64, r int) {
+	e.buf = append(e.buf, e.sep)
+	e.sep = ','
+	e.buf = strconv.AppendInt(e.buf, off, 10)
+	e.buf = append(e.buf, '(')
+	e.buf = append(e.buf, ir.RegName(r)...)
+	e.buf = append(e.buf, ')')
+}
+
+// End closes the open instruction; the condition codes describe no
+// register afterwards.
+func (e *Emitter) End() { e.end(-1) }
+
+// EndResult closes the open instruction, whose result is dst: when dst is
+// a register the condition codes describe it afterwards.
+func (e *Emitter) EndResult(dst Operand) { e.end(dst.ResultReg()) }
+
+func (e *Emitter) end(r int) {
 	e.buf = append(e.buf, '\n')
 	e.lines++
-	e.lastResultReg = -1
+	e.lastResultReg = r
+}
+
+// Emit appends one instruction whose operands are fixed syntax (register
+// names, stack pushes).
+func (e *Emitter) Emit(mn string, ops ...string) {
+	e.Begin(mn)
+	for _, op := range ops {
+		e.ArgString(op)
+	}
+	e.End()
+}
+
+// EmitOps appends one instruction over operand descriptors.
+func (e *Emitter) EmitOps(mn string, ops ...Operand) {
+	e.Begin(mn)
+	for _, op := range ops {
+		e.Arg(op)
+	}
+	e.End()
+}
+
+// EmitJump appends a jump or branch to local label id, after the
+// operands ops.
+func (e *Emitter) EmitJump(mn string, id int, ops ...string) {
+	e.Begin(mn)
+	for _, op := range ops {
+		e.ArgString(op)
+	}
+	e.buf = append(e.buf, e.sep, 'L')
+	e.buf = strconv.AppendInt(e.buf, int64(id), 10)
+	e.End()
 }
 
 // EmitResult appends an instruction whose last operand is the destination
 // operand; when that destination is a register the condition codes
-// describe it afterwards.
-func (e *Emitter) EmitResult(mn string, dst Operand, ops ...string) {
-	e.buf = append(e.buf, '\t')
-	e.buf = append(e.buf, mn...)
-	e.buf = append(e.buf, '\t')
-	for _, op := range ops {
-		e.buf = append(e.buf, op...)
-		e.buf = append(e.buf, ',')
+// describe it afterwards. The operands are formatted in syntax order,
+// sources first, which is the order a side-effecting operand's forms
+// appear in.
+func (e *Emitter) EmitResult(mn string, dst Operand, srcs ...Operand) {
+	e.Begin(mn)
+	for _, op := range srcs {
+		e.Arg(op)
 	}
-	e.buf = append(e.buf, dst.Asm()...)
-	e.buf = append(e.buf, '\n')
-	e.lines++
-	e.lastResultReg = dst.ResultReg()
+	e.Arg(dst)
+	e.EndResult(dst)
 }
 
 // EmitResultFirst appends an instruction whose FIRST operand is the
 // destination (the three-register RISC convention, dst,src1,src2).
-func (e *Emitter) EmitResultFirst(mn string, dst Operand, ops ...string) {
-	e.buf = append(e.buf, '\t')
-	e.buf = append(e.buf, mn...)
-	e.buf = append(e.buf, '\t')
-	e.buf = append(e.buf, dst.Asm()...)
-	for _, op := range ops {
-		e.buf = append(e.buf, ',')
-		e.buf = append(e.buf, op...)
+func (e *Emitter) EmitResultFirst(mn string, dst Operand, srcs ...Operand) {
+	e.Begin(mn)
+	e.Arg(dst)
+	for _, op := range srcs {
+		e.Arg(op)
 	}
-	e.buf = append(e.buf, '\n')
-	e.lines++
-	e.lastResultReg = dst.ResultReg()
+	e.EndResult(dst)
 }
 
 // LastSet reports whether the most recently emitted instruction set the
@@ -155,17 +234,10 @@ func (e *Emitter) String() string { return string(e.buf) }
 // AppendString appends raw bytes to the output buffer.
 func (e *Emitter) AppendString(s string) { e.buf = append(e.buf, s...) }
 
-// AppendInt appends the decimal form of v to the output buffer.
-func (e *Emitter) AppendInt(v int64) { e.buf = strconv.AppendInt(e.buf, v, 10) }
-
 // Appendf appends fmt-formatted bytes to the output buffer.
 func (e *Emitter) Appendf(format string, args ...any) {
 	e.buf = fmt.Appendf(e.buf, format, args...)
 }
-
-// AddLines adjusts the instruction count for instructions a backend
-// formatted through the append primitives.
-func (e *Emitter) AddLines(n int) { e.lines += n }
 
 // InvalidateResult forgets the last result register, so a condition-code
 // pattern cannot trust codes across whatever was just appended.

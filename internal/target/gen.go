@@ -2,7 +2,6 @@ package target
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 
 	"ggcg/internal/cgram"
@@ -90,37 +89,60 @@ func (r *Routines[G]) Reduce(gen G, p *cgram.Prod, args []matcher.Value) (any, e
 	return b.run(gen, b.t, args)
 }
 
+// Descriptor constrains a backend's operand descriptor type O to a
+// pointer to its value type T, so a generator can draw descriptors from a
+// Slab[T] and hand them to its RegMan[O].
+type Descriptor[T any] interface {
+	*T
+	RegOperand
+}
+
 // GenBase is the state and the Gen surface every backend's per-function
 // generator shares over its operand type O: the emitter, the register
-// manager and the function, the label numbering, and the methods that
-// only front the register manager. A backend's generator embeds it and
-// adds Reduce (through its Routines) and Stats.
-type GenBase[O RegOperand] struct {
+// manager and the function, the slab its operand descriptors come from,
+// the label numbering, and the methods that only front the register
+// manager. A backend's generator embeds it and adds Reduce (through its
+// Routines) and Stats.
+type GenBase[T any, O Descriptor[T]] struct {
 	E  *Emitter
 	RM *RegMan[O]
 	F  *ir.Func
+
+	// Ops holds every operand descriptor the generator makes; the
+	// attributes the matcher's stack carries point into it, and are valid
+	// only until Release.
+	Ops Slab[T]
 
 	// LabelBase offsets the function's label numbers so labels are unique
 	// across the output file, as PCC numbered them.
 	LabelBase int
 }
 
+// Op returns a descriptor from the slab holding v.
+func (g *GenBase[T, O]) Op(v T) O {
+	p := g.Ops.New()
+	*p = v
+	return p
+}
+
+// Release returns the generator's descriptors to their pool; no attribute
+// it produced may be used afterwards.
+func (g *GenBase[T, O]) Release() { g.Ops.Release() }
+
 // Predicate implements matcher.Semantics. No description has semantically
 // qualified productions (§6.3 converted the candidates to syntax), so it
 // is never consulted.
-func (g *GenBase[O]) Predicate(string, *cgram.Prod, []matcher.Value) bool { return false }
+func (g *GenBase[T, O]) Predicate(string, *cgram.Prod, []matcher.Value) bool { return false }
 
 // Phase1Busy marks r as owned by the tree-transformation phase.
-func (g *GenBase[O]) Phase1Busy(r int, busy bool) { g.RM.Phase1Busy(r, busy) }
+func (g *GenBase[T, O]) Phase1Busy(r int, busy bool) { g.RM.Phase1Busy(r, busy) }
 
 // CheckStatementEnd verifies the register stack discipline at a
 // statement boundary.
-func (g *GenBase[O]) CheckStatementEnd() error { return g.RM.CheckStatementEnd() }
+func (g *GenBase[T, O]) CheckStatementEnd() error { return g.RM.CheckStatementEnd() }
 
-// Label returns the assembler name of the label a Label terminal numbers.
-func (g *GenBase[O]) Label(v matcher.Value) string {
-	return "L" + strconv.Itoa(g.LabelBase+int(Node(v).Val))
-}
+// LabelID returns the number of the label a Label terminal names.
+func (g *GenBase[T, O]) LabelID(v matcher.Value) int { return g.LabelBase + int(Node(v).Val) }
 
 // Node returns a shifted terminal's tree node.
 func Node(v matcher.Value) *ir.Node { return v.Tok.N }
@@ -143,8 +165,15 @@ func Attrs[T any](args []matcher.Value, i, j int) (a, b T, err error) {
 	return a, b, err
 }
 
-// Const returns the constant a con nonterminal's attribute holds.
-func Const(v matcher.Value) (int64, error) { return Attr[int64](v) }
+// Const returns the constant a con nonterminal's attribute holds: the
+// constant terminal's node, which the con routine passes up unboxed.
+func Const(v matcher.Value) (int64, error) {
+	n, err := Attr[*ir.Node](v)
+	if err != nil {
+		return 0, err
+	}
+	return n.Val, nil
+}
 
 // TruncImm truncates an integer immediate to the width of type t, as an
 // assignment of that type stores it.

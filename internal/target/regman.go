@@ -2,9 +2,23 @@ package target
 
 import (
 	"fmt"
+	"math/bits"
 
 	"ggcg/internal/ir"
 )
+
+// RegSet is a set of allocatable registers, bit r standing for register
+// r: the registers an operand descriptor owns, held by value.
+type RegSet uint8
+
+// RegRange returns the set of the n consecutive registers from r.
+func RegRange(r, n int) RegSet { return RegSet((1<<n - 1) << r) }
+
+// Has reports whether r is in the set.
+func (s RegSet) Has(r int) bool { return r >= 0 && r < ir.NAllocatable && s&(1<<r) != 0 }
+
+// Len returns the number of registers in the set.
+func (s RegSet) Len() int { return bits.OnesCount8(uint8(s)) }
 
 // RegOperand is what the register manager needs of a backend's operand
 // descriptor: its assembler syntax and plain-register test (Operand), the
@@ -17,9 +31,9 @@ type RegOperand interface {
 	// MachineType returns the machine type of the operand's value.
 	MachineType() ir.Type
 
-	// Regs returns the operand's list of owned allocatable registers,
+	// Regs returns the operand's set of owned allocatable registers,
 	// which the manager reads and rewrites in place.
-	Regs() *[]int
+	Regs() *RegSet
 }
 
 // Freed tells the register manager which registers a spill hook took out
@@ -56,7 +70,7 @@ type RegHooks[O RegOperand] struct {
 
 	// Spill stores register r out of o into a virtual register allocated
 	// in f, emitting the code through e, and rewrites o's addressing mode
-	// to reach it there. o's register list is the manager's to update.
+	// to reach it there. o's register set is the manager's to update.
 	Spill func(e *Emitter, f *ir.Func, o O, r int) Freed
 
 	// Move emits the copy of register r into the free register nr and
@@ -175,7 +189,7 @@ func (rm *RegMan[O]) spillOne() error {
 		case rm.pinned[r]:
 			detail += fmt.Sprintf(" r%d=pinned", r)
 		case rm.busy[r]:
-			detail += fmt.Sprintf(" r%d=%s", r, rm.owner[r].Asm())
+			detail += fmt.Sprintf(" r%d=%s", r, rm.owner[r].AppendAsm(nil))
 		}
 	}
 	return fmt.Errorf("%s: no spillable register:%s", rm.m.Name, detail)
@@ -190,23 +204,12 @@ func (rm *RegMan[O]) spill(o O, r int) bool {
 		for i := 0; i < rm.m.Width(o.MachineType()); i++ {
 			rm.release(r + i)
 		}
-		*owned = nil
+		*owned = 0
 	case FreedBase:
 		rm.release(r)
-		kept := (*owned)[:0]
-		for _, x := range *owned {
-			if x != r {
-				kept = append(kept, x)
-			}
-		}
-		*owned = kept
+		*owned &^= RegRange(r, 1)
 	case FreedAll:
-		for _, x := range *owned {
-			if x >= 0 && x < ir.NAllocatable {
-				rm.release(x)
-			}
-		}
-		*owned = nil
+		rm.releaseAll(owned)
 	default:
 		return false
 	}
@@ -264,14 +267,12 @@ func (rm *RegMan[O]) evacuate(r int) error {
 			nr, ok = rm.findFree(1)
 		}
 		if !rm.m.Move(rm.e, o, r, nr) {
-			return fmt.Errorf("%s: cannot relocate r%d out of operand %s", rm.m.Name, r, o.Asm())
+			return fmt.Errorf("%s: cannot relocate r%d out of operand %s", rm.m.Name, r, o.AppendAsm(nil))
 		}
 		rm.release(r)
 		rm.take(nr, o)
-		for i, x := range *o.Regs() {
-			if x == r {
-				(*o.Regs())[i] = nr
-			}
+		if owned := o.Regs(); owned.Has(r) {
+			*owned = *owned&^RegRange(r, 1) | RegRange(nr, 1)
 		}
 		return nil
 	}
@@ -284,32 +285,25 @@ func (rm *RegMan[O]) evacuate(r int) error {
 		return nil
 	}
 	rm.m.Move(rm.e, o, base, nr)
-	owned := make([]int, n)
-	for i := range owned {
+	for i := 0; i < n; i++ {
 		rm.release(base + i)
 		rm.take(nr+i, o)
-		owned[i] = nr + i
 	}
-	*o.Regs() = owned
+	*o.Regs() = RegRange(nr, n)
 	return nil
 }
 
 // Pin protects an operand's registers from spilling while an instruction
 // is being put together.
-func (rm *RegMan[O]) Pin(o O) { rm.PinRegs(*o.Regs(), o.ResultReg()) }
-
-// PinRegs, ConsumeRegs and ReclaimRegs are Pin, Consume and ReclaimAsDest
-// for a source operand given by its owned-register list and the register
-// it names (its ResultReg). The manager calls an operand's methods through
-// its type parameter, which Go's escape analysis treats as letting the
-// operand escape; these forms take the registers instead, so a semantic
-// routine's throwaway descriptor can stay on its stack.
-func (rm *RegMan[O]) PinRegs(owned []int, result int) {
-	for _, r := range owned {
-		rm.pinned[r] = true
+func (rm *RegMan[O]) Pin(o O) {
+	owned := *o.Regs()
+	for r := 0; r < ir.NAllocatable; r++ {
+		if owned.Has(r) {
+			rm.pinned[r] = true
+		}
 	}
-	if result >= 0 && result < ir.NAllocatable {
-		rm.pinned[result] = true
+	if r := o.ResultReg(); r >= 0 && r < ir.NAllocatable {
+		rm.pinned[r] = true
 	}
 }
 
@@ -320,11 +314,11 @@ func (rm *RegMan[O]) Unpin() { rm.pinned = [ir.NAllocatable]bool{} }
 // that encapsulates it — an addressing mode absorbing its base or index
 // register. The spill machinery then sees the encapsulating descriptor
 // instead of the stale sub-operand.
-func (rm *RegMan[O]) Transfer(from, to O) []int {
+func (rm *RegMan[O]) Transfer(from, to O) RegSet {
 	owned := *from.Regs()
-	*from.Regs() = nil
-	for _, r := range owned {
-		if r >= 0 && r < ir.NAllocatable && rm.owner[r] == from {
+	*from.Regs() = 0
+	for r := 0; r < ir.NAllocatable; r++ {
+		if owned.Has(r) && rm.owner[r] == from {
 			rm.owner[r] = to
 		}
 	}
@@ -333,16 +327,16 @@ func (rm *RegMan[O]) Transfer(from, to O) []int {
 
 // Consume reclaims every register an operand owns; called when the operand
 // has been used as an instruction source.
-func (rm *RegMan[O]) Consume(o O) { rm.ConsumeRegs(o.Regs()) }
+func (rm *RegMan[O]) Consume(o O) { rm.releaseAll(o.Regs()) }
 
-// ConsumeRegs is Consume over an operand's owned-register list.
-func (rm *RegMan[O]) ConsumeRegs(owned *[]int) {
-	for _, r := range *owned {
-		if r >= 0 && r < ir.NAllocatable {
+// releaseAll releases every register of *owned and empties it.
+func (rm *RegMan[O]) releaseAll(owned *RegSet) {
+	for r := 0; r < ir.NAllocatable; r++ {
+		if owned.Has(r) {
 			rm.release(r)
 		}
 	}
-	*owned = nil
+	*owned = 0
 }
 
 // ReclaimAsDest tries to reuse a source operand's registers as the
@@ -350,19 +344,14 @@ func (rm *RegMan[O]) ConsumeRegs(owned *[]int) {
 // to reclaim and reuse allocatable registers from the source operands"
 // of §5.3.3. On success the registers change owner.
 func (rm *RegMan[O]) ReclaimAsDest(src O, t ir.Type, dst O) (int, bool) {
-	return rm.ReclaimRegs(src.Regs(), src.ResultReg(), t, dst)
-}
-
-// ReclaimRegs is ReclaimAsDest for a source given by its owned-register
-// list and the register it names.
-func (rm *RegMan[O]) ReclaimRegs(owned *[]int, r int, t ir.Type, dst O) (int, bool) {
-	if r < 0 || len(*owned) != rm.m.Width(t) || (*owned)[0] != r {
+	r, owned := src.ResultReg(), src.Regs()
+	if r < 0 || r >= ir.NAllocatable || *owned != RegRange(r, rm.m.Width(t)) {
 		return 0, false
 	}
-	for i := range *owned {
+	for i := 0; i < rm.m.Width(t); i++ {
 		rm.owner[r+i] = dst
 	}
-	*owned = nil
+	*owned = 0
 	return r, true
 }
 

@@ -17,8 +17,10 @@ type fakeOp struct {
 	slot  int  // frame slot once spilled
 	wide  bool // a double, occupying a register pair
 	fixed bool // a location whose base the machine cannot relocate
-	owned []int
+	owned RegSet
 }
+
+func (o *fakeOp) AppendAsm(b []byte) []byte { return append(b, o.Asm()...) }
 
 func (o *fakeOp) Asm() string {
 	switch {
@@ -31,7 +33,7 @@ func (o *fakeOp) Asm() string {
 }
 
 func (o *fakeOp) ResultReg() int { return o.reg }
-func (o *fakeOp) Regs() *[]int   { return &o.owned }
+func (o *fakeOp) Regs() *RegSet  { return &o.owned }
 
 func (o *fakeOp) MachineType() ir.Type {
 	if o.wide {
@@ -90,9 +92,7 @@ func value(t *testing.T, rm *RegMan[*fakeOp], typ ir.Type) *fakeOp {
 		t.Fatal(err)
 	}
 	o.reg = r
-	for i := 0; i < rm.m.Width(typ); i++ {
-		o.owned = append(o.owned, r+i)
-	}
+	o.owned = RegRange(r, rm.m.Width(typ))
 	return o
 }
 
@@ -123,7 +123,7 @@ func TestRegManStackDiscipline(t *testing.T) {
 	}
 	for _, o := range ops {
 		rm.Consume(o)
-		if len(o.owned) != 0 {
+		if o.owned != 0 {
 			t.Errorf("consumed operand still owns %v", o.owned)
 		}
 	}
@@ -144,7 +144,7 @@ func TestRegManSpillsOldest(t *testing.T) {
 	if extra.reg != 0 {
 		t.Errorf("extra value got r%d, want the spilled r0", extra.reg)
 	}
-	if ops[0].reg != -1 || len(ops[0].owned) != 0 {
+	if ops[0].reg != -1 || ops[0].owned != 0 {
 		t.Errorf("oldest operand not redirected to a virtual register: %+v", ops[0])
 	}
 	if want := "\tst\tr0," + ops[0].Asm() + "\n"; e.String() != want {
@@ -234,7 +234,7 @@ func TestRegManAllocSpecific(t *testing.T) {
 		if err := rm.AllocSpecific(0, ir.Long, res); err != nil {
 			t.Fatal(err)
 		}
-		res.owned = []int{0}
+		res.owned = RegRange(0, 1)
 		return res
 	}
 
@@ -242,7 +242,7 @@ func TestRegManAllocSpecific(t *testing.T) {
 		rm, e, _ := newFake()
 		v := value(t, rm, ir.Long)
 		claim(t, rm)
-		if v.reg != 1 || len(v.owned) != 1 || v.owned[0] != 1 {
+		if v.reg != 1 || v.owned != RegRange(1, 1) {
 			t.Errorf("value not moved to r1: %+v", v)
 		}
 		if want := "\tmv\tr1,r0\n"; e.String() != want {
@@ -269,7 +269,7 @@ func TestRegManAllocSpecific(t *testing.T) {
 		rm, e, _ := newFake()
 		loc := location(t, rm)
 		claim(t, rm)
-		if loc.base != 1 || len(loc.owned) != 1 || loc.owned[0] != 1 {
+		if loc.base != 1 || loc.owned != RegRange(1, 1) {
 			t.Errorf("base not relocated to r1: %+v", loc)
 		}
 		if want := "\tmv\tr1,r0\n"; e.String() != want {
@@ -298,7 +298,7 @@ func TestRegManAllocSpecific(t *testing.T) {
 		loc := location(t, rm)
 		fill(t, rm, ir.NAllocatable-1)
 		claim(t, rm)
-		if loc.base != -1 || len(loc.owned) != 0 {
+		if loc.base != -1 || loc.owned != 0 {
 			t.Errorf("location base not spilled: %+v", loc)
 		}
 		if !strings.HasPrefix(e.String(), "\tsta\tr0,") || strings.Contains(e.String(), "mv") {
@@ -321,7 +321,7 @@ func TestRegManFailedRelocationEmitsNothing(t *testing.T) {
 	if e.Lines() != 0 {
 		t.Errorf("failed relocation emitted:\n%s", e.String())
 	}
-	if rm.owner[0] != loc || rm.busy[1] || loc.owned[0] != 0 {
+	if rm.owner[0] != loc || rm.busy[1] || loc.owned != RegRange(0, 1) {
 		t.Errorf("failed relocation re-booked registers: owner %+v, r1 busy %v", rm.owner[0], rm.busy[1])
 	}
 }
@@ -336,7 +336,7 @@ func TestRegManReclaimAsDest(t *testing.T) {
 	}
 	dst := &fakeOp{reg: -1, base: -1}
 	r, ok := rm.ReclaimAsDest(src, ir.Long, dst)
-	if !ok || r != src.reg || rm.owner[r] != dst || len(src.owned) != 0 {
+	if !ok || r != src.reg || rm.owner[r] != dst || src.owned != 0 {
 		t.Errorf("reclaim = r%d, %v; owner %+v; source owns %v", r, ok, rm.owner[r], src.owned)
 	}
 	if _, ok := rm.ReclaimAsDest(location(t, rm), ir.Long, dst); ok {

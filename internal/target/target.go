@@ -11,9 +11,10 @@
 // The package also holds the backend skeleton every machine shares: the
 // description loader (Desc), which binds each production to its semantic
 // routine (Routines) as the description loads, the per-function generator
-// state (GenBase), the emitter and data directives (Emitter, EmitGlobals),
-// and the §5.3.3 register manager (RegMan), which a machine instantiates
-// over its operand type with a few spill and move hooks. A backend keeps
+// state (GenBase) with its pooled operand slab (Slab), the emitter and
+// data directives (Emitter, EmitGlobals), and the §5.3.3 register
+// manager (RegMan), which a machine instantiates over its operand type
+// with a few spill and move hooks. A backend keeps
 // only what differs: its description text, operand algebra, routine
 // table, function header and peephole rules.
 package target
@@ -92,6 +93,11 @@ type Gen interface {
 
 	// Stats reports the generator's work counters for the function.
 	Stats() GenStats
+
+	// Release returns the generator's pooled operand descriptors once the
+	// function is done; no attribute the generator produced may be used
+	// afterwards.
+	Release()
 }
 
 // GenStats are the per-function instruction-generation counters every

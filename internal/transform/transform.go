@@ -105,7 +105,9 @@ func FuncArena(f *ir.Func, opt Options, a *ir.Arena) (*ir.Func, error) {
 			})
 		}
 	}
-	out := &ir.Func{Name: f.Name, FrameSize: f.TotalFrame()}
+	// A statement rewrites to about two items on average and to more than
+	// four rarely, so the body is sized once for nearly every function.
+	out := &ir.Func{Name: f.Name, FrameSize: f.TotalFrame(), Items: make([]ir.Item, 0, 4*len(f.Items))}
 	out.SetLabelBase(maxLabel)
 	c := &ctx{f: out, opt: opt, a: a}
 	for _, it := range f.Items {

@@ -22,10 +22,10 @@ func FuncHeader(e *Emitter, name string, frameBytes int) {
 	e.AppendString(name)
 	e.AppendString(":\t.word 0\n")
 	if frameBytes > 0 {
-		e.AppendString("\tsubl2\t$")
-		e.AppendInt(int64(frameBytes))
-		e.AppendString(",sp\n")
-		e.AddLines(1) // counted exactly as the former Emit("subl2", ...) was
+		e.Begin("subl2")
+		e.ArgImm(int64(frameBytes))
+		e.ArgString("sp")
+		e.End()
 	}
 	e.InvalidateResult()
 }

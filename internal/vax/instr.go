@@ -113,6 +113,54 @@ var (
 	}
 )
 
+// cvtMns holds the conversion instructions per source type (unsignedness
+// included) and destination machine type: a move where the sizes agree,
+// a zero-extension widening an unsigned integer, the convert instruction
+// otherwise, and for an unsigned byte or word to a floating type the
+// zero-extension to a long (zext) before the convert from it.
+var cvtMns = func() (m [ir.ULong + 1][ir.Double + 1]struct{ zext, cvt string }) {
+	for from := ir.Byte; from <= ir.ULong; from++ {
+		for _, to := range ir.MachineTypes {
+			fs, ts := from.Machine().Suffix(), to.Suffix()
+			c := &m[from][to]
+			switch {
+			case fs == ts:
+				c.cvt = mn(movT, to)
+			case from.IsUnsigned() && to.IsInteger() && to.Size() > from.Size():
+				c.cvt = "movz" + fs + ts
+			case from.IsUnsigned() && to.IsFloat():
+				// Unsigned longs convert through the signed instruction —
+				// the same rough edge §8 of the paper reports for
+				// signed/unsigned conversions.
+				if from.Machine() != ir.Long {
+					c.zext = "movz" + fs + "l"
+				}
+				c.cvt = "cvtl" + ts
+			default:
+				c.cvt = "cvt" + fs + ts
+			}
+			for _, name := range [...]string{c.zext, c.cvt} {
+				if _, ok := instrs[name]; name != "" && !ok {
+					panic(fmt.Sprintf("vax: %s, the %s to %s conversion, is not in the instruction table", name, from, to))
+				}
+			}
+		}
+	}
+	return m
+}()
+
+// movaBySize holds the move-address instruction whose operand size is n
+// bytes, the one that scales an index register by n.
+var movaBySize = func() (m [9]string) {
+	for n, name := range map[int]string{1: "movab", 2: "movaw", 4: "moval", 8: "movaq"} {
+		if _, ok := instrs[name]; !ok {
+			panic(fmt.Sprintf("vax: %s is not in the instruction table", name))
+		}
+		m[n] = name
+	}
+	return m
+}()
+
 // signedBranch and unsignedBranch map relations to the signed and
 // unsigned jump pseudo-instructions.
 var (
@@ -138,7 +186,7 @@ func branches(mns ...string) (b [ir.RGE + 1]string) {
 // pattern matcher's reductions invoke, hand-coded for the VAX as in the
 // paper's experiment.
 type Gen struct {
-	target.GenBase[*Operand]
+	target.GenBase[Operand, *Operand]
 
 	// Idioms counts the binding and range idioms applied, for the F3
 	// experiment and ablations.
@@ -146,9 +194,14 @@ type Gen struct {
 	RangeIdioms   int
 }
 
+// operands recycles the chunks of every generator's operand slab.
+var operands target.SlabPool[Operand]
+
 // NewGen returns a generator emitting into e for function f.
 func NewGen(e *Emitter, f *ir.Func) *Gen {
-	return &Gen{GenBase: target.GenBase[*Operand]{E: e, RM: NewRegMan(e, f), F: f}}
+	return &Gen{GenBase: target.GenBase[Operand, *Operand]{
+		E: e, RM: NewRegMan(e, f), F: f, Ops: target.NewSlab(&operands),
+	}}
 }
 
 // binary generates code for `a OP b` of type t using the instruction table
@@ -156,21 +209,21 @@ func NewGen(e *Emitter, f *ir.Func) *Gen {
 // returns the result operand (a register).
 func (g *Gen) binary(c *cluster, t ir.Type, a, b *Operand) (*Operand, error) {
 	three := c[0]
-	g.pin(a)
-	g.pin(b)
+	g.RM.Pin(a)
+	g.RM.Pin(b)
 	defer g.RM.Unpin()
 
-	dst := &Operand{Mode: OReg, Type: t, Xreg: -1}
+	dst := g.regOp(t, 0)
 	// Reclaim a source register as the destination where the binding
 	// idiom permits, which turns the three-address instruction into a
 	// two-address instruction.
 	var other *Operand
 	if three.binding {
-		if r, ok := g.reclaim(a, t, dst); ok {
+		if r, ok := g.RM.ReclaimAsDest(a, t, dst); ok {
 			dst.Reg = r
 			other = b
 		} else if three.revOK {
-			if r, ok := g.reclaim(b, t, dst); ok {
+			if r, ok := g.RM.ReclaimAsDest(b, t, dst); ok {
 				dst.Reg = r
 				other = a
 			}
@@ -179,16 +232,16 @@ func (g *Gen) binary(c *cluster, t ir.Type, a, b *Operand) (*Operand, error) {
 	if other != nil {
 		g.BindingIdioms++
 		g.emitTwoOp(c, t, other, dst)
-		g.consume(a)
-		g.consume(b)
+		g.RM.Consume(a)
+		g.RM.Consume(b)
 		dst.Owned = ownedRegs(dst.Reg, t)
 		return dst, nil
 	}
 	// Three-address form: the destination may still reuse either source's
 	// register — operands are read before the result is written.
-	if r, ok := g.reclaim(a, t, dst); ok {
+	if r, ok := g.RM.ReclaimAsDest(a, t, dst); ok {
 		dst.Reg = r
-	} else if r, ok := g.reclaim(b, t, dst); ok {
+	} else if r, ok := g.RM.ReclaimAsDest(b, t, dst); ok {
 		dst.Reg = r
 	} else {
 		r, err := g.RM.Alloc(t, dst)
@@ -199,26 +252,14 @@ func (g *Gen) binary(c *cluster, t ir.Type, a, b *Operand) (*Operand, error) {
 	}
 	dst.Owned = ownedRegs(dst.Reg, t)
 	if three.flip3 {
-		g.E.EmitResult(mn(three.print, t), dst, b.Asm(), a.Asm())
+		g.E.EmitResult(mn(three.print, t), dst, b, a)
 	} else {
-		g.E.EmitResult(mn(three.print, t), dst, a.Asm(), b.Asm())
+		g.E.EmitResult(mn(three.print, t), dst, a, b)
 	}
-	g.consume(a)
-	g.consume(b)
+	g.RM.Consume(a)
+	g.RM.Consume(b)
 	return dst, nil
 }
-
-// pin, reclaim and consume are the register manager's Pin, ReclaimAsDest
-// and Consume for a source operand through their register-list forms, so
-// binary's sources — a dedicated-register base built on the spot, say —
-// do not escape to the heap.
-func (g *Gen) pin(o *Operand) { g.RM.PinRegs(o.Owned, o.ResultReg()) }
-
-func (g *Gen) reclaim(src *Operand, t ir.Type, dst *Operand) (int, bool) {
-	return g.RM.ReclaimRegs(&src.Owned, src.ResultReg(), t, dst)
-}
-
-func (g *Gen) consume(o *Operand) { g.RM.ConsumeRegs(&o.Owned) }
 
 // binaryInto generates `a OP b` with an explicit destination — the
 // three-address instruction scheme of §5.3.1 in which the destination is
@@ -239,20 +280,15 @@ func (g *Gen) binaryInto(c *cluster, t ir.Type, a, b, dst *Operand) {
 		g.BindingIdioms++
 		g.emitTwoOp(c, t, a, dst)
 	case three.flip3:
-		g.E.EmitResult(mn(three.print, t), dst, b.Asm(), a.Asm())
+		g.E.EmitResult(mn(three.print, t), dst, b, a)
 	default:
-		g.E.EmitResult(mn(three.print, t), dst, a.Asm(), b.Asm())
+		g.E.EmitResult(mn(three.print, t), dst, a, b)
 	}
 	g.RM.Consume(a)
 	g.RM.Consume(b)
 }
 
-func ownedRegs(r int, t ir.Type) []int {
-	if regsFor(t) == 2 {
-		return []int{r, r + 1}
-	}
-	return []int{r}
-}
+func ownedRegs(r int, t ir.Type) target.RegSet { return target.RegRange(r, regsFor(t)) }
 
 // emitTwoOp emits the two-address form, first trying the range idiom that
 // may simplify it further (§5.3.2).
@@ -289,7 +325,7 @@ func (g *Gen) emitTwoOp(c *cluster, t ir.Type, src, dst *Operand) {
 			}
 		}
 	}
-	g.E.EmitResult(mn(two.print, t), dst, src.Asm())
+	g.E.EmitResult(mn(two.print, t), dst, src)
 }
 
 // move generates an assignment of src into the location dst of type t,
@@ -304,7 +340,7 @@ func (g *Gen) move(t ir.Type, src, dst *Operand) {
 		g.E.EmitResult(mn(clrT, t), dst)
 		return
 	}
-	g.E.EmitResult(mn(movT, t), dst, src.Asm())
+	g.E.EmitResult(mn(movT, t), dst, src)
 }
 
 // materialize loads an operand into a fresh register of type t (used when
@@ -313,7 +349,7 @@ func (g *Gen) move(t ir.Type, src, dst *Operand) {
 func (g *Gen) materialize(t ir.Type, o *Operand) (*Operand, error) {
 	g.RM.Pin(o)
 	defer g.RM.Unpin()
-	dst := &Operand{Mode: OReg, Type: t, Xreg: -1}
+	dst := g.regOp(t, 0)
 	if r, ok := g.RM.ReclaimAsDest(o, t, dst); ok {
 		dst.Reg = r
 		dst.Owned = ownedRegs(r, t)
@@ -325,7 +361,7 @@ func (g *Gen) materialize(t ir.Type, o *Operand) (*Operand, error) {
 	}
 	dst.Reg = r
 	dst.Owned = ownedRegs(r, t)
-	g.E.EmitResult(mn(movT, o.Type), dst, o.Asm())
+	g.E.EmitResult(mn(movT, o.Type), dst, o)
 	g.RM.Consume(o)
 	return dst, nil
 }
@@ -338,21 +374,21 @@ func (g *Gen) convert(to ir.Type, src *Operand) (*Operand, error) {
 	if src.Mode == OImm {
 		// Immediate constants need no conversion instructions; the
 		// immediate operand is typed by the instruction that uses it.
-		out := *src
+		out := g.Op(*src)
 		out.Type = to
-		return &out, nil
+		return out, nil
 	}
 	if src.Mode == OFImm {
-		out := *src
+		out := g.Op(*src)
 		out.Type = to
 		if to.IsInteger() {
 			out.Mode, out.Val = OImm, int64(src.FVal)
 		}
-		return &out, nil
+		return out, nil
 	}
 	g.RM.Pin(src)
 	defer g.RM.Unpin()
-	dst := &Operand{Mode: OReg, Type: to, Xreg: -1}
+	dst := g.regOp(to, 0)
 	if regsFor(from.Machine()) == regsFor(to) {
 		if r, ok := g.RM.ReclaimAsDest(src, to, dst); ok {
 			dst.Reg = r
@@ -373,26 +409,11 @@ func (g *Gen) convert(to ir.Type, src *Operand) (*Operand, error) {
 }
 
 func (g *Gen) emitConvert(from, to ir.Type, src, dst *Operand) {
-	fs, ts := from.Machine().Suffix(), to.Machine().Suffix()
-	if fs == ts {
-		g.E.EmitResult("mov"+ts, dst, src.Asm())
+	c := cvtMns[from][to]
+	if c.zext != "" {
+		g.E.EmitOps(c.zext, src, dst)
+		g.E.EmitResult(c.cvt, dst, dst)
 		return
 	}
-	if from.IsUnsigned() && to.IsInteger() {
-		g.E.EmitResult("movz"+fs+ts, dst, src.Asm())
-		return
-	}
-	if from.IsUnsigned() && to.IsFloat() {
-		// Zero-extend, then convert. (Unsigned longs convert through the
-		// signed instruction — the same rough edge §8 of the paper
-		// reports for signed/unsigned conversions.)
-		if from.Machine() != ir.Long {
-			g.E.Emit("movz"+fs+"l", src.Asm(), dst.Asm())
-			g.E.EmitResult("cvtl"+ts, dst, dst.Asm())
-			return
-		}
-		g.E.EmitResult("cvtl"+ts, dst, src.Asm())
-		return
-	}
-	g.E.EmitResult("cvt"+fs+ts, dst, src.Asm())
+	g.E.EmitResult(c.cvt, dst, src)
 }

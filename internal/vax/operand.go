@@ -7,10 +7,10 @@
 package vax
 
 import (
-	"fmt"
 	"strconv"
 
 	"ggcg/internal/ir"
+	"ggcg/internal/target"
 )
 
 // OperMode is an addressing mode of an operand descriptor.
@@ -48,9 +48,9 @@ type Operand struct {
 	// fetch of a pointer.
 	Deferred bool
 
-	// Owned lists allocatable registers this operand holds; the register
-	// manager reclaims them when the operand is consumed.
-	Owned []int
+	// Owned is the set of allocatable registers this operand holds; the
+	// register manager reclaims them when the operand is consumed.
+	Owned target.RegSet
 
 	// used marks a side-effecting (autoincrement) operand that has already
 	// been formatted once; subsequent references must refer to the same
@@ -58,9 +58,13 @@ type Operand struct {
 	used bool
 }
 
-func intOp(t ir.Type, v int64) *Operand    { return &Operand{Mode: OImm, Type: t, Val: v} }
-func regOp(t ir.Type, r int) *Operand      { return &Operand{Mode: OReg, Type: t, Reg: r, Xreg: -1} }
-func fimmOp(t ir.Type, f float64) *Operand { return &Operand{Mode: OFImm, Type: t, FVal: f} }
+func (g *Gen) intOp(t ir.Type, v int64) *Operand { return g.Op(Operand{Mode: OImm, Type: t, Val: v}) }
+func (g *Gen) regOp(t ir.Type, r int) *Operand {
+	return g.Op(Operand{Mode: OReg, Type: t, Reg: r, Xreg: -1})
+}
+func (g *Gen) fimmOp(t ir.Type, f float64) *Operand {
+	return g.Op(Operand{Mode: OFImm, Type: t, FVal: f})
+}
 
 // IsReg reports whether the operand is (exactly) a register.
 func (o *Operand) IsReg() bool { return o.Mode == OReg }
@@ -96,70 +100,78 @@ func (o *Operand) Same(p *Operand) bool {
 	return false
 }
 
-// Asm formats the operand in assembler syntax, applying the
+// AppendAsm appends the operand in assembler syntax to b, applying the
 // addressing-mode format table of phase 4 (§5.4). A side-effecting
 // operand formats as its mode once; afterwards it refers to the location
 // the side effect left behind.
-func (o *Operand) Asm() string {
+func (o *Operand) AppendAsm(b []byte) []byte {
 	if o.Deferred {
+		b = append(b, '*')
 		// Deferred autoincrement steps over the pointer (4 bytes), so a
 		// reused descriptor refers back accordingly.
-		if o.Mode == OAutoInc {
-			if o.used {
-				return "*-4(" + ir.RegName(o.Reg) + ")"
-			}
+		switch {
+		case o.Mode == OAutoInc && o.used:
+			return appendRegDef(append(b, "-4"...), o.Reg)
+		case o.Mode == OAutoInc:
 			o.used = true
-			return "*(" + ir.RegName(o.Reg) + ")+"
-		}
-		if o.Mode == OAutoDec {
-			if o.used {
-				return "*(" + ir.RegName(o.Reg) + ")"
-			}
+			return append(appendRegDef(b, o.Reg), '+')
+		case o.Mode == OAutoDec && o.used:
+			return appendRegDef(b, o.Reg)
+		case o.Mode == OAutoDec:
 			o.used = true
-			return "*-(" + ir.RegName(o.Reg) + ")"
+			return appendRegDef(append(b, '-'), o.Reg)
 		}
-		inner := *o
-		inner.Deferred = false
-		return "*" + inner.Asm()
 	}
 	switch o.Mode {
 	case OReg:
-		return ir.RegName(o.Reg)
+		return append(b, ir.RegName(o.Reg)...)
 	case OImm:
-		return "$" + strconv.FormatInt(o.Val, 10)
+		return strconv.AppendInt(append(b, '$'), o.Val, 10)
 	case OFImm:
-		s := fmt.Sprintf("$%g", o.FVal)
-		if s == fmt.Sprintf("$%d", int64(o.FVal)) {
-			s += ".0" // keep floating immediates visibly floating
-		}
-		return s
+		return target.AppendFloatImm(b, o.FVal)
 	case OAbs:
-		s := "_" + o.Sym
+		b = append(append(b, '_'), o.Sym...)
 		if o.Off != 0 {
-			s += "+" + strconv.FormatInt(o.Off, 10)
+			b = strconv.AppendInt(append(b, '+'), o.Off, 10)
 		}
-		return s + o.index()
+		return o.appendIndex(b)
 	case ODisp:
-		return strconv.FormatInt(o.Off, 10) + "(" + ir.RegName(o.Reg) + ")" + o.index()
+		return o.appendIndex(appendRegDef(strconv.AppendInt(b, o.Off, 10), o.Reg))
 	case ORegDef:
-		return "(" + ir.RegName(o.Reg) + ")" + o.index()
+		return o.appendIndex(appendRegDef(b, o.Reg))
 	case OAutoInc:
 		if o.used {
 			// The register has already been stepped; the value read then
 			// is at -size.
-			return strconv.Itoa(-o.Type.Size()) + "(" + ir.RegName(o.Reg) + ")"
+			return appendRegDef(strconv.AppendInt(b, int64(-o.Type.Size()), 10), o.Reg)
 		}
 		o.used = true
-		return "(" + ir.RegName(o.Reg) + ")+"
+		return append(appendRegDef(b, o.Reg), '+')
 	case OAutoDec:
 		if o.used {
-			return "(" + ir.RegName(o.Reg) + ")"
+			return appendRegDef(b, o.Reg)
 		}
 		o.used = true
-		return "-(" + ir.RegName(o.Reg) + ")"
+		return appendRegDef(append(b, '-'), o.Reg)
 	}
-	return "?"
+	return append(b, '?')
 }
+
+// appendRegDef appends (rN).
+func appendRegDef(b []byte, r int) []byte {
+	return append(append(append(b, '('), ir.RegName(r)...), ')')
+}
+
+func (o *Operand) appendIndex(b []byte) []byte {
+	if o.Xreg >= 0 {
+		b = append(append(append(b, '['), ir.RegName(o.Xreg)...), ']')
+	}
+	return b
+}
+
+// Asm returns the operand's assembler syntax (AppendAsm), with the same
+// side effect.
+func (o *Operand) Asm() string { return string(o.AppendAsm(nil)) }
 
 // ResultReg returns the register the operand names when it is exactly a
 // register, or -1 — the emitter's condition-code tracking hook
@@ -169,13 +181,6 @@ func (o *Operand) ResultReg() int {
 		return o.Reg
 	}
 	return -1
-}
-
-func (o *Operand) index() string {
-	if o.Xreg >= 0 {
-		return "[" + ir.RegName(o.Xreg) + "]"
-	}
-	return ""
 }
 
 func (o *Operand) String() string { return o.Asm() }

@@ -1,8 +1,6 @@
 package vax
 
 import (
-	"fmt"
-
 	"ggcg/internal/ir"
 	"ggcg/internal/target"
 )
@@ -27,8 +25,8 @@ func NewRegMan(e *Emitter, f *ir.Func) *RegMan { return target.NewRegMan(&regHoo
 // MachineType returns the machine type of the operand's value.
 func (o *Operand) MachineType() ir.Type { return o.Type.Machine() }
 
-// Regs returns the operand's owned-register list for the register manager.
-func (o *Operand) Regs() *[]int { return &o.Owned }
+// Regs returns the operand's owned-register set for the register manager.
+func (o *Operand) Regs() *target.RegSet { return &o.Owned }
 
 // regsFor returns how many consecutive registers a value of type t needs:
 // doubles occupy a register pair.
@@ -51,7 +49,10 @@ func spillReg(e *Emitter, f *ir.Func, o *Operand, r int) target.Freed {
 	case o.Mode == OReg && o.Reg == r:
 		t := o.Type.Machine()
 		off := f.AllocTemp(t)
-		e.Emit(mn(movT, t), o.Asm(), fmt.Sprintf("%d(fp)", off))
+		e.Begin(mn(movT, t))
+		e.Arg(o)
+		e.ArgDisp(int64(off), ir.RegFP)
+		e.End()
 		// The operand now names the virtual register; all later uses
 		// reload from it.
 		o.Mode, o.Reg, o.Off, o.Xreg = ODisp, ir.RegFP, int64(off), -1
@@ -59,33 +60,29 @@ func spillReg(e *Emitter, f *ir.Func, o *Operand, r int) target.Freed {
 
 	case (o.Mode == ODisp || o.Mode == ORegDef) && !o.Deferred && o.Reg == r:
 		off := f.AllocTemp(ir.Long)
-		slot := fmt.Sprintf("%d(fp)", off)
 		if o.Mode == ORegDef || o.Off == 0 {
-			e.Emit("movl", ir.RegName(r), slot)
+			e.Begin("movl")
 		} else {
-			e.Emit("addl3", fmt.Sprintf("$%d", o.Off), ir.RegName(r), slot)
+			e.Begin("addl3")
+			e.ArgImm(o.Off)
 		}
+		e.ArgString(ir.RegName(r))
+		e.ArgDisp(int64(off), ir.RegFP)
+		e.End()
 		o.Mode, o.Deferred = ODisp, true
 		o.Reg, o.Off = ir.RegFP, int64(off)
 		return target.FreedBase
 
 	case o.Xreg == r && (o.Mode == OAbs || o.Mode == ODisp || o.Mode == ORegDef):
-		suffix := ""
-		switch o.Type.Size() {
-		case 1:
-			suffix = "b"
-		case 2:
-			suffix = "w"
-		case 4:
-			suffix = "l"
-		case 8:
-			suffix = "q"
-		}
-		if suffix == "" {
+		mova := movaBySize[o.Type.Size()]
+		if mova == "" {
 			return target.NotSpilled
 		}
 		off := f.AllocTemp(ir.Long)
-		e.Emit("mova"+suffix, o.Asm(), fmt.Sprintf("%d(fp)", off))
+		e.Begin(mova)
+		e.Arg(o)
+		e.ArgDisp(int64(off), ir.RegFP)
+		e.End()
 		o.Mode, o.Deferred = ODisp, true
 		o.Reg, o.Off, o.Xreg = ir.RegFP, int64(off), -1
 		return target.FreedAll
@@ -98,7 +95,10 @@ func spillReg(e *Emitter, f *ir.Func, o *Operand, r int) target.Freed {
 func moveReg(e *Emitter, o *Operand, r, nr int) bool {
 	switch {
 	case o.Mode == OReg:
-		e.Emit(mn(movT, o.Type), o.Asm(), ir.RegName(nr))
+		e.Begin(mn(movT, o.Type))
+		e.Arg(o)
+		e.ArgString(ir.RegName(nr))
+		e.End()
 		o.Reg = nr
 		return true
 	case o.Xreg == r:

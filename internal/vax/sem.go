@@ -1,8 +1,6 @@
 package vax
 
 import (
-	"fmt"
-
 	"ggcg/internal/cgram"
 	"ggcg/internal/ir"
 	"ggcg/internal/matcher"
@@ -90,7 +88,7 @@ var routineTable = map[string]routine{
 	"asgadd":   assignOp(addOps, ""),
 	"asgsub":   assignOp(subOps, ""),
 	"asgmul":   assignOp(mulOps, ""),
-	"asgdiv":   assignOp(divOps, "_udiv"),
+	"asgdiv":   assignOp(divOps, "udiv"),
 	"asgor":    assignOp(bisOps, ""),
 	"asgxor":   assignOp(xorOps, ""),
 	"asgneg":   assignUnary(mnegT),
@@ -128,32 +126,39 @@ func opnds(args []matcher.Value, i, j int) (*Operand, *Operand, error) {
 	return target.Attrs[*Operand](args, i, j)
 }
 
-func (g *Gen) con(_ ir.Type, args []matcher.Value) (any, error) { return target.Node(args[0]).Val, nil }
+// con passes the constant terminal's node up as the attribute, which
+// target.Const reads.
+func (g *Gen) con(_ ir.Type, args []matcher.Value) (any, error) { return target.Node(args[0]), nil }
 
 func (g *Gen) imm(t ir.Type, args []matcher.Value) (any, error) {
 	v, err := target.Const(args[0])
 	if err != nil {
 		return nil, err
 	}
-	return intOp(t, v), nil
+	return g.intOp(t, v), nil
 }
 
 func (g *Gen) fcon(t ir.Type, args []matcher.Value) (any, error) {
-	return fimmOp(t, target.Node(args[0]).F), nil
+	return g.fimmOp(t, target.Node(args[0]).F), nil
 }
 
 func (g *Gen) dreg(_ ir.Type, args []matcher.Value) (any, error) {
 	n := target.Node(args[0])
-	return regOp(n.Type, int(n.Val)), nil
+	return g.regOp(n.Type, int(n.Val)), nil
 }
 
 func (g *Gen) abs(_ ir.Type, args []matcher.Value) (any, error) {
 	n := target.Node(args[0])
-	return &Operand{Mode: OAbs, Type: n.Type, Sym: n.Sym, Xreg: -1}, nil
+	return g.Op(Operand{Mode: OAbs, Type: n.Type, Sym: n.Sym, Xreg: -1}), nil
+}
+
+// symOp returns the absolute operand _sym.
+func (g *Gen) symOp(sym string) *Operand {
+	return g.Op(Operand{Mode: OAbs, Type: ir.Long, Sym: sym, Xreg: -1})
 }
 
 func (g *Gen) addr(_ ir.Type, args []matcher.Value) (any, error) {
-	return g.addrOf(ir.ULong, "_"+target.Node(args[0]).Sym)
+	return g.addrOf(ir.ULong, g.symOp(target.Node(args[0]).Sym))
 }
 
 func (g *Gen) lea(_ ir.Type, args []matcher.Value) (any, error) {
@@ -161,17 +166,18 @@ func (g *Gen) lea(_ ir.Type, args []matcher.Value) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	return g.addrOf(ir.ULong, fmt.Sprintf("%d(%s)", off, ir.RegName(int(target.Node(args[2]).Val))))
+	r := int(target.Node(args[2]).Val)
+	return g.addrOf(ir.ULong, g.Op(Operand{Mode: ODisp, Type: ir.Long, Reg: r, Off: off, Xreg: -1}))
 }
 
 // addrOf computes the address src names into a fresh register of type t.
-func (g *Gen) addrOf(t ir.Type, src string) (*Operand, error) {
-	dst := &Operand{Mode: OReg, Type: t, Xreg: -1}
+func (g *Gen) addrOf(t ir.Type, src *Operand) (*Operand, error) {
+	dst := g.regOp(t, 0)
 	r, err := g.RM.Alloc(ir.Long, dst)
 	if err != nil {
 		return nil, err
 	}
-	dst.Reg, dst.Owned = r, []int{r}
+	dst.Reg, dst.Owned = r, target.RegRange(r, 1)
 	g.E.EmitResult("moval", dst, src)
 	return dst, nil
 }
@@ -202,9 +208,8 @@ func (g *Gen) retype(_ ir.Type, args []matcher.Value) (any, error) {
 
 // retyped returns a copy of o typed t that takes over o's registers.
 func (g *Gen) retyped(o *Operand, t ir.Type) *Operand {
-	out := new(Operand)
-	*out = *o
-	out.Type, out.Owned = t, nil
+	out := g.Op(*o)
+	out.Type, out.Owned = t, 0
 	out.Owned = g.RM.Transfer(o, out)
 	return out
 }
@@ -223,7 +228,7 @@ type memMode struct {
 // descriptor it condenses into, typed by its Indir.
 func mem(m memMode) routine {
 	return func(g *Gen, _ ir.Type, args []matcher.Value) (any, error) {
-		out := &Operand{Mode: m.mode, Type: target.Node(args[0]).Type, Xreg: -1}
+		out := g.Op(Operand{Mode: m.mode, Type: target.Node(args[0]).Type, Xreg: -1})
 		for _, k := range [...]int{m.off, m.off2} {
 			if k > 0 {
 				off, err := target.Const(args[k])
@@ -253,11 +258,7 @@ func mem(m memMode) routine {
 				return nil, err
 			}
 			out.Reg = b.Reg
-			if owned := g.RM.Transfer(b, out); out.Owned == nil {
-				out.Owned = owned
-			} else {
-				out.Owned = append(out.Owned, owned...)
-			}
+			out.Owned |= g.RM.Transfer(b, out)
 		}
 		return out, nil
 	}
@@ -297,7 +298,7 @@ func (g *Gen) mdef(_ ir.Type, args []matcher.Value) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &Operand{Mode: ORegDef, Type: indirT, Reg: r.Reg, Xreg: -1}
+	out := g.Op(Operand{Mode: ORegDef, Type: indirT, Reg: r.Reg, Xreg: -1})
 	out.Owned = g.RM.Transfer(r, out)
 	return out, nil
 }
@@ -318,9 +319,7 @@ func bridge(m bridgeMode) routine {
 	return func(g *Gen, _ ir.Type, args []matcher.Value) (any, error) { return g.bridge(&m, args) }
 }
 
-// bridge generates a bridge production. It is a method, not the body of
-// the routine's closure, so the dedicated base's descriptor stays on the
-// stack (TestBridgeDedicatedBaseAllocs).
+// bridge generates a bridge production.
 func (g *Gen) bridge(m *bridgeMode, args []matcher.Value) (*Operand, error) {
 	var off int64
 	var val *Operand
@@ -344,7 +343,7 @@ func (g *Gen) bridge(m *bridgeMode, args []matcher.Value) (*Operand, error) {
 	var base *Operand
 	switch {
 	case m.dreg > 0:
-		base = regOp(ir.Long, int(target.Node(args[m.dreg]).Val))
+		base = g.regOp(ir.Long, int(target.Node(args[m.dreg]).Val))
 	case m.base > 0:
 		if base, err = opnd(args[m.base]); err != nil {
 			return nil, err
@@ -353,7 +352,7 @@ func (g *Gen) bridge(m *bridgeMode, args []matcher.Value) (*Operand, error) {
 		if val != nil {
 			g.RM.Pin(val)
 		}
-		addr, err := g.addrOf(ir.Long, "_"+target.Node(args[m.sym]).Sym)
+		addr, err := g.addrOf(ir.Long, g.symOp(target.Node(args[m.sym]).Sym))
 		if err != nil {
 			return nil, err
 		}
@@ -371,7 +370,7 @@ func (g *Gen) bridge(m *bridgeMode, args []matcher.Value) (*Operand, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &Operand{Mode: ORegDef, Type: target.Node(args[0]).Type, Reg: sum.Reg, Xreg: -1}
+	out := g.Op(Operand{Mode: ORegDef, Type: target.Node(args[0]).Type, Reg: sum.Reg, Xreg: -1})
 	out.Owned = g.RM.Transfer(sum, out)
 	if m.off > 0 {
 		out.Mode, out.Off = ODisp, off
@@ -411,14 +410,14 @@ func shiftBy(left bool) binOp {
 // (§5.3.2).
 func (g *Gen) div(t ir.Type, a, b *Operand) (*Operand, error) {
 	if t.IsUnsigned() {
-		return g.callBuiltin("_udiv", t, a, b)
+		return g.callBuiltin("udiv", t, a, b)
 	}
 	return g.binary(divOps, t, a, b)
 }
 
 func (g *Gen) mod(t ir.Type, a, b *Operand) (*Operand, error) {
 	if t.IsUnsigned() {
-		return g.callBuiltin("_urem", t, a, b)
+		return g.callBuiltin("urem", t, a, b)
 	}
 	return g.signedMod(t, a, b)
 }
@@ -469,8 +468,8 @@ func assignValue(dst, src int) routine {
 // assignOp returns the routine of the assignment-destination form of
 // cluster c: stmt -> Assign lval OP rval rval,
 // Figure 3's three-address scheme with the assignment target as the
-// destination. An unsigned operation calls the library function named
-// unsigned instead, where there is one, and stores its result.
+// destination. An unsigned operation calls the library function _unsigned
+// instead, where there is one, and stores its result.
 func assignOp(c *cluster, unsigned string) routine {
 	return func(g *Gen, _ ir.Type, args []matcher.Value) (any, error) {
 		dst, err := opnd(args[1])
@@ -506,7 +505,7 @@ func assignUnary(op *mnem) routine {
 			return nil, err
 		}
 		g.RM.Pin(dst)
-		g.E.EmitResult(mn(op, t), dst, src.Asm())
+		g.E.EmitResult(mn(op, t), dst, src)
 		g.RM.Unpin()
 		g.RM.Consume(src)
 		g.RM.Consume(dst)
@@ -522,7 +521,7 @@ func (g *Gen) asgc(t ir.Type, args []matcher.Value) (any, error) {
 		return nil, err
 	}
 	g.emitCall(target.Node(args[2]))
-	g.move(t, regOp(t, 0), dst)
+	g.move(t, g.regOp(t, 0), dst)
 	g.RM.Consume(dst)
 	return nil, nil
 }
@@ -544,9 +543,12 @@ func (g *Gen) arg(t ir.Type, args []matcher.Value) (any, error) {
 		return nil, err
 	}
 	if t == ir.Double {
-		g.E.Emit("movd", src.Asm(), "-(sp)")
+		g.E.Begin("movd")
+		g.E.Arg(src)
+		g.E.ArgString("-(sp)")
+		g.E.End()
 	} else {
-		g.E.Emit("pushl", src.Asm())
+		g.E.EmitOps("pushl", src)
 	}
 	g.RM.Consume(src)
 	return nil, nil
@@ -557,7 +559,7 @@ func (g *Gen) ret(t ir.Type, args []matcher.Value) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	g.move(t, src, regOp(t, 0))
+	g.move(t, src, g.regOp(t, 0))
 	g.RM.Consume(src)
 	g.E.Emit("ret")
 	return nil, nil
@@ -569,7 +571,7 @@ func (g *Gen) retv(ir.Type, []matcher.Value) (any, error) {
 }
 
 func (g *Gen) jump(_ ir.Type, args []matcher.Value) (any, error) {
-	g.E.Emit("jbr", g.Label(args[1]))
+	g.E.EmitJump("jbr", g.LabelID(args[1]))
 	return nil, nil
 }
 
@@ -578,10 +580,10 @@ func (g *Gen) cmpbr(t ir.Type, args []matcher.Value) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	g.E.Emit(mn(cmpT, t), a.Asm(), b.Asm())
+	g.E.EmitOps(mn(cmpT, t), a, b)
 	g.RM.Consume(a)
 	g.RM.Consume(b)
-	g.branch(target.Node(args[1]), g.Label(args[4]))
+	g.branch(target.Node(args[1]), g.LabelID(args[4]))
 	return nil, nil
 }
 
@@ -590,9 +592,9 @@ func (g *Gen) tstbr(t ir.Type, args []matcher.Value) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	g.E.Emit(mn(tstT, t), a.Asm())
+	g.E.EmitOps(mn(tstT, t), a)
 	g.RM.Consume(a)
-	g.branch(target.Node(args[1]), g.Label(args[4]))
+	g.branch(target.Node(args[1]), g.LabelID(args[4]))
 	return nil, nil
 }
 
@@ -606,10 +608,10 @@ func (g *Gen) ccbr(t ir.Type, args []matcher.Value) (any, error) {
 	}
 	if a.Mode != OReg || !g.E.LastSet(a.Reg) {
 		g.E.TstBackstops++
-		g.E.Emit(mn(tstT, t), a.Asm())
+		g.E.EmitOps(mn(tstT, t), a)
 	}
 	g.RM.Consume(a)
-	g.branch(target.Node(args[1]), g.Label(args[4]))
+	g.branch(target.Node(args[1]), g.LabelID(args[4]))
 	return nil, nil
 }
 
@@ -618,19 +620,20 @@ func (g *Gen) ccbr(t ir.Type, args []matcher.Value) (any, error) {
 // (§6.2.1).
 func (g *Gen) dregbr(t ir.Type, args []matcher.Value) (any, error) {
 	g.E.Emit(mn(tstT, t), ir.RegName(int(target.Node(args[2]).Val)))
-	g.branch(target.Node(args[1]), g.Label(args[4]))
+	g.branch(target.Node(args[1]), g.LabelID(args[4]))
 	return nil, nil
 }
 
-// branch emits the conditional jump for a Cmp node's relation, using the
-// unsigned forms when the comparison type is unsigned.
-func (g *Gen) branch(cmp *ir.Node, target string) {
+// branch emits the conditional jump to label id for a Cmp node's
+// relation, using the unsigned forms when the comparison type is
+// unsigned.
+func (g *Gen) branch(cmp *ir.Node, id int) {
 	rel := ir.Rel(cmp.Val)
 	table := signedBranch
 	if cmp.Type.IsUnsigned() {
 		table = unsignedBranch
 	}
-	g.E.Emit(table[rel], target)
+	g.E.EmitJump(table[rel], id)
 }
 
 // stepAtSize materializes a side-effecting source whose operand size
@@ -651,9 +654,8 @@ func (g *Gen) assign(t ir.Type, src, dst *Operand) error {
 	}
 	val := src
 	if src.Mode == OImm {
-		narrowed := *src
-		narrowed.Val = target.TruncImm(src.Val, t)
-		val = &narrowed
+		val = g.Op(*src)
+		val.Val = target.TruncImm(src.Val, t)
 	}
 	g.move(t, val, dst)
 	g.RM.Consume(src)
@@ -662,12 +664,12 @@ func (g *Gen) assign(t ir.Type, src, dst *Operand) error {
 }
 
 func (g *Gen) emitCall(n *ir.Node) {
-	g.E.Emit("calls", fmt.Sprintf("$%d", n.Val), "_"+n.Sym)
+	g.E.EmitOps("calls", g.intOp(ir.Long, n.Val), g.symOp(n.Sym))
 }
 
 // callResult claims the r0 (or r0/r1) result of a call.
 func (g *Gen) callResult(t ir.Type) (*Operand, error) {
-	res := &Operand{Mode: OReg, Type: t, Reg: 0, Xreg: -1}
+	res := g.regOp(t, 0)
 	if err := g.RM.AllocSpecific(0, t, res); err != nil {
 		return nil, err
 	}
@@ -678,9 +680,7 @@ func (g *Gen) callResult(t ir.Type) (*Operand, error) {
 // andOp implements AND with the bit-clear instruction: the VAX has no and,
 // so one operand is complemented — at table-construction time for
 // constants, with an mcom instruction otherwise. A constant mask is
-// complemented in its own descriptor: the immediate is consumed here, and
-// a fresh descriptor would escape to the heap through the register
-// manager.
+// complemented in its own descriptor, which is consumed here.
 func (g *Gen) andOp(t ir.Type, a, b *Operand) (*Operand, error) {
 	if b.Mode == OImm {
 		*b = Operand{Mode: OImm, Type: t, Val: ^b.Val}
@@ -703,35 +703,35 @@ func (g *Gen) andOp(t ir.Type, a, b *Operand) (*Operand, error) {
 func (g *Gen) signedMod(t ir.Type, a, b *Operand) (*Operand, error) {
 	g.RM.Pin(a)
 	g.RM.Pin(b)
-	q := &Operand{Mode: OReg, Type: t, Xreg: -1}
+	q := g.regOp(t, 0)
 	r, err := g.RM.Alloc(t, q)
 	if err != nil {
 		return nil, err
 	}
 	q.Reg, q.Owned = r, ownedRegs(r, t)
-	s := t.Machine().Suffix()
-	g.E.EmitResult("div"+s+"3", q, b.Asm(), a.Asm())
-	g.E.EmitResult("mul"+s+"2", q, b.Asm())
-	g.E.EmitResult("sub"+s+"3", q, q.Asm(), a.Asm())
+	g.E.EmitResult(mn(divOps[0].print, t), q, b, a)
+	g.E.EmitResult(mn(mulOps[1].print, t), q, b)
+	g.E.EmitResult(mn(subOps[0].print, t), q, q, a)
 	g.RM.Unpin()
 	g.RM.Consume(a)
 	g.RM.Consume(b)
 	return q, nil
 }
 
-// callBuiltin pushes (dividend, divisor) and calls a library routine that
-// preserves every register except r0 — so any value living in r0 must be
-// moved out *before* the call. If an operand itself held r0 its descriptor
-// is redirected by the evacuation and the pushes pick up the new home.
+// callBuiltin pushes (dividend, divisor) and calls the library routine
+// _sym, which preserves every register except r0 — so any value living in
+// r0 must be moved out *before* the call. If an operand itself held r0 its
+// descriptor is redirected by the evacuation and the pushes pick up the
+// new home.
 func (g *Gen) callBuiltin(sym string, t ir.Type, a, b *Operand) (*Operand, error) {
-	res := &Operand{Mode: OReg, Type: t, Reg: 0, Xreg: -1}
+	res := g.regOp(t, 0)
 	if err := g.RM.AllocSpecific(0, t, res); err != nil {
 		return nil, err
 	}
 	res.Owned = ownedRegs(0, t)
-	g.E.Emit("pushl", b.Asm())
-	g.E.Emit("pushl", a.Asm())
-	g.E.Emit("calls", "$2", sym)
+	g.E.EmitOps("pushl", b)
+	g.E.EmitOps("pushl", a)
+	g.E.EmitOps("calls", g.intOp(ir.Long, 2), g.symOp(sym))
 	g.RM.Consume(a)
 	g.RM.Consume(b)
 	return res, nil
@@ -742,26 +742,26 @@ func (g *Gen) callBuiltin(sym string, t ir.Type, a, b *Operand) (*Operand, error
 func (g *Gen) shift(t ir.Type, val, cnt *Operand, left bool) (*Operand, error) {
 	g.RM.Pin(val)
 	g.RM.Pin(cnt)
-	dst := &Operand{Mode: OReg, Type: t, Xreg: -1}
+	dst := g.regOp(t, 0)
 	if !left && t.IsUnsigned() {
 		// Unsigned right shift: extract a zero-extended field.
 		r, err := g.RM.Alloc(ir.Long, dst)
 		if err != nil {
 			return nil, err
 		}
-		dst.Reg, dst.Owned = r, []int{r}
+		dst.Reg, dst.Owned = r, target.RegRange(r, 1)
 		if cnt.Mode == OImm {
 			k := cnt.Val
 			if k <= 0 {
-				g.E.EmitResult("movl", dst, val.Asm())
+				g.E.EmitResult("movl", dst, val)
 			} else if k >= 32 {
 				g.E.EmitResult("clrl", dst)
 			} else {
-				g.E.EmitResult("extzv", dst, cnt.Asm(), fmt.Sprintf("$%d", 32-k), val.Asm())
+				g.E.EmitResult("extzv", dst, cnt, g.intOp(ir.Long, 32-k), val)
 			}
 		} else {
-			g.E.Emit("subl3", cnt.Asm(), "$32", dst.Asm())
-			g.E.EmitResult("extzv", dst, cnt.Asm(), dst.Asm(), val.Asm())
+			g.E.EmitOps("subl3", cnt, g.intOp(ir.Long, 32), dst)
+			g.E.EmitResult("extzv", dst, cnt, dst, val)
 		}
 		g.RM.Unpin()
 		g.RM.Consume(val)
@@ -769,23 +769,18 @@ func (g *Gen) shift(t ir.Type, val, cnt *Operand, left bool) (*Operand, error) {
 		return dst, nil
 	}
 	// ashl cnt,src,dst: negative counts shift right.
-	var cntAsm string
+	count := cnt
 	switch {
-	case cnt.Mode == OImm && left:
-		cntAsm = fmt.Sprintf("$%d", cnt.Val)
-	case cnt.Mode == OImm:
-		cntAsm = fmt.Sprintf("$%d", -cnt.Val)
-	case left:
-		cntAsm = cnt.Asm()
-	default:
+	case cnt.Mode == OImm && !left:
+		count = g.intOp(ir.Long, -cnt.Val)
+	case cnt.Mode != OImm && !left:
 		// Negate a variable count through a register.
 		neg, err := g.unary(mnegT, ir.Long, cnt)
 		if err != nil {
 			return nil, err
 		}
-		cnt = neg
+		cnt, count = neg, neg
 		g.RM.Pin(cnt)
-		cntAsm = cnt.Asm()
 	}
 	g.RM.Unpin()
 	g.RM.Pin(val)
@@ -799,8 +794,8 @@ func (g *Gen) shift(t ir.Type, val, cnt *Operand, left bool) (*Operand, error) {
 		}
 		dst.Reg = r
 	}
-	dst.Owned = []int{dst.Reg}
-	g.E.EmitResult("ashl", dst, cntAsm, val.Asm())
+	dst.Owned = target.RegRange(dst.Reg, 1)
+	g.E.EmitResult("ashl", dst, count, val)
 	g.RM.Unpin()
 	g.RM.Consume(val)
 	g.RM.Consume(cnt)
@@ -812,7 +807,7 @@ func (g *Gen) shift(t ir.Type, val, cnt *Operand, left bool) (*Operand, error) {
 func (g *Gen) unary(op *mnem, t ir.Type, src *Operand) (*Operand, error) {
 	g.RM.Pin(src)
 	defer g.RM.Unpin()
-	dst := &Operand{Mode: OReg, Type: t, Xreg: -1}
+	dst := g.regOp(t, 0)
 	if r, ok := g.RM.ReclaimAsDest(src, t, dst); ok {
 		dst.Reg = r
 	} else {
@@ -823,7 +818,7 @@ func (g *Gen) unary(op *mnem, t ir.Type, src *Operand) (*Operand, error) {
 		dst.Reg = r
 	}
 	dst.Owned = ownedRegs(dst.Reg, t)
-	g.E.EmitResult(mn(op, t), dst, src.Asm())
+	g.E.EmitResult(mn(op, t), dst, src)
 	g.RM.Consume(src)
 	return dst, nil
 }

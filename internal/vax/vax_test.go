@@ -84,7 +84,7 @@ func TestRegManDoublePairs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o.Reg, o.Owned = r, []int{r, r + 1}
+	o.Reg, o.Owned = r, target.RegRange(r, 2)
 	o2 := &Operand{Mode: OReg, Type: ir.Long, Xreg: -1}
 	r2, err := rm.Alloc(ir.Long, o2)
 	if err != nil {
@@ -94,7 +94,7 @@ func TestRegManDoublePairs(t *testing.T) {
 		t.Errorf("single allocation %d overlaps double pair %d,%d", r2, r, r+1)
 	}
 	rm.Consume(o)
-	o2.Reg, o2.Owned = r2, []int{r2}
+	o2.Reg, o2.Owned = r2, target.RegRange(r2, 1)
 	rm.Consume(o2)
 	if err := rm.CheckStatementEnd(); err != nil {
 		t.Errorf("%v", err)
@@ -127,8 +127,8 @@ func TestF3_BindingIdiom(t *testing.T) {
 	// r0 holds a computed value; adding an immediate binds to addl2.
 	a := &Operand{Mode: OReg, Type: ir.Long, Reg: 0, Xreg: -1}
 	r, _ := g.RM.Alloc(ir.Long, a)
-	a.Reg, a.Owned = r, []int{r}
-	res, err := g.binary(addOps, ir.Long, a, intOp(ir.Long, 17))
+	a.Reg, a.Owned = r, target.RegRange(r, 1)
+	res, err := g.binary(addOps, ir.Long, a, g.intOp(ir.Long, 17))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,8 +146,8 @@ func TestF3_RangeIdiomIncDec(t *testing.T) {
 	g := testGen()
 	a := &Operand{Mode: OReg, Type: ir.Long, Xreg: -1}
 	r, _ := g.RM.Alloc(ir.Long, a)
-	a.Reg, a.Owned = r, []int{r}
-	res, err := g.binary(addOps, ir.Long, a, intOp(ir.Long, 1))
+	a.Reg, a.Owned = r, target.RegRange(r, 1)
+	res, err := g.binary(addOps, ir.Long, a, g.intOp(ir.Long, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,8 +162,8 @@ func TestF3_RangeIdiomIncDec(t *testing.T) {
 	g2 := testGen()
 	b := &Operand{Mode: OReg, Type: ir.Long, Xreg: -1}
 	r2, _ := g2.RM.Alloc(ir.Long, b)
-	b.Reg, b.Owned = r2, []int{r2}
-	res2, err := g2.binary(subOps, ir.Long, b, intOp(ir.Long, 1))
+	b.Reg, b.Owned = r2, target.RegRange(r2, 1)
+	res2, err := g2.binary(subOps, ir.Long, b, g2.intOp(ir.Long, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,8 +177,8 @@ func TestF3_AddMinusOneBecomesDec(t *testing.T) {
 	g := testGen()
 	a := &Operand{Mode: OReg, Type: ir.Long, Xreg: -1}
 	r, _ := g.RM.Alloc(ir.Long, a)
-	a.Reg, a.Owned = r, []int{r}
-	res, _ := g.binary(addOps, ir.Long, a, intOp(ir.Long, -1))
+	a.Reg, a.Owned = r, target.RegRange(r, 1)
+	res, _ := g.binary(addOps, ir.Long, a, g.intOp(ir.Long, -1))
 	if !strings.Contains(g.E.String(), "decl\tr0") {
 		t.Errorf("add of minus one did not become decl:\n%s", g.E.String())
 	}
@@ -188,7 +188,7 @@ func TestF3_AddMinusOneBecomesDec(t *testing.T) {
 func TestF3_NoBindingEmitsThreeAddress(t *testing.T) {
 	g := testGen()
 	// Neither source is an owned register: the three-address form is used.
-	res, err := g.binary(addOps, ir.Long, intOp(ir.Long, 5),
+	res, err := g.binary(addOps, ir.Long, g.intOp(ir.Long, 5),
 		&Operand{Mode: OAbs, Type: ir.Long, Sym: "x", Xreg: -1})
 	if err != nil {
 		t.Fatal(err)
@@ -201,7 +201,7 @@ func TestF3_NoBindingEmitsThreeAddress(t *testing.T) {
 
 func TestMoveClearIdiom(t *testing.T) {
 	g := testGen()
-	g.move(ir.Long, intOp(ir.Long, 0), &Operand{Mode: OAbs, Type: ir.Long, Sym: "x", Xreg: -1})
+	g.move(ir.Long, g.intOp(ir.Long, 0), &Operand{Mode: OAbs, Type: ir.Long, Sym: "x", Xreg: -1})
 	if !strings.Contains(g.E.String(), "clrl\t_x") {
 		t.Errorf("store of zero did not become clrl:\n%s", g.E.String())
 	}
@@ -252,9 +252,23 @@ func TestConvertChoosesMovzForUnsigned(t *testing.T) {
 	g2.RM.Consume(res2)
 }
 
+// TestConvertNarrowsUnsignedWithCvt: movz only zero-extends, so an
+// unsigned source narrowed to a smaller type truncates with cvt.
+func TestConvertNarrowsUnsignedWithCvt(t *testing.T) {
+	g := testGen()
+	res, err := g.convert(ir.Byte, &Operand{Mode: OAbs, Type: ir.UWord, Sym: "us", Xreg: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := g.E.String(), "\tcvtwb\t_us,r0\n"; got != want {
+		t.Errorf("unsigned narrowing emitted %q, want %q", got, want)
+	}
+	g.RM.Consume(res)
+}
+
 func TestConvertConstantIsFree(t *testing.T) {
 	g := testGen()
-	res, err := g.convert(ir.Long, intOp(ir.Byte, 27))
+	res, err := g.convert(ir.Long, g.intOp(ir.Byte, 27))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +320,7 @@ func TestEmitterLinesAndLabels(t *testing.T) {
 func TestEmitterLastSet(t *testing.T) {
 	e := NewEmitter()
 	dst := &Operand{Mode: OReg, Reg: 2, Xreg: -1}
-	e.EmitResult("addl2", dst, "$1")
+	e.EmitResult("addl2", dst, &Operand{Mode: OImm, Type: ir.Long, Val: 1})
 	if !e.LastSet(2) || e.LastSet(1) {
 		t.Error("LastSet wrong after register result")
 	}
@@ -343,7 +357,7 @@ func TestAddressRegisterSpillsToDeferred(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mem.Reg, mem.Owned = r, []int{r}
+	mem.Reg, mem.Owned = r, target.RegRange(r, 1)
 	// Exhaust the bank; the address register must spill by deferring.
 	var ops []*Operand
 	for i := 0; i < ir.NAllocatable; i++ {
@@ -352,7 +366,7 @@ func TestAddressRegisterSpillsToDeferred(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		o.Reg, o.Owned = rr, []int{rr}
+		o.Reg, o.Owned = rr, target.RegRange(rr, 1)
 		ops = append(ops, o)
 	}
 	if !mem.Deferred || mem.Reg != ir.RegFP {
@@ -379,10 +393,10 @@ func TestTransferMovesOwnership(t *testing.T) {
 	rm := NewRegMan(e, f)
 	sub := &Operand{Mode: OReg, Type: ir.Long, Xreg: -1}
 	r, _ := rm.Alloc(ir.Long, sub)
-	sub.Reg, sub.Owned = r, []int{r}
+	sub.Reg, sub.Owned = r, target.RegRange(r, 1)
 	outer := &Operand{Mode: ORegDef, Type: ir.Long, Reg: r, Xreg: -1}
 	outer.Owned = rm.Transfer(sub, outer)
-	if len(sub.Owned) != 0 || len(outer.Owned) != 1 {
+	if sub.Owned != 0 || outer.Owned.Len() != 1 {
 		t.Fatalf("ownership lists wrong: sub %v outer %v", sub.Owned, outer.Owned)
 	}
 	// Spilling must now mutate the outer operand, not the stale sub.
@@ -393,7 +407,7 @@ func TestTransferMovesOwnership(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		o.Reg, o.Owned = rr, []int{rr}
+		o.Reg, o.Owned = rr, target.RegRange(rr, 1)
 		ops = append(ops, o)
 	}
 	if !outer.Deferred {
@@ -430,7 +444,7 @@ func TestAllocSpecificRelocatesIndexRegister(t *testing.T) {
 	if r != 0 {
 		t.Fatalf("first allocation got r%d, want r0", r)
 	}
-	idx.Reg, idx.Owned = r, []int{r}
+	idx.Reg, idx.Owned = r, target.RegRange(r, 1)
 
 	// The addressing mode absorbs r0 as its index register.
 	dst := &Operand{Mode: OAbs, Type: ir.Long, Sym: "arr", Xreg: r}
@@ -464,7 +478,7 @@ func TestAllocSpecificRelocatesBaseRegister(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ptr.Reg, ptr.Owned = r, []int{r}
+	ptr.Reg, ptr.Owned = r, target.RegRange(r, 1)
 	dst := &Operand{Mode: ORegDef, Type: ir.Long, Reg: r, Xreg: -1}
 	dst.Owned = rm.Transfer(ptr, dst)
 
@@ -497,7 +511,7 @@ func TestSpillIndexedOperand(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		idx.Reg, idx.Owned = r, []int{r}
+		idx.Reg, idx.Owned = r, target.RegRange(r, 1)
 		o := &Operand{Mode: OAbs, Type: ir.Word, Sym: "sbuf", Xreg: r}
 		o.Owned = rm.Transfer(idx, o)
 		ops = append(ops, o)
@@ -508,7 +522,7 @@ func TestSpillIndexedOperand(t *testing.T) {
 	if err != nil {
 		t.Fatalf("allocation with all registers indexing failed: %v", err)
 	}
-	v.Reg, v.Owned = r, []int{r}
+	v.Reg, v.Owned = r, target.RegRange(r, 1)
 
 	spilled := ops[0]
 	if spilled.Mode != ODisp || !spilled.Deferred || spilled.Reg != ir.RegFP || spilled.Xreg != -1 {
@@ -528,10 +542,10 @@ var raceEnabled bool
 
 // TestBridgeDedicatedBaseAllocs pins the bridge productions whose base is
 // a dedicated register (mbrdxd, mbrrxd, mbraddrd): the base's descriptor
-// is built on the spot and must not escape through the register manager.
-// Each allocates exactly as much as its twin whose base arrives as an
-// operand attribute (mbrdx, mbrrx, mbraddr), and both emit the same code
-// but for the base register's name.
+// is built on the spot, in the generator's slab. Each allocates exactly as
+// much as its twin whose base arrives as an operand attribute (mbrdx,
+// mbrrx, mbraddr), and both emit the same code but for the base
+// register's name.
 func TestBridgeDedicatedBaseAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not comparable under the race detector")
@@ -540,9 +554,9 @@ func TestBridgeDedicatedBaseAllocs(t *testing.T) {
 	var (
 		indir = tok(&ir.Node{Op: ir.Indir, Type: ir.Long})
 		fp    = tok(ir.NewDreg(ir.Long, ir.RegFP))
-		ap    = matcher.Value{Sem: regOp(ir.Long, ir.RegAP)}
-		con   = matcher.Value{Sem: int64(-32)}
-		rv    = matcher.Value{Sem: intOp(ir.Long, 4)}
+		ap    = matcher.Value{Sem: &Operand{Mode: OReg, Type: ir.Long, Reg: ir.RegAP, Xreg: -1}}
+		con   = matcher.Value{Sem: &ir.Node{Op: ir.Const, Type: ir.Long, Val: -32}}
+		rv    = matcher.Value{Sem: &Operand{Mode: OImm, Type: ir.Long, Val: 4}}
 		glue  matcher.Value
 	)
 	for _, c := range []struct {
