@@ -158,13 +158,20 @@ func TestCompileAllocBudget(t *testing.T) {
 	// (969-997 under -race, where sync.Pool drops items at random) once
 	// operand descriptors came from a pooled per-function slab and were
 	// formatted straight into the emitter; RISC 801 (1024-1039 under
-	// -race). Each budget keeps a few percent over its measurement.
+	// -race). Then 16-18 on both targets (VAX 260-316, RISC 280-335
+	// under -race, 20 runs each) once phase 1 handed phase 3 its labels
+	// and register marks, cfront built bodies, function lists, parameter
+	// types and call arguments in pooled buffers and carved functions
+	// from chunks, and the generator was pooled with its register
+	// manager and slab. Each plain budget keeps a few percent over its
+	// measurement; the -race ones keep about 9%, since how many pooled
+	// items the race detector drops varies from run to run.
 	budgets := []struct {
 		target      string
 		plain, race float64
 	}{
-		{"vax", 800, 1090},
-		{"risc", 840, 1140},
+		{"vax", 19, 345},
+		{"risc", 19, 365},
 	}
 	src := corpus.Large(40)
 	for _, b := range budgets {
@@ -181,6 +188,7 @@ func TestCompileAllocBudget(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+		t.Logf("%s: %.0f allocs/op, budget %.0f", b.target, avg, budget)
 		if avg > budget {
 			t.Errorf("%s: Compile allocations: %.0f allocs/op, budget %.0f", b.target, avg, budget)
 		}

@@ -22,7 +22,6 @@ import (
 	"ggcg/internal/pcc"
 	"ggcg/internal/tablegen"
 	"ggcg/internal/target"
-	"ggcg/internal/transform"
 	"ggcg/internal/vax"
 	"ggcg/internal/vaxsim"
 )
@@ -212,37 +211,20 @@ func TestE4_ReverseOperators(t *testing.T) {
 	szWith, szWithout := tWith.Size(), tWithout.Size()
 	tGrow := float64(szWith.Bytes)/float64(szWithout.Bytes) - 1
 
-	// Fraction of trees in which a reverse operator was introduced.
-	transform.TakeStats()
-	trees := 0
+	// Fraction of trees in which a reverse operator was introduced, from
+	// the counters the code generator records per compilation.
+	o := obs.New(obs.Config{})
+	units := []*ir.Unit{cfront.MustCompile(corpus.Large(60))}
 	for _, p := range corpus.Programs() {
-		u := cfront.MustCompile(p.Src)
-		tu, err := transform.Unit(u, transform.Options{})
-		if err != nil {
+		units = append(units, cfront.MustCompile(p.Src))
+	}
+	for _, u := range units {
+		if _, err := codegen.Compile(u, codegen.Options{Obs: o}); err != nil {
 			t.Fatal(err)
 		}
-		for _, f := range tu.Funcs {
-			for _, it := range f.Items {
-				if it.Kind == ir.ItemTree {
-					trees++
-				}
-			}
-		}
 	}
-	u := cfront.MustCompile(corpus.Large(60))
-	tu, err := transform.Unit(u, transform.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range tu.Funcs {
-		for _, it := range f.Items {
-			if it.Kind == ir.ItemTree {
-				trees++
-			}
-		}
-	}
-	st := transform.TakeStats()
-	affected := float64(st.Reversed) / float64(trees) * 100
+	trees := o.Counter("codegen.trees")
+	affected := float64(o.Counter("transform.reversed")) / float64(trees) * 100
 
 	t.Logf("paper:    reverse operators: +25%% grammar, +60%% tables, <1%% of expressions affected")
 	t.Logf("measured: +%.0f%% grammar (%d -> %d prods), +%.0f%% tables (%d -> %d bytes), %.2f%% of %d trees reversed",

@@ -337,7 +337,7 @@ func (p *parser) callExpr(name string) expr {
 		p.errf("%q is not a function", name)
 	}
 	p.expect('(')
-	var args []*ir.Node
+	base := len(p.args)
 	words := 0
 	i := 0
 	if !p.accept(')') {
@@ -354,7 +354,7 @@ func (p *parser) callExpr(name string) expr {
 			} else {
 				words++
 			}
-			args = append(args, a.n)
+			p.args = append(p.args, a.n)
 			i++
 			if !p.accept(',') {
 				p.expect(')')
@@ -362,6 +362,11 @@ func (p *parser) callExpr(name string) expr {
 			}
 		}
 	}
+	var args []*ir.Node
+	if i > 0 {
+		args = p.a.Kids(p.args[base:]...)
+	}
+	p.args = p.args[:base]
 	if s.defined && len(s.params) != len(args) {
 		p.errf("%q expects %d arguments, got %d", name, len(s.params), len(args))
 	}

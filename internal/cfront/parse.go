@@ -1,6 +1,7 @@
 package cfront
 
 import (
+	"slices"
 	"sync"
 
 	"ggcg/internal/ir"
@@ -75,6 +76,10 @@ var tokPool = sync.Pool{New: func() any { return new([]token) }}
 
 const maxPooledTokens = 1 << 16
 
+// maxPooledItems bounds the function-body buffer a pooled parser keeps
+// (384 KiB of items).
+const maxPooledItems = 1 << 14
+
 // parserPool recycles parser state — the globals map, scope maps, symbol
 // slab and the bookkeeping slices — across compiles.
 var parserPool = sync.Pool{New: func() any {
@@ -104,6 +109,15 @@ func releaseParser(p *parser) {
 	p.symChunk = p.symChunk[:0]
 	p.toks, p.a, p.unit = nil, nil, nil
 	p.fn, p.curFunc = nil, nil
+	if cap(p.items) > maxPooledItems {
+		p.items = nil
+	}
+	clear(p.items[:cap(p.items)]) // drop the trees
+	clear(p.params[:cap(p.params)])
+	clear(p.args[:cap(p.args)])
+	clear(p.funcs[:cap(p.funcs)])
+	p.items, p.params, p.ptypes, p.args, p.funcs = p.items[:0], p.params[:0], p.ptypes[:0], p.args[:0], p.funcs[:0]
+	p.funcChunk = nil // the unit's
 	p.breakLs, p.contLs = p.breakLs[:0], p.contLs[:0]
 	p.switches = p.switches[:0]
 	p.frameOff, p.nextReg = 0, 0
@@ -131,6 +145,15 @@ type parser struct {
 	// Pooled allocation state, recycled across compiles.
 	scopeFree []map[string]*symbol // cleared scope maps ready for reuse
 	symChunk  []symbol             // active symbol slab
+	items     []ir.Item            // the current function's body, copied out at its end
+	params    []symbol             // the current function's parameters
+	ptypes    []ctype              // every function's parameter types, back to back
+	args      []*ir.Node           // the arguments of the calls being parsed, innermost last
+	funcs     []*ir.Func           // the unit's functions, copied out when it is parsed
+
+	// funcChunk is the chunk the unit's functions are carved from; the
+	// unit keeps its chunks, so a pooled parser starts each unit afresh.
+	funcChunk []ir.Func
 
 	// Per-function state.
 	fn       *ir.Func
@@ -173,6 +196,18 @@ func (p *parser) newSymbol() *symbol {
 	}
 	p.symChunk = append(p.symChunk, symbol{})
 	return &p.symChunk[len(p.symChunk)-1]
+}
+
+// newFunc hands out a zeroed function from funcChunk, allocating a new
+// chunk of funcChunkLen when it is full; earlier pointers stay valid.
+const funcChunkLen = 16
+
+func (p *parser) newFunc() *ir.Func {
+	if len(p.funcChunk) == cap(p.funcChunk) {
+		p.funcChunk = make([]ir.Func, 0, funcChunkLen)
+	}
+	p.funcChunk = append(p.funcChunk, ir.Func{})
+	return &p.funcChunk[len(p.funcChunk)-1]
 }
 
 // pushScope opens a scope, reusing a cleared map when one is available.
@@ -301,6 +336,9 @@ func (p *parser) parseUnit() {
 	for p.peek().kind != tEOF {
 		p.topDecl()
 	}
+	if len(p.funcs) > 0 {
+		p.unit.Funcs = slices.Clone(p.funcs)
+	}
 }
 
 func (p *parser) topDecl() {
@@ -373,8 +411,8 @@ func (p *parser) function(name string, result ctype) {
 		p.errf("redeclaration of %q", name)
 	}
 	p.expect('(')
-	var params []symbol
-	var ptypes []ctype
+	params := p.params[:0]
+	start := len(p.ptypes)
 	if !p.accept(')') {
 		if p.accept(kVoid) {
 			p.expect(')')
@@ -392,7 +430,7 @@ func (p *parser) function(name string, result ctype) {
 					p.errf("float parameters are received as double (K&R rules); declare parameter %q double", pname)
 				}
 				params = append(params, symbol{name: pname, t: pt})
-				ptypes = append(ptypes, pt)
+				p.ptypes = append(p.ptypes, pt)
 				if !p.accept(',') {
 					p.expect(')')
 					break
@@ -400,6 +438,10 @@ func (p *parser) function(name string, result ctype) {
 			}
 		}
 	}
+	p.params = params
+	// The types stay in the buffer for the rest of the unit: calls check
+	// arguments against them.
+	ptypes := p.ptypes[start:len(p.ptypes):len(p.ptypes)]
 	if p.accept(';') {
 		// Prototype only.
 		sym.result, sym.params = result, ptypes
@@ -410,7 +452,8 @@ func (p *parser) function(name string, result ctype) {
 	}
 	sym.result, sym.params, sym.defined = result, ptypes, true
 
-	p.fn = &ir.Func{Name: name}
+	p.fn = p.newFunc()
+	*p.fn = ir.Func{Name: name, Items: p.items[:0]}
 	p.curFunc = sym
 	p.pushScope()
 	p.frameOff = 0
@@ -434,7 +477,11 @@ func (p *parser) function(name string, result ctype) {
 		p.fn.Emit(p.newNode(ir.Ret, ir.Void))
 	}
 	p.fn.FrameSize = -p.frameOff
-	p.unit.Funcs = append(p.unit.Funcs, p.fn)
+	// The body was built in the parser's buffer; the unit gets a copy the
+	// size of the body from the arena.
+	p.items = p.fn.Items
+	p.fn.Items = p.a.Items(p.items)
+	p.funcs = append(p.funcs, p.fn)
 	p.popScope()
 	p.fn, p.curFunc = nil, nil
 }

@@ -61,6 +61,7 @@ type Options struct {
 
 // Stats reports code-generation work.
 type Stats struct {
+	Transform     transform.Stats
 	Matcher       matcher.Stats
 	Spills        int
 	BindingIdioms int
@@ -117,9 +118,11 @@ func Compile(u *ir.Unit, opt Options) (*Result, error) {
 			return nil, err
 		}
 	} else {
+		p := transform.AcquirePass()
+		defer p.Release()
 		labelBase := 0
 		for _, f := range u.Funcs {
-			next, err := compileFunc(out, mach, t, f, opt, &res.Stats, labelBase)
+			next, err := compileFunc(out, mach, t, p, f, opt, &res.Stats, labelBase)
 			if err != nil {
 				sp.End()
 				return nil, err
@@ -153,6 +156,14 @@ func Compile(u *ir.Unit, opt Options) (*Result, error) {
 		o.Count("codegen.range_idioms", int64(s.RangeIdioms))
 		o.Count("codegen.tst_backstops", int64(s.TstBackstops))
 		o.Count("codegen.asm_lines", int64(s.AsmLines))
+		// Phase 1c's exchanges and reversals count only once they happen,
+		// so a series appears when a unit first has some.
+		if s.Transform.Swapped > 0 {
+			o.Count("transform.swapped", int64(s.Transform.Swapped))
+		}
+		if s.Transform.Reversed > 0 {
+			o.Count("transform.reversed", int64(s.Transform.Reversed))
+		}
 	}
 	return res, nil
 }
@@ -197,53 +208,27 @@ func getEmitter() *target.Emitter {
 	return e
 }
 
-// compileFunc generates one function, numbering its labels from labelBase
-// so labels are unique across the output file; it returns the next base.
-func compileFunc(out *target.Emitter, mach target.Machine, t *tablegen.Tables, f *ir.Func, opt Options, stats *Stats, labelBase int) (int, error) {
-	tf, err := transformFunc(f, opt)
+// compileFunc generates one function through pass p, numbering its labels
+// from labelBase so labels are unique across the output file; it returns
+// the next base, which phase 1 knows: labels are static in the transformed
+// body, so the bases never wait on instruction selection.
+func compileFunc(out *target.Emitter, mach target.Machine, t *tablegen.Tables, p *transform.Pass, f *ir.Func, opt Options, stats *Stats, labelBase int) (int, error) {
+	h, err := transformFunc(p, f, opt)
 	if err != nil {
 		return 0, err
 	}
-	if err := generateFunc(out, mach, t, f.Name, tf, opt, stats, labelBase); err != nil {
+	if err := generateFunc(out, mach, t, h, opt, stats, labelBase); err != nil {
 		return 0, err
 	}
-	return labelBase + maxLabelOf(tf) + 1, nil
+	return labelBase + h.Func.MaxLabel() + 1, nil
 }
 
 // transformFunc runs phase 1 (tree transformation) for one function.
-func transformFunc(f *ir.Func, opt Options) (*ir.Func, error) {
-	o := opt.Obs
-	tsp := o.Start("transform")
-	tf, err := transform.FuncArena(f, opt.Transform, opt.Arena)
+func transformFunc(p *transform.Pass, f *ir.Func, opt Options) (transform.Handoff, error) {
+	tsp := opt.Obs.Start("transform")
+	h, err := p.Func(f, opt.Transform, opt.Arena)
 	tsp.End()
-	return tf, err
-}
-
-// maxLabelOf returns the largest label a transformed function mentions
-// (as a label item or a Lab leaf), so the next function's labels can be
-// numbered after it. Labels are static in the transformed body, which is
-// what lets the bases be computed before — and therefore independently of
-// — instruction selection.
-func maxLabelOf(tf *ir.Func) int {
-	maxLabel := 0
-	note := func(id int) {
-		if id > maxLabel {
-			maxLabel = id
-		}
-	}
-	for _, it := range tf.Items {
-		if it.Kind == ir.ItemLabel {
-			note(it.Label)
-			continue
-		}
-		it.Tree.Walk(func(n *ir.Node) bool {
-			if n.Op == ir.Lab {
-				note(int(n.Val))
-			}
-			return true
-		})
-	}
-	return maxLabel
+	return h, err
 }
 
 // generateFunc runs phases 2–4 for one transformed function, appending
@@ -251,13 +236,14 @@ func maxLabelOf(tf *ir.Func) int {
 // invoke the instruction generator, which emits formatted assembly. The
 // body is generated into its own emitter because the frame size
 // (including spill temporaries) is only known afterwards.
-func generateFunc(out *target.Emitter, mach target.Machine, t *tablegen.Tables, name string, tf *ir.Func, opt Options, stats *Stats, labelBase int) error {
+func generateFunc(out *target.Emitter, mach target.Machine, t *tablegen.Tables, h transform.Handoff, opt Options, stats *Stats, labelBase int) error {
 	o := opt.Obs
+	tf, name := h.Func, h.Func.Name
 	body := getEmitter()
 	defer emitterPool.Put(body)
 	gen := mach.NewGen(body, tf, labelBase)
-	// The generator's descriptors go back to their pool however the
-	// function ends; the attributes on the matcher's stack die with it.
+	// The generator goes back to its pool however the function ends; the
+	// attributes on the matcher's stack die with it.
 	defer gen.Release()
 	m := matcherPool.Get().(*matcher.Matcher)
 	defer matcherPool.Put(m)
@@ -268,9 +254,8 @@ func generateFunc(out *target.Emitter, mach target.Machine, t *tablegen.Tables, 
 	// and output generation, which interleave per tree (Figure 2).
 	ssp := o.Start("select")
 	defer ssp.End()
-	marks := phase1Spans(tf)
 	for i, it := range tf.Items {
-		setPhase1(gen, marks[i].first, true)
+		setPhase1(gen, h.Marks[i].First, true)
 		if it.Kind == ir.ItemLabel {
 			body.Label(labelBase + it.Label)
 			continue
@@ -284,12 +269,14 @@ func generateFunc(out *target.Emitter, mach target.Machine, t *tablegen.Tables, 
 		if err := gen.CheckStatementEnd(); err != nil {
 			return fmt.Errorf("codegen: %s: %v (tree %s)", name, err, it.Tree)
 		}
-		setPhase1(gen, marks[i].last, false)
+		setPhase1(gen, h.Marks[i].Last, false)
 	}
 
 	mach.FuncHeader(out, name, tf.TotalFrame())
 	out.Append(body)
 
+	stats.Transform.Swapped += h.Stats.Swapped
+	stats.Transform.Reversed += h.Stats.Reversed
 	stats.Matcher = addMatcherStats(stats.Matcher, m.Stats())
 	gs := gen.Stats()
 	if o.Enabled() {
@@ -317,7 +304,7 @@ func compileFuncsParallel(out *target.Emitter, mach target.Machine, t *tablegen.
 		workers = n
 	}
 
-	tfs := make([]*ir.Func, n)
+	hs := make([]transform.Handoff, n)
 	fouts := make([]*target.Emitter, n)
 	stats := make([]Stats, n)
 	errs := make([]error, n)
@@ -367,24 +354,35 @@ func compileFuncsParallel(out *target.Emitter, mach target.Machine, t *tablegen.
 		}
 	}
 
-	// Phase 1 for every function; the label bases chained through the
-	// unit depend on the transformed bodies, so this is a barrier.
+	// Phase 1 for every function, each through a pass of its own that
+	// holds its hand-off until the unit is stitched; the label bases
+	// chained through the unit depend on the transformed bodies, so this
+	// is a barrier.
+	passes := make([]*transform.Pass, n)
+	for i := range passes {
+		passes[i] = transform.AcquirePass()
+	}
+	defer func() {
+		for _, p := range passes {
+			p.Release()
+		}
+	}()
 	pool(func(i int, wopt Options) {
-		tfs[i], errs[i] = transformFunc(u.Funcs[i], wopt)
+		hs[i], errs[i] = transformFunc(passes[i], u.Funcs[i], wopt)
 	})
 	for i, err := range errs {
 		if err != nil {
 			return err
 		}
 		if i+1 < n {
-			bases[i+1] = bases[i] + maxLabelOf(tfs[i]) + 1
+			bases[i+1] = bases[i] + hs[i].Func.MaxLabel() + 1
 		}
 	}
 
 	// Phases 2–4, each function into its own emitter.
 	pool(func(i int, wopt Options) {
 		fouts[i] = getEmitter()
-		errs[i] = generateFunc(fouts[i], mach, t, u.Funcs[i].Name, tfs[i], wopt, &stats[i], bases[i])
+		errs[i] = generateFunc(fouts[i], mach, t, hs[i], wopt, &stats[i], bases[i])
 	})
 	defer func() {
 		for _, fe := range fouts {
@@ -398,6 +396,8 @@ func compileFuncsParallel(out *target.Emitter, mach target.Machine, t *tablegen.
 			return err // lowest function index, as the sequential path reports
 		}
 		out.Append(fouts[i])
+		res.Stats.Transform.Swapped += stats[i].Transform.Swapped
+		res.Stats.Transform.Reversed += stats[i].Transform.Reversed
 		res.Stats.Matcher = addMatcherStats(res.Stats.Matcher, stats[i].Matcher)
 		res.Stats.Spills += stats[i].Spills
 		res.Stats.BindingIdioms += stats[i].BindingIdioms
@@ -430,61 +430,6 @@ func addMatcherStats(a, b matcher.Stats) matcher.Stats {
 		a.MaxDepth = b.MaxDepth
 	}
 	return a
-}
-
-// p1Marks are the phase-1 registers that become busy before an item
-// (first) and free after it (last).
-type p1Marks struct{ first, last target.RegSet }
-
-// phase1Spans returns, per item index, which registers become busy or free
-// there: the spans the transformation phase recorded — the paper's
-// "special trees specifying which registers it assigned, as well as a use
-// count" (§5.3.3). Registers mentioned by RegUse or allocatable-Dreg trees
-// without a recorded span (hand-built input) get a conservative
-// whole-mention span instead.
-func phase1Spans(f *ir.Func) []p1Marks {
-	marks := make([]p1Marks, len(f.Items))
-	mark := func(i int, r target.RegSet, last bool) {
-		switch {
-		case i < 0 || i >= len(marks):
-		case last:
-			marks[i].last |= r
-		default:
-			marks[i].first |= r
-		}
-	}
-	var recorded target.RegSet
-	for _, sp := range f.P1Spans {
-		r := target.RegRange(sp.Reg, 1)
-		recorded |= r
-		mark(sp.First, r, false)
-		mark(sp.Last, r, true)
-	}
-	// lo and hi are the first and last items mentioning an unrecorded
-	// register, plus one (zero: none).
-	var lo, hi [ir.NAllocatable]int
-	for i, it := range f.Items {
-		if it.Kind != ir.ItemTree {
-			continue
-		}
-		it.Tree.Walk(func(n *ir.Node) bool {
-			if (n.Op == ir.Dreg || n.Op == ir.RegUse) && n.Val >= 0 && n.Val < ir.NAllocatable && !recorded.Has(int(n.Val)) {
-				r := int(n.Val)
-				if lo[r] == 0 {
-					lo[r] = i + 1
-				}
-				hi[r] = i + 1
-			}
-			return true
-		})
-	}
-	for r := range lo {
-		if lo[r] > 0 {
-			mark(lo[r]-1, target.RegRange(r, 1), false)
-			mark(hi[r]-1, target.RegRange(r, 1), true)
-		}
-	}
-	return marks
 }
 
 // setPhase1 marks every register of s busy or free for phase 3.

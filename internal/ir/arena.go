@@ -21,25 +21,28 @@ import "sync"
 // to ordinary heap allocation, node for node, so code threading an arena
 // can be written once and exercised both ways.
 type Arena struct {
-	slabs   [][]Node  // node slabs held, in use or retained from before Reset
-	kidSets [][]*Node // child-pointer slabs held, likewise
-	ns, ni  int       // node slabs in use (the last one active); next free index in it
-	nk, ki  int       // kid slabs in use; next free index in the active one
+	slabs    [][]Node  // node slabs held, in use or retained from before Reset
+	kidSets  [][]*Node // child-pointer slabs held, likewise
+	itemSets [][]Item  // function-body slabs held, likewise
+	ns, ni   int       // node slabs in use (the last one active); next free index in it
+	nk, ki   int       // kid slabs in use; next free index in the active one
+	nt, ti   int       // item slabs in use; next free index in the active one
 
 	// allocated counts nodes handed out since the last Reset, for tests
 	// and introspection.
 	allocated int
 }
 
-// Slab sizing: nodes are 64 bytes, so 1024 of them is one 64 KB slab, and
-// a kid slab of 2048 pointers is 16 KB. maxSlabs caps how many slabs of
-// each kind Reset retains — about 4 MiB of nodes, five times the 12 node
-// slabs the front half of corpus.Large(60) fills — so a pooled arena
-// holds the working set of the units it serves, not the high-water mark
-// of a pathological one.
+// Slab sizing: nodes are 64 bytes, so 1024 of them is one 64 KB slab, a
+// kid slab of 2048 pointers is 16 KB, and an item slab of 1024 items is
+// 24 KB. maxSlabs caps how many slabs of each kind Reset retains — about
+// 4 MiB of nodes, five times the 12 node slabs the front half of
+// corpus.Large(60) fills — so a pooled arena holds the working set of
+// the units it serves, not the high-water mark of a pathological one.
 const (
 	nodeSlabLen = 1024
 	kidSlabLen  = 2048
+	itemSlabLen = 1024
 	maxSlabs    = 64
 )
 
@@ -75,7 +78,8 @@ func (a *Arena) Reset() {
 	}
 	resetSlabs(&a.slabs, a.ns, a.ni)
 	resetSlabs(&a.kidSets, a.nk, a.ki)
-	a.ns, a.ni, a.nk, a.ki = 0, 0, 0, 0
+	resetSlabs(&a.itemSets, a.nt, a.ti)
+	a.ns, a.ni, a.nk, a.ki, a.nt, a.ti = 0, 0, 0, 0, 0, 0
 	a.allocated = 0
 }
 
@@ -160,6 +164,29 @@ func (a *Arena) Kids(kids ...*Node) []*Node {
 // MakeKids returns an arena-backed child slice of length n, for callers
 // that fill the slots themselves.
 func (a *Arena) MakeKids(n int) []*Node { return a.kids(n) }
+
+// Items returns an arena-backed copy of a function body with exact
+// capacity, so a body built in a reused buffer costs no heap allocation.
+func (a *Arena) Items(items []Item) []Item {
+	n := len(items)
+	var s []Item
+	switch {
+	case a == nil || n > itemSlabLen:
+		s = make([]Item, n) // no arena, or oversized: straight to the heap
+	default:
+		if a.nt == 0 || a.ti+n > itemSlabLen {
+			if a.nt == len(a.itemSets) {
+				a.itemSets = append(a.itemSets, make([]Item, itemSlabLen))
+			}
+			a.nt++
+			a.ti = 0
+		}
+		s = a.itemSets[a.nt-1][a.ti : a.ti+n : a.ti+n]
+		a.ti += n
+	}
+	copy(s, items)
+	return s
+}
 
 // The constructors below mirror the package-level ones (NewConst, Bin,
 // Un, ...) but draw from the arena; a nil arena makes them exactly

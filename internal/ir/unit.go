@@ -1,6 +1,9 @@
 package ir
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Unit is a compilation unit: the forest of expression trees, grouped by
 // function and interspersed with labels, that the first pass of the
@@ -27,21 +30,8 @@ type Func struct {
 	FrameSize int // bytes of declared locals below fp
 	Items     []Item
 
-	// P1Spans records, per register the tree-transformation phase
-	// assigned, the item range during which it is live — the "use count"
-	// the first phase communicates to the third phase's register manager
-	// (§5.3.3). Spans for the same register never overlap.
-	P1Spans []RegSpan
-
-	nextLabel int
-	tempBase  int // running temporary allocation beyond FrameSize
-}
-
-// RegSpan is a phase-1 register live range over item indexes (inclusive).
-type RegSpan struct {
-	Reg   int
-	First int
-	Last  int
+	maxLabel int // label high-water mark: the largest id allocated or defined
+	tempBase int // running temporary allocation beyond FrameSize
 }
 
 // ItemKind discriminates the kinds of Item.
@@ -70,22 +60,34 @@ func LabelItem(id int) Item { return Item{Kind: ItemLabel, Label: id} }
 // Emit appends a tree to the function body.
 func (f *Func) Emit(n *Node) { f.Items = append(f.Items, TreeItem(n)) }
 
-// EmitLabel appends a label definition to the function body.
-func (f *Func) EmitLabel(id int) { f.Items = append(f.Items, LabelItem(id)) }
+// EmitLabel appends a label definition to the function body, raising the
+// label high-water mark to id.
+func (f *Func) EmitLabel(id int) {
+	f.Items = append(f.Items, LabelItem(id))
+	f.SetLabelBase(id)
+}
 
 // NewLabel allocates a fresh label id within the function.
 func (f *Func) NewLabel() int {
-	f.nextLabel++
-	return f.nextLabel
+	f.maxLabel++
+	return f.maxLabel
 }
 
 // SetLabelBase advances the label counter past base so later labels do not
 // collide with labels already present in the body.
 func (f *Func) SetLabelBase(base int) {
-	if base > f.nextLabel {
-		f.nextLabel = base
+	if base > f.maxLabel {
+		f.maxLabel = base
 	}
 }
+
+// MaxLabel returns the function's label high-water mark: the largest
+// label NewLabel allocated, EmitLabel defined or SetLabelBase reserved.
+// Labels of a body built through those methods are all at most MaxLabel,
+// so the next function's labels can be numbered after it without looking
+// at a tree (§5.1). A body whose Items were assigned directly has its
+// label items' ids only if SetLabelBase reserved them.
+func (f *Func) MaxLabel() int { return f.maxLabel }
 
 // AllocTemp allocates a compiler-generated temporary of type t in the
 // frame and returns its (negative) fp offset. Temporaries hold factored-out
@@ -145,6 +147,20 @@ const (
 
 // NAllocatable is the number of allocatable registers (r0–r5).
 const NAllocatable = 6
+
+// RegSet is a set of allocatable registers, bit r standing for register
+// r: the registers an operand descriptor owns, or the registers phase 1
+// hands phase 3 at an item (§5.3.3), held by value.
+type RegSet uint8
+
+// RegRange returns the set of the n consecutive registers from r.
+func RegRange(r, n int) RegSet { return RegSet((1<<n - 1) << r) }
+
+// Has reports whether r is in the set.
+func (s RegSet) Has(r int) bool { return r >= 0 && r < NAllocatable && s&(1<<r) != 0 }
+
+// Len returns the number of registers in the set.
+func (s RegSet) Len() int { return bits.OnesCount8(uint8(s)) }
 
 // regNames are the assembler names of the sixteen registers.
 var regNames = [...]string{"r0", "r1", "r2", "r3", "r4", "r5", "r6", "r7",

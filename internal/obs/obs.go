@@ -190,6 +190,8 @@ type Observer struct {
 	mu sync.RWMutex
 
 	stack      []*Span
+	spans      []Span             // the chunk Start hands spans out of
+	paths      map[pathKey]string // span paths by enclosing path and name
 	phases     map[string]*PhaseStat
 	phaseOrder []string
 
@@ -271,19 +273,33 @@ func totalAlloc() uint64 {
 	return ms.TotalAlloc
 }
 
+// spanChunk is the number of spans Start allocates at once. A chunk is
+// collected once no span in it is referenced; slots are never reused, so
+// End stays idempotent.
+const spanChunk = 32
+
+// pathKey names a span path by the path it extends (the shard prefix at
+// top level) and the span's name.
+type pathKey struct {
+	parent, name string
+	nested       bool
+}
+
 // Start opens a span nested under the innermost open span. Spans close in
 // LIFO order via End. Concurrent spans on one shared observer serialize
-// onto a single stack (use Shard for exact per-goroutine nesting).
+// onto a single stack (use Shard for exact per-goroutine nesting). Span
+// paths are built once per parent and name, and spans are carved from
+// chunks, so a span costs no allocation of its own.
 func (o *Observer) Start(name string) *Span {
 	if o == nil {
 		return nil
 	}
 	o.mu.Lock()
-	path := o.prefix + name
-	if n := len(o.stack); n > 0 {
-		path = o.stack[n-1].path + "/" + name
+	if len(o.spans) == cap(o.spans) {
+		o.spans = make([]Span, 0, spanChunk)
 	}
-	s := &Span{o: o, name: name, path: path, depth: o.baseDepth + len(o.stack)}
+	o.spans = append(o.spans, Span{o: o, name: name, path: o.spanPath(name), depth: o.baseDepth + len(o.stack)})
+	s := &o.spans[len(o.spans)-1]
 	o.stack = append(o.stack, s)
 	o.mu.Unlock()
 	if o.cfg.TrackAllocs {
@@ -291,6 +307,31 @@ func (o *Observer) Start(name string) *Span {
 	}
 	s.start = time.Now()
 	return s
+}
+
+// spanPath returns the path of a span named name opened now: the shard
+// prefix and name at top level, else the innermost open span's path, a
+// slash and name.
+func (o *Observer) spanPath(name string) string {
+	k := pathKey{parent: o.prefix, name: name}
+	if n := len(o.stack); n > 0 {
+		k.parent, k.nested = o.stack[n-1].path, true
+	}
+	if k.parent == "" && !k.nested {
+		return name
+	}
+	path, ok := o.paths[k]
+	if !ok {
+		path = k.parent + name
+		if k.nested {
+			path = k.parent + "/" + name
+		}
+		if o.paths == nil {
+			o.paths = make(map[pathKey]string)
+		}
+		o.paths[k] = path
+	}
+	return path
 }
 
 // End closes the span, aggregates it into the phase table and emits a

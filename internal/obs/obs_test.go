@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"strings"
 	"testing"
 )
@@ -57,6 +58,39 @@ func TestSpanNestingAndAggregation(t *testing.T) {
 	}
 	if p := byPath["outer"]; p.Count != 1 {
 		t.Errorf("outer count = %d, want 1", p.Count)
+	}
+}
+
+// Opening and closing spans in steady state costs less than one
+// allocation per cycle of four spans — paths are built once per parent and
+// name, spans come from chunks of spanChunk — and the paths are what
+// concatenation builds: at top level, nested, and under a shard's prefix.
+func TestSpanBookkeepingAllocations(t *testing.T) {
+	o := New(Config{Events: io.Discard})
+	cycle := func(o *Observer) {
+		a := o.Start("compile")
+		b := o.Start("codegen")
+		o.Start("select").End()
+		b.End()
+		a.End()
+		o.Start("select").End()
+	}
+	cycle(o)
+	if n := testing.AllocsPerRun(100, func() { cycle(o) }); n != 0 {
+		t.Errorf("span bookkeeping: %v allocs per cycle, want under 1", n)
+	}
+	outer := o.Start("compile")
+	sh := o.Shard()
+	cycle(sh)
+	outer.End()
+	o.Merge(sh)
+	var got []string
+	for _, p := range o.Phases() {
+		got = append(got, p.Path)
+	}
+	want := "compile/codegen/select compile/codegen compile select compile/compile/codegen/select compile/compile/codegen compile/compile compile/select"
+	if strings.Join(got, " ") != want {
+		t.Errorf("span paths:\n got %s\nwant %s", strings.Join(got, " "), want)
 	}
 }
 

@@ -74,20 +74,9 @@ func (g *gen) function(out *vax.Emitter, f *ir.Func, labelBase int) (int, error)
 	defer g.ops.Release()
 	g.f = f
 	g.labelBase = labelBase
-	g.nextLabel = 0
-	for _, it := range f.Items {
-		if it.Kind == ir.ItemLabel {
-			g.note(it.Label)
-		}
-		if it.Kind == ir.ItemTree {
-			it.Tree.Walk(func(n *ir.Node) bool {
-				if n.Op == ir.Lab {
-					g.note(int(n.Val))
-				}
-				return true
-			})
-		}
-	}
+	// The front end's labels are all at most its high-water mark; this
+	// generator's own labels come after them.
+	g.nextLabel = f.MaxLabel()
 	for _, it := range f.Items {
 		if it.Kind == ir.ItemLabel {
 			g.e.Label(labelBase + it.Label)
@@ -103,12 +92,6 @@ func (g *gen) function(out *vax.Emitter, f *ir.Func, labelBase int) (int, error)
 	vax.FuncHeader(out, f.Name, f.TotalFrame())
 	out.Append(g.e)
 	return labelBase + g.nextLabel + 1, nil
-}
-
-func (g *gen) note(id int) {
-	if id > g.nextLabel {
-		g.nextLabel = id
-	}
 }
 
 func (g *gen) newLabel() int {

@@ -3,6 +3,7 @@ package risc
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"ggcg/internal/ir"
 	"ggcg/internal/riscsim"
@@ -26,11 +27,24 @@ type Gen struct {
 // operands recycles the chunks of every generator's operand slab.
 var operands target.SlabPool[Operand]
 
-// NewGen returns a generator writing f's body through e.
+// NewGen returns a pooled generator writing f's body through e; Release
+// returns it.
 func NewGen(e *Emitter, f *ir.Func) *Gen {
-	return &Gen{GenBase: target.GenBase[Operand, *Operand]{
-		E: e, RM: NewRegMan(e, f), F: f, Ops: target.NewSlab(&operands),
-	}}
+	g := gens.Get().(*Gen)
+	g.Reset(&regHooks, &operands, e, f)
+	return g
+}
+
+// gens recycles generators, each with its register manager and slab.
+var gens = sync.Pool{New: func() any { return new(Gen) }}
+
+// Release returns the generator, its register manager and its operand
+// descriptors to their pools; neither it nor any attribute it produced
+// may be used afterwards.
+func (g *Gen) Release() {
+	g.GenBase.Release()
+	*g = Gen{GenBase: g.GenBase} // zero the counters, keep the storage
+	gens.Put(g)
 }
 
 // instrs is the simulator's instruction table, the one declaration of the

@@ -102,10 +102,12 @@ type Descriptor[T any] interface {
 // manager and the function, the slab its operand descriptors come from,
 // the label numbering, and the methods that only front the register
 // manager. A backend's generator embeds it and adds Reduce (through its
-// Routines) and Stats.
+// Routines) and Stats. A backend pools its generators: Reset readies one
+// for a function, and the register manager and the slab keep their
+// storage from the function before.
 type GenBase[T any, O Descriptor[T]] struct {
 	E  *Emitter
-	RM *RegMan[O]
+	RM RegMan[O]
 	F  *ir.Func
 
 	// Ops holds every operand descriptor the generator makes; the
@@ -118,6 +120,15 @@ type GenBase[T any, O Descriptor[T]] struct {
 	LabelBase int
 }
 
+// Reset readies the generator for function f: it emits into e, manages
+// registers through hooks and draws descriptors from pool, numbering
+// labels from 0.
+func (g *GenBase[T, O]) Reset(hooks *RegHooks[O], pool *SlabPool[T], e *Emitter, f *ir.Func) {
+	g.E, g.F, g.LabelBase = e, f, 0
+	g.RM.reset(hooks, e, f)
+	g.Ops.pool = pool
+}
+
 // Op returns a descriptor from the slab holding v.
 func (g *GenBase[T, O]) Op(v T) O {
 	p := g.Ops.New()
@@ -125,9 +136,14 @@ func (g *GenBase[T, O]) Op(v T) O {
 	return p
 }
 
-// Release returns the generator's descriptors to their pool; no attribute
-// it produced may be used afterwards.
-func (g *GenBase[T, O]) Release() { g.Ops.Release() }
+// Release returns the generator's descriptors to their pool and drops its
+// function, emitter and register owners; no attribute it produced may be
+// used afterwards. The backend then pools the generator itself.
+func (g *GenBase[T, O]) Release() {
+	g.Ops.Release()
+	g.RM.reset(nil, nil, nil)
+	g.E, g.F = nil, nil
+}
 
 // Predicate implements matcher.Semantics. No description has semantically
 // qualified productions (§6.3 converted the candidates to syntax), so it

@@ -2,23 +2,15 @@ package target
 
 import (
 	"fmt"
-	"math/bits"
 
 	"ggcg/internal/ir"
 )
 
-// RegSet is a set of allocatable registers, bit r standing for register
-// r: the registers an operand descriptor owns, held by value.
-type RegSet uint8
+// RegSet is a set of allocatable registers (ir.RegSet).
+type RegSet = ir.RegSet
 
 // RegRange returns the set of the n consecutive registers from r.
-func RegRange(r, n int) RegSet { return RegSet((1<<n - 1) << r) }
-
-// Has reports whether r is in the set.
-func (s RegSet) Has(r int) bool { return r >= 0 && r < ir.NAllocatable && s&(1<<r) != 0 }
-
-// Len returns the number of registers in the set.
-func (s RegSet) Len() int { return bits.OnesCount8(uint8(s)) }
+func RegRange(r, n int) RegSet { return ir.RegRange(r, n) }
 
 // RegOperand is what the register manager needs of a backend's operand
 // descriptor: its assembler syntax and plain-register test (Operand), the
@@ -111,6 +103,12 @@ type RegMan[O RegOperand] struct {
 // through e and allocating virtual registers in f's frame.
 func NewRegMan[O RegOperand](m *RegHooks[O], e *Emitter, f *ir.Func) *RegMan[O] {
 	return &RegMan[O]{m: m, e: e, f: f}
+}
+
+// reset empties the manager for a new function, keeping the storage of its
+// allocation order.
+func (rm *RegMan[O]) reset(m *RegHooks[O], e *Emitter, f *ir.Func) {
+	*rm = RegMan[O]{m: m, e: e, f: f, order: rm.order[:0]}
 }
 
 // Phase1Busy marks a register as owned by the tree-transformation phase's

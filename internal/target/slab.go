@@ -44,7 +44,7 @@ func (s *Slab[T]) New() *T {
 
 // Release zeroes every slot handed out, so a pooled chunk holds on to no
 // string or node, and returns the chunks to the pool. The slab is empty
-// afterwards and may be used again.
+// afterwards and may be used again; its chunk list keeps its storage.
 func (s *Slab[T]) Release() {
 	for i, c := range s.chunks {
 		n := slabChunk

@@ -136,32 +136,48 @@ func (c *ctx) incDecValue(n *ir.Node, indirSize int) (*ir.Node, error) {
 // generator through Assign-to-Dreg and RegUse trees, §5.3.3), else a
 // memory temporary. Floating selections always use memory, since a double
 // would need a register pair.
-func (c *ctx) tempDest(t ir.Type) (store func() *ir.Node, use *ir.Node) {
+func (c *ctx) tempDest(t ir.Type) (d dest, use *ir.Node) {
 	if !t.IsFloat() && !c.stmtHasCall {
 		if r := c.allocP1Reg(); r >= 0 {
 			use := c.newNode(ir.RegUse, t)
 			use.Val = int64(r)
-			return func() *ir.Node { return c.a.NewDreg(t, r) }, use
+			return dest{t: t, reg: r}, use
 		}
 	}
-	off := c.f.AllocTemp(t)
-	return func() *ir.Node { return c.a.FrameRef(t, off) }, c.a.FrameRef(t, off)
+	d = dest{t: t, reg: -1, off: c.f.AllocTemp(t)}
+	return d, c.a.FrameRef(t, d.off)
+}
+
+// dest is a truth-value or selection destination from tempDest: phase-1
+// register reg, or the frame temporary at off when reg is -1.
+type dest struct {
+	t        ir.Type
+	reg, off int
+}
+
+// store returns a fresh tree naming the destination as an assignment
+// target.
+func (d dest) store(c *ctx) *ir.Node {
+	if d.reg >= 0 {
+		return c.a.NewDreg(d.t, d.reg)
+	}
+	return c.a.FrameRef(d.t, d.off)
 }
 
 // boolValue builds the 0/1 value of a boolean expression with branches.
 // Truth values are always long.
 func (c *ctx) boolValue(n *ir.Node) (*ir.Node, error) {
 	t := ir.Long
-	store, use := c.tempDest(t)
+	d, use := c.tempDest(t)
 	trueL := c.f.NewLabel()
 	doneL := c.f.NewLabel()
 	if err := c.branchTrue(n, trueL); err != nil {
 		return nil, err
 	}
-	c.emit(c.a.Bin(ir.Assign, t, store(), c.a.NewConst(ir.Byte, 0)))
+	c.emit(c.a.Bin(ir.Assign, t, d.store(c), c.a.NewConst(ir.Byte, 0)))
 	c.emit(c.a.Un(ir.Jump, ir.Void, c.a.NewLab(doneL)))
 	c.f.EmitLabel(trueL)
-	c.emit(c.a.Bin(ir.Assign, t, store(), c.a.NewConst(ir.Byte, 1)))
+	c.emit(c.a.Bin(ir.Assign, t, d.store(c), c.a.NewConst(ir.Byte, 1)))
 	c.f.EmitLabel(doneL)
 	return use, nil
 }
@@ -169,7 +185,7 @@ func (c *ctx) boolValue(n *ir.Node) (*ir.Node, error) {
 // selectValue lowers a ?: selection into explicit conditional branches
 // (§5.1.1).
 func (c *ctx) selectValue(n *ir.Node) (*ir.Node, error) {
-	store, use := c.tempDest(n.Type)
+	d, use := c.tempDest(n.Type)
 	elseL := c.f.NewLabel()
 	doneL := c.f.NewLabel()
 	if err := c.branchFalse(n.Kids[0], elseL); err != nil {
@@ -179,14 +195,14 @@ func (c *ctx) selectValue(n *ir.Node) (*ir.Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.emit(c.order(c.canon(c.a.Bin(ir.Assign, n.Type, store(), a))))
+	c.emit(c.order(c.canon(c.a.Bin(ir.Assign, n.Type, d.store(c), a))))
 	c.emit(c.a.Un(ir.Jump, ir.Void, c.a.NewLab(doneL)))
 	c.f.EmitLabel(elseL)
 	b, err := c.value(n.Kids[2], 0)
 	if err != nil {
 		return nil, err
 	}
-	c.emit(c.order(c.canon(c.a.Bin(ir.Assign, n.Type, store(), b))))
+	c.emit(c.order(c.canon(c.a.Bin(ir.Assign, n.Type, d.store(c), b))))
 	c.f.EmitLabel(doneL)
 	return use, nil
 }

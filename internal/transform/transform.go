@@ -24,7 +24,7 @@ package transform
 
 import (
 	"fmt"
-	"sync/atomic"
+	"sync"
 
 	"ggcg/internal/ir"
 )
@@ -42,18 +42,23 @@ func Unit(u *ir.Unit, opt Options) (*ir.Unit, error) {
 	return UnitArena(u, opt, nil)
 }
 
-// UnitArena is Unit with an explicit arena for replacement nodes. The
-// output trees alias both the arena and the input unit (leaves the rewrite
-// leaves untouched are shared), so the caller must keep a and the input
-// unit's own allocation alive until the output is consumed. A nil arena
-// heap-allocates.
+// UnitArena is Unit with an explicit arena for replacement nodes and the
+// output function bodies. The output trees alias both the arena and the
+// input unit (leaves the rewrite leaves untouched are shared), so the
+// caller must keep a and the input unit's own allocation alive until the
+// output is consumed. A nil arena heap-allocates.
 func UnitArena(u *ir.Unit, opt Options, a *ir.Arena) (*ir.Unit, error) {
-	out := &ir.Unit{Globals: u.Globals}
+	out := &ir.Unit{Globals: u.Globals, Funcs: make([]*ir.Func, 0, len(u.Funcs))}
+	p := AcquirePass()
+	defer p.Release()
 	for _, f := range u.Funcs {
-		nf, err := FuncArena(f, opt, a)
+		h, err := p.Func(f, opt, a)
 		if err != nil {
 			return nil, err
 		}
+		nf := new(ir.Func)
+		*nf = *h.Func
+		nf.Items = a.Items(h.Func.Items)
 		out.Funcs = append(out.Funcs, nf)
 	}
 	return out, nil
@@ -65,63 +70,137 @@ type Stats struct {
 	Reversed int // reverse operators introduced by phase 1c
 }
 
-// The aggregate counters are package-level because the experiments
-// aggregate across many Func calls; they are atomic because functions of
-// one unit may be transformed by concurrent workers.
-var (
-	totalSwapped  atomic.Int64
-	totalReversed atomic.Int64
-)
+// Marks are the phase-1 registers that become busy before an item (First)
+// and free after it (Last).
+type Marks struct{ First, Last ir.RegSet }
 
-// TakeStats returns and resets the counters accumulated since the previous
-// call.
-func TakeStats() Stats {
-	return Stats{
-		Swapped:  int(totalSwapped.Swap(0)),
-		Reversed: int(totalReversed.Swap(0)),
+// Handoff is what phase 1 hands phase 3 for one function, so that phase 3
+// never walks a tree to learn it (§5.1, §5.3.3): the rewritten body, whose
+// MaxLabel is the largest label it defines or jumps to; per item, the
+// registers phase 1 assigned across statements — the paper's "special
+// trees specifying which registers it assigned, as well as a use count";
+// and the work phase 1c did.
+type Handoff struct {
+	Func  *ir.Func
+	Marks []Marks // one per item of Func
+	Stats Stats
+}
+
+// Pass is phase 1's per-function state — the rewrite context, the output
+// function and its body, the register spans and the marks — reused from
+// one function to the next, so transforming a function in steady state
+// allocates nothing beyond the arena. A Handoff is valid until the pass
+// transforms another function or is released. A Pass is single-owner.
+type Pass struct {
+	c     ctx
+	out   ir.Func
+	marks []Marks
+}
+
+// passPool recycles passes across compilations.
+var passPool = sync.Pool{New: func() any { return new(Pass) }}
+
+// maxPooledItems bounds the body a pooled pass keeps (384 KiB of items),
+// so one huge function does not pin its buffers in the pool.
+const maxPooledItems = 1 << 14
+
+// AcquirePass returns an idle pass from the process-wide pool.
+func AcquirePass() *Pass { return passPool.Get().(*Pass) }
+
+// Release drops every tree the pass refers to and returns it to the pool;
+// no Handoff it returned may be used afterwards.
+func (p *Pass) Release() {
+	items := p.out.Items
+	if cap(items) > maxPooledItems {
+		items, p.marks = nil, nil
 	}
+	clear(items[:cap(items)])
+	p.out = ir.Func{Items: items[:0]}
+	p.c = ctx{spans: p.c.spans[:0]}
+	passPool.Put(p)
 }
 
-// Func transforms one function, heap-allocating replacement nodes.
-func Func(f *ir.Func, opt Options) (*ir.Func, error) {
-	return FuncArena(f, opt, nil)
-}
-
-// FuncArena transforms one function, drawing replacement nodes from a (nil
-// falls back to the heap). Output trees may alias input trees: untouched
-// subtrees are shared, not copied.
-func FuncArena(f *ir.Func, opt Options, a *ir.Arena) (*ir.Func, error) {
-	maxLabel := 0
+// Func transforms f, drawing replacement nodes from a (nil falls back to
+// the heap). Output trees may alias input trees: untouched subtrees are
+// shared, not copied. A tree that jumps to a label above f's labels (its
+// MaxLabel and its label items) is an error.
+func (p *Pass) Func(f *ir.Func, opt Options, a *ir.Arena) (Handoff, error) {
+	maxLabel := f.MaxLabel()
 	for _, it := range f.Items {
 		if it.Kind == ir.ItemLabel && it.Label > maxLabel {
 			maxLabel = it.Label
 		}
-		if it.Kind == ir.ItemTree {
-			it.Tree.Walk(func(n *ir.Node) bool {
-				if n.Op == ir.Lab && int(n.Val) > maxLabel {
-					maxLabel = int(n.Val)
-				}
-				return true
-			})
-		}
 	}
-	// A statement rewrites to about two items on average and to more than
-	// four rarely, so the body is sized once for nearly every function.
-	out := &ir.Func{Name: f.Name, FrameSize: f.TotalFrame(), Items: make([]ir.Item, 0, 4*len(f.Items))}
-	out.SetLabelBase(maxLabel)
-	c := &ctx{f: out, opt: opt, a: a}
+	p.out = ir.Func{Name: f.Name, FrameSize: f.TotalFrame(), Items: p.out.Items[:0]}
+	p.out.SetLabelBase(maxLabel)
+	p.c = ctx{f: &p.out, opt: opt, a: a, maxLabel: maxLabel, spans: p.c.spans[:0]}
 	for _, it := range f.Items {
 		if it.Kind == ir.ItemLabel {
-			out.EmitLabel(it.Label)
+			p.out.EmitLabel(it.Label)
 			continue
 		}
-		if err := c.stmt(it.Tree); err != nil {
-			return nil, fmt.Errorf("transform: %s: %v (tree %s)", f.Name, err, it.Tree)
+		if err := p.c.stmt(it.Tree); err != nil {
+			return Handoff{}, fmt.Errorf("transform: %s: %v (tree %s)", f.Name, err, it.Tree)
 		}
 	}
-	totalSwapped.Add(int64(c.stats.Swapped))
-	totalReversed.Add(int64(c.stats.Reversed))
-	return out, nil
+	return Handoff{Func: &p.out, Marks: p.mark(), Stats: p.c.stats}, nil
+}
+
+// mark turns the recorded register spans into per-item marks, in a slice
+// sized once per function. Allocatable registers that hand-built input
+// names outside any recorded span get a conservative span from the first
+// to the last item mentioning them.
+func (p *Pass) mark() []Marks {
+	n := len(p.out.Items)
+	if cap(p.marks) < n {
+		p.marks = make([]Marks, n)
+	}
+	marks := p.marks[:n]
+	clear(marks)
+	set := func(i int, r ir.RegSet, last bool) {
+		switch {
+		case i < 0 || i >= n:
+		case last:
+			marks[i].Last |= r
+		default:
+			marks[i].First |= r
+		}
+	}
+	var recorded ir.RegSet
+	for _, sp := range p.c.spans {
+		r := ir.RegRange(sp.reg, 1)
+		recorded |= r
+		set(sp.first, r, false)
+		set(sp.last, r, true)
+	}
+	if p.c.named&^recorded == 0 {
+		return marks
+	}
+	// lo and hi are the first and last items mentioning an unrecorded
+	// register, plus one (zero: none).
+	var lo, hi [ir.NAllocatable]int
+	for i, it := range p.out.Items {
+		if it.Kind != ir.ItemTree {
+			continue
+		}
+		it.Tree.Walk(func(m *ir.Node) bool {
+			if (m.Op == ir.Dreg || m.Op == ir.RegUse) && m.Val >= 0 && m.Val < ir.NAllocatable && !recorded.Has(int(m.Val)) {
+				r := int(m.Val)
+				if lo[r] == 0 {
+					lo[r] = i + 1
+				}
+				hi[r] = i + 1
+			}
+			return true
+		})
+	}
+	for r := range lo {
+		if lo[r] > 0 {
+			set(lo[r]-1, ir.RegRange(r, 1), false)
+			set(hi[r]-1, ir.RegRange(r, 1), true)
+		}
+	}
+	return marks
 }
 
 type ctx struct {
@@ -130,6 +209,11 @@ type ctx struct {
 	a     *ir.Arena // replacement-node arena; nil means heap allocation
 	stats Stats
 
+	// maxLabel is the input function's largest label; named collects the
+	// allocatable registers its trees mention (hand-built input only).
+	maxLabel int
+	named    ir.RegSet
+
 	// Phase-1 register allocation for truth values and selections: taken
 	// from the top of the allocatable bank (r5 downward) so they rarely
 	// collide with the instruction generator's allocations (r0 upward).
@@ -137,6 +221,7 @@ type ctx struct {
 	// the third phase's register manager can model it precisely.
 	regBusy  [ir.NAllocatable]bool
 	regStart [ir.NAllocatable]int
+	spans    []regSpan
 
 	// stmtHasCall is true while rewriting a statement that contains a
 	// call anywhere: calls clobber the allocatable registers, so truth
@@ -158,14 +243,16 @@ func (c *ctx) allocP1Reg() int {
 	return -1
 }
 
+// regSpan is a phase-1 register's live range over item indexes
+// (inclusive). Spans of the same register never overlap.
+type regSpan struct{ reg, first, last int }
+
 // freeP1Regs closes the spans of every live phase-1 register at the end of
 // the statement that consumed them.
 func (c *ctx) freeP1Regs() {
 	for r := 0; r < ir.NAllocatable; r++ {
 		if c.regBusy[r] {
-			c.f.P1Spans = append(c.f.P1Spans, ir.RegSpan{
-				Reg: r, First: c.regStart[r], Last: len(c.f.Items) - 1,
-			})
+			c.spans = append(c.spans, regSpan{reg: r, first: c.regStart[r], last: len(c.f.Items) - 1})
 		}
 	}
 	c.regBusy = [ir.NAllocatable]bool{}
@@ -185,12 +272,9 @@ func (c *ctx) newNode(op ir.Op, t ir.Type) *ir.Node {
 func (c *ctx) stmt(n *ir.Node) error {
 	defer c.freeP1Regs()
 	c.stmtHasCall = false
-	n.Walk(func(m *ir.Node) bool {
-		if m.Op == ir.Call {
-			c.stmtHasCall = true
-		}
-		return true
-	})
+	if err := c.scan(n); err != nil {
+		return err
+	}
 	switch n.Op {
 	case ir.Jump:
 		c.emit(n)
@@ -263,6 +347,31 @@ func (c *ctx) stmt(n *ir.Node) error {
 		}
 		return nil
 	}
+}
+
+// scan visits every node of an input statement once, before it is
+// rewritten. It notes whether the statement calls (calls clobber the
+// allocatable registers) and which allocatable registers hand-built trees
+// name, and rejects a jump to a label above the function's labels.
+func (c *ctx) scan(n *ir.Node) error {
+	switch n.Op {
+	case ir.Call:
+		c.stmtHasCall = true
+	case ir.Lab:
+		if n.Val > int64(c.maxLabel) {
+			return fmt.Errorf("jump to undefined label L%d", n.Val)
+		}
+	case ir.Dreg, ir.RegUse:
+		if n.Val >= 0 && n.Val < ir.NAllocatable {
+			c.named |= ir.RegRange(int(n.Val), 1)
+		}
+	}
+	for _, k := range n.Kids {
+		if err := c.scan(k); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // hasSideEffects reports whether a rewritten tree still changes state.

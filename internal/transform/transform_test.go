@@ -242,17 +242,27 @@ int main() { g1 = 1; g2 = 2; g3 = 3; g4 = 4; return (g1 + g2) / ((g2 + g3) * (g1
 	if strings.Contains(terms(u2), "RDiv.l") {
 		t.Error("NoReverseOps still produced a reverse operator")
 	}
-	TakeStats() // drain
 }
 
+// TestStatsCount: each function's hand-off carries the operand exchanges
+// and reversals phase 1c made in it.
 func TestStatsCount(t *testing.T) {
-	TakeStats()
-	transformed(t, `
+	u := cfront.MustCompile(`
 int a, b, c, d;
-int main() { return (a + b) - ((b + c) * (a + d)); }`, Options{})
-	st := TakeStats()
-	if st.Reversed == 0 {
-		t.Errorf("stats = %+v, expected at least one reversal", st)
+int main() { return (a + b) - ((b + c) * (a + d)); }`)
+	for _, tc := range []struct {
+		opt      Options
+		reversed bool
+	}{{Options{}, true}, {Options{NoReverseOps: true}, false}} {
+		p := AcquirePass()
+		h, err := p.Func(u.Funcs[0], tc.opt, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := h.Stats; (st.Reversed > 0) != tc.reversed {
+			t.Errorf("%+v: stats = %+v, want reversals: %v", tc.opt, st, tc.reversed)
+		}
+		p.Release()
 	}
 }
 

@@ -3,6 +3,7 @@ package vax
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"ggcg/internal/ir"
 	"ggcg/internal/simcore"
@@ -197,11 +198,24 @@ type Gen struct {
 // operands recycles the chunks of every generator's operand slab.
 var operands target.SlabPool[Operand]
 
-// NewGen returns a generator emitting into e for function f.
+// NewGen returns a pooled generator emitting into e for function f;
+// Release returns it.
 func NewGen(e *Emitter, f *ir.Func) *Gen {
-	return &Gen{GenBase: target.GenBase[Operand, *Operand]{
-		E: e, RM: NewRegMan(e, f), F: f, Ops: target.NewSlab(&operands),
-	}}
+	g := gens.Get().(*Gen)
+	g.Reset(&regHooks, &operands, e, f)
+	return g
+}
+
+// gens recycles generators, each with its register manager and slab.
+var gens = sync.Pool{New: func() any { return new(Gen) }}
+
+// Release returns the generator, its register manager and its operand
+// descriptors to their pools; neither it nor any attribute it produced
+// may be used afterwards.
+func (g *Gen) Release() {
+	g.GenBase.Release()
+	*g = Gen{GenBase: g.GenBase} // zero the counters, keep the storage
+	gens.Put(g)
 }
 
 // binary generates code for `a OP b` of type t using the instruction table
